@@ -3,7 +3,9 @@
 Subcommands: stats, features, train, eval, cv, subsample.  All read
 corpora in the tagged-line format of codeswitch.corpus.  Outputs are
 written atomically (temp file + rename) so partial files are never left
-behind.  Identical arguments and inputs produce byte-identical outputs.
+behind.  Identical arguments and inputs produce byte-identical outputs
+at a fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1); another count
+may sum in another order and change the last digit of a trained weight.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name) to override the built-in defaults.
@@ -13,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from codeswitch import stats as stats_mod
@@ -24,19 +28,18 @@ from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
     load_corpus,
-    save_corpus,
     serialize_tagged_line,
 )
 from codeswitch.model import (
     CVResult,
     EvalReport,
+    FittedPipeline,
     PipelineConfig,
     TrainConfig,
     cross_validate,
     evaluate,
     fit_pipeline,
     load_model,
-    predict_proba,
     save_model,
     subsample_negatives,
 )
@@ -48,7 +51,6 @@ from codeswitch.textfeat import (
     Vocabulary,
     load_wordlist,
     vector_dim,
-    vectorize,
 )
 
 DEFAULT_SEED = 13
@@ -75,12 +77,12 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _preprocess_corpus(corpus: LabeledCorpus, args) -> LabeledCorpus:
-    if getattr(args, "no_preprocess", False):
+    if args.no_preprocess:
         return corpus
     cfg = PreprocessConfig(
-        keep_hashtag_placeholder=not getattr(args, "no_hashtag_placeholder", False),
-        segment_hashtags=not getattr(args, "no_segment_hashtags", False),
-        punctuation_set=frozenset(args.punct) if getattr(args, "punct", None)
+        keep_hashtag_placeholder=not args.no_hashtag_placeholder,
+        segment_hashtags=not args.no_segment_hashtags,
+        punctuation_set=frozenset(args.punct) if args.punct
         else PreprocessConfig().punctuation_set,
     )
     kept = []
@@ -136,13 +138,42 @@ def _save_pipeline_bundle(pipeline, path: str) -> None:
     _write_output(path, json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _is_strs(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
                                               tuple[IndicativeLexicon, ...]]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("version") != PIPELINE_FORMAT_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != PIPELINE_FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline bundle version in {path}")
-    c = doc["config"]
+    c = doc["config"] if isinstance(doc.get("config"), dict) else {}
+    valid = {
+        "kinds": _is_strs(c.get("kinds")),
+        "n_values": isinstance(c.get("n_values"), dict) and all(
+            isinstance(ns, list) and all(type(n) is int for n in ns)
+            for ns in c["n_values"].values()),
+        "min_count": type(c.get("min_count")) is int,
+        "chi2_k": "chi2_k" in c and type(c["chi2_k"]) in (int, type(None)),
+        "use_indicative": isinstance(c.get("use_indicative"), bool),
+        "lexicon_floor": _is_number(c.get("lexicon_floor")),
+        "negation_words": _is_strs(c.get("negation_words")),
+        "with_switching": isinstance(c.get("with_switching"), bool),
+        "vocab": isinstance(doc.get("vocab"), list) and all(
+            _is_strs(pair) and len(pair) == 2 for pair in doc["vocab"]),
+        "lexicons": isinstance(doc.get("lexicons"), list) and all(
+            isinstance(lex, dict) and isinstance(lex.get("class_name"), str)
+            and isinstance(lex.get("scores"), dict)
+            and all(map(_is_number, lex["scores"].values())) for lex in doc["lexicons"]),
+    }
+    bad = [key for key, ok in valid.items() if not ok]
+    if bad:
+        raise ValueError(f"pipeline bundle {path}: missing or mistyped {', '.join(bad)}")
     cfg = PipelineConfig(
         kinds=frozenset(c["kinds"]),
         n_values={k: tuple(v) for k, v in c["n_values"].items()},
@@ -239,7 +270,6 @@ def cmd_train(args) -> int:
 
 
 def _load_fitted(args):
-    from codeswitch.model import FittedPipeline
     cfg, vocab, lexicons = _load_pipeline_bundle(args.pipeline)
     model = load_model(args.model,
                        expected_dim=vector_dim(vocab, cfg.with_switching))
@@ -260,7 +290,6 @@ def cmd_cv(args) -> int:
     cfg = _pipeline_config(args)
 
     if args.ablate_switching:
-        from dataclasses import replace
         with_sw = cross_validate(corpus, replace(cfg, with_switching=True),
                                  args.k, args.seed)
         without_sw = cross_validate(corpus, replace(cfg, with_switching=False),
@@ -398,16 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"CODESWITCH_CONFIG {config_path} must hold a JSON object")
+        unknown = set(overrides) - {a.dest for sp in sub.choices.values() for a in sp._actions}
+        if unknown:
+            raise ValueError(f"CODESWITCH_CONFIG {config_path}: unknown options {sorted(unknown)}")
         for sp in sub.choices.values():
-            sp.set_defaults(**{k: v for k, v in overrides.items()})
-        parser.set_defaults(**overrides)
+            sp.set_defaults(**overrides)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CorpusFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ contain underscores.  Blank lines are skipped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 

@@ -10,7 +10,7 @@ so results are exactly reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
@@ -25,6 +25,8 @@ from codeswitch.textfeat import (
     Vocabulary,
     build_vocabulary,
     chi2_select,
+    count_features,
+    encode,
     indicative_scores,
     vector_dim,
     vectorize,
@@ -97,19 +99,18 @@ def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def train(vectors: Sequence[SparseVector], labels: Sequence[int],
+def train(X: np.ndarray, labels: Sequence[int],
           hyper: TrainConfig = TrainConfig()) -> LinearModel:
-    """Fit logistic regression by full-batch gradient descent.
+    """Fit logistic regression to the rows of X by full-batch gradient descent.
 
     Deterministic (zero initialization); raises on single-class input or
-    inconsistent dimensions.
+    when X has not one row per label.
     """
-    if len(vectors) != len(labels):
-        raise ValueError("vectors and labels must have equal length")
+    if X.shape[0] != len(labels):
+        raise ValueError("X and labels must have one row per label")
     y = np.asarray(labels, dtype=np.float64)
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("training data must contain both classes")
-    X = to_dense(vectors)
 
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -124,19 +125,11 @@ def train(vectors: Sequence[SparseVector], labels: Sequence[int],
     return LinearModel(w, b, hyper)
 
 
-def decision_score(model: LinearModel, x: SparseVector) -> float:
-    if x.dim != model.dim:
-        raise ValueError(f"vector dim {x.dim} != model dim {model.dim}")
-    return float(sum(model.weights[i] * v for i, v in x.entries) + model.bias)
-
-
 def predict_proba(model: LinearModel, x: SparseVector) -> float:
     """Probability of the positive class: sigmoid of the linear score."""
-    return float(sigmoid(decision_score(model, x)))
-
-
-def predict(model: LinearModel, x: SparseVector) -> int:
-    return 1 if predict_proba(model, x) >= 0.5 else 0
+    if x.dim != model.dim:
+        raise ValueError(f"vector dim {x.dim} != model dim {model.dim}")
+    return float(sigmoid(sum(model.weights[i] * v for i, v in x.entries) + model.bias))
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -227,17 +220,23 @@ class FittedPipeline:
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Fit vocabulary, chi-squared selection and lexicon on the training
-    corpus only, then train the classifier."""
-    vocab = build_vocabulary(train_corpus, cfg.kinds, cfg.n_values, cfg.min_count)
+    corpus only, then train the classifier.  Each utterance is featurized
+    once, and the training rows are encoded as vectorize encodes."""
+    rows = count_features(train_corpus, cfg.kinds, cfg.n_values)
+    labels = [u.label for u in train_corpus]
+    vocab = build_vocabulary(rows, cfg.kinds, cfg.n_values, cfg.min_count)
     if cfg.chi2_k is not None:
-        vocab = chi2_select(train_corpus, vocab, cfg.chi2_k)
+        vocab = chi2_select(rows, labels, vocab, cfg.chi2_k)
     lexicons: tuple[IndicativeLexicon, ...] = ()
     if cfg.use_indicative:
         lexicons = (indicative_scores(train_corpus, cfg.lexicon_floor,
                                       train_corpus.task_name),)
-    vectors = [vectorize(u, vocab, lexicons, cfg.negation_words,
-                         cfg.with_switching) for u in train_corpus]
-    model = train(vectors, [u.label for u in train_corpus], cfg.train_config)
+    X = np.zeros((len(rows), vector_dim(vocab, cfg.with_switching)))
+    for row, (counts, u) in enumerate(zip(rows, train_corpus)):
+        for i, v in encode(counts, u.tokens, vocab, lexicons, cfg.negation_words,
+                           cfg.with_switching):
+            X[row, i] = v
+    model = train(X, labels, cfg.train_config)
     return FittedPipeline(cfg, vocab, lexicons, model)
 
 
@@ -305,14 +304,18 @@ def load_model(path: Union[str, Path],
     version = lines[0].split()[-1]
     if version != f"v{MODEL_FORMAT_VERSION}":
         raise ValueError(f"unsupported model format version {version}")
-    dim = int(lines[1].split()[1])
+    h = lines[2].split() if len(lines) > 3 else []
+    if len(h) != 8 or h[0::2] != ["epochs", "learning_rate", "l2", "seed"]:
+        raise ValueError(f"truncated or malformed model header in {path}")
+    dim = int(lines[1].removeprefix("dim "))
     if expected_dim is not None and dim != expected_dim:
         raise ValueError(f"model dim {dim} does not match expected {expected_dim}")
-    h = lines[2].split()
     meta = TrainConfig(epochs=int(h[1]), learning_rate=float(h[3]),
                        l2=float(h[5]), seed=int(h[7]))
     bias = float(lines[3])
     weights = np.array([float(x) for x in lines[4:4 + dim]])
     if weights.shape[0] != dim:
         raise ValueError("model file truncated")
+    if not (np.isfinite(bias) and np.isfinite(weights).all()):
+        raise ValueError(f"non-finite model parameters in {path}")
     return LinearModel(weights, bias, meta)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from codeswitch.corpus import Token
 

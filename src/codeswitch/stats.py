@@ -58,12 +58,16 @@ def contingency(corpus: LabeledCorpus) -> ContingencyTable:
     return ContingencyTable(n11, n10, n01, n00)
 
 
-def conditional_positive_rates(corpus: LabeledCorpus) -> tuple[float | None, float | None]:
+def rates_from_table(t: ContingencyTable) -> tuple[float | None, float | None]:
     """(p(positive | Q), p(positive | ~Q)); None when a cell is empty."""
-    t = contingency(corpus)
     p_q = t.n11 / (t.n11 + t.n01) if (t.n11 + t.n01) > 0 else None
     p_not_q = t.n10 / (t.n10 + t.n00) if (t.n10 + t.n00) > 0 else None
     return p_q, p_not_q
+
+
+def conditional_positive_rates(corpus: LabeledCorpus) -> tuple[float | None, float | None]:
+    """(p(positive | Q), p(positive | ~Q)); None when a cell is empty."""
+    return rates_from_table(contingency(corpus))
 
 
 def average_switching(corpus: LabeledCorpus) -> tuple[float | None, float | None]:
@@ -91,7 +95,7 @@ def phi_correlation(corpus: LabeledCorpus) -> float | None:
 
 def summarize(corpus: LabeledCorpus) -> SwitchTaskSummary:
     t = contingency(corpus)
-    p_q, p_not_q = conditional_positive_rates(corpus)
+    p_q, p_not_q = rates_from_table(t)
     avg_pos, avg_neg = average_switching(corpus)
     return SwitchTaskSummary(
         task_name=corpus.task_name,

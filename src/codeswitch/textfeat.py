@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -91,7 +92,7 @@ class Vocabulary:
     kinds: frozenset[str]
     n_values: Mapping[str, tuple[int, ...]]
 
-    @property
+    @cached_property
     def feature_id_map(self) -> dict[FeatureKey, int]:
         return {key: i for i, key in enumerate(self.features)}
 
@@ -102,47 +103,31 @@ class Vocabulary:
         return key in self.feature_id_map
 
 
-def build_vocabulary(corpus: LabeledCorpus,
-                     kinds: Iterable[str] = ("bow",),
-                     n_values: Mapping[str, tuple[int, ...]] | None = None,
-                     min_count: int = 1) -> Vocabulary:
-    """All features of the requested kinds occurring >= min_count times,
-    indexed in sorted (kind, payload) order."""
+def count_features(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
+                   n_values: Mapping[str, tuple[int, ...]]) -> list[Counter]:
+    """The extract_features multiset of each utterance, in corpus order: the
+    one counting pass that vocabulary, chi-squared and training matrix read."""
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
-    if n_values is None:
-        n_values = dict(DEFAULT_N_VALUES)
+    return [extract_features(u.tokens, kinds, n_values) for u in corpus]
 
+
+def build_vocabulary(rows: Iterable[Mapping[FeatureKey, int]], kinds: Iterable[str],
+                     n_values: Mapping[str, tuple[int, ...]],
+                     min_count: int = 1) -> Vocabulary:
+    """All features in the count rows occurring >= min_count times,
+    indexed in sorted (kind, payload) order."""
     totals: Counter = Counter()
-    for u in corpus:
-        totals.update(extract_features(u.tokens, kinds, n_values))
+    for counts in rows:
+        totals.update(counts)
 
     keys = sorted((k for k, c in totals.items() if c >= min_count),
                   key=_feature_sort_key)
     if not keys:
         raise ValueError("resulting vocabulary is empty")
-    return Vocabulary(tuple(keys), kinds, dict(n_values))
-
-
-def _presence_counts(corpus: LabeledCorpus,
-                     vocab: Vocabulary) -> tuple[dict[FeatureKey, int], dict[FeatureKey, int], int, int]:
-    """Per-feature document-presence counts in positives and negatives."""
-    in_pos: Counter = Counter()
-    in_neg: Counter = Counter()
-    n_pos = n_neg = 0
-    idx = vocab.feature_id_map
-    for u in corpus:
-        present = {k for k in extract_features(u.tokens, vocab.kinds, vocab.n_values)
-                   if k in idx}
-        if u.label == POSITIVE:
-            n_pos += 1
-            in_pos.update(present)
-        else:
-            n_neg += 1
-            in_neg.update(present)
-    return in_pos, in_neg, n_pos, n_neg
+    return Vocabulary(tuple(keys), frozenset(kinds), dict(n_values))
 
 
 def _chi2(a: int, b: int, c: int, d: int) -> float:
@@ -154,23 +139,22 @@ def _chi2(a: int, b: int, c: int, d: int) -> float:
     return n * (a * d - b * c) ** 2 / denom
 
 
-def chi2_scores(corpus: LabeledCorpus, vocab: Vocabulary) -> dict[FeatureKey, float]:
-    """Chi-squared statistic of (feature presence x label) per feature."""
-    in_pos, in_neg, n_pos, n_neg = _presence_counts(corpus, vocab)
-    scores = {}
-    for key in vocab.features:
-        a = in_pos.get(key, 0)
-        b = in_neg.get(key, 0)
-        scores[key] = _chi2(a, b, n_pos - a, n_neg - b)
-    return scores
+def chi2_scores(rows: Sequence[Mapping[FeatureKey, int]], labels: Sequence[int],
+                vocab: Vocabulary) -> dict[FeatureKey, float]:
+    """Chi-squared statistic of (feature presence x label) per feature,
+    from the count rows of the utterances and their labels."""
+    in_pos: Counter = Counter()
+    in_neg: Counter = Counter()
+    for counts, label in zip(rows, labels, strict=True):
+        (in_pos if label == POSITIVE else in_neg).update(counts.keys())
+    n_pos = sum(1 for label in labels if label == POSITIVE)
+    n_neg = len(labels) - n_pos
+    return {key: _chi2(in_pos[key], in_neg[key], n_pos - in_pos[key], n_neg - in_neg[key])
+            for key in vocab.features}
 
 
-def chi2_score(feature_key: FeatureKey, corpus: LabeledCorpus,
-               vocab: Vocabulary) -> float:
-    return chi2_scores(corpus, vocab)[feature_key]
-
-
-def chi2_select(corpus: LabeledCorpus, vocab: Vocabulary, k: int = 500) -> Vocabulary:
+def chi2_select(rows: Sequence[Mapping[FeatureKey, int]], labels: Sequence[int],
+                vocab: Vocabulary, k: int = 500) -> Vocabulary:
     """Keep the k highest-scoring features (ties by deterministic key
     order) and re-index densely."""
     if k < 1:
@@ -180,7 +164,7 @@ def chi2_select(corpus: LabeledCorpus, vocab: Vocabulary, k: int = 500) -> Vocab
             warnings.warn(f"k={k} exceeds vocabulary size {len(vocab)}; "
                           "keeping the full vocabulary")
         return vocab
-    scores = chi2_scores(corpus, vocab)
+    scores = chi2_scores(rows, labels, vocab)
     ranked = sorted(vocab.features,
                     key=lambda key: (-scores[key],) + _feature_sort_key(key))
     kept = sorted(ranked[:k], key=_feature_sort_key)
@@ -230,25 +214,6 @@ def load_wordlist(path: Union[str, Path]) -> frozenset[str]:
     return frozenset(words)
 
 
-def load_lexicon(path: Union[str, Path], class_name: str = "") -> IndicativeLexicon:
-    """One `token<TAB>score` per line; a bare token means score 1.0."""
-    scores = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            token, _, value = line.partition("\t")
-            scores[token.lower()] = float(value) if value else 1.0
-    return IndicativeLexicon(scores, class_name)
-
-
-def save_lexicon(lexicon: IndicativeLexicon, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for token in sorted(lexicon.scores):
-            fh.write(f"{token}\t{lexicon.scores[token]!r}\n")
-
-
 @dataclass(frozen=True)
 class SparseVector:
     """Strictly-increasing (index, value) pairs; zero values never stored."""
@@ -267,20 +232,37 @@ class SparseVector:
                 raise ValueError("zero-valued entries must not be stored")
             last = i
 
-    def to_text(self) -> str:
-        return " ".join(f"{i}:{v!r}" for i, v in self.entries)
-
-    @classmethod
-    def from_text(cls, text: str, dim: int) -> "SparseVector":
-        entries = []
-        for part in text.split():
-            i, _, v = part.partition(":")
-            entries.append((int(i), float(v)))
-        return cls(tuple(entries), dim)
-
 
 def vector_dim(vocab: Vocabulary, with_switching: bool) -> int:
     return len(vocab) + 2 + (N_FEATURES if with_switching else 0)
+
+
+def encode(counts: Mapping[FeatureKey, int], tokens: Sequence[Token], vocab: Vocabulary,
+           lexicons: Sequence[IndicativeLexicon], negation_words: frozenset[str],
+           with_switching: bool) -> tuple[tuple[int, float], ...]:
+    """Sorted (index, value) entries of one utterance from its feature counts:
+    vocabulary block, the two special dimensions and, optionally, the nine
+    switching features.  Training and serving both encode through here."""
+    idx = vocab.feature_id_map
+    values: dict[int, float] = {}
+    for key, count in counts.items():
+        if key in idx:
+            values[idx[key]] = float(count)
+
+    indicative = sum(lex.score(t.surface) for lex in lexicons for t in tokens)
+    if indicative != 0.0:
+        values[len(vocab)] = indicative
+    negations = sum(1 for t in tokens if t.surface.lower() in negation_words)
+    if negations:
+        values[len(vocab) + 1] = float(negations)
+
+    if with_switching:
+        base = len(vocab) + 2
+        for offset, value in enumerate(switching_features(tokens).as_tuple()):
+            if value != 0.0:
+                values[base + offset] = float(value)
+
+    return tuple(sorted(values.items()))
 
 
 def vectorize(utterance: LabeledUtterance,
@@ -288,30 +270,8 @@ def vectorize(utterance: LabeledUtterance,
               lexicons: Sequence[IndicativeLexicon] = (),
               negation_words: frozenset[str] = DEFAULT_NEGATION_WORDS,
               with_switching: bool = False) -> SparseVector:
-    """Encode an utterance over the vocabulary plus the two special
-    dimensions (indicative-score sum, negation count) and, optionally,
-    the nine switching features as the final block."""
-    idx = vocab.feature_id_map
-    values: dict[int, float] = {}
-    for key, count in extract_features(utterance.tokens, vocab.kinds,
-                                       vocab.n_values).items():
-        if key in idx:
-            values[idx[key]] = float(count)
-
-    indicative = sum(lex.score(t.surface) for lex in lexicons
-                     for t in utterance.tokens)
-    if indicative != 0.0:
-        values[len(vocab)] = indicative
-    negations = sum(1 for t in utterance.tokens
-                    if t.surface.lower() in negation_words)
-    if negations:
-        values[len(vocab) + 1] = float(negations)
-
-    if with_switching:
-        base = len(vocab) + 2
-        for offset, value in enumerate(switching_features(utterance.tokens).as_tuple()):
-            if value != 0.0:
-                values[base + offset] = float(value)
-
-    entries = tuple(sorted(values.items()))
-    return SparseVector(entries, vector_dim(vocab, with_switching))
+    """Extract and encode one utterance as a vector of vector_dim size."""
+    counts = extract_features(utterance.tokens, vocab.kinds, vocab.n_values)
+    return SparseVector(encode(counts, utterance.tokens, vocab, lexicons,
+                               negation_words, with_switching),
+                        vector_dim(vocab, with_switching))

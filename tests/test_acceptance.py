@@ -34,7 +34,7 @@ from codeswitch.model import (
 from codeswitch.preprocess import segment_camel_case
 from codeswitch.stats import ContingencyTable, phi_from_table
 from codeswitch.switching import lang_run_vectors, switch_counts, switching_features
-from codeswitch.textfeat import build_vocabulary, chi2_score, chi2_scores, chi2_select
+from codeswitch.textfeat import build_vocabulary, chi2_scores, chi2_select, count_features
 from synth_corpus import switching_driven_corpus
 
 PAPER_LINE = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
@@ -226,15 +226,17 @@ def test_09_chi_squared():
         LabeledUtterance((Token("gamma", "hi"), Token("beta", "hi")), 0, "3"),
     )
     corpus = LabeledCorpus(utts, "chi")
-    vocab = build_vocabulary(corpus, kinds={"bow"})
-    assert chi2_score(("bow", "marker"), corpus, vocab) == 4.0
-    assert chi2_score(("bow", "shared"), corpus, vocab) == 0.0
-    scores = chi2_scores(corpus, vocab)
+    rows = count_features(corpus, {"bow"}, {})
+    labels = [u.label for u in corpus]
+    vocab = build_vocabulary(rows, {"bow"}, {})
+    scores = chi2_scores(rows, labels, vocab)
+    assert scores[("bow", "marker")] == 4.0
+    assert scores[("bow", "shared")] == 0.0
     for k in (1, 3, len(vocab), len(vocab) + 10):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            selected = chi2_select(corpus, vocab, k)
+            selected = chi2_select(rows, labels, vocab, k)
         assert len(selected) == min(k, len(vocab))
         kept = {scores[f] for f in selected.features}
         rejected = [scores[f] for f in vocab.features

@@ -150,3 +150,47 @@ class TestConfigOverride:
         monkeypatch.setenv("CODESWITCH_CONFIG", str(cfg))
         assert run(["features", tiny_corpus_file]) == 0
         assert out.exists()
+
+
+def _replace_last_line(text, line):
+    return "".join(text.splitlines(keepends=True)[:-1]) + line + "\n"
+
+
+# (file to corrupt, the corrupted contents given the good ones, or None to delete)
+BAD_INPUTS = {
+    "bundle without config": ("pipeline.json", lambda text: '{"version": 1}\n'),
+    "bundle as a JSON list": ("pipeline.json", lambda text: "[1]\n"),
+    "bundle field of wrong type": (
+        "pipeline.json", lambda text: text.replace('"min_count": 1', '"min_count": "1"')),
+    "bundle n-gram size not an integer": (
+        "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": ["3"]')),
+    "model with only its magic line": ("model.txt", lambda text: text.splitlines()[0] + "\n"),
+    "model with short header": ("model.txt", lambda text: text.replace(" seed 13", "")),
+    "model with a NaN weight": ("model.txt", lambda text: _replace_last_line(text, "nan")),
+    "model with an infinite weight": ("model.txt", lambda text: _replace_last_line(text, "inf")),
+    "config not JSON": ("config.json", lambda text: "{not json"),
+    "config missing": ("config.json", None),
+    "config a JSON list": ("config.json", lambda text: '["seed"]'),
+    "config unknown option": ("config.json", lambda text: '{"no_such_option": 1}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys):
+    model, bundle, config = (tmp_path / name for name in
+                             ("model.txt", "pipeline.json", "config.json"))
+    assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+                "--kinds", "bow", "--chi2-k", "0", "--epochs", "5"]) == 0
+    config.write_text("{}")
+    monkeypatch.setenv("CODESWITCH_CONFIG", str(config))
+    name, corrupt = BAD_INPUTS[case]
+    target = tmp_path / name
+    if corrupt is None:
+        target.unlink()
+    else:
+        good = target.read_text()
+        target.write_text(corrupt(good))
+        assert target.read_text() != good
+    capsys.readouterr()
+    assert run(["eval", synth_file, "--model", str(model), "--pipeline", str(bundle)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

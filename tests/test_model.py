@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from codeswitch import model as model_module, textfeat
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.model import (
     EvalReport,
@@ -32,26 +33,31 @@ def sv(values, dim):
 class TestTrain:
     def test_separable_1d(self):
         vectors = [sv([-1.0], 1), sv([1.0], 1)]
-        model = train(vectors, [0, 1], TrainConfig(epochs=200, learning_rate=0.5, l2=0.0))
+        model = train(to_dense(vectors), [0, 1],
+                      TrainConfig(epochs=200, learning_rate=0.5, l2=0.0))
         assert model.weights[0] > 0
         assert predict_proba(model, vectors[0]) < 0.5
         assert predict_proba(model, vectors[1]) >= 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
-            train([sv([1.0], 1), sv([2.0], 1)], [1, 1])
+            train(to_dense([sv([1.0], 1), sv([2.0], 1)]), [1, 1])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            train([sv([1.0], 1), sv([1.0, 2.0], 2)], [0, 1])
+            train(to_dense([sv([1.0], 1), sv([1.0, 2.0], 2)]), [0, 1])
+
+    def test_row_label_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one row per label"):
+            train(to_dense([sv([1.0], 1), sv([-1.0], 1)]), [0, 1, 1])
 
     def test_deterministic(self):
         rng = random.Random(0)
         vectors = [sv([rng.gauss(0, 1) for _ in range(3)], 3) for _ in range(20)]
         labels = [rng.randint(0, 1) for _ in range(20)]
         labels[0], labels[1] = 0, 1
-        a = train(vectors, labels)
-        b = train(vectors, labels)
+        a = train(to_dense(vectors), labels)
+        b = train(to_dense(vectors), labels)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_loss_non_increasing(self):
@@ -62,7 +68,7 @@ class TestTrain:
         X = to_dense(vectors)
         y = np.array(labels, dtype=float)
         hyper = TrainConfig(epochs=100, learning_rate=0.1, l2=1e-3)
-        model = train(vectors, labels, hyper)
+        model = train(X, labels, hyper)
         loss_start, _, _ = loss_and_grad(np.zeros(1), 0.0, X, y, hyper.l2)
         loss_end, _, _ = loss_and_grad(model.weights, model.bias, X, y, hyper.l2)
         assert loss_end <= loss_start + 1e-9
@@ -238,13 +244,49 @@ class TestCrossValidate:
         assert ("bow", "zzz") not in pipeline.vocab
 
 
+class TestFitPipeline:
+    """All three kinds, chi-squared selection, the lexicon, negations and
+    the switching block, so every part of the training row is exercised."""
+
+    CFG = PipelineConfig(kinds=frozenset({"bow", "char_ngram", "word_ngram"}),
+                         chi2_k=20, negation_words=frozenset({"tok3"}),
+                         with_switching=True, train_config=TrainConfig(epochs=20))
+
+    def test_extracts_each_training_utterance_once(self, monkeypatch):
+        corpus = word_pool_corpus(40, seed=4)
+        calls = []
+        extract = textfeat.extract_features
+
+        def counted(*args):
+            calls.append(args)
+            return extract(*args)
+        monkeypatch.setattr(textfeat, "extract_features", counted)
+        fit_pipeline(corpus, self.CFG)
+        assert len(calls) == len(corpus)
+
+    def test_training_matrix_equals_serving_vectors(self, monkeypatch):
+        corpus = word_pool_corpus(40, seed=4)
+        matrices = []
+        fit = model_module.train
+
+        def captured(X, labels, hyper):
+            matrices.append(X.copy())
+            return fit(X, labels, hyper)
+        monkeypatch.setattr(model_module, "train", captured)
+        pipeline = fit_pipeline(corpus, self.CFG)
+        served = to_dense([pipeline.vectorize(u) for u in corpus])
+        assert len(pipeline.vocab) == 20
+        assert (served[:, 20:] != 0).any(axis=0).all()  # specials and switching used
+        assert len(matrices) == 1 and np.array_equal(matrices[0], served)
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         rng = random.Random(5)
         vectors = [sv([rng.gauss(0, 1) for _ in range(4)], 4) for _ in range(20)]
         labels = [rng.randint(0, 1) for _ in range(20)]
         labels[:2] = [0, 1]
-        model = train(vectors, labels)
+        model = train(to_dense(vectors), labels)
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path, expected_dim=4)

@@ -11,9 +11,9 @@ from codeswitch.textfeat import (
     Vocabulary,
     build_vocabulary,
     char_ngrams,
-    chi2_score,
     chi2_scores,
     chi2_select,
+    count_features,
     indicative_scores,
     vector_dim,
     vectorize,
@@ -27,6 +27,15 @@ def utterance(surfaces, label=1, uid="0", tag="hi"):
 
 def corpus(*utts):
     return LabeledCorpus(tuple(utts))
+
+
+def vocabulary(c, kinds, n_values=None, min_count=1):
+    n_values = n_values or {}
+    return build_vocabulary(count_features(c, kinds, n_values), kinds, n_values, min_count)
+
+
+def rows_and_labels(c):
+    return count_features(c, {"bow"}, {}), [u.label for u in c]
 
 
 class TestCharNgrams:
@@ -61,20 +70,20 @@ class TestWordNgrams:
 
 class TestBuildVocabulary:
     def test_bow_enumeration(self):
-        vocab = build_vocabulary(corpus(utterance(["koi", "to"])), kinds={"bow"})
+        vocab = vocabulary(corpus(utterance(["koi", "to"])), kinds={"bow"})
         assert vocab.features == (("bow", "koi"), ("bow", "to"))
 
     def test_min_count_threshold(self):
         c = corpus(utterance(["koi", "to"], uid="0"),
                    utterance(["to", "to"], label=0, uid="1"))
-        vocab = build_vocabulary(c, kinds={"bow"}, min_count=2)
+        vocab = vocabulary(c, kinds={"bow"}, min_count=2)
         assert ("bow", "koi") not in vocab
         assert ("bow", "to") in vocab
 
     def test_mixed_kind_ordering(self):
         c = corpus(utterance(["ab"]))
-        vocab = build_vocabulary(c, kinds={"bow", "char_ngram", "word_ngram"},
-                                 n_values={"char_ngram": (2,), "word_ngram": (1,)})
+        vocab = vocabulary(c, kinds={"bow", "char_ngram", "word_ngram"},
+                           n_values={"char_ngram": (2,), "word_ngram": (1,)})
         kinds_in_order = [k for k, _ in vocab.features]
         assert kinds_in_order == sorted(
             kinds_in_order, key=["char_ngram", "word_ngram", "bow"].index)
@@ -84,7 +93,11 @@ class TestBuildVocabulary:
 
     def test_empty_vocabulary_is_error(self):
         with pytest.raises(ValueError):
-            build_vocabulary(corpus(utterance(["koi"])), kinds={"bow"}, min_count=5)
+            vocabulary(corpus(utterance(["koi"])), kinds={"bow"}, min_count=5)
+
+    def test_unknown_kind_is_error(self):
+        with pytest.raises(ValueError, match="unknown feature kinds"):
+            count_features(corpus(utterance(["koi"])), {"bow", "pos_tag"}, {})
 
 
 def balanced_four_corpus():
@@ -101,37 +114,38 @@ def balanced_four_corpus():
 class TestChi2:
     def test_perfectly_associated_feature(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
-        assert chi2_score(("bow", "marker"), c, vocab) == 4.0
+        vocab = vocabulary(c, kinds={"bow"})
+        assert chi2_scores(*rows_and_labels(c), vocab)[("bow", "marker")] == 4.0
 
     def test_independent_feature(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
-        assert chi2_score(("bow", "shared"), c, vocab) == 0.0
+        vocab = vocabulary(c, kinds={"bow"})
+        assert chi2_scores(*rows_and_labels(c), vocab)[("bow", "shared")] == 0.0
 
     def test_select_top_k(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
-        selected = chi2_select(c, vocab, k=2)
+        vocab = vocabulary(c, kinds={"bow"})
+        selected = chi2_select(*rows_and_labels(c), vocab, k=2)
         assert len(selected) == 2
         assert ("bow", "marker") in selected
-        scores = chi2_scores(c, vocab)
+        scores = chi2_scores(*rows_and_labels(c), vocab)
         kept = min(scores[f] for f in selected.features)
         rejected = [scores[f] for f in vocab.features if f not in selected]
         assert all(kept >= r for r in rejected)
 
     def test_k_larger_than_vocab_warns(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, kinds={"bow"})
         with pytest.warns(UserWarning):
-            selected = chi2_select(c, vocab, k=1000)
+            selected = chi2_select(*rows_and_labels(c), vocab, k=1000)
         assert selected.features == vocab.features
 
     def test_label_swap_symmetry(self):
         c = balanced_four_corpus()
         flipped = c.subset(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in c)
-        vocab = build_vocabulary(c, kinds={"bow"})
-        assert chi2_scores(c, vocab) == chi2_scores(flipped, vocab)
+        vocab = vocabulary(c, kinds={"bow"})
+        assert chi2_scores(*rows_and_labels(c), vocab) == \
+            chi2_scores(*rows_and_labels(flipped), vocab)
 
 
 class TestIndicativeScores:
@@ -164,15 +178,11 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector(((0, 0.0),), dim=1)
 
-    def test_text_roundtrip(self):
-        v = SparseVector(((0, 1.0), (3, 2.5)), dim=5)
-        assert SparseVector.from_text(v.to_text(), 5) == v
-
 
 class TestVectorize:
     def test_no_hits_only_specials(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["unseen"], uid="9")
         v = vectorize(u, vocab, (lex,), frozenset(), with_switching=False)
@@ -181,7 +191,7 @@ class TestVectorize:
 
     def test_switching_grows_dim_by_nine(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["marker"], uid="9")
         plain = vectorize(u, vocab, (), frozenset(), with_switching=False)
         with_sw = vectorize(u, vocab, (), frozenset(), with_switching=True)
@@ -189,7 +199,7 @@ class TestVectorize:
 
     def test_switching_never_changes_leading_block(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared"], uid="9")
         plain = vectorize(u, vocab, (lex,), frozenset(), with_switching=False)
@@ -214,7 +224,7 @@ class TestVectorize:
 
     def test_negation_dimension(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["nahi", "not", "word"], uid="9")
         v = vectorize(u, vocab, (), frozenset({"nahi", "not"}),
                       with_switching=False)
@@ -222,8 +232,8 @@ class TestVectorize:
 
     def test_deterministic(self):
         c = balanced_four_corpus()
-        vocab = build_vocabulary(c, kinds={"bow", "char_ngram"},
-                                 n_values={"char_ngram": (3,)})
+        vocab = vocabulary(c, kinds={"bow", "char_ngram"},
+                           n_values={"char_ngram": (3,)})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared", "x"], uid="9")
         a = vectorize(u, vocab, (lex,), frozenset({"not"}), True)
