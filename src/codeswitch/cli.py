@@ -8,7 +8,8 @@ at a fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1); another count
 may sum in another order and change the last digit of a trained weight.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
-dest name) to override the built-in defaults.
+dest name, each value of the type its flag gives) to override the
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -146,10 +147,18 @@ def _is_strs(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _read_json(path: str):
+    """The JSON document in the file; an error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
                                               tuple[IndicativeLexicon, ...]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != PIPELINE_FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline bundle version in {path}")
     c = doc["config"] if isinstance(doc.get("config"), dict) else {}
@@ -425,23 +434,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_path = os.environ.get("CODESWITCH_CONFIG")
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = _read_json(config_path)
         if not isinstance(overrides, dict):
             raise ValueError(f"CODESWITCH_CONFIG {config_path} must hold a JSON object")
-        unknown = set(overrides) - {a.dest for sp in sub.choices.values() for a in sp._actions}
+        actions = {a.dest: a for sp in sub.choices.values() for a in sp._actions
+                   if not isinstance(a, argparse._HelpAction)}
+        unknown = set(overrides) - set(actions)
         if unknown:
             raise ValueError(f"CODESWITCH_CONFIG {config_path}: unknown options {sorted(unknown)}")
+        for key, value in overrides.items():
+            expected = _config_value_error(actions[key], value)
+            if expected:
+                raise ValueError(f"CODESWITCH_CONFIG {config_path}: {key} must be {expected}")
         for sp in sub.choices.values():
             sp.set_defaults(**overrides)
     return parser
+
+
+_CONFIG_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    None: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _config_value_error(action: argparse.Action, value) -> str | None:
+    """What a CODESWITCH_CONFIG value must be to stand for this option, or
+    None when it is fit: what the option's flag would have produced."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return None if type(value) is bool else "true or false"
+    if value is None and action.default is None:
+        return None
+    what, ok = _CONFIG_TYPES[action.type]
+    if action.nargs == "+":
+        fit = isinstance(value, list) and value and all(map(ok, value))
+        return None if fit else f"a non-empty list, each {what}"
+    if action.choices is not None:
+        return None if value in action.choices else f"one of {list(action.choices)}"
+    return None if ok(value) else what
 
 
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CorpusFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CorpusFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

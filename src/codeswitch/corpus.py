@@ -185,11 +185,10 @@ def split_train_test(corpus: LabeledCorpus, train_fraction: float,
             corpus.subset(corpus[i] for i in test_idx))
 
 
-def kfold(corpus: LabeledCorpus, k: int,
-          seed: int) -> list[tuple[LabeledCorpus, LabeledCorpus]]:
-    """Deterministic k-fold split; test folds partition the corpus and
-    their sizes differ by at most one."""
-    n = len(corpus)
+def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
+    """(train, test) index lists of a deterministic k-fold split of
+    range(n): test folds partition it, their sizes differ by at most one,
+    and both lists of a fold are in ascending order."""
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
 
@@ -203,7 +202,12 @@ def kfold(corpus: LabeledCorpus, k: int,
         size = base + (1 if fold < extra else 0)
         test_idx = set(order[start:start + size])
         start += size
-        train = corpus.subset(corpus[i] for i in range(n) if i not in test_idx)
-        test = corpus.subset(corpus[i] for i in range(n) if i in test_idx)
-        folds.append((train, test))
+        folds.append(([i for i in range(n) if i not in test_idx], sorted(test_idx)))
     return folds
+
+
+def kfold(corpus: LabeledCorpus, k: int,
+          seed: int) -> list[tuple[LabeledCorpus, LabeledCorpus]]:
+    """Deterministic k-fold split of the corpus by fold_indices."""
+    return [(corpus.subset(corpus[i] for i in train), corpus.subset(corpus[i] for i in test))
+            for train, test in fold_indices(len(corpus), k, seed)]

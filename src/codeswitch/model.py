@@ -16,19 +16,19 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, kfold
+from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices
 from codeswitch.textfeat import (
     DEFAULT_N_VALUES,
     DEFAULT_NEGATION_WORDS,
+    FeatureMatrix,
     IndicativeLexicon,
     SparseVector,
     Vocabulary,
     build_vocabulary,
     chi2_select,
-    count_features,
-    encode,
+    featurize,
     indicative_scores,
-    vector_dim,
+    training_matrix,
     vectorize,
 )
 
@@ -218,26 +218,28 @@ class FittedPipeline:
         return 1 if self.predict_proba(utterance) >= 0.5 else 0
 
 
-def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
-    """Fit vocabulary, chi-squared selection and lexicon on the training
-    corpus only, then train the classifier.  Each utterance is featurized
-    once, and the training rows are encoded as vectorize encodes."""
-    rows = count_features(train_corpus, cfg.kinds, cfg.n_values)
-    labels = [u.label for u in train_corpus]
-    vocab = build_vocabulary(rows, cfg.kinds, cfg.n_values, cfg.min_count)
+def _fit_rows(matrix: FeatureMatrix, corpus: LabeledCorpus, rows: Sequence[int],
+              cfg: PipelineConfig) -> FittedPipeline:
+    """Fit vocabulary, chi-squared selection and lexicon on the given rows
+    of matrix = featurize(corpus) only, then train the classifier."""
+    rows = np.asarray(rows, dtype=np.intp)
+    vocab = build_vocabulary(matrix, rows, cfg.min_count)
     if cfg.chi2_k is not None:
-        vocab = chi2_select(rows, labels, vocab, cfg.chi2_k)
+        vocab = chi2_select(matrix, rows, vocab, cfg.chi2_k)
     lexicons: tuple[IndicativeLexicon, ...] = ()
     if cfg.use_indicative:
-        lexicons = (indicative_scores(train_corpus, cfg.lexicon_floor,
-                                      train_corpus.task_name),)
-    X = np.zeros((len(rows), vector_dim(vocab, cfg.with_switching)))
-    for row, (counts, u) in enumerate(zip(rows, train_corpus)):
-        for i, v in encode(counts, u.tokens, vocab, lexicons, cfg.negation_words,
-                           cfg.with_switching):
-            X[row, i] = v
-    model = train(X, labels, cfg.train_config)
+        lexicons = (indicative_scores(corpus.subset(corpus[r] for r in rows.tolist()),
+                                      cfg.lexicon_floor, corpus.task_name),)
+    X = training_matrix(matrix, corpus, rows.tolist(), vocab, lexicons,
+                        cfg.negation_words, cfg.with_switching)
+    model = train(X, matrix.labels[rows], cfg.train_config)
     return FittedPipeline(cfg, vocab, lexicons, model)
+
+
+def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
+    """Featurize the training corpus once and fit the pipeline on all of it."""
+    matrix = featurize(train_corpus, cfg.kinds, cfg.n_values)
+    return _fit_rows(matrix, train_corpus, range(len(train_corpus)), cfg)
 
 
 def evaluate(pipeline: FittedPipeline, test_corpus: LabeledCorpus) -> EvalReport:
@@ -256,21 +258,23 @@ def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
                    k: int = 10, seed: int = 13) -> CVResult:
     """k-fold cross-validation with all feature fitting on train folds.
 
+    The corpus is featurized once; each fold fits from its train rows of
+    that matrix, and its test fold is scored through the serving path.
+
     Folds whose train or test part contains a single class are skipped
     with a warning and excluded from the aggregate.
     """
+    folds = fold_indices(len(corpus), k, seed)
+    matrix = featurize(corpus, cfg.kinds, cfg.n_values)
     reports: list[EvalReport] = []
     skipped: list[int] = []
-    for fold_index, (train_part, test_part) in enumerate(kfold(corpus, k, seed)):
-        def single_class(part):
-            labels = {u.label for u in part}
-            return len(labels) < 2
-        if single_class(train_part) or single_class(test_part):
+    for fold_index, (train_rows, test_rows) in enumerate(folds):
+        if any(len(set(matrix.labels[rows].tolist())) < 2 for rows in (train_rows, test_rows)):
             warnings.warn(f"fold {fold_index} has a single class; excluded")
             skipped.append(fold_index)
             continue
-        pipeline = fit_pipeline(train_part, cfg)
-        reports.append(evaluate(pipeline, test_part))
+        pipeline = _fit_rows(matrix, corpus, train_rows, cfg)
+        reports.append(evaluate(pipeline, corpus.subset(corpus[i] for i in test_rows)))
     if not reports:
         raise ValueError("every fold was degenerate; cannot aggregate")
     mean = sum(r.macro_f1 for r in reports) / len(reports)

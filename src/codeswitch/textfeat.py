@@ -2,6 +2,11 @@
 indicative-token lexicons and negation counts, plus sparse vectorization
 with optional switching-feature concatenation.
 
+A fit featurizes its corpus once into a FeatureMatrix (CSR counts over
+global feature ids); vocabulary, chi-squared selection and the dense
+training matrix then read row slices of it, so cross-validation folds
+never extract their training utterances again.
+
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  Vocabulary indices are dense and deterministic:
 sorted by kind (char_ngram, word_ngram, bow) then payload.  Vectors carry
@@ -19,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, Token
 from codeswitch.switching import N_FEATURES, switching_features
@@ -103,31 +110,74 @@ class Vocabulary:
         return key in self.feature_id_map
 
 
-def count_features(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
-                   n_values: Mapping[str, tuple[int, ...]]) -> list[Counter]:
-    """The extract_features multiset of each utterance, in corpus order: the
-    one counting pass that vocabulary, chi-squared and training matrix read."""
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """extract_features counts of a labeled corpus as a CSR matrix: row r
+    is utterance r, its column ids are indices[indptr[r]:indptr[r + 1]] and
+    its counts the same slice of data.  Column c is the feature
+    vocab.features[c], so column order is key order."""
+
+    vocab: Vocabulary
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    labels: np.ndarray
+
+    def entries(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(position in rows, column id, count) of every stored entry of the
+        given rows, rows in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        at = np.arange(len(shift)) + shift
+        return np.repeat(np.arange(len(rows)), lengths), self.indices[at], self.data[at]
+
+    def columns(self, vocab: Vocabulary) -> np.ndarray:
+        """Column id of each feature of vocab, in vocab's order."""
+        column_of = self.vocab.feature_id_map
+        return np.array([column_of[key] for key in vocab.features], dtype=np.intp)
+
+
+def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
+              n_values: Mapping[str, tuple[int, ...]]) -> FeatureMatrix:
+    """Count matrix of the corpus, built in one streaming pass: each
+    utterance is extracted once, its keys are interned into provisional
+    column ids and appended to flat lists, and its Counter is dropped.
+    The ids are then remapped to the rank of their key.  Ids and counts
+    are stored as int32, which keeps the matrix small while a
+    cross-validation holds it."""
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
-    return [extract_features(u.tokens, kinds, n_values) for u in corpus]
+    ids: dict[FeatureKey, int] = {}
+    indptr, indices, data, labels = [0], [], [], []
+    for u in corpus:
+        counts = extract_features(u.tokens, kinds, n_values)
+        indices.extend([ids.setdefault(key, len(ids)) for key in counts])
+        data.extend(counts.values())
+        indptr.append(len(indices))
+        labels.append(u.label)
+    keys = sorted(ids, key=_feature_sort_key)
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[[ids[key] for key in keys]] = np.arange(len(keys))
+    return FeatureMatrix(Vocabulary(tuple(keys), kinds, dict(n_values)), np.array(indptr),
+                         rank[np.array(indices, dtype=np.intp)],
+                         np.array(data, dtype=np.int32), np.array(labels, dtype=np.intp))
 
 
-def build_vocabulary(rows: Iterable[Mapping[FeatureKey, int]], kinds: Iterable[str],
-                     n_values: Mapping[str, tuple[int, ...]],
+def build_vocabulary(matrix: FeatureMatrix, rows: Sequence[int],
                      min_count: int = 1) -> Vocabulary:
-    """All features in the count rows occurring >= min_count times,
-    indexed in sorted (kind, payload) order."""
-    totals: Counter = Counter()
-    for counts in rows:
-        totals.update(counts)
-
-    keys = sorted((k for k, c in totals.items() if c >= min_count),
-                  key=_feature_sort_key)
-    if not keys:
+    """The features present in the given rows whose total count there is
+    at least min_count, indexed in sorted (kind, payload) order."""
+    _, cols, counts = matrix.entries(rows)
+    full = matrix.vocab
+    totals = np.bincount(cols, weights=counts, minlength=len(full))
+    kept = np.flatnonzero((totals > 0) & (totals >= min_count))
+    if not len(kept):
         raise ValueError("resulting vocabulary is empty")
-    return Vocabulary(tuple(keys), frozenset(kinds), dict(n_values))
+    return Vocabulary(tuple(full.features[c] for c in kept.tolist()), full.kinds, full.n_values)
 
 
 def _chi2(a: int, b: int, c: int, d: int) -> float:
@@ -139,24 +189,30 @@ def _chi2(a: int, b: int, c: int, d: int) -> float:
     return n * (a * d - b * c) ** 2 / denom
 
 
-def chi2_scores(rows: Sequence[Mapping[FeatureKey, int]], labels: Sequence[int],
-                vocab: Vocabulary) -> dict[FeatureKey, float]:
-    """Chi-squared statistic of (feature presence x label) per feature,
-    from the count rows of the utterances and their labels."""
-    in_pos: Counter = Counter()
-    in_neg: Counter = Counter()
-    for counts, label in zip(rows, labels, strict=True):
-        (in_pos if label == POSITIVE else in_neg).update(counts.keys())
-    n_pos = sum(1 for label in labels if label == POSITIVE)
-    n_neg = len(labels) - n_pos
-    return {key: _chi2(in_pos[key], in_neg[key], n_pos - in_pos[key], n_neg - in_neg[key])
-            for key in vocab.features}
+def chi2_scores(matrix: FeatureMatrix, rows: Sequence[int],
+                vocab: Vocabulary) -> np.ndarray:
+    """Chi-squared statistic of (feature presence x label) over the given
+    rows, per vocabulary feature in vocabulary order; each equals _chi2 of
+    the feature's presence counts bit for bit."""
+    local, cols, _ = matrix.entries(rows)
+    labels = matrix.labels[np.asarray(rows, dtype=np.intp)]
+    vcols = matrix.columns(vocab)
+    a = np.bincount(cols[labels[local] == POSITIVE], minlength=len(matrix.vocab))[vcols]
+    b = np.bincount(cols, minlength=len(matrix.vocab))[vcols] - a
+    n = len(labels)
+    n_pos = int(np.count_nonzero(labels == POSITIVE))
+    # Over fixed rows the score depends on (a, b) alone, so _chi2 runs once
+    # per distinct pair; a * (n + 1) + b numbers the pairs.
+    _, first, inverse = np.unique(a * (n + 1) + b, return_index=True, return_inverse=True)
+    scores = [_chi2(x, y, n_pos - x, n - n_pos - y)
+              for x, y in zip(a[first].tolist(), b[first].tolist())]
+    return np.array(scores, dtype=np.float64)[inverse]
 
 
-def chi2_select(rows: Sequence[Mapping[FeatureKey, int]], labels: Sequence[int],
+def chi2_select(matrix: FeatureMatrix, rows: Sequence[int],
                 vocab: Vocabulary, k: int = 500) -> Vocabulary:
-    """Keep the k highest-scoring features (ties by deterministic key
-    order) and re-index densely."""
+    """Keep the k highest-scoring features over the given rows (ties by
+    deterministic key order) and re-index densely."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= len(vocab):
@@ -164,11 +220,10 @@ def chi2_select(rows: Sequence[Mapping[FeatureKey, int]], labels: Sequence[int],
             warnings.warn(f"k={k} exceeds vocabulary size {len(vocab)}; "
                           "keeping the full vocabulary")
         return vocab
-    scores = chi2_scores(rows, labels, vocab)
-    ranked = sorted(vocab.features,
-                    key=lambda key: (-scores[key],) + _feature_sort_key(key))
-    kept = sorted(ranked[:k], key=_feature_sort_key)
-    return Vocabulary(tuple(kept), vocab.kinds, vocab.n_values)
+    ranked = np.argsort(-chi2_scores(matrix, rows, vocab), kind="stable")
+    kept = np.sort(ranked[:k])
+    return Vocabulary(tuple(vocab.features[i] for i in kept.tolist()),
+                      vocab.kinds, vocab.n_values)
 
 
 @dataclass(frozen=True)
@@ -237,32 +292,23 @@ def vector_dim(vocab: Vocabulary, with_switching: bool) -> int:
     return len(vocab) + 2 + (N_FEATURES if with_switching else 0)
 
 
-def encode(counts: Mapping[FeatureKey, int], tokens: Sequence[Token], vocab: Vocabulary,
-           lexicons: Sequence[IndicativeLexicon], negation_words: frozenset[str],
-           with_switching: bool) -> tuple[tuple[int, float], ...]:
-    """Sorted (index, value) entries of one utterance from its feature counts:
-    vocabulary block, the two special dimensions and, optionally, the nine
-    switching features.  Training and serving both encode through here."""
-    idx = vocab.feature_id_map
-    values: dict[int, float] = {}
-    for key, count in counts.items():
-        if key in idx:
-            values[idx[key]] = float(count)
-
+def special_entries(tokens: Sequence[Token], lexicons: Sequence[IndicativeLexicon],
+                    negation_words: frozenset[str],
+                    with_switching: bool) -> list[tuple[int, float]]:
+    """Nonzero (offset, value) pairs of the dimensions after the vocabulary
+    block: indicative-score sum, negation count and, optionally, the nine
+    switching features.  Training and serving both take them from here."""
+    entries: list[tuple[int, float]] = []
     indicative = sum(lex.score(t.surface) for lex in lexicons for t in tokens)
     if indicative != 0.0:
-        values[len(vocab)] = indicative
+        entries.append((0, indicative))
     negations = sum(1 for t in tokens if t.surface.lower() in negation_words)
     if negations:
-        values[len(vocab) + 1] = float(negations)
-
+        entries.append((1, float(negations)))
     if with_switching:
-        base = len(vocab) + 2
-        for offset, value in enumerate(switching_features(tokens).as_tuple()):
-            if value != 0.0:
-                values[base + offset] = float(value)
-
-    return tuple(sorted(values.items()))
+        entries.extend((2 + offset, float(value)) for offset, value
+                       in enumerate(switching_features(tokens).as_tuple()) if value != 0.0)
+    return entries
 
 
 def vectorize(utterance: LabeledUtterance,
@@ -272,6 +318,28 @@ def vectorize(utterance: LabeledUtterance,
               with_switching: bool = False) -> SparseVector:
     """Extract and encode one utterance as a vector of vector_dim size."""
     counts = extract_features(utterance.tokens, vocab.kinds, vocab.n_values)
-    return SparseVector(encode(counts, utterance.tokens, vocab, lexicons,
-                               negation_words, with_switching),
-                        vector_dim(vocab, with_switching))
+    idx = vocab.feature_id_map
+    entries = sorted((idx[key], float(count)) for key, count in counts.items() if key in idx)
+    entries += [(len(vocab) + offset, value) for offset, value
+                in special_entries(utterance.tokens, lexicons, negation_words, with_switching)]
+    return SparseVector(tuple(entries), vector_dim(vocab, with_switching))
+
+
+def training_matrix(matrix: FeatureMatrix, corpus: LabeledCorpus, rows: Sequence[int],
+                    vocab: Vocabulary, lexicons: Sequence[IndicativeLexicon],
+                    negation_words: frozenset[str], with_switching: bool) -> np.ndarray:
+    """Dense matrix whose row i is vectorize(corpus[rows[i]]), where matrix
+    is featurize(corpus): the vocabulary block comes from the stored counts
+    through one column remap, the rest from special_entries."""
+    local, cols, counts = matrix.entries(rows)
+    remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
+    remap[matrix.columns(vocab)] = np.arange(len(vocab))
+    target = remap[cols]
+    hit = target >= 0
+    X = np.zeros((len(rows), vector_dim(vocab, with_switching)))
+    X[local[hit], target[hit]] = counts[hit]
+    for i, r in enumerate(rows):
+        for offset, value in special_entries(corpus[r].tokens, lexicons, negation_words,
+                                             with_switching):
+            X[i, len(vocab) + offset] = value
+    return X

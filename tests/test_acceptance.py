@@ -34,7 +34,7 @@ from codeswitch.model import (
 from codeswitch.preprocess import segment_camel_case
 from codeswitch.stats import ContingencyTable, phi_from_table
 from codeswitch.switching import lang_run_vectors, switch_counts, switching_features
-from codeswitch.textfeat import build_vocabulary, chi2_scores, chi2_select, count_features
+from codeswitch.textfeat import build_vocabulary, chi2_scores, chi2_select, featurize
 from synth_corpus import switching_driven_corpus
 
 PAPER_LINE = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
@@ -226,17 +226,16 @@ def test_09_chi_squared():
         LabeledUtterance((Token("gamma", "hi"), Token("beta", "hi")), 0, "3"),
     )
     corpus = LabeledCorpus(utts, "chi")
-    rows = count_features(corpus, {"bow"}, {})
-    labels = [u.label for u in corpus]
-    vocab = build_vocabulary(rows, {"bow"}, {})
-    scores = chi2_scores(rows, labels, vocab)
+    matrix, rows = featurize(corpus, {"bow"}, {}), range(len(corpus))
+    vocab = build_vocabulary(matrix, rows)
+    scores = dict(zip(vocab.features, chi2_scores(matrix, rows, vocab)))
     assert scores[("bow", "marker")] == 4.0
     assert scores[("bow", "shared")] == 0.0
     for k in (1, 3, len(vocab), len(vocab) + 10):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            selected = chi2_select(rows, labels, vocab, k)
+            selected = chi2_select(matrix, rows, vocab, k)
         assert len(selected) == min(k, len(vocab))
         kept = {scores[f] for f in selected.features}
         rejected = [scores[f] for f in vocab.features

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codeswitch.cli import run
 from codeswitch.corpus import load_corpus, save_corpus
@@ -159,6 +164,7 @@ def _replace_last_line(text, line):
 # (file to corrupt, the corrupted contents given the good ones, or None to delete)
 BAD_INPUTS = {
     "bundle without config": ("pipeline.json", lambda text: '{"version": 1}\n'),
+    "bundle not JSON": ("pipeline.json", lambda text: '{"version": 1 "config"}'),
     "bundle as a JSON list": ("pipeline.json", lambda text: "[1]\n"),
     "bundle field of wrong type": (
         "pipeline.json", lambda text: text.replace('"min_count": 1', '"min_count": "1"')),
@@ -172,6 +178,11 @@ BAD_INPUTS = {
     "config missing": ("config.json", None),
     "config a JSON list": ("config.json", lambda text: '["seed"]'),
     "config unknown option": ("config.json", lambda text: '{"no_such_option": 1}'),
+    "config nested too deeply": ("config.json", lambda text: "[" * 100_000),
+    "config list for an integer": ("config.json", lambda text: '{"k": [1]}'),
+    "config integer for a list": ("config.json", lambda text: '{"char_n": 3}'),
+    "config string for an integer": ("config.json", lambda text: '{"seed": "x"}'),
+    "config string for a switch": ("config.json", lambda text: '{"with_switching": "no"}'),
 }
 
 
@@ -193,4 +204,114 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
         assert target.read_text() != good
     capsys.readouterr()
     assert run(["eval", synth_file, "--model", str(model), "--pipeline", str(bundle)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case.startswith("config ") and case != "config missing":
+        assert str(config) in err
+    if "not JSON" in case or "nested" in case:
+        assert err.startswith(f"error: {target}: not valid JSON")
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_corpus_without_features_exits_cleanly(command, synth_file, tmp_path, capsys):
+    # word 50-grams: no synthetic utterance is that long, so no feature exists
+    args = [command, synth_file, "--kinds", "word_ngram", "--word-n", "50"]
+    if command == "train":
+        args += ["--model-out", str(tmp_path / "model.txt"),
+                 "--pipeline-out", str(tmp_path / "pipeline.json")]
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: resulting vocabulary is empty\n"
+
+
+# --------------------------------------------------------------------
+# Fuzzing: every malformed input exits 0 or 1, never with a traceback
+# --------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+OPTION_NAMES = ("seed", "output", "no_preprocess", "no_segment_hashtags", "punct", "kinds",
+                "char_n", "word_n", "min_count", "chi2_k", "no_indicative", "lexicon_floor",
+                "negation_file", "with_switching", "epochs", "learning_rate", "l2", "k",
+                "ablate_switching", "format", "tau", "model", "pipeline", "input")
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A small corpus and the model and bundle trained on it."""
+    root = tmp_path_factory.mktemp("served")
+    corpus = root / "corpus.txt"
+    save_corpus(switching_driven_corpus(16, seed=7, length=6), corpus)
+    model, bundle = root / "model.txt", root / "pipeline.json"
+    assert run(["train", str(corpus), "--model-out", str(model), "--pipeline-out", str(bundle),
+                "--chi2-k", "20", "--epochs", "3", "--with-switching"]) == 0
+    return root, corpus, model.read_text(), json.loads(bundle.read_text())
+
+
+def exits_cleanly(argv, config=None):
+    """Run the CLI; return its status after checking that it is 0, or 1
+    with an error as the last line of stderr (warnings may come before)."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+        os.environ.pop("CODESWITCH_CONFIG", None)
+        if config:
+            os.environ["CODESWITCH_CONFIG"] = str(config)
+        status = run(argv)
+    assert status in (0, 1)
+    assert status == 0 or err.getvalue().splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+    return status
+
+
+def eval_with(served, model_text=None, bundle_doc=None):
+    root, corpus, good_model, good_bundle = served
+    model, bundle = root / "fuzz_model.txt", root / "fuzz_pipeline.json"
+    model.write_text(good_model if model_text is None else model_text)
+    bundle.write_text(json.dumps(good_bundle if bundle_doc is None else bundle_doc))
+    return exits_cleanly(["eval", str(corpus), "--model", str(model), "--pipeline", str(bundle),
+                          "-o", str(root / "report.json")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut=st.integers(min_value=0))
+def test_fuzz_truncated_model(served, cut):
+    text = served[2]
+    eval_with(served, model_text=text[:cut % len(text)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(line=st.integers(min_value=3), value=st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400"]))
+def test_fuzz_non_finite_weight(served, line, value):
+    lines = served[2].splitlines()
+    lines[3 + line % (len(lines) - 3)] = value
+    assert eval_with(served, model_text="\n".join(lines) + "\n") == 1
+
+
+BUNDLE_FIELDS = ("version", "config", "vocab", "lexicons") + tuple(
+    f"config.{key}" for key in ("kinds", "n_values", "min_count", "chi2_k", "use_indicative",
+                                "lexicon_floor", "negation_words", "with_switching"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(BUNDLE_FIELDS), value=JSON_VALUES)
+def test_fuzz_bundle_field(served, field, value):
+    doc = json.loads(json.dumps(served[3]))
+    *parents, key = field.split(".")
+    target = doc[parents[0]] if parents else doc
+    target[key] = value
+    eval_with(served, bundle_doc=doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(OPTION_NAMES) | st.text(max_size=4),
+                                 JSON_VALUES, max_size=4))
+def test_fuzz_config(served, overrides):
+    root, corpus = served[:2]
+    config = root / "fuzz_config.json"
+    config.write_text(json.dumps(overrides))
+    exits_cleanly(["cv", str(corpus), "--k", "2", "--epochs", "2", "-o", str(root / "cv.json")],
+                  config)

@@ -1,17 +1,19 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from codeswitch import model as model_module, textfeat
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
+from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, kfold
 from codeswitch.model import (
     EvalReport,
     LinearModel,
     PipelineConfig,
     TrainConfig,
     cross_validate,
+    evaluate,
     fit_pipeline,
     load_model,
     loss_and_grad,
@@ -229,6 +231,55 @@ class TestCrossValidate:
         corpus = word_pool_corpus(300, seed=2)
         result = cross_validate(corpus, self.CFG, k=10, seed=13)
         assert abs(result.mean_macro_f1 - 0.5) <= 0.07
+
+    # all three kinds, min_count and chi-squared both cut, lexicon, negations
+    FULL = PipelineConfig(kinds=frozenset({"bow", "char_ngram", "word_ngram"}),
+                          min_count=2, chi2_k=30, negation_words=frozenset({"tok3"}),
+                          train_config=TrainConfig(epochs=20))
+
+    @pytest.mark.parametrize("with_switching", [False, True])
+    def test_equals_per_fold_fits(self, with_switching):
+        corpus = word_pool_corpus(60, seed=5)
+        cfg = replace(self.FULL, with_switching=with_switching)
+        fits = [(fit_pipeline(train, cfg), test) for train, test in kfold(corpus, 4, seed=13)]
+        assert all(len(pipeline.vocab) == 30 for pipeline, _ in fits)
+        result = cross_validate(corpus, cfg, k=4, seed=13)
+        assert result.skipped_folds == ()
+        assert result.reports == tuple(evaluate(pipeline, test) for pipeline, test in fits)
+
+    def test_extracts_each_utterance_twice(self, monkeypatch):
+        corpus = word_pool_corpus(40, seed=4)
+        calls = []
+        extract = textfeat.extract_features
+
+        def counted(*args):
+            calls.append(args)
+            return extract(*args)
+        monkeypatch.setattr(textfeat, "extract_features", counted)
+        result = cross_validate(corpus, self.FULL, k=5, seed=13)
+        assert result.skipped_folds == ()
+        # once to featurize the corpus, once more as a test-fold utterance
+        assert len(calls) == 2 * len(corpus)
+
+    @pytest.mark.parametrize("min_count", [1, 0])
+    def test_fold_vocabulary_holds_only_train_fold_features(self, monkeypatch, min_count):
+        corpus = word_pool_corpus(30, seed=6)
+        corpus = corpus.subset(LabeledUtterance(u.tokens + (Token(f"only{u.id}", "en"),),
+                                                u.label, u.id) for u in corpus)
+        fitted = []
+        score = model_module.evaluate
+
+        def recorded(pipeline, test_part):
+            fitted.append((pipeline.vocab, {u.id for u in test_part}))
+            return score(pipeline, test_part)
+        monkeypatch.setattr(model_module, "evaluate", recorded)
+        cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None,
+                             train_config=TrainConfig(epochs=5))
+        cross_validate(corpus, cfg, k=3, seed=13)
+        assert len(fitted) == 3
+        for vocab, test_ids in fitted:
+            for u in corpus:
+                assert (("bow", f"only{u.id}") in vocab) == (u.id not in test_ids)
 
     def test_no_leakage_from_test_fold(self):
         corpus = word_pool_corpus(40, seed=3)

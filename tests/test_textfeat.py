@@ -1,19 +1,25 @@
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
     NGRAM_SEP,
+    FeatureMatrix,
     SparseVector,
     Vocabulary,
     build_vocabulary,
+    _chi2,
+    _feature_sort_key,
     char_ngrams,
     chi2_scores,
     chi2_select,
-    count_features,
+    extract_features,
+    featurize,
     indicative_scores,
     vector_dim,
     vectorize,
@@ -30,12 +36,15 @@ def corpus(*utts):
 
 
 def vocabulary(c, kinds, n_values=None, min_count=1):
-    n_values = n_values or {}
-    return build_vocabulary(count_features(c, kinds, n_values), kinds, n_values, min_count)
+    return build_vocabulary(featurize(c, kinds, n_values or {}), range(len(c)), min_count)
 
 
-def rows_and_labels(c):
-    return count_features(c, {"bow"}, {}), [u.label for u in c]
+def bow_rows(c):
+    return featurize(c, {"bow"}, {}), range(len(c))
+
+
+def chi2_by_key(c, vocab):
+    return dict(zip(vocab.features, chi2_scores(*bow_rows(c), vocab)))
 
 
 class TestCharNgrams:
@@ -68,6 +77,27 @@ class TestWordNgrams:
                                                 f"b{NGRAM_SEP}a": 1})
 
 
+class TestFeaturize:
+    def test_rows_hold_the_extracted_counts(self):
+        c = balanced_four_corpus()
+        kinds = frozenset({"bow", "char_ngram", "word_ngram"})
+        matrix = featurize(c, kinds, {})
+        keys = matrix.vocab.features
+        assert list(keys) == sorted(keys, key=_feature_sort_key)
+        assert matrix.labels.tolist() == [u.label for u in c]
+        for r, u in enumerate(c):
+            _, cols, counts = matrix.entries([r])
+            assert dict(zip((keys[i] for i in cols.tolist()), counts.tolist())) \
+                == extract_features(u.tokens, kinds, {})
+
+    def test_entries_follow_the_given_row_order(self):
+        matrix = featurize(balanced_four_corpus(), {"bow"}, {})
+        local, cols, _ = matrix.entries([3, 0])
+        assert local.tolist() == [0, 0, 1, 1]
+        assert {matrix.vocab.features[i] for i in cols[:2].tolist()} \
+            == {("bow", "plain"), ("bow", "other")}
+
+
 class TestBuildVocabulary:
     def test_bow_enumeration(self):
         vocab = vocabulary(corpus(utterance(["koi", "to"])), kinds={"bow"})
@@ -92,12 +122,16 @@ class TestBuildVocabulary:
             vocab.features, key=lambda f: (["char_ngram", "word_ngram", "bow"].index(f[0]), f[1]))
 
     def test_empty_vocabulary_is_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vocabulary is empty"):
             vocabulary(corpus(utterance(["koi"])), kinds={"bow"}, min_count=5)
+        # no utterance has a word 5-gram, so no feature exists at all
+        c = corpus(utterance(["koi", "to"]), utterance(["hai"], label=0, uid="1"))
+        with pytest.raises(ValueError, match="vocabulary is empty"):
+            vocabulary(c, kinds={"word_ngram"}, n_values={"word_ngram": (5,)})
 
     def test_unknown_kind_is_error(self):
         with pytest.raises(ValueError, match="unknown feature kinds"):
-            count_features(corpus(utterance(["koi"])), {"bow", "pos_tag"}, {})
+            featurize(corpus(utterance(["koi"])), {"bow", "pos_tag"}, {})
 
 
 def balanced_four_corpus():
@@ -115,37 +149,77 @@ class TestChi2:
     def test_perfectly_associated_feature(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
-        assert chi2_scores(*rows_and_labels(c), vocab)[("bow", "marker")] == 4.0
+        assert chi2_by_key(c, vocab)[("bow", "marker")] == 4.0
 
     def test_independent_feature(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
-        assert chi2_scores(*rows_and_labels(c), vocab)[("bow", "shared")] == 0.0
+        assert chi2_by_key(c, vocab)[("bow", "shared")] == 0.0
 
     def test_select_top_k(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
-        selected = chi2_select(*rows_and_labels(c), vocab, k=2)
+        selected = chi2_select(*bow_rows(c), vocab, k=2)
         assert len(selected) == 2
         assert ("bow", "marker") in selected
-        scores = chi2_scores(*rows_and_labels(c), vocab)
+        scores = chi2_by_key(c, vocab)
         kept = min(scores[f] for f in selected.features)
         rejected = [scores[f] for f in vocab.features if f not in selected]
         assert all(kept >= r for r in rejected)
+
+    def test_select_matches_reference_ranking_with_ties(self):
+        rng = random.Random(3)
+        c = corpus(*(utterance([f"w{rng.randrange(60)}" for _ in range(4)],
+                               label=i % 2, uid=str(i)) for i in range(30)))
+        vocab = vocabulary(c, kinds={"bow"})
+        scores = chi2_by_key(c, vocab)
+        ranked = sorted(vocab.features, key=lambda f: (-scores[f], _feature_sort_key(f)))
+        assert len(set(scores.values())) < len(vocab) // 2  # many ties
+        for k in (1, 7, 20):
+            assert chi2_select(*bow_rows(c), vocab, k=k).features == \
+                tuple(sorted(ranked[:k], key=_feature_sort_key))
 
     def test_k_larger_than_vocab_warns(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         with pytest.warns(UserWarning):
-            selected = chi2_select(*rows_and_labels(c), vocab, k=1000)
+            selected = chi2_select(*bow_rows(c), vocab, k=1000)
         assert selected.features == vocab.features
 
     def test_label_swap_symmetry(self):
         c = balanced_four_corpus()
         flipped = c.subset(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in c)
         vocab = vocabulary(c, kinds={"bow"})
-        assert chi2_scores(*rows_and_labels(c), vocab) == \
-            chi2_scores(*rows_and_labels(flipped), vocab)
+        assert chi2_by_key(c, vocab) == chi2_by_key(flipped, vocab)
+
+
+class TestChi2Exact:
+    """Matrix scores against the integer reference _chi2.  At n = 20,000 the
+    perfectly associated column has n * (ad - bc)^2 = 2e20, past int64."""
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_equals_reference_bit_for_bit(self, n):
+        rng = np.random.default_rng(0)
+        labels = np.arange(n) % 2
+        present = rng.random((n, 40)) < rng.random(40)
+        present[:, 0] = labels == 1
+        present[:, 1] = True
+        present[:, 2] = False
+        _, cols = np.nonzero(present)
+        keys = tuple(("bow", f"f{j:02d}") for j in range(40))
+        vocab = Vocabulary(keys, frozenset({"bow"}), {})
+        matrix = FeatureMatrix(vocab, np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
+                               cols.astype(np.int32), np.ones(len(cols), dtype=np.int32),
+                               labels)
+        scores = chi2_scores(matrix, range(n), vocab)
+        n_pos = int(labels.sum())
+        expected = []
+        for column in present.T:
+            a = int(np.count_nonzero(column & (labels == 1)))
+            b = int(np.count_nonzero(column)) - a
+            expected.append(_chi2(a, b, n_pos - a, n - n_pos - b))
+        assert scores.tobytes() == np.array(expected).tobytes()
+        assert scores[0] == n and scores[1] == scores[2] == 0.0
 
 
 class TestIndicativeScores:
