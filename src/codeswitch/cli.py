@@ -3,9 +3,8 @@
 Subcommands: stats, features, train, eval, cv, subsample.  All read
 corpora in the tagged-line format of codeswitch.corpus.  Outputs are
 written atomically (temp file + rename) so partial files are never left
-behind.  Identical arguments and inputs produce byte-identical outputs
-at a fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1); another count
-may sum in another order and change the last digit of a trained weight.
+behind.  Identical arguments and inputs produce byte-identical outputs,
+whatever the BLAS thread count.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name, each value of the type its flag gives) to override the

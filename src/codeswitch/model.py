@@ -4,7 +4,10 @@ negative sub-sampling.
 
 Training is full-batch gradient descent on the mean binary cross-entropy
 with an L2 penalty on the weights (bias unpenalized), initialized at zero
-so results are exactly reproducible.
+so results are exactly reproducible.  A fit trains on the sparse
+textfeat.TrainingMatrix, so its time and memory grow with the stored
+entries, not with rows x features; train and loss_and_grad use only
+X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from codeswitch.textfeat import (
     FeatureMatrix,
     IndicativeLexicon,
     SparseVector,
+    TrainingMatrix,
     Vocabulary,
     build_vocabulary,
     chi2_select,
@@ -86,20 +90,21 @@ def sigmoid(z):
     return out
 
 
-def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
+def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | TrainingMatrix,
                   y: np.ndarray, l2: float) -> tuple[float, np.ndarray, float]:
     """Mean binary cross-entropy plus (l2/2)||w||^2, with its gradient."""
     z = X @ weights + bias
-    # -log p(y|z) = logaddexp(0, z) - y*z, stable for large |z|
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) \
-        + 0.5 * l2 * float(weights @ weights)
-    residual = sigmoid(z) - y
+    # -log p(y|z) = softplus(z) - y*z and sigmoid(z) = exp(z - softplus(z)),
+    # both stable for large |z|
+    softplus = np.logaddexp(0.0, z)
+    loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * float(weights @ weights)
+    residual = np.exp(z - softplus) - y
     grad_w = X.T @ residual / len(y) + l2 * weights
     grad_b = float(np.mean(residual))
     return loss, grad_w, grad_b
 
 
-def train(X: np.ndarray, labels: Sequence[int],
+def train(X: np.ndarray | TrainingMatrix, labels: Sequence[int],
           hyper: TrainConfig = TrainConfig()) -> LinearModel:
     """Fit logistic regression to the rows of X by full-batch gradient descent.
 
@@ -301,25 +306,38 @@ def save_model(model: LinearModel, path: Union[str, Path]) -> None:
 
 def load_model(path: Union[str, Path],
                expected_dim: int | None = None) -> LinearModel:
+    """Read a save_model file; every error names the file, and the line
+    where one line is at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(MODEL_MAGIC):
         raise ValueError(f"not a model file: {path}")
     version = lines[0].split()[-1]
     if version != f"v{MODEL_FORMAT_VERSION}":
-        raise ValueError(f"unsupported model format version {version}")
+        raise ValueError(f"{path}: unsupported model format version {version}")
     h = lines[2].split() if len(lines) > 3 else []
     if len(h) != 8 or h[0::2] != ["epochs", "learning_rate", "l2", "seed"]:
         raise ValueError(f"truncated or malformed model header in {path}")
-    dim = int(lines[1].removeprefix("dim "))
+
+    def parse(convert, text, line):
+        try:
+            return convert(text)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"{path}: line {line}: expected {kind}, got {text!r}") from None
+
+    dim = parse(int, lines[1].removeprefix("dim "), 2)
+    if dim < 0:
+        raise ValueError(f"{path}: line 2: negative model dim {dim}")
     if expected_dim is not None and dim != expected_dim:
-        raise ValueError(f"model dim {dim} does not match expected {expected_dim}")
-    meta = TrainConfig(epochs=int(h[1]), learning_rate=float(h[3]),
-                       l2=float(h[5]), seed=int(h[7]))
-    bias = float(lines[3])
-    weights = np.array([float(x) for x in lines[4:4 + dim]])
-    if weights.shape[0] != dim:
-        raise ValueError("model file truncated")
+        raise ValueError(f"{path}: model dim {dim} does not match expected {expected_dim}")
+    meta = TrainConfig(epochs=parse(int, h[1], 3), learning_rate=parse(float, h[3], 3),
+                       l2=parse(float, h[5], 3), seed=parse(int, h[7], 3))
+    if len(lines) != 4 + dim:
+        found = len(lines) - 4
+        raise ValueError(f"{path}: {found} weight lines after the bias, expected {dim}")
+    bias = parse(float, lines[3], 4)
+    weights = np.array([parse(float, x, 5 + i) for i, x in enumerate(lines[4:])])
     if not (np.isfinite(bias) and np.isfinite(weights).all()):
         raise ValueError(f"non-finite model parameters in {path}")
     return LinearModel(weights, bias, meta)

@@ -3,9 +3,10 @@ indicative-token lexicons and negation counts, plus sparse vectorization
 with optional switching-feature concatenation.
 
 A fit featurizes its corpus once into a FeatureMatrix (CSR counts over
-global feature ids); vocabulary, chi-squared selection and the dense
-training matrix then read row slices of it, so cross-validation folds
-never extract their training utterances again.
+global feature ids); vocabulary, chi-squared selection and the sparse
+TrainingMatrix then read row slices of it, so cross-validation folds
+never extract their training utterances again, and no fit allocates a
+dense rows x features matrix.
 
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  Vocabulary indices are dense and deterministic:
@@ -325,21 +326,68 @@ def vectorize(utterance: LabeledUtterance,
     return SparseVector(tuple(entries), vector_dim(vocab, with_switching))
 
 
+@dataclass(frozen=True, eq=False)
+class TrainingMatrix:
+    """Sparse N x D training matrix that supports X @ v and X.T @ v.
+
+    Every stored entry is kept twice, keyed by row and keyed by column, so
+    that both products sum contiguous segments with np.add.reduceat.  Only
+    non-empty segments are reduced: reduceat gives an empty segment the
+    value at its start, not zero.  The sums run in a fixed order without
+    BLAS, so results do not depend on the BLAS thread count.  X.T shares
+    the arrays with the two keyings swapped; X keeps it, and it holds no
+    reference back to X, so no cycle keeps either alive."""
+
+    shape: tuple[int, int]
+    by_row: tuple[np.ndarray, ...]  # _segments keyed by row
+    by_col: tuple[np.ndarray, ...]  # _segments keyed by column
+
+    @cached_property
+    def T(self) -> "TrainingMatrix":
+        return TrainingMatrix(self.shape[::-1], self.by_col, self.by_row)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return _segment_sums(self.by_row, self.shape[0], v)
+
+
+def _segments(keys: np.ndarray, others: np.ndarray, values: np.ndarray, n_others: int):
+    """The entries sorted by (key, other), as (the start of each key's run,
+    its key, others, values)."""
+    order = np.argsort(keys * n_others + others)  # each (key, other) is stored once
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return starts, keys[starts], others[order], values[order]
+
+
+def _segment_sums(segments, n: int, v: np.ndarray) -> np.ndarray:
+    """out[k] = sum of value * v[other] over the entries with key k."""
+    starts, keys, others, values = segments
+    out = np.zeros(n)
+    out[keys] = np.add.reduceat(values * v[others], starts)
+    return out
+
+
 def training_matrix(matrix: FeatureMatrix, corpus: LabeledCorpus, rows: Sequence[int],
                     vocab: Vocabulary, lexicons: Sequence[IndicativeLexicon],
-                    negation_words: frozenset[str], with_switching: bool) -> np.ndarray:
-    """Dense matrix whose row i is vectorize(corpus[rows[i]]), where matrix
-    is featurize(corpus): the vocabulary block comes from the stored counts
-    through one column remap, the rest from special_entries."""
+                    negation_words: frozenset[str], with_switching: bool) -> TrainingMatrix:
+    """Sparse matrix whose row i is vectorize(corpus[rows[i]]), where
+    matrix is featurize(corpus): the vocabulary block comes from the
+    stored counts through one column remap, the rest from special_entries."""
     local, cols, counts = matrix.entries(rows)
     remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
     remap[matrix.columns(vocab)] = np.arange(len(vocab))
     target = remap[cols]
     hit = target >= 0
-    X = np.zeros((len(rows), vector_dim(vocab, with_switching)))
-    X[local[hit], target[hit]] = counts[hit]
+    s_rows, s_cols, s_values = [], [], []
     for i, r in enumerate(rows):
         for offset, value in special_entries(corpus[r].tokens, lexicons, negation_words,
                                              with_switching):
-            X[i, len(vocab) + offset] = value
-    return X
+            s_rows.append(i)
+            s_cols.append(len(vocab) + offset)
+            s_values.append(value)
+    n, d = len(rows), vector_dim(vocab, with_switching)
+    at_row = np.concatenate([local[hit], np.array(s_rows, dtype=np.intp)])
+    at_col = np.concatenate([target[hit], np.array(s_cols, dtype=np.intp)])
+    values = np.concatenate([counts[hit].astype(np.float64), np.array(s_values)])
+    return TrainingMatrix((n, d), _segments(at_row, at_col, values, d),
+                          _segments(at_col, at_row, values, n))

@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codeswitch
 from codeswitch.cli import run
 from codeswitch.corpus import load_corpus, save_corpus
 from synth_corpus import switching_driven_corpus
@@ -109,6 +113,25 @@ class TestTrainEvalSubsample:
         assert len(filtered) <= len(original)
 
 
+def test_train_output_ignores_blas_threads(tmp_path):
+    """A wide --chi2-k 0 fit writes the same bytes at 1 and 2 BLAS threads:
+    training sums in numpy, in a fixed order, not in BLAS."""
+    corpus = tmp_path / "wide.txt"
+    save_corpus(switching_driven_corpus(150, seed=7, length=24, pool_size=1000, mu=11.5), corpus)
+    src = str(Path(codeswitch.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        model, bundle = tmp_path / f"model{threads}.txt", tmp_path / f"pipeline{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "codeswitch.cli", "train", str(corpus),
+                        "--chi2-k", "0", "--model-out", str(model), "--pipeline-out", str(bundle)],
+                       env=env, check=True, capture_output=True)
+        outputs.append((model.read_bytes(), bundle.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 class TestCV:
     def test_cv_json_report(self, synth_file, tmp_path):
         out = tmp_path / "cv.json"
@@ -157,8 +180,10 @@ class TestConfigOverride:
         assert out.exists()
 
 
-def _replace_last_line(text, line):
-    return "".join(text.splitlines(keepends=True)[:-1]) + line + "\n"
+def _replace_line(text, index, line):
+    lines = text.splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
 
 
 # (file to corrupt, the corrupted contents given the good ones, or None to delete)
@@ -172,8 +197,13 @@ BAD_INPUTS = {
         "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": ["3"]')),
     "model with only its magic line": ("model.txt", lambda text: text.splitlines()[0] + "\n"),
     "model with short header": ("model.txt", lambda text: text.replace(" seed 13", "")),
-    "model with a NaN weight": ("model.txt", lambda text: _replace_last_line(text, "nan")),
-    "model with an infinite weight": ("model.txt", lambda text: _replace_last_line(text, "inf")),
+    "model with a NaN weight": ("model.txt", lambda text: _replace_line(text, -1, "nan")),
+    "model with an infinite weight": ("model.txt", lambda text: _replace_line(text, -1, "inf")),
+    "model dim not an integer": ("model.txt", lambda text: _replace_line(text, 1, "dim x")),
+    "model dim negative": ("model.txt", lambda text: _replace_line(text, 1, "dim -1")),
+    "model bias not a number": ("model.txt", lambda text: _replace_line(text, 3, "0.1x")),
+    "model weight not a number": ("model.txt", lambda text: _replace_line(text, -1, "0.1x")),
+    "model with a line after its weights": ("model.txt", lambda text: text + "0.5\n"),
     "config not JSON": ("config.json", lambda text: "{not json"),
     "config missing": ("config.json", None),
     "config a JSON list": ("config.json", lambda text: '["seed"]'),
@@ -208,6 +238,10 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     assert err.startswith("error: ")
     if case.startswith("config ") and case != "config missing":
         assert str(config) in err
+    if case.startswith("model "):
+        assert str(model) in err
+        if "not a" in case or "negative" in case:
+            assert f"{model}: line " in err
     if "not JSON" in case or "nested" in case:
         assert err.startswith(f"error: {target}: not valid JSON")
 

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +28,12 @@ from codeswitch.model import (
     train,
 )
 from codeswitch.textfeat import SparseVector
+
+
+def as_dense(X):
+    """X as a dense array, one product with a unit vector per column (each
+    sums one stored value and zeros, so it is exact)."""
+    return np.column_stack([X @ unit for unit in np.eye(X.shape[1])])
 
 
 def sv(values, dim):
@@ -321,14 +330,98 @@ class TestFitPipeline:
         fit = model_module.train
 
         def captured(X, labels, hyper):
-            matrices.append(X.copy())
+            matrices.append(X)
             return fit(X, labels, hyper)
         monkeypatch.setattr(model_module, "train", captured)
         pipeline = fit_pipeline(corpus, self.CFG)
         served = to_dense([pipeline.vectorize(u) for u in corpus])
         assert len(pipeline.vocab) == 20
         assert (served[:, 20:] != 0).any(axis=0).all()  # specials and switching used
-        assert len(matrices) == 1 and np.array_equal(matrices[0], served)
+        assert len(matrices) == 1 and np.array_equal(as_dense(matrices[0]), served)
+
+
+class TestSparseTraining:
+    """The sparse training matrix against the dense rows it stands for."""
+
+    CFG = PipelineConfig(kinds=frozenset({"bow"}), min_count=2, chi2_k=None,
+                         use_indicative=False, negation_words=frozenset(),
+                         train_config=TrainConfig(epochs=300, learning_rate=0.3))
+
+    @classmethod
+    def matrices(cls):
+        """Sparse and dense training matrices of a corpus with empty rows
+        (first, middle, last: each utterance is one token seen once, which
+        min_count drops) and all-zero trailing columns (no lexicon and no
+        negation words): the segments np.add.reduceat gets wrong."""
+        solo = [LabeledUtterance((Token(f"solo{i}", "en"),), i % 2, f"solo{i}")
+                for i in range(3)]
+        body = list(word_pool_corpus(30, seed=2))
+        corpus = LabeledCorpus(tuple([solo[0]] + body[:15] + [solo[1]] + body[15:] + [solo[2]]),
+                               "rand")
+        cfg = cls.CFG
+        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
+        rows = list(range(len(corpus)))
+        vocab = textfeat.build_vocabulary(matrix, rows, cfg.min_count)
+        X = textfeat.training_matrix(matrix, corpus, rows, vocab, (), cfg.negation_words, False)
+        dense = to_dense([textfeat.vectorize(u, vocab, (), cfg.negation_words) for u in corpus])
+        return X, dense, [u.label for u in corpus]
+
+    def test_traps_present(self):
+        _, dense, _ = self.matrices()
+        empty_rows = np.flatnonzero(~dense.any(axis=1))
+        assert empty_rows.tolist() == [0, 16, len(dense) - 1]
+        assert np.flatnonzero(~dense.any(axis=0)).tolist() == [dense.shape[1] - 2,
+                                                               dense.shape[1] - 1]
+
+    def test_products_match_dense(self):
+        X, dense, _ = self.matrices()
+        rng = np.random.default_rng(3)
+        assert X.shape == dense.shape and X.T.shape == dense.T.shape
+        assert np.array_equal(as_dense(X), dense)
+        for _ in range(5):
+            v, r = rng.normal(size=dense.shape[1]), rng.normal(size=dense.shape[0])
+            np.testing.assert_allclose(X @ v, dense @ v, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(X.T @ r, dense.T @ r, rtol=1e-12, atol=1e-12)
+
+    def test_train_matches_dense(self):
+        X, dense, labels = self.matrices()
+        sparse_fit = train(X, labels, self.CFG.train_config)
+        dense_fit = train(dense, labels, self.CFG.train_config)
+        scale = np.abs(dense_fit.weights).max()
+        assert scale > 0.1  # the fit moved away from zero
+        assert np.abs(sparse_fit.weights - dense_fit.weights).max() <= 1e-12 * scale
+        assert abs(sparse_fit.bias - dense_fit.bias) <= 1e-12 * max(abs(dense_fit.bias), scale)
+
+    def test_transpose_keeps_no_cycle(self):
+        X, _, _ = self.matrices()
+        refs = weakref.ref(X), weakref.ref(X.T)
+        gc.disable()
+        try:
+            del X
+            # freed by reference counting, not by the collector
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_wide_fit_memory_is_far_below_dense(self):
+        # every token is unique, so the vocabulary grows with the corpus
+        rng = random.Random(9)
+        n, length = 400, 20
+        corpus = LabeledCorpus(tuple(
+            LabeledUtterance(tuple(Token(f"w{i}x{j}", rng.choice(["hi", "en"]))
+                                   for j in range(length)), i % 2, str(i))
+            for i in range(n)), "wide")
+        cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None,
+                             train_config=TrainConfig(epochs=3))
+        tracemalloc.start()
+        try:
+            pipeline = fit_pipeline(corpus, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = n * pipeline.model.dim * 8
+        assert pipeline.model.dim > n * length
+        assert peak < dense_bytes / 5
 
 
 class TestPersistence:
