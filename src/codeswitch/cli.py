@@ -247,21 +247,8 @@ def cmd_features(args) -> int:
     corpus = _preprocess_corpus(load_corpus(args.input), args)
     lines = []
     for u in corpus:
-        profile = switching_features(u.tokens)
-        record = {
-            "id": u.id,
-            "label": u.label,
-            "q": has_embedding_property(u.tokens),
-            "en_hi_switches": profile.en_hi_switches,
-            "hi_en_switches": profile.hi_en_switches,
-            "v": profile.v,
-            "fraction_en": profile.fraction_en,
-            "fraction_hi": profile.fraction_hi,
-            "mean_hi_en": profile.mean_hi_en,
-            "stddev_hi_en": profile.stddev_hi_en,
-            "mean_en_hi": profile.mean_en_hi,
-            "stddev_en_hi": profile.stddev_en_hi,
-        }
+        record = {"id": u.id, "label": u.label, "q": has_embedding_property(u.tokens),
+                  **vars(switching_features(u.tokens))}
         lines.append(json.dumps(record, ensure_ascii=False))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
@@ -365,14 +352,14 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
                    help="chi-squared top-k selection (0 disables)")
     p.add_argument("--no-indicative", action="store_true",
                    help="disable the indicative-lexicon dimension")
-    p.add_argument("--lexicon-floor", type=float, default=0.0)
+    p.add_argument("--lexicon-floor", type=_finite_float, default=0.0)
     p.add_argument("--negation-file", default=None,
                    help="file with one negation word per line")
     p.add_argument("--with-switching", action="store_true",
                    help="append the nine switching features")
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=_finite_float, default=0.1)
+    p.add_argument("--l2", type=_finite_float, default=1e-3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,10 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Code-switching feature extraction and classification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("-o", "--output", default=None,
-                       help="output file (default: stdout)")
+    def common(p, output=True, seed=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if output:
+            p.add_argument("-o", "--output", default=None,
+                           help="output file (default: stdout)")
         _add_preprocess_flags(p)
 
     p = sub.add_parser("stats", help="label/switching correlation table (TSV)")
@@ -402,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--pipeline-out", required=True,
                    help="fitted vocabulary/lexicon bundle (JSON)")
-    common(p)
+    common(p, output=False, seed=True)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -419,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablate-switching", action="store_true",
                    help="run with and without switching features and report the delta")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    common(p)
+    common(p, seed=True)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_cv)
 
@@ -427,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--model", required=True)
     p.add_argument("--pipeline", required=True)
-    p.add_argument("--tau", type=float, default=0.001)
+    p.add_argument("--tau", type=_finite_float, default=0.001)
     common(p)
     p.set_defaults(func=cmd_subsample)
 
@@ -450,9 +439,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a number that is neither NaN nor
+    infinite, the same rule CODESWITCH_CONFIG applies to their values."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _CONFIG_TYPES = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    _finite_float: ("a finite number", _is_number),
     None: ("a string", lambda v: isinstance(v, str)),
 }
 

@@ -223,28 +223,24 @@ class FittedPipeline:
         return 1 if self.predict_proba(utterance) >= 0.5 else 0
 
 
-def _fit_rows(matrix: FeatureMatrix, corpus: LabeledCorpus, rows: Sequence[int],
-              cfg: PipelineConfig) -> FittedPipeline:
-    """Fit vocabulary, chi-squared selection and lexicon on the given rows
-    of matrix = featurize(corpus) only, then train the classifier."""
-    rows = np.asarray(rows, dtype=np.intp)
-    vocab = build_vocabulary(matrix, rows, cfg.min_count)
+def _fit(matrix: FeatureMatrix, cfg: PipelineConfig) -> FittedPipeline:
+    """Fit vocabulary, chi-squared selection and lexicon on the rows of
+    the matrix only, then train the classifier."""
+    vocab = build_vocabulary(matrix, cfg.min_count)
     if cfg.chi2_k is not None:
-        vocab = chi2_select(matrix, rows, vocab, cfg.chi2_k)
+        vocab = chi2_select(matrix, vocab, cfg.chi2_k)
     lexicons: tuple[IndicativeLexicon, ...] = ()
     if cfg.use_indicative:
-        lexicons = (indicative_scores(corpus.subset(corpus[r] for r in rows.tolist()),
-                                      cfg.lexicon_floor, corpus.task_name),)
-    X = training_matrix(matrix, corpus, rows.tolist(), vocab, lexicons,
-                        cfg.negation_words, cfg.with_switching)
-    model = train(X, matrix.labels[rows], cfg.train_config)
+        lexicons = (indicative_scores(matrix.corpus, cfg.lexicon_floor,
+                                      matrix.corpus.task_name),)
+    X = training_matrix(matrix, vocab, lexicons, cfg.negation_words, cfg.with_switching)
+    model = train(X, matrix.labels, cfg.train_config)
     return FittedPipeline(cfg, vocab, lexicons, model)
 
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
-    matrix = featurize(train_corpus, cfg.kinds, cfg.n_values)
-    return _fit_rows(matrix, train_corpus, range(len(train_corpus)), cfg)
+    return _fit(featurize(train_corpus, cfg.kinds, cfg.n_values), cfg)
 
 
 def evaluate(pipeline: FittedPipeline, test_corpus: LabeledCorpus) -> EvalReport:
@@ -263,8 +259,8 @@ def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
                    k: int = 10, seed: int = 13) -> CVResult:
     """k-fold cross-validation with all feature fitting on train folds.
 
-    The corpus is featurized once; each fold fits from its train rows of
-    that matrix, and its test fold is scored through the serving path.
+    The corpus is featurized once; each fold fits from matrix.take of its
+    train rows, and its test fold is scored through the serving path.
 
     Folds whose train or test part contains a single class are skipped
     with a warning and excluded from the aggregate.
@@ -278,7 +274,7 @@ def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
             warnings.warn(f"fold {fold_index} has a single class; excluded")
             skipped.append(fold_index)
             continue
-        pipeline = _fit_rows(matrix, corpus, train_rows, cfg)
+        pipeline = _fit(matrix.take(train_rows), cfg)
         reports.append(evaluate(pipeline, corpus.subset(corpus[i] for i in test_rows)))
     if not reports:
         raise ValueError("every fold was degenerate; cannot aggregate")

@@ -9,7 +9,7 @@ adjacent-transition counts of the hi/en-projected tag sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from codeswitch.corpus import Token
@@ -42,12 +42,7 @@ class SwitchProfile:
                 self.mean_en_hi, self.stddev_en_hi)
 
 
-FEATURE_NAMES = ("en_hi_switches", "hi_en_switches", "v",
-                 "fraction_en", "fraction_hi",
-                 "mean_hi_en", "stddev_hi_en",
-                 "mean_en_hi", "stddev_en_hi")
-
-N_FEATURES = 9
+N_FEATURES = len(fields(SwitchProfile))
 
 
 def _require_tokens(tokens: Sequence[Token]) -> None:

@@ -3,8 +3,9 @@ indicative-token lexicons and negation counts, plus sparse vectorization
 with optional switching-feature concatenation.
 
 A fit featurizes its corpus once into a FeatureMatrix (CSR counts over
-global feature ids); vocabulary, chi-squared selection and the sparse
-TrainingMatrix then read row slices of it, so cross-validation folds
+global feature ids, with the corpus they count); vocabulary, chi-squared
+selection and the sparse TrainingMatrix each read the whole matrix they
+are given.  A cross-validation fold is matrix.take(train_rows), so folds
 never extract their training utterances again, and no fit allocates a
 dense rows x features matrix.
 
@@ -114,25 +115,34 @@ class Vocabulary:
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """extract_features counts of a labeled corpus as a CSR matrix: row r
-    is utterance r, its column ids are indices[indptr[r]:indptr[r + 1]] and
-    its counts the same slice of data.  Column c is the feature
+    is utterance corpus[r], its column ids are indices[indptr[r]:indptr[r + 1]]
+    and its counts the same slice of data.  Column c is the feature
     vocab.features[c], so column order is key order."""
 
+    corpus: LabeledCorpus
     vocab: Vocabulary
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    labels: np.ndarray
 
-    def entries(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(position in rows, column id, count) of every stored entry of the
-        given rows, rows in the order given."""
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return np.array([u.label for u in self.corpus], dtype=np.intp)
+
+    @property
+    def entry_rows(self) -> np.ndarray:
+        """Row of each stored entry."""
+        return np.repeat(np.arange(len(self.corpus)), np.diff(self.indptr))
+
+    def take(self, rows: Sequence[int]) -> "FeatureMatrix":
+        """The given rows, in the order given, over the same columns."""
         rows = np.asarray(rows, dtype=np.intp)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        at = np.arange(len(shift)) + shift
-        return np.repeat(np.arange(len(rows)), lengths), self.indices[at], self.data[at]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()),
+                             self.vocab, indptr, self.indices[at], self.data[at])
 
     def columns(self, vocab: Vocabulary) -> np.ndarray:
         """Column id of each feature of vocab, in vocab's order."""
@@ -140,7 +150,7 @@ class FeatureMatrix:
         return np.array([column_of[key] for key in vocab.features], dtype=np.intp)
 
 
-def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
+def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]]) -> FeatureMatrix:
     """Count matrix of the corpus, built in one streaming pass: each
     utterance is extracted once, its keys are interned into provisional
@@ -153,28 +163,25 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
     ids: dict[FeatureKey, int] = {}
-    indptr, indices, data, labels = [0], [], [], []
+    indptr, indices, data = [0], [], []
     for u in corpus:
         counts = extract_features(u.tokens, kinds, n_values)
         indices.extend([ids.setdefault(key, len(ids)) for key in counts])
         data.extend(counts.values())
         indptr.append(len(indices))
-        labels.append(u.label)
     keys = sorted(ids, key=_feature_sort_key)
     rank = np.empty(len(keys), dtype=np.int32)
     rank[[ids[key] for key in keys]] = np.arange(len(keys))
-    return FeatureMatrix(Vocabulary(tuple(keys), kinds, dict(n_values)), np.array(indptr),
-                         rank[np.array(indices, dtype=np.intp)],
-                         np.array(data, dtype=np.int32), np.array(labels, dtype=np.intp))
+    return FeatureMatrix(corpus, Vocabulary(tuple(keys), kinds, dict(n_values)),
+                         np.array(indptr), rank[np.array(indices, dtype=np.intp)],
+                         np.array(data, dtype=np.int32))
 
 
-def build_vocabulary(matrix: FeatureMatrix, rows: Sequence[int],
-                     min_count: int = 1) -> Vocabulary:
-    """The features present in the given rows whose total count there is
-    at least min_count, indexed in sorted (kind, payload) order."""
-    _, cols, counts = matrix.entries(rows)
+def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> Vocabulary:
+    """The features present in the matrix whose total count there is at
+    least min_count, indexed in sorted (kind, payload) order."""
     full = matrix.vocab
-    totals = np.bincount(cols, weights=counts, minlength=len(full))
+    totals = np.bincount(matrix.indices, weights=matrix.data, minlength=len(full))
     kept = np.flatnonzero((totals > 0) & (totals >= min_count))
     if not len(kept):
         raise ValueError("resulting vocabulary is empty")
@@ -190,15 +197,14 @@ def _chi2(a: int, b: int, c: int, d: int) -> float:
     return n * (a * d - b * c) ** 2 / denom
 
 
-def chi2_scores(matrix: FeatureMatrix, rows: Sequence[int],
-                vocab: Vocabulary) -> np.ndarray:
-    """Chi-squared statistic of (feature presence x label) over the given
-    rows, per vocabulary feature in vocabulary order; each equals _chi2 of
-    the feature's presence counts bit for bit."""
-    local, cols, _ = matrix.entries(rows)
-    labels = matrix.labels[np.asarray(rows, dtype=np.intp)]
+def chi2_scores(matrix: FeatureMatrix, vocab: Vocabulary) -> np.ndarray:
+    """Chi-squared statistic of (feature presence x label) over the rows of
+    the matrix, per vocabulary feature in vocabulary order; each equals
+    _chi2 of the feature's presence counts bit for bit."""
+    labels, cols = matrix.labels, matrix.indices
     vcols = matrix.columns(vocab)
-    a = np.bincount(cols[labels[local] == POSITIVE], minlength=len(matrix.vocab))[vcols]
+    a = np.bincount(cols[labels[matrix.entry_rows] == POSITIVE],
+                    minlength=len(matrix.vocab))[vcols]
     b = np.bincount(cols, minlength=len(matrix.vocab))[vcols] - a
     n = len(labels)
     n_pos = int(np.count_nonzero(labels == POSITIVE))
@@ -210,10 +216,9 @@ def chi2_scores(matrix: FeatureMatrix, rows: Sequence[int],
     return np.array(scores, dtype=np.float64)[inverse]
 
 
-def chi2_select(matrix: FeatureMatrix, rows: Sequence[int],
-                vocab: Vocabulary, k: int = 500) -> Vocabulary:
-    """Keep the k highest-scoring features over the given rows (ties by
-    deterministic key order) and re-index densely."""
+def chi2_select(matrix: FeatureMatrix, vocab: Vocabulary, k: int = 500) -> Vocabulary:
+    """Keep the k highest-scoring features over the rows of the matrix
+    (ties by deterministic key order) and re-index densely."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= len(vocab):
@@ -221,7 +226,7 @@ def chi2_select(matrix: FeatureMatrix, rows: Sequence[int],
             warnings.warn(f"k={k} exceeds vocabulary size {len(vocab)}; "
                           "keeping the full vocabulary")
         return vocab
-    ranked = np.argsort(-chi2_scores(matrix, rows, vocab), kind="stable")
+    ranked = np.argsort(-chi2_scores(matrix, vocab), kind="stable")
     kept = np.sort(ranked[:k])
     return Vocabulary(tuple(vocab.features[i] for i in kept.tolist()),
                       vocab.kinds, vocab.n_values)
@@ -367,27 +372,25 @@ def _segment_sums(segments, n: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def training_matrix(matrix: FeatureMatrix, corpus: LabeledCorpus, rows: Sequence[int],
-                    vocab: Vocabulary, lexicons: Sequence[IndicativeLexicon],
-                    negation_words: frozenset[str], with_switching: bool) -> TrainingMatrix:
-    """Sparse matrix whose row i is vectorize(corpus[rows[i]]), where
-    matrix is featurize(corpus): the vocabulary block comes from the
-    stored counts through one column remap, the rest from special_entries."""
-    local, cols, counts = matrix.entries(rows)
+def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
+                    lexicons: Sequence[IndicativeLexicon], negation_words: frozenset[str],
+                    with_switching: bool) -> TrainingMatrix:
+    """Sparse matrix whose row i is vectorize(matrix.corpus[i]): the
+    vocabulary block comes from the stored counts through one column
+    remap, the rest from special_entries."""
     remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
     remap[matrix.columns(vocab)] = np.arange(len(vocab))
-    target = remap[cols]
+    target = remap[matrix.indices]
     hit = target >= 0
     s_rows, s_cols, s_values = [], [], []
-    for i, r in enumerate(rows):
-        for offset, value in special_entries(corpus[r].tokens, lexicons, negation_words,
-                                             with_switching):
+    for i, u in enumerate(matrix.corpus):
+        for offset, value in special_entries(u.tokens, lexicons, negation_words, with_switching):
             s_rows.append(i)
             s_cols.append(len(vocab) + offset)
             s_values.append(value)
-    n, d = len(rows), vector_dim(vocab, with_switching)
-    at_row = np.concatenate([local[hit], np.array(s_rows, dtype=np.intp)])
+    n, d = len(matrix.corpus), vector_dim(vocab, with_switching)
+    at_row = np.concatenate([matrix.entry_rows[hit], np.array(s_rows, dtype=np.intp)])
     at_col = np.concatenate([target[hit], np.array(s_cols, dtype=np.intp)])
-    values = np.concatenate([counts[hit].astype(np.float64), np.array(s_values)])
+    values = np.concatenate([matrix.data[hit].astype(np.float64), np.array(s_values)])
     return TrainingMatrix((n, d), _segments(at_row, at_col, values, d),
                           _segments(at_col, at_row, values, n))

@@ -226,16 +226,16 @@ def test_09_chi_squared():
         LabeledUtterance((Token("gamma", "hi"), Token("beta", "hi")), 0, "3"),
     )
     corpus = LabeledCorpus(utts, "chi")
-    matrix, rows = featurize(corpus, {"bow"}, {}), range(len(corpus))
-    vocab = build_vocabulary(matrix, rows)
-    scores = dict(zip(vocab.features, chi2_scores(matrix, rows, vocab)))
+    matrix = featurize(corpus, {"bow"}, {})
+    vocab = build_vocabulary(matrix)
+    scores = dict(zip(vocab.features, chi2_scores(matrix, vocab)))
     assert scores[("bow", "marker")] == 4.0
     assert scores[("bow", "shared")] == 0.0
     for k in (1, 3, len(vocab), len(vocab) + 10):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            selected = chi2_select(matrix, rows, vocab, k)
+            selected = chi2_select(matrix, vocab, k)
         assert len(selected) == min(k, len(vocab))
         kept = {scores[f] for f in selected.features}
         rejected = [scores[f] for f in vocab.features

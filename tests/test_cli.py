@@ -169,6 +169,36 @@ class TestCV:
         assert lines[-1].startswith("mean\t")
 
 
+@pytest.mark.parametrize("flag, value", [("--epochs", "x"), ("--learning-rate", "nan"),
+                                         ("--l2", "inf"), ("--lexicon-floor", "nan"),
+                                         ("--learning-rate", "1e999")])
+def test_bad_train_flag_value_is_rejected_before_any_file(flag, value, synth_file, tmp_path,
+                                                          capsys):
+    """A non-finite float flag fails as a non-integer --epochs does: an
+    argparse error, no traceback, and neither output file written."""
+    model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+             flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [Path(synth_file)]
+
+
+@pytest.mark.parametrize("argv", [["train", "--model-out", "M", "--pipeline-out", "P",
+                                   "-o", "F"],
+                                  ["eval", "--model", "M", "--pipeline", "P", "--seed", "1"],
+                                  ["stats", "--seed", "1"], ["features", "--seed", "1"],
+                                  ["subsample", "--model", "M", "--pipeline", "P",
+                                   "--seed", "1"]])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, synth_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run([argv[0], synth_file, *argv[1:]])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+
 class TestConfigOverride:
     def test_env_config_sets_defaults(self, tiny_corpus_file, tmp_path,
                                       monkeypatch, capsys):

@@ -360,9 +360,8 @@ class TestSparseTraining:
                                "rand")
         cfg = cls.CFG
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
-        rows = list(range(len(corpus)))
-        vocab = textfeat.build_vocabulary(matrix, rows, cfg.min_count)
-        X = textfeat.training_matrix(matrix, corpus, rows, vocab, (), cfg.negation_words, False)
+        vocab = textfeat.build_vocabulary(matrix, cfg.min_count)
+        X = textfeat.training_matrix(matrix, vocab, (), cfg.negation_words, False)
         dense = to_dense([textfeat.vectorize(u, vocab, (), cfg.negation_words) for u in corpus])
         return X, dense, [u.label for u in corpus]
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from codeswitch.corpus import Token, parse_tagged_line
 from codeswitch.switching import (
+    N_FEATURES,
     SwitchProfile,
     has_embedding_property,
     lang_run_vectors,
@@ -109,6 +110,12 @@ class TestSwitchingFeatures:
         expected = (2, 1, 3, 0.5, 0.5, 0.25, math.sqrt(0.1875),
                     0.75, math.sqrt(0.6875))
         assert f.as_tuple() == pytest.approx(expected, abs=1e-12)
+
+    def test_as_tuple_follows_field_order(self):
+        # cli features writes vars(profile); training reads as_tuple()
+        f = switching_features(PAPER_SENTENCE)
+        assert f.as_tuple() == tuple(vars(f).values())
+        assert len(f.as_tuple()) == N_FEATURES == 9
 
 
 class TestEmbeddingProperty:

@@ -36,15 +36,15 @@ def corpus(*utts):
 
 
 def vocabulary(c, kinds, n_values=None, min_count=1):
-    return build_vocabulary(featurize(c, kinds, n_values or {}), range(len(c)), min_count)
+    return build_vocabulary(featurize(c, kinds, n_values or {}), min_count)
 
 
-def bow_rows(c):
-    return featurize(c, {"bow"}, {}), range(len(c))
+def bow_matrix(c):
+    return featurize(c, {"bow"}, {})
 
 
 def chi2_by_key(c, vocab):
-    return dict(zip(vocab.features, chi2_scores(*bow_rows(c), vocab)))
+    return dict(zip(vocab.features, chi2_scores(bow_matrix(c), vocab)))
 
 
 class TestCharNgrams:
@@ -86,15 +86,35 @@ class TestFeaturize:
         assert list(keys) == sorted(keys, key=_feature_sort_key)
         assert matrix.labels.tolist() == [u.label for u in c]
         for r, u in enumerate(c):
-            _, cols, counts = matrix.entries([r])
+            row = matrix.take([r])
+            cols, counts = row.indices, row.data
             assert dict(zip((keys[i] for i in cols.tolist()), counts.tolist())) \
                 == extract_features(u.tokens, kinds, {})
 
+    def test_take_equals_featurize_of_the_rows(self):
+        c = corpus(utterance(["a", "b", "c", "d", "e", "f"], uid="0"),
+                   utterance(["a", "b", "c", "d", "e"], label=0, uid="1"),
+                   utterance(["koi"], label=0, uid="2"),  # no word 2- or 5-gram
+                   utterance(["b", "c", "d", "e", "f", "g", "a"], uid="3"),
+                   utterance(["x", "b", "c", "d", "e"], label=0, uid="4"))
+        n_values = {"word_ngram": (2, 5)}
+        matrix = featurize(c, {"word_ngram"}, n_values)
+        rows = [4, 2, 0, 3]
+        taken = matrix.take(rows)
+        part = featurize(c.subset(c[r] for r in rows), {"word_ngram"}, n_values)
+        assert taken.vocab is matrix.vocab
+        assert taken.corpus == part.corpus
+        assert taken.labels.tolist() == part.labels.tolist() == [0, 0, 1, 1]
+        assert taken.indptr.tolist() == part.indptr.tolist()
+        assert taken.indptr[1] == taken.indptr[2]  # row 2 stores no entry
+        assert taken.indices.tolist() == matrix.columns(part.vocab)[part.indices].tolist()
+        assert taken.data.tolist() == part.data.tolist()
+
     def test_entries_follow_the_given_row_order(self):
         matrix = featurize(balanced_four_corpus(), {"bow"}, {})
-        local, cols, _ = matrix.entries([3, 0])
-        assert local.tolist() == [0, 0, 1, 1]
-        assert {matrix.vocab.features[i] for i in cols[:2].tolist()} \
+        taken = matrix.take([3, 0])
+        assert taken.entry_rows.tolist() == [0, 0, 1, 1]
+        assert {matrix.vocab.features[i] for i in taken.indices[:2].tolist()} \
             == {("bow", "plain"), ("bow", "other")}
 
 
@@ -159,7 +179,7 @@ class TestChi2:
     def test_select_top_k(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
-        selected = chi2_select(*bow_rows(c), vocab, k=2)
+        selected = chi2_select(bow_matrix(c), vocab, k=2)
         assert len(selected) == 2
         assert ("bow", "marker") in selected
         scores = chi2_by_key(c, vocab)
@@ -176,14 +196,14 @@ class TestChi2:
         ranked = sorted(vocab.features, key=lambda f: (-scores[f], _feature_sort_key(f)))
         assert len(set(scores.values())) < len(vocab) // 2  # many ties
         for k in (1, 7, 20):
-            assert chi2_select(*bow_rows(c), vocab, k=k).features == \
+            assert chi2_select(bow_matrix(c), vocab, k=k).features == \
                 tuple(sorted(ranked[:k], key=_feature_sort_key))
 
     def test_k_larger_than_vocab_warns(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         with pytest.warns(UserWarning):
-            selected = chi2_select(*bow_rows(c), vocab, k=1000)
+            selected = chi2_select(bow_matrix(c), vocab, k=1000)
         assert selected.features == vocab.features
 
     def test_label_swap_symmetry(self):
@@ -208,10 +228,12 @@ class TestChi2Exact:
         _, cols = np.nonzero(present)
         keys = tuple(("bow", f"f{j:02d}") for j in range(40))
         vocab = Vocabulary(keys, frozenset({"bow"}), {})
-        matrix = FeatureMatrix(vocab, np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
-                               cols.astype(np.int32), np.ones(len(cols), dtype=np.int32),
-                               labels)
-        scores = chi2_scores(matrix, range(n), vocab)
+        one_token = corpus(*(utterance(["w"], label=int(label), uid=str(i))
+                             for i, label in enumerate(labels)))
+        matrix = FeatureMatrix(one_token, vocab,
+                               np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
+                               cols.astype(np.int32), np.ones(len(cols), dtype=np.int32))
+        scores = chi2_scores(matrix, vocab)
         n_pos = int(labels.sum())
         expected = []
         for column in present.T:
