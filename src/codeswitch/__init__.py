@@ -11,7 +11,6 @@ from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
     Token,
-    kfold,
     load_corpus,
     parse_tagged_line,
     serialize_tagged_line,
@@ -31,7 +30,6 @@ __all__ = [
     "LabeledCorpus",
     "LabeledUtterance",
     "Token",
-    "kfold",
     "load_corpus",
     "parse_tagged_line",
     "serialize_tagged_line",

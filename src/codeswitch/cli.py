@@ -8,7 +8,8 @@ whatever the BLAS thread count.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name, each value of the type its flag gives) to override the
-built-in defaults.
+built-in defaults.  A key applies to the subcommands that have its
+option and is ignored by the rest, so one file serves every subcommand.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ from codeswitch.preprocess import PreprocessConfig, normalize
 from codeswitch.switching import has_embedding_property, switching_features
 from codeswitch.textfeat import (
     DEFAULT_NEGATION_WORDS,
+    KIND_ORDER,
     IndicativeLexicon,
     Vocabulary,
+    _feature_sort_key,
+    featurize,
     load_wordlist,
     vector_dim,
 )
@@ -162,7 +166,7 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
         raise ValueError(f"unsupported pipeline bundle version in {path}")
     c = doc["config"] if isinstance(doc.get("config"), dict) else {}
     valid = {
-        "kinds": _is_strs(c.get("kinds")),
+        "kinds": _is_strs(c.get("kinds")) and set(c["kinds"]) <= set(KIND_ORDER),
         "n_values": isinstance(c.get("n_values"), dict) and all(
             isinstance(ns, list) and all(type(n) is int for n in ns)
             for ns in c["n_values"].values()),
@@ -182,6 +186,11 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
     bad = [key for key, ok in valid.items() if not ok]
     if bad:
         raise ValueError(f"pipeline bundle {path}: missing or mistyped {', '.join(bad)}")
+    features = tuple((kind, payload) for kind, payload in doc["vocab"])
+    if not {kind for kind, _ in features} <= set(c["kinds"]):
+        raise ValueError(f"pipeline bundle {path}: a vocab kind is not in config.kinds")
+    if features != tuple(sorted(set(features), key=_feature_sort_key)):
+        raise ValueError(f"pipeline bundle {path}: vocab is not strictly increasing")
     cfg = PipelineConfig(
         kinds=frozenset(c["kinds"]),
         n_values={k: tuple(v) for k, v in c["n_values"].items()},
@@ -192,8 +201,7 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
         negation_words=frozenset(c["negation_words"]),
         with_switching=c["with_switching"],
     )
-    vocab = Vocabulary(tuple((k, p) for k, p in doc["vocab"]),
-                       cfg.kinds, cfg.n_values)
+    vocab = Vocabulary(features, cfg.kinds, cfg.n_values)
     lexicons = tuple(IndicativeLexicon(lex["scores"], lex["class_name"])
                      for lex in doc["lexicons"])
     return cfg, vocab, lexicons
@@ -274,9 +282,9 @@ def _load_fitted(args):
 def cmd_eval(args) -> int:
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args)
-    report = evaluate(pipeline, corpus)
-    _write_output(args.output,
-                  json.dumps(_report_dict(report), sort_keys=True) + "\n")
+    vocab = pipeline.vocab
+    report = evaluate(pipeline, featurize(corpus, vocab.kinds, vocab.n_values, vocab))
+    _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
     return 0
 
 
@@ -318,9 +326,11 @@ def cmd_cv(args) -> int:
 def cmd_subsample(args) -> int:
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args)
-    filtered = subsample_negatives(corpus, pipeline.predict_proba, args.tau)
-    text = "".join(serialize_tagged_line(u) + "\n" for u in filtered)
-    _write_output(args.output, text)
+    negatives, vocab = corpus.subset(corpus.negatives), pipeline.vocab  # only they are scored
+    proba = pipeline.predict_proba(featurize(negatives, vocab.kinds, vocab.n_values, vocab))
+    by_id = dict(zip([u.id for u in negatives], proba.tolist()))
+    filtered = subsample_negatives(corpus, lambda u: by_id[u.id], args.tau)
+    _write_output(args.output, "".join(serialize_tagged_line(u) + "\n" for u in filtered))
     print(f"kept {len(filtered)} of {len(corpus)} utterances", file=sys.stderr)
     return 0
 
@@ -435,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
             if expected:
                 raise ValueError(f"CODESWITCH_CONFIG {config_path}: {key} must be {expected}")
         for sp in sub.choices.values():
-            sp.set_defaults(**overrides)
+            sp.set_defaults(**{a.dest: overrides[a.dest] for a in sp._actions
+                               if a.dest in overrides})
     return parser
 
 

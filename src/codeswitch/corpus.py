@@ -205,9 +205,3 @@ def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]
         folds.append(([i for i in range(n) if i not in test_idx], sorted(test_idx)))
     return folds
 
-
-def kfold(corpus: LabeledCorpus, k: int,
-          seed: int) -> list[tuple[LabeledCorpus, LabeledCorpus]]:
-    """Deterministic k-fold split of the corpus by fold_indices."""
-    return [(corpus.subset(corpus[i] for i in train), corpus.subset(corpus[i] for i in test))
-            for train, test in fold_indices(len(corpus), k, seed)]

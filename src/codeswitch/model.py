@@ -1,12 +1,12 @@
-"""Logistic classifier over sparse feature vectors, macro-F1 evaluation,
+"""Logistic classifier over sparse feature matrices, macro-F1 evaluation,
 cross-validation with per-fold feature fitting, and confidence-based
 negative sub-sampling.
 
 Training is full-batch gradient descent on the mean binary cross-entropy
 with an L2 penalty on the weights (bias unpenalized), initialized at zero
-so results are exactly reproducible.  A fit trains on the sparse
-textfeat.TrainingMatrix, so its time and memory grow with the stored
-entries, not with rows x features; train and loss_and_grad use only
+so results are exactly reproducible.  Training and scoring (sigmoid of
+X @ w + b) both use the sparse textfeat.TrainingMatrix, whose time and
+memory grow with the stored entries; train and loss_and_grad use only
 X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
 """
 
@@ -130,11 +130,11 @@ def train(X: np.ndarray | TrainingMatrix, labels: Sequence[int],
     return LinearModel(w, b, hyper)
 
 
-def predict_proba(model: LinearModel, x: SparseVector) -> float:
-    """Probability of the positive class: sigmoid of the linear score."""
-    if x.dim != model.dim:
-        raise ValueError(f"vector dim {x.dim} != model dim {model.dim}")
-    return float(sigmoid(sum(model.weights[i] * v for i, v in x.entries) + model.bias))
+def predict_proba(model: LinearModel, X: np.ndarray | TrainingMatrix) -> np.ndarray:
+    """Probability of the positive class per row of X: sigmoid of the score."""
+    if X.shape[1] != model.dim:
+        raise ValueError(f"matrix dim {X.shape[1]} != model dim {model.dim}")
+    return sigmoid(X @ model.weights + model.bias)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -216,11 +216,11 @@ class FittedPipeline:
                          self.config.negation_words,
                          self.config.with_switching)
 
-    def predict_proba(self, utterance: LabeledUtterance) -> float:
-        return predict_proba(self.model, self.vectorize(utterance))
-
-    def predict(self, utterance: LabeledUtterance) -> int:
-        return 1 if self.predict_proba(utterance) >= 0.5 else 0
+    def predict_proba(self, matrix: FeatureMatrix) -> np.ndarray:
+        """Positive-class probability of every row of the matrix."""
+        return predict_proba(self.model, training_matrix(
+            matrix, self.vocab, self.lexicons, self.config.negation_words,
+            self.config.with_switching))
 
 
 def _fit(matrix: FeatureMatrix, cfg: PipelineConfig) -> FittedPipeline:
@@ -243,9 +243,10 @@ def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipe
     return _fit(featurize(train_corpus, cfg.kinds, cfg.n_values), cfg)
 
 
-def evaluate(pipeline: FittedPipeline, test_corpus: LabeledCorpus) -> EvalReport:
-    predictions = [pipeline.predict(u) for u in test_corpus]
-    return macro_f1(predictions, [u.label for u in test_corpus])
+def evaluate(pipeline: FittedPipeline, matrix: FeatureMatrix) -> EvalReport:
+    """Macro-F1 of the matrix rows, predicted positive at probability >= 0.5."""
+    predictions = (pipeline.predict_proba(matrix) >= 0.5).astype(int)
+    return macro_f1(predictions.tolist(), matrix.labels.tolist())
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
     """k-fold cross-validation with all feature fitting on train folds.
 
     The corpus is featurized once; each fold fits from matrix.take of its
-    train rows, and its test fold is scored through the serving path.
+    train rows and scores matrix.take of its test rows.
 
     Folds whose train or test part contains a single class are skipped
     with a warning and excluded from the aggregate.
@@ -275,7 +276,7 @@ def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
             skipped.append(fold_index)
             continue
         pipeline = _fit(matrix.take(train_rows), cfg)
-        reports.append(evaluate(pipeline, corpus.subset(corpus[i] for i in test_rows)))
+        reports.append(evaluate(pipeline, matrix.take(test_rows)))
     if not reports:
         raise ValueError("every fold was degenerate; cannot aggregate")
     mean = sum(r.macro_f1 for r in reports) / len(reports)

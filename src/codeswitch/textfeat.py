@@ -1,17 +1,18 @@
 """Baseline text features: n-grams, bag-of-words, chi-squared selection,
-indicative-token lexicons and negation counts, plus sparse vectorization
-with optional switching-feature concatenation.
+indicative-token lexicons and negation counts, and the sparse matrix that
+training and scoring multiply, with optional switching features.
 
-A fit featurizes its corpus once into a FeatureMatrix (CSR counts over
-global feature ids, with the corpus they count); vocabulary, chi-squared
+A corpus is featurized once into a FeatureMatrix (CSR counts over global
+feature ids, with the corpus they count); vocabulary, chi-squared
 selection and the sparse TrainingMatrix each read the whole matrix they
-are given.  A cross-validation fold is matrix.take(train_rows), so folds
-never extract their training utterances again, and no fit allocates a
-dense rows x features matrix.
+are given.  A cross-validation fold is matrix.take(rows), and a held-out
+corpus is featurized over the fitted vocabulary, so no utterance is
+extracted twice.  vectorize encodes one utterance; it is the reference
+the matrix rows are checked against.
 
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  Vocabulary indices are dense and deterministic:
-sorted by kind (char_ngram, word_ngram, bow) then payload.  Vectors carry
+sorted by kind (char_ngram, word_ngram, bow) then payload.  Rows carry
 two extra "special" dimensions (indicative-score sum, negation count)
 after the vocabulary block, and, when requested, the nine switching
 features after those.
@@ -151,30 +152,34 @@ class FeatureMatrix:
 
 
 def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
-              n_values: Mapping[str, tuple[int, ...]]) -> FeatureMatrix:
+              n_values: Mapping[str, tuple[int, ...]],
+              vocab: Vocabulary | None = None) -> FeatureMatrix:
     """Count matrix of the corpus, built in one streaming pass: each
-    utterance is extracted once, its keys are interned into provisional
-    column ids and appended to flat lists, and its Counter is dropped.
-    The ids are then remapped to the rank of their key.  Ids and counts
-    are stored as int32, which keeps the matrix small while a
-    cross-validation holds it."""
+    utterance is extracted once, its keys are interned into column ids
+    appended to flat lists, and its Counter is dropped.  The ids are then
+    remapped to the rank of their key, or, given a fitted vocab, only its
+    keys are kept and it gives the columns.  Ids and counts are int32,
+    which keeps the matrix small while a cross-validation holds it."""
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
-    ids: dict[FeatureKey, int] = {}
+    ids: dict[FeatureKey, int] = {} if vocab is None else vocab.feature_id_map
     indptr, indices, data = [0], [], []
     for u in corpus:
         counts = extract_features(u.tokens, kinds, n_values)
+        if vocab is not None:
+            counts = {key: n for key, n in counts.items() if key in ids}
         indices.extend([ids.setdefault(key, len(ids)) for key in counts])
         data.extend(counts.values())
         indptr.append(len(indices))
-    keys = sorted(ids, key=_feature_sort_key)
-    rank = np.empty(len(keys), dtype=np.int32)
-    rank[[ids[key] for key in keys]] = np.arange(len(keys))
-    return FeatureMatrix(corpus, Vocabulary(tuple(keys), kinds, dict(n_values)),
-                         np.array(indptr), rank[np.array(indices, dtype=np.intp)],
-                         np.array(data, dtype=np.int32))
+    indices = np.array(indices, dtype=np.int32)
+    if vocab is None:
+        keys = sorted(ids, key=_feature_sort_key)
+        rank = np.empty(len(keys), dtype=np.int32)
+        rank[[ids[key] for key in keys]] = np.arange(len(keys))
+        indices, vocab = rank[indices], Vocabulary(tuple(keys), kinds, dict(n_values))
+    return FeatureMatrix(corpus, vocab, np.array(indptr), indices, np.array(data, dtype=np.int32))
 
 
 def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> Vocabulary:
@@ -303,7 +308,7 @@ def special_entries(tokens: Sequence[Token], lexicons: Sequence[IndicativeLexico
                     with_switching: bool) -> list[tuple[int, float]]:
     """Nonzero (offset, value) pairs of the dimensions after the vocabulary
     block: indicative-score sum, negation count and, optionally, the nine
-    switching features.  Training and serving both take them from here."""
+    switching features.  Both encoders take them from here."""
     entries: list[tuple[int, float]] = []
     indicative = sum(lex.score(t.surface) for lex in lexicons for t in tokens)
     if indicative != 0.0:
@@ -333,43 +338,37 @@ def vectorize(utterance: LabeledUtterance,
 
 @dataclass(frozen=True, eq=False)
 class TrainingMatrix:
-    """Sparse N x D training matrix that supports X @ v and X.T @ v.
-
-    Every stored entry is kept twice, keyed by row and keyed by column, so
-    that both products sum contiguous segments with np.add.reduceat.  Only
-    non-empty segments are reduced: reduceat gives an empty segment the
-    value at its start, not zero.  The sums run in a fixed order without
-    BLAS, so results do not depend on the BLAS thread count.  X.T shares
-    the arrays with the two keyings swapped; X keeps it, and it holds no
-    reference back to X, so no cycle keeps either alive."""
+    """Sparse N x D matrix of (row, col, value) entries with X @ v and
+    X.T @ v, X.T being the entries with rows and columns swapped.  A
+    product sums each non-empty row's run of entries with np.add.reduceat
+    (which gives an empty run the value at its start, not zero), in a
+    fixed order without BLAS, so results do not depend on the BLAS thread
+    count.  The entries are sorted by row on the first product, so
+    scoring, which needs only X @ w, sorts once.  X keeps X.T, which holds
+    no reference back to X, so no cycle keeps either alive."""
 
     shape: tuple[int, int]
-    by_row: tuple[np.ndarray, ...]  # _segments keyed by row
-    by_col: tuple[np.ndarray, ...]  # _segments keyed by column
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @cached_property
     def T(self) -> "TrainingMatrix":
-        return TrainingMatrix(self.shape[::-1], self.by_col, self.by_row)
+        return TrainingMatrix(self.shape[::-1], self.cols, self.rows, self.values)
+
+    @cached_property
+    def by_row(self) -> tuple[np.ndarray, ...]:
+        """(start and row of each row's run, cols, values), sorted by (row, col)."""
+        order = np.argsort(self.rows * self.shape[1] + self.cols)  # each (row, col) is stored once
+        rows = self.rows[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        return starts, rows[starts], self.cols[order], self.values[order]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return _segment_sums(self.by_row, self.shape[0], v)
-
-
-def _segments(keys: np.ndarray, others: np.ndarray, values: np.ndarray, n_others: int):
-    """The entries sorted by (key, other), as (the start of each key's run,
-    its key, others, values)."""
-    order = np.argsort(keys * n_others + others)  # each (key, other) is stored once
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return starts, keys[starts], others[order], values[order]
-
-
-def _segment_sums(segments, n: int, v: np.ndarray) -> np.ndarray:
-    """out[k] = sum of value * v[other] over the entries with key k."""
-    starts, keys, others, values = segments
-    out = np.zeros(n)
-    out[keys] = np.add.reduceat(values * v[others], starts)
-    return out
+        starts, rows, cols, values = self.by_row
+        out = np.zeros(self.shape[0])
+        out[rows] = np.add.reduceat(values * v[cols], starts)
+        return out
 
 
 def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
@@ -389,8 +388,7 @@ def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
             s_cols.append(len(vocab) + offset)
             s_values.append(value)
     n, d = len(matrix.corpus), vector_dim(vocab, with_switching)
-    at_row = np.concatenate([matrix.entry_rows[hit], np.array(s_rows, dtype=np.intp)])
-    at_col = np.concatenate([target[hit], np.array(s_cols, dtype=np.intp)])
-    values = np.concatenate([matrix.data[hit].astype(np.float64), np.array(s_values)])
-    return TrainingMatrix((n, d), _segments(at_row, at_col, values, d),
-                          _segments(at_col, at_row, values, n))
+    return TrainingMatrix(
+        (n, d), np.concatenate([matrix.entry_rows[hit], np.array(s_rows, dtype=np.intp)]),
+        np.concatenate([target[hit], np.array(s_cols, dtype=np.intp)]),
+        np.concatenate([matrix.data[hit].astype(np.float64), np.array(s_values)]))

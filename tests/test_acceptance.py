@@ -19,7 +19,6 @@ from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
     Token,
-    load_corpus,
     parse_tagged_line,
     save_corpus,
 )

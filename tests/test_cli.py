@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import codeswitch
-from codeswitch.cli import run
-from codeswitch.corpus import load_corpus, save_corpus
+from codeswitch.cli import _load_pipeline_bundle, build_parser, run
+from codeswitch.corpus import load_corpus, save_corpus, serialize_tagged_line
+from codeswitch.model import FittedPipeline, load_model, sigmoid, to_dense
 from synth_corpus import switching_driven_corpus
 
 PAPER_LINE = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
@@ -112,6 +113,23 @@ class TestTrainEvalSubsample:
         assert len(filtered.positives) == len(original.positives)
         assert len(filtered) <= len(original)
 
+    def test_subsample_keeps_the_negatives_the_reference_scores_at_tau(self, synth_file,
+                                                                       tmp_path):
+        model, bundle, out = tmp_path / "model.txt", tmp_path / "pipeline.json", tmp_path / "f.txt"
+        assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+                    "--no-preprocess", "--with-switching", "--epochs", "20"]) == 0
+        pipeline = FittedPipeline(*_load_pipeline_bundle(str(bundle)), load_model(model))
+        corpus = load_corpus(synth_file)
+        proba = sigmoid(to_dense([pipeline.vectorize(u) for u in corpus])
+                        @ pipeline.model.weights + pipeline.model.bias)
+        negative = sorted(p for u, p in zip(corpus, proba.tolist()) if u.label == 0)
+        middle = len(negative) // 2
+        tau = (negative[middle - 1] + negative[middle]) / 2  # half the negatives fall below
+        assert run(["subsample", synth_file, "--model", str(model), "--pipeline", str(bundle),
+                    "--no-preprocess", "--tau", repr(tau), "-o", str(out)]) == 0
+        assert out.read_text().splitlines() == [serialize_tagged_line(u) for u, p in
+                                                zip(corpus, proba) if u.label == 1 or p >= tau]
+
 
 def test_train_output_ignores_blas_threads(tmp_path):
     """A wide --chi2-k 0 fit writes the same bytes at 1 and 2 BLAS threads:
@@ -209,11 +227,37 @@ class TestConfigOverride:
         assert run(["features", tiny_corpus_file]) == 0
         assert out.exists()
 
+    def test_key_applies_only_where_its_option_exists(self, synth_file, tmp_path, monkeypatch):
+        """One file serves every subcommand: train has no -o, so it ignores
+        "output"; cv takes both keys."""
+        cfg = tmp_path / "defaults.json"
+        out = tmp_path / "x"
+        cfg.write_text(json.dumps({"output": str(out), "k": 3}))
+        monkeypatch.setenv("CODESWITCH_CONFIG", str(cfg))
+        train = ["train", synth_file, "--model-out", str(tmp_path / "model.txt"),
+                 "--pipeline-out", str(tmp_path / "pipeline.json"), "--kinds", "bow",
+                 "--chi2-k", "0", "--epochs", "5"]
+        assert not hasattr(build_parser().parse_args(train), "output")
+        assert run(train) == 0
+        assert not out.exists()
+        assert run(["cv", synth_file, "--kinds", "bow", "--chi2-k", "0", "--epochs", "5"]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["folds"]) + len(doc["skipped_folds"]) == 3
+
 
 def _replace_line(text, index, line):
     lines = text.splitlines()
     lines[index] = line
     return "\n".join(lines) + "\n"
+
+
+def _bundle_with(key, change):
+    """A corruption that replaces the bundle's value v at key by change(v)."""
+    def corrupt(text):
+        doc = json.loads(text)
+        doc[key] = change(doc[key])
+        return json.dumps(doc)
+    return corrupt
 
 
 # (file to corrupt, the corrupted contents given the good ones, or None to delete)
@@ -225,6 +269,14 @@ BAD_INPUTS = {
         "pipeline.json", lambda text: text.replace('"min_count": 1', '"min_count": "1"')),
     "bundle n-gram size not an integer": (
         "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": ["3"]')),
+    # the vocab keeps its length, so the model dim still matches
+    "bundle vocab repeats a key": (
+        "pipeline.json", _bundle_with("vocab", lambda v: v[:1] + v[:-1])),
+    "bundle vocab out of order": ("pipeline.json", _bundle_with("vocab", lambda v: v[::-1])),
+    "bundle vocab kind not in config kinds": (
+        "pipeline.json", _bundle_with("vocab", lambda v: [["char_ngram", "abc"]] + v[1:])),
+    "bundle config kind unknown": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "kinds": ["nope"]})),
     "model with only its magic line": ("model.txt", lambda text: text.splitlines()[0] + "\n"),
     "model with short header": ("model.txt", lambda text: text.replace(" seed 13", "")),
     "model with a NaN weight": ("model.txt", lambda text: _replace_line(text, -1, "nan")),
@@ -243,6 +295,15 @@ BAD_INPUTS = {
     "config integer for a list": ("config.json", lambda text: '{"char_n": 3}'),
     "config string for an integer": ("config.json", lambda text: '{"seed": "x"}'),
     "config string for a switch": ("config.json", lambda text: '{"with_switching": "no"}'),
+}
+
+
+# the check each bundle case must fail
+BUNDLE_ERRORS = {
+    "bundle vocab repeats a key": "vocab is not strictly increasing",
+    "bundle vocab out of order": "vocab is not strictly increasing",
+    "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
+    "bundle config kind unknown": "missing or mistyped kinds",
 }
 
 
@@ -268,6 +329,9 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     assert err.startswith("error: ")
     if case.startswith("config ") and case != "config missing":
         assert str(config) in err
+    if case.startswith("bundle "):
+        assert str(bundle) in err
+        assert BUNDLE_ERRORS.get(case, "") in err
     if case.startswith("model "):
         assert str(model) in err
         if "not a" in case or "negative" in case:

@@ -8,7 +8,7 @@ from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
     Token,
-    kfold,
+    fold_indices,
     load_corpus,
     parse_tagged_line,
     serialize_tagged_line,
@@ -112,33 +112,35 @@ class TestSplitTrainTest:
 
 
 class TestKFold:
+    """fold_indices: the (train, test) row lists of a k-fold split."""
+
     def test_ten_folds_of_one(self):
-        folds = kfold(make_corpus(10), 10, seed=0)
+        folds = fold_indices(10, 10, seed=0)
         assert len(folds) == 10
         assert all(len(test) == 1 for _, test in folds)
 
     def test_balanced_sizes(self):
-        folds = kfold(make_corpus(7), 3, seed=0)
+        folds = fold_indices(7, 3, seed=0)
         assert sorted(len(test) for _, test in folds) == [2, 2, 3]
 
     def test_test_folds_partition_corpus(self):
         corpus = make_corpus(13)
-        folds = kfold(corpus, 4, seed=5)
-        seen = [u.id for _, test in folds for u in test]
+        folds = fold_indices(len(corpus), 4, seed=5)
+        seen = [corpus[i].id for _, test in folds for i in test]
         assert sorted(seen) == sorted(u.id for u in corpus)
 
     def test_each_utterance_in_k_minus_1_train_folds(self):
         corpus = make_corpus(9)
-        folds = kfold(corpus, 3, seed=0)
+        folds = fold_indices(len(corpus), 3, seed=0)
         for u in corpus:
-            count = sum(1 for train, _ in folds if u.id in {x.id for x in train})
+            count = sum(1 for train, _ in folds if u.id in {corpus[i].id for i in train})
             assert count == 2
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            kfold(make_corpus(5), 6, seed=0)
+            fold_indices(5, 6, seed=0)
         with pytest.raises(ValueError):
-            kfold(make_corpus(5), 1, seed=0)
+            fold_indices(5, 1, seed=0)
 
 
 surface = st.text(

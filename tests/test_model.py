@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from codeswitch import model as model_module, textfeat
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, kfold
+from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, fold_indices
 from codeswitch.model import (
-    EvalReport,
     LinearModel,
     PipelineConfig,
     TrainConfig,
@@ -23,6 +22,7 @@ from codeswitch.model import (
     macro_f1,
     predict_proba,
     save_model,
+    sigmoid,
     subsample_negatives,
     to_dense,
     train,
@@ -41,14 +41,21 @@ def sv(values, dim):
     return SparseVector(entries, dim)
 
 
+def kfold(corpus, k, seed):
+    """(train, test) sub-corpora of each fold of fold_indices."""
+    return [(corpus.subset(corpus[i] for i in train), corpus.subset(corpus[i] for i in test))
+            for train, test in fold_indices(len(corpus), k, seed)]
+
+
 class TestTrain:
     def test_separable_1d(self):
         vectors = [sv([-1.0], 1), sv([1.0], 1)]
         model = train(to_dense(vectors), [0, 1],
                       TrainConfig(epochs=200, learning_rate=0.5, l2=0.0))
         assert model.weights[0] > 0
-        assert predict_proba(model, vectors[0]) < 0.5
-        assert predict_proba(model, vectors[1]) >= 0.5
+        probs = predict_proba(model, to_dense(vectors))
+        assert probs[0] < 0.5
+        assert probs[1] >= 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
@@ -88,22 +95,22 @@ class TestTrain:
 class TestPredictProba:
     def test_untrained_is_half(self):
         model = LinearModel(np.zeros(3), 0.0, TrainConfig())
-        assert predict_proba(model, sv([1, 2, 3], 3)) == 0.5
+        assert predict_proba(model, to_dense([sv([1, 2, 3], 3)])).tolist() == [0.5]
 
     def test_bias_ten(self):
         model = LinearModel(np.zeros(2), 10.0, TrainConfig())
-        assert predict_proba(model, SparseVector((), 2)) == \
+        assert predict_proba(model, to_dense([SparseVector((), 2)]))[0] == \
             pytest.approx(1 / (1 + math.exp(-10)), abs=1e-12)
 
     def test_monotone_in_positive_weight(self):
         model = LinearModel(np.array([2.0]), 0.0, TrainConfig())
-        probs = [predict_proba(model, sv([x], 1)) for x in (0.5, 1.0, 2.0)]
+        probs = predict_proba(model, to_dense([sv([x], 1) for x in (0.5, 1.0, 2.0)])).tolist()
         assert probs == sorted(probs)
 
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros(2), 0.0, TrainConfig())
         with pytest.raises(ValueError):
-            predict_proba(model, sv([1, 2, 3], 3))
+            predict_proba(model, to_dense([sv([1, 2, 3], 3)]))
 
 
 class TestGradient:
@@ -254,9 +261,11 @@ class TestCrossValidate:
         assert all(len(pipeline.vocab) == 30 for pipeline, _ in fits)
         result = cross_validate(corpus, cfg, k=4, seed=13)
         assert result.skipped_folds == ()
-        assert result.reports == tuple(evaluate(pipeline, test) for pipeline, test in fits)
+        assert result.reports == tuple(
+            evaluate(pipeline, textfeat.featurize(test, cfg.kinds, cfg.n_values, pipeline.vocab))
+            for pipeline, test in fits)
 
-    def test_extracts_each_utterance_twice(self, monkeypatch):
+    def test_extracts_each_utterance_once(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)
         calls = []
         extract = textfeat.extract_features
@@ -267,8 +276,8 @@ class TestCrossValidate:
         monkeypatch.setattr(textfeat, "extract_features", counted)
         result = cross_validate(corpus, self.FULL, k=5, seed=13)
         assert result.skipped_folds == ()
-        # once to featurize the corpus, once more as a test-fold utterance
-        assert len(calls) == 2 * len(corpus)
+        # once to featurize the corpus; test folds are rows of that matrix
+        assert len(calls) == len(corpus)
 
     @pytest.mark.parametrize("min_count", [1, 0])
     def test_fold_vocabulary_holds_only_train_fold_features(self, monkeypatch, min_count):
@@ -279,7 +288,7 @@ class TestCrossValidate:
         score = model_module.evaluate
 
         def recorded(pipeline, test_part):
-            fitted.append((pipeline.vocab, {u.id for u in test_part}))
+            fitted.append((pipeline.vocab, {u.id for u in test_part.corpus}))
             return score(pipeline, test_part)
         monkeypatch.setattr(model_module, "evaluate", recorded)
         cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None,
@@ -292,7 +301,6 @@ class TestCrossValidate:
 
     def test_no_leakage_from_test_fold(self):
         corpus = word_pool_corpus(40, seed=3)
-        from codeswitch.corpus import kfold
         train_part, test_part = kfold(corpus, 4, seed=13)[0]
         pipeline = fit_pipeline(train_part, self.CFG)
         # mutate every test utterance: fitted vocabulary must be identical
@@ -338,6 +346,53 @@ class TestFitPipeline:
         assert len(pipeline.vocab) == 20
         assert (served[:, 20:] != 0).any(axis=0).all()  # specials and switching used
         assert len(matrices) == 1 and np.array_equal(as_dense(matrices[0]), served)
+
+
+class TestMatrixScoring:
+    """predict_proba of a FeatureMatrix against the reference encoder,
+    sigmoid(to_dense([pipeline.vectorize(u) ...]) @ w + b)."""
+
+    CFG = replace(TestFitPipeline.CFG, chi2_k=30)
+
+    @staticmethod
+    def assert_matches_reference(pipeline, matrix):
+        reference = sigmoid(to_dense([pipeline.vectorize(u) for u in matrix.corpus])
+                            @ pipeline.model.weights + pipeline.model.bias)
+        probs = pipeline.predict_proba(matrix)
+        np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
+        assert np.array_equal(probs >= 0.5, reference >= 0.5)
+        assert evaluate(pipeline, matrix) == macro_f1(
+            (reference >= 0.5).astype(int).tolist(), [u.label for u in matrix.corpus])
+
+    def test_cv_test_folds(self, monkeypatch):
+        scored = []
+        score = model_module.evaluate
+
+        def recorded(pipeline, test_part):
+            scored.append((pipeline, test_part))
+            return score(pipeline, test_part)
+        monkeypatch.setattr(model_module, "evaluate", recorded)
+        cross_validate(word_pool_corpus(60, seed=5), self.CFG, k=4, seed=13)
+        assert len(scored) == 4
+        for pipeline, test_part in scored:
+            self.assert_matches_reference(pipeline, test_part)
+
+    def test_held_out_corpus(self):
+        pipeline = fit_pipeline(word_pool_corpus(40, seed=4), self.CFG)
+        held_out = list(word_pool_corpus(20, seed=8))
+        unseen = LabeledUtterance(held_out[0].tokens + (Token("zzzz", "en"),), 1, "unseen")
+        unknown = LabeledUtterance((Token("qqqq", "en"), Token("xxxx", "hi")), 0, "unknown")
+        corpus = LabeledCorpus(tuple([unseen] + held_out + [unknown]), "held-out")
+        cfg = pipeline.config
+        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, pipeline.vocab)
+        assert matrix.vocab is pipeline.vocab
+        assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).vocab) > len(pipeline.vocab)
+        keys = [textfeat.extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
+        assert any(key not in pipeline.vocab for key in keys[0])  # unseen keys ...
+        assert np.diff(matrix.indptr)[0] > 0  # ... next to known ones
+        assert not any(key in pipeline.vocab for key in keys[-1])
+        assert np.diff(matrix.indptr)[-1] == 0
+        self.assert_matches_reference(pipeline, matrix)
 
 
 class TestSparseTraining:

@@ -1,7 +1,5 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from codeswitch.corpus import Token
 from codeswitch.preprocess import PreprocessConfig, normalize, segment_camel_case
 
 

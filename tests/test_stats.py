@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,6 @@ from codeswitch.stats import (
     ContingencyTable,
     average_switching,
     conditional_positive_rates,
-    contingency,
     phi_correlation,
     phi_from_table,
     summarize,

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +6,6 @@ from hypothesis import given, strategies as st
 from codeswitch.corpus import Token, parse_tagged_line
 from codeswitch.switching import (
     N_FEATURES,
-    SwitchProfile,
     has_embedding_property,
     lang_run_vectors,
     switch_counts,

@@ -4,7 +4,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
@@ -21,7 +20,6 @@ from codeswitch.textfeat import (
     extract_features,
     featurize,
     indicative_scores,
-    vector_dim,
     vectorize,
     word_ngrams,
 )
@@ -109,6 +107,20 @@ class TestFeaturize:
         assert taken.indptr[1] == taken.indptr[2]  # row 2 stores no entry
         assert taken.indices.tolist() == matrix.columns(part.vocab)[part.indices].tolist()
         assert taken.data.tolist() == part.data.tolist()
+
+    def test_fitted_vocabulary_keeps_only_its_keys(self):
+        c = balanced_four_corpus()
+        kinds = frozenset({"bow", "word_ngram"})
+        full = featurize(c, kinds, {})
+        vocab = Vocabulary(full.vocab.features[1::2], kinds, {})
+        matrix = featurize(c, kinds, {}, vocab)
+        assert matrix.vocab is vocab
+        for r, u in enumerate(c):
+            row = matrix.take([r])
+            counts = extract_features(u.tokens, kinds, {})
+            assert dict(zip((vocab.features[i] for i in row.indices.tolist()),
+                            row.data.tolist())) \
+                == {key: n for key, n in counts.items() if key in vocab}
 
     def test_entries_follow_the_given_row_order(self):
         matrix = featurize(balanced_four_corpus(), {"bow"}, {})
