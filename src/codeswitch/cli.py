@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from codeswitch import stats as stats_mod
@@ -38,6 +37,7 @@ from codeswitch.model import (
     PipelineConfig,
     TrainConfig,
     cross_validate,
+    cross_validate_arms,
     evaluate,
     fit_pipeline,
     load_model,
@@ -293,33 +293,20 @@ def cmd_cv(args) -> int:
     cfg = _pipeline_config(args)
 
     if args.ablate_switching:
-        with_sw = cross_validate(corpus, replace(cfg, with_switching=True),
-                                 args.k, args.seed)
-        without_sw = cross_validate(corpus, replace(cfg, with_switching=False),
-                                    args.k, args.seed)
-        doc = {
-            "with_switching": _cv_dict(with_sw),
-            "without_switching": _cv_dict(without_sw),
-            "delta_macro_f1": with_sw.mean_macro_f1 - without_sw.mean_macro_f1,
-        }
+        with_sw, without_sw = cross_validate_arms(corpus, cfg, (True, False), args.k, args.seed)
+        delta = with_sw.mean_macro_f1 - without_sw.mean_macro_f1
+        doc = {"with_switching": _cv_dict(with_sw), "without_switching": _cv_dict(without_sw),
+               "delta_macro_f1": delta}
+        lines = ["variant\tmean_macro_f1", f"with_switching\t{with_sw.mean_macro_f1!r}",
+                 f"without_switching\t{without_sw.mean_macro_f1!r}", f"delta\t{delta!r}"]
     else:
-        doc = _cv_dict(cross_validate(corpus, cfg, args.k, args.seed))
+        result = cross_validate(corpus, cfg, args.k, args.seed)
+        doc = _cv_dict(result)
+        lines = ["fold\tmacro_f1", *(f"{i}\t{r.macro_f1!r}" for i, r in enumerate(result.reports)),
+                 f"mean\t{result.mean_macro_f1!r}"]
 
-    if args.format == "tsv":
-        lines = []
-        if args.ablate_switching:
-            lines.append("variant\tmean_macro_f1")
-            lines.append(f"with_switching\t{doc['with_switching']['mean_macro_f1']!r}")
-            lines.append(f"without_switching\t{doc['without_switching']['mean_macro_f1']!r}")
-            lines.append(f"delta\t{doc['delta_macro_f1']!r}")
-        else:
-            lines.append("fold\tmacro_f1")
-            for i, fold in enumerate(doc["folds"]):
-                lines.append(f"{i}\t{fold['macro_f1']!r}")
-            lines.append(f"mean\t{doc['mean_macro_f1']!r}")
-        _write_output(args.output, "\n".join(lines) + "\n")
-    else:
-        _write_output(args.output, json.dumps(doc, sort_keys=True) + "\n")
+    text = "\n".join(lines) if args.format == "tsv" else json.dumps(doc, sort_keys=True)
+    _write_output(args.output, text + "\n")
     return 0
 
 

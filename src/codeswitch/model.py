@@ -1,6 +1,6 @@
 """Logistic classifier over sparse feature matrices, macro-F1 evaluation,
-cross-validation with per-fold feature fitting, and confidence-based
-negative sub-sampling.
+cross-validation that scores every arm of the switching ablation from one
+feature fit per fold, and confidence-based negative sub-sampling.
 
 Training is full-batch gradient descent on the mean binary cross-entropy
 with an L2 penalty on the weights (bias unpenalized), initialized at zero
@@ -13,7 +13,7 @@ X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
@@ -33,6 +33,7 @@ from codeswitch.textfeat import (
     featurize,
     indicative_scores,
     training_matrix,
+    vector_dim,
     vectorize,
 )
 
@@ -46,6 +47,10 @@ class TrainConfig:
     learning_rate: float = 0.1
     l2: float = 1e-3
     seed: int = 13
+
+    def __post_init__(self) -> None:
+        if not (self.epochs >= 1 and self.learning_rate > 0 and self.l2 >= 0):  # or NaN
+            raise ValueError(f"need epochs >= 1, learning_rate > 0 and l2 >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -223,9 +228,9 @@ class FittedPipeline:
             self.config.with_switching))
 
 
-def _fit(matrix: FeatureMatrix, cfg: PipelineConfig) -> FittedPipeline:
-    """Fit vocabulary, chi-squared selection and lexicon on the rows of
-    the matrix only, then train the classifier."""
+def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
+                  ) -> tuple[Vocabulary, tuple[IndicativeLexicon, ...]]:
+    """Vocabulary, chi-squared selection and lexicon fitted on the matrix rows only."""
     vocab = build_vocabulary(matrix, cfg.min_count)
     if cfg.chi2_k is not None:
         vocab = chi2_select(matrix, vocab, cfg.chi2_k)
@@ -233,14 +238,15 @@ def _fit(matrix: FeatureMatrix, cfg: PipelineConfig) -> FittedPipeline:
     if cfg.use_indicative:
         lexicons = (indicative_scores(matrix.corpus, cfg.lexicon_floor,
                                       matrix.corpus.task_name),)
-    X = training_matrix(matrix, vocab, lexicons, cfg.negation_words, cfg.with_switching)
-    model = train(X, matrix.labels, cfg.train_config)
-    return FittedPipeline(cfg, vocab, lexicons, model)
+    return vocab, lexicons
 
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
-    return _fit(featurize(train_corpus, cfg.kinds, cfg.n_values), cfg)
+    matrix = featurize(train_corpus, cfg.kinds, cfg.n_values)
+    vocab, lexicons = _fit_features(matrix, cfg)
+    X = training_matrix(matrix, vocab, lexicons, cfg.negation_words, cfg.with_switching)
+    return FittedPipeline(cfg, vocab, lexicons, train(X, matrix.labels, cfg.train_config))
 
 
 def evaluate(pipeline: FittedPipeline, matrix: FeatureMatrix) -> EvalReport:
@@ -256,31 +262,44 @@ class CVResult:
     skipped_folds: tuple[int, ...]
 
 
-def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
-                   k: int = 10, seed: int = 13) -> CVResult:
-    """k-fold cross-validation with all feature fitting on train folds.
+def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequence[bool],
+                        k: int = 10, seed: int = 13) -> tuple[CVResult, ...]:
+    """k-fold cross-validation with all feature fitting on train folds, one
+    CVResult per arm (the with_switching value it scores).
 
-    The corpus is featurized once; each fold fits from matrix.take of its
-    train rows and scores matrix.take of its test rows.
-
-    Folds whose train or test part contains a single class are skipped
-    with a warning and excluded from the aggregate.
+    The corpus is featurized once.  Each fold fits the features once from
+    matrix.take of its train rows into one training matrix, whose leading
+    columns an arm without switching trains on, and every arm scores
+    matrix.take of its test rows.  Folds whose train or test part contains
+    a single class are skipped with a warning and excluded from the aggregate.
     """
     folds = fold_indices(len(corpus), k, seed)
     matrix = featurize(corpus, cfg.kinds, cfg.n_values)
-    reports: list[EvalReport] = []
+    reports: list[list[EvalReport]] = [[] for _ in arms]
     skipped: list[int] = []
     for fold_index, (train_rows, test_rows) in enumerate(folds):
         if any(len(set(matrix.labels[rows].tolist())) < 2 for rows in (train_rows, test_rows)):
             warnings.warn(f"fold {fold_index} has a single class; excluded")
             skipped.append(fold_index)
             continue
-        pipeline = _fit(matrix.take(train_rows), cfg)
-        reports.append(evaluate(pipeline, matrix.take(test_rows)))
-    if not reports:
+        train_part, test_part = matrix.take(train_rows), matrix.take(test_rows)
+        vocab, lexicons = _fit_features(train_part, cfg)
+        X = training_matrix(train_part, vocab, lexicons, cfg.negation_words, any(arms))
+        for arm_reports, with_switching in zip(reports, arms):
+            model = train(X if with_switching else X.leading_columns(vector_dim(vocab, False)),
+                          train_part.labels, cfg.train_config)
+            arm_reports.append(evaluate(FittedPipeline(replace(cfg, with_switching=with_switching),
+                                                       vocab, lexicons, model), test_part))
+    if len(skipped) == len(folds):
         raise ValueError("every fold was degenerate; cannot aggregate")
-    mean = sum(r.macro_f1 for r in reports) / len(reports)
-    return CVResult(tuple(reports), mean, tuple(skipped))
+    return tuple(CVResult(tuple(r), sum(x.macro_f1 for x in r) / len(r), tuple(skipped))
+                 for r in reports)
+
+
+def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
+                   k: int = 10, seed: int = 13) -> CVResult:
+    """cross_validate_arms with the one arm cfg.with_switching."""
+    return cross_validate_arms(corpus, cfg, (cfg.with_switching,), k, seed)[0]
 
 
 # --------------------------------------------------------------------
@@ -328,8 +347,11 @@ def load_model(path: Union[str, Path],
         raise ValueError(f"{path}: line 2: negative model dim {dim}")
     if expected_dim is not None and dim != expected_dim:
         raise ValueError(f"{path}: model dim {dim} does not match expected {expected_dim}")
-    meta = TrainConfig(epochs=parse(int, h[1], 3), learning_rate=parse(float, h[3], 3),
-                       l2=parse(float, h[5], 3), seed=parse(int, h[7], 3))
+    hyper = [parse(convert, text, 3) for convert, text in zip((int, float, float, int), h[1::2])]
+    try:
+        meta = TrainConfig(*hyper)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 3: {exc}") from None
     if len(lines) != 4 + dim:
         found = len(lines) - 4
         raise ValueError(f"{path}: {found} weight lines after the bias, expected {dim}")

@@ -65,11 +65,6 @@ def rates_from_table(t: ContingencyTable) -> tuple[float | None, float | None]:
     return p_q, p_not_q
 
 
-def conditional_positive_rates(corpus: LabeledCorpus) -> tuple[float | None, float | None]:
-    """(p(positive | Q), p(positive | ~Q)); None when a cell is empty."""
-    return rates_from_table(contingency(corpus))
-
-
 def average_switching(corpus: LabeledCorpus) -> tuple[float | None, float | None]:
     """Mean total switches V over positives and over negatives."""
     pos = [switch_counts(u.tokens)[2] for u in corpus if u.label == POSITIVE]
@@ -80,17 +75,12 @@ def average_switching(corpus: LabeledCorpus) -> tuple[float | None, float | None
 
 
 def phi_from_table(t: ContingencyTable) -> float | None:
+    """Pearson correlation of the binary label and the embedding property,
+    the closed-form 2x2 expression; None when a marginal is zero."""
     denom = ((t.n11 + t.n10) * (t.n01 + t.n00) * (t.n11 + t.n01) * (t.n10 + t.n00))
     if denom == 0:
         return None
     return (t.n11 * t.n00 - t.n10 * t.n01) / math.sqrt(denom)
-
-
-def phi_correlation(corpus: LabeledCorpus) -> float | None:
-    """Pearson correlation between the binary label and the embedding
-    property, via the closed-form 2x2 expression.  None when a marginal
-    is zero (correlation undefined)."""
-    return phi_from_table(contingency(corpus))
 
 
 def summarize(corpus: LabeledCorpus) -> SwitchTaskSummary:

@@ -3,19 +3,19 @@ indicative-token lexicons and negation counts, and the sparse matrix that
 training and scoring multiply, with optional switching features.
 
 A corpus is featurized once into a FeatureMatrix (CSR counts over global
-feature ids, with the corpus they count); vocabulary, chi-squared
-selection and the sparse TrainingMatrix each read the whole matrix they
-are given.  A cross-validation fold is matrix.take(rows), and a held-out
-corpus is featurized over the fitted vocabulary, so no utterance is
-extracted twice.  vectorize encodes one utterance; it is the reference
-the matrix rows are checked against.
+feature ids and each row's switching features, with the corpus they
+describe); vocabulary, chi-squared selection and the sparse TrainingMatrix
+each read the whole matrix they are given.  A cross-validation fold is
+matrix.take(rows), and a held-out corpus is featurized over the fitted
+vocabulary, so no utterance is extracted twice.  vectorize encodes one
+utterance; it is the reference the matrix rows are checked against.
 
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  Vocabulary indices are dense and deterministic:
 sorted by kind (char_ngram, word_ngram, bow) then payload.  Rows carry
-two extra "special" dimensions (indicative-score sum, negation count)
-after the vocabulary block, and, when requested, the nine switching
-features after those.
+two special_values dimensions (indicative-score sum, negation count)
+after the vocabulary block and, when requested, the nine switching
+features last, so a row without them is the leading columns of one with.
 """
 
 from __future__ import annotations
@@ -118,13 +118,15 @@ class FeatureMatrix:
     """extract_features counts of a labeled corpus as a CSR matrix: row r
     is utterance corpus[r], its column ids are indices[indptr[r]:indptr[r + 1]]
     and its counts the same slice of data.  Column c is the feature
-    vocab.features[c], so column order is key order."""
+    vocab.features[c], so column order is key order.  switching[r] is
+    the switching profile of corpus[r], in SwitchProfile.as_tuple order."""
 
     corpus: LabeledCorpus
     vocab: Vocabulary
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    switching: np.ndarray
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -142,8 +144,8 @@ class FeatureMatrix:
         lengths = self.indptr[rows + 1] - starts
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()),
-                             self.vocab, indptr, self.indices[at], self.data[at])
+        return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()), self.vocab,
+                             indptr, self.indices[at], self.data[at], self.switching[rows])
 
     def columns(self, vocab: Vocabulary) -> np.ndarray:
         """Column id of each feature of vocab, in vocab's order."""
@@ -165,8 +167,9 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
     ids: dict[FeatureKey, int] = {} if vocab is None else vocab.feature_id_map
-    indptr, indices, data = [0], [], []
+    indptr, indices, data, switching = [0], [], [], []
     for u in corpus:
+        switching.append(switching_features(u.tokens).as_tuple())
         counts = extract_features(u.tokens, kinds, n_values)
         if vocab is not None:
             counts = {key: n for key, n in counts.items() if key in ids}
@@ -179,7 +182,8 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
         rank = np.empty(len(keys), dtype=np.int32)
         rank[[ids[key] for key in keys]] = np.arange(len(keys))
         indices, vocab = rank[indices], Vocabulary(tuple(keys), kinds, dict(n_values))
-    return FeatureMatrix(corpus, vocab, np.array(indptr), indices, np.array(data, dtype=np.int32))
+    return FeatureMatrix(corpus, vocab, np.array(indptr), indices, np.array(data, dtype=np.int32),
+                         np.array(switching, dtype=np.float64).reshape(-1, N_FEATURES))
 
 
 def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> Vocabulary:
@@ -303,23 +307,13 @@ def vector_dim(vocab: Vocabulary, with_switching: bool) -> int:
     return len(vocab) + 2 + (N_FEATURES if with_switching else 0)
 
 
-def special_entries(tokens: Sequence[Token], lexicons: Sequence[IndicativeLexicon],
-                    negation_words: frozenset[str],
-                    with_switching: bool) -> list[tuple[int, float]]:
-    """Nonzero (offset, value) pairs of the dimensions after the vocabulary
-    block: indicative-score sum, negation count and, optionally, the nine
-    switching features.  Both encoders take them from here."""
-    entries: list[tuple[int, float]] = []
+def special_values(tokens: Sequence[Token], lexicons: Sequence[IndicativeLexicon],
+                   negation_words: frozenset[str]) -> tuple[float, float]:
+    """The two dimensions after the vocabulary block: indicative-score sum
+    and negation count.  Both encoders take them from here."""
     indicative = sum(lex.score(t.surface) for lex in lexicons for t in tokens)
-    if indicative != 0.0:
-        entries.append((0, indicative))
     negations = sum(1 for t in tokens if t.surface.lower() in negation_words)
-    if negations:
-        entries.append((1, float(negations)))
-    if with_switching:
-        entries.extend((2 + offset, float(value)) for offset, value
-                       in enumerate(switching_features(tokens).as_tuple()) if value != 0.0)
-    return entries
+    return float(indicative), float(negations)
 
 
 def vectorize(utterance: LabeledUtterance,
@@ -331,8 +325,9 @@ def vectorize(utterance: LabeledUtterance,
     counts = extract_features(utterance.tokens, vocab.kinds, vocab.n_values)
     idx = vocab.feature_id_map
     entries = sorted((idx[key], float(count)) for key, count in counts.items() if key in idx)
-    entries += [(len(vocab) + offset, value) for offset, value
-                in special_entries(utterance.tokens, lexicons, negation_words, with_switching)]
+    switching = switching_features(utterance.tokens).as_tuple() if with_switching else ()
+    tail = special_values(utterance.tokens, lexicons, negation_words) + switching
+    entries += [(len(vocab) + i, float(v)) for i, v in enumerate(tail) if v != 0.0]
     return SparseVector(tuple(entries), vector_dim(vocab, with_switching))
 
 
@@ -370,25 +365,30 @@ class TrainingMatrix:
         out[rows] = np.add.reduceat(values * v[cols], starts)
         return out
 
+    def leading_columns(self, d: int) -> "TrainingMatrix":
+        """The matrix of the first d columns, by a mask over the entries."""
+        kept = self.cols < d
+        return TrainingMatrix((self.shape[0], d), self.rows[kept], self.cols[kept],
+                              self.values[kept])
+
 
 def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
                     lexicons: Sequence[IndicativeLexicon], negation_words: frozenset[str],
                     with_switching: bool) -> TrainingMatrix:
     """Sparse matrix whose row i is vectorize(matrix.corpus[i]): the
     vocabulary block comes from the stored counts through one column
-    remap, the rest from special_entries."""
+    remap, the rest from the nonzeros of special_values and switching."""
     remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
     remap[matrix.columns(vocab)] = np.arange(len(vocab))
     target = remap[matrix.indices]
     hit = target >= 0
-    s_rows, s_cols, s_values = [], [], []
-    for i, u in enumerate(matrix.corpus):
-        for offset, value in special_entries(u.tokens, lexicons, negation_words, with_switching):
-            s_rows.append(i)
-            s_cols.append(len(vocab) + offset)
-            s_values.append(value)
+    block = np.array([special_values(u.tokens, lexicons, negation_words) for u in matrix.corpus],
+                     dtype=np.float64).reshape(-1, 2)
+    if with_switching:
+        block = np.hstack([block, matrix.switching])
+    s_rows, s_cols = np.nonzero(block)
     n, d = len(matrix.corpus), vector_dim(vocab, with_switching)
-    return TrainingMatrix(
-        (n, d), np.concatenate([matrix.entry_rows[hit], np.array(s_rows, dtype=np.intp)]),
-        np.concatenate([target[hit], np.array(s_cols, dtype=np.intp)]),
-        np.concatenate([matrix.data[hit].astype(np.float64), np.array(s_values)]))
+    return TrainingMatrix((n, d), np.concatenate([matrix.entry_rows[hit], s_rows]),
+                          np.concatenate([target[hit], len(vocab) + s_cols]),
+                          np.concatenate([matrix.data[hit].astype(np.float64),
+                                          block[s_rows, s_cols]]))

@@ -286,6 +286,10 @@ BAD_INPUTS = {
     "model bias not a number": ("model.txt", lambda text: _replace_line(text, 3, "0.1x")),
     "model weight not a number": ("model.txt", lambda text: _replace_line(text, -1, "0.1x")),
     "model with a line after its weights": ("model.txt", lambda text: text + "0.5\n"),
+    "model epochs zero": ("model.txt", lambda text: text.replace("epochs 5 ", "epochs 0 ")),
+    "model learning rate negative": (
+        "model.txt", lambda text: text.replace("learning_rate 0.1 ", "learning_rate -1.0 ")),
+    "model l2 negative": ("model.txt", lambda text: text.replace("l2 0.001 ", "l2 -50.0 ")),
     "config not JSON": ("config.json", lambda text: "{not json"),
     "config missing": ("config.json", None),
     "config a JSON list": ("config.json", lambda text: '["seed"]'),
@@ -298,6 +302,20 @@ BAD_INPUTS = {
 }
 
 
+# (CODESWITCH_CONFIG contents, train flags) asking for training that cannot work
+BAD_TRAINING = {
+    "train flag epochs negative": ("{}", ["--epochs", "-1"]),
+    "train flag epochs zero": ("{}", ["--epochs", "0"]),
+    "train flag learning rate negative": ("{}", ["--learning-rate", "-1"]),
+    "train flag learning rate zero": ("{}", ["--learning-rate", "0"]),
+    "train flag l2 negative": ("{}", ["--l2", "-50"]),
+    "train config epochs zero": ('{"epochs": 0}', []),
+    "train config learning rate negative": ('{"learning_rate": -1}', []),
+    "train config l2 negative": ('{"l2": -0.5}', []),
+}
+
+TRAINING_ERROR = "need epochs >= 1, learning_rate > 0 and l2 >= 0"
+
 # the check each bundle case must fail
 BUNDLE_ERRORS = {
     "bundle vocab repeats a key": "vocab is not strictly increasing",
@@ -307,7 +325,7 @@ BUNDLE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS) + sorted(BAD_TRAINING))
 def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys):
     model, bundle, config = (tmp_path / name for name in
                              ("model.txt", "pipeline.json", "config.json"))
@@ -315,18 +333,30 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
                 "--kinds", "bow", "--chi2-k", "0", "--epochs", "5"]) == 0
     config.write_text("{}")
     monkeypatch.setenv("CODESWITCH_CONFIG", str(config))
-    name, corrupt = BAD_INPUTS[case]
-    target = tmp_path / name
-    if corrupt is None:
-        target.unlink()
+    argv = ["eval", synth_file, "--model", str(model), "--pipeline", str(bundle)]
+    if case in BAD_TRAINING:
+        settings, flags = BAD_TRAINING[case]
+        config.write_text(settings)
+        argv = ["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+                "--kinds", "bow", *flags]
+        written = model.read_text(), bundle.read_text()
     else:
-        good = target.read_text()
-        target.write_text(corrupt(good))
-        assert target.read_text() != good
+        name, corrupt = BAD_INPUTS[case]
+        target = tmp_path / name
+        if corrupt is None:
+            target.unlink()
+        else:
+            good = target.read_text()
+            target.write_text(corrupt(good))
+            assert target.read_text() != good
     capsys.readouterr()
-    assert run(["eval", synth_file, "--model", str(model), "--pipeline", str(bundle)]) == 1
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    if case in BAD_TRAINING:
+        assert TRAINING_ERROR in err
+        assert (model.read_text(), bundle.read_text()) == written  # nothing was trained
+        return
     if case.startswith("config ") and case != "config missing":
         assert str(config) in err
     if case.startswith("bundle "):
@@ -336,6 +366,8 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
         assert str(model) in err
         if "not a" in case or "negative" in case:
             assert f"{model}: line " in err
+        if case.startswith(("model epochs", "model learning rate", "model l2")):
+            assert err.startswith(f"error: {model}: line 3: {TRAINING_ERROR}, got ")
     if "not JSON" in case or "nested" in case:
         assert err.startswith(f"error: {target}: not valid JSON")
 

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from codeswitch.model import (
     PipelineConfig,
     TrainConfig,
     cross_validate,
+    cross_validate_arms,
     evaluate,
     fit_pipeline,
     load_model,
@@ -299,6 +301,42 @@ class TestCrossValidate:
             for u in corpus:
                 assert (("bow", f"only{u.id}") in vocab) == (u.id not in test_ids)
 
+    @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
+    def test_arms_equal_one_run_per_arm(self, n, k, seed):
+        corpus = word_pool_corpus(n, seed=seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            arms = cross_validate_arms(corpus, self.FULL, (True, False), k=k, seed=13)
+        single_class = [w for w in caught if "has a single class" in str(w.message)]
+        assert len(single_class) == len(arms[0].skipped_folds)  # once per fold, not per arm
+        assert bool(arms[0].skipped_folds) == (n == 12)
+        assert arms == tuple(cross_validate(corpus, replace(self.FULL, with_switching=sw),
+                                            k=k, seed=13) for sw in (True, False))
+        if n == 60:
+            assert arms[0].mean_macro_f1 != arms[1].mean_macro_f1
+        assert cross_validate_arms(corpus, self.FULL, (False, True), k=k, seed=13) == arms[::-1]
+
+    def test_every_fold_degenerate_is_an_error(self):
+        with pytest.raises(ValueError, match="every fold was degenerate"):
+            cross_validate_arms(word_pool_corpus(4, seed=1), self.CFG, (True, False), k=4, seed=13)
+
+    def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
+        corpus = word_pool_corpus(40, seed=4)
+        calls = {"extract_features": 0, "switching_features": 0}
+
+        def counted(name):
+            original = getattr(textfeat, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+        for name in calls:
+            monkeypatch.setattr(textfeat, name, counted(name))
+        arms = cross_validate_arms(corpus, self.FULL, (True, False), k=5, seed=13)
+        assert arms[0].skipped_folds == ()
+        assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
+
     def test_no_leakage_from_test_fold(self):
         corpus = word_pool_corpus(40, seed=3)
         train_part, test_part = kfold(corpus, 4, seed=13)[0]
@@ -403,11 +441,12 @@ class TestSparseTraining:
                          train_config=TrainConfig(epochs=300, learning_rate=0.3))
 
     @classmethod
-    def matrices(cls):
+    def matrices(cls, with_switching=False):
         """Sparse and dense training matrices of a corpus with empty rows
         (first, middle, last: each utterance is one token seen once, which
         min_count drops) and all-zero trailing columns (no lexicon and no
-        negation words): the segments np.add.reduceat gets wrong."""
+        negation words): the segments np.add.reduceat gets wrong.  With
+        switching, the rows are not empty, but their leading columns are."""
         solo = [LabeledUtterance((Token(f"solo{i}", "en"),), i % 2, f"solo{i}")
                 for i in range(3)]
         body = list(word_pool_corpus(30, seed=2))
@@ -416,8 +455,9 @@ class TestSparseTraining:
         cfg = cls.CFG
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
         vocab = textfeat.build_vocabulary(matrix, cfg.min_count)
-        X = textfeat.training_matrix(matrix, vocab, (), cfg.negation_words, False)
-        dense = to_dense([textfeat.vectorize(u, vocab, (), cfg.negation_words) for u in corpus])
+        X = textfeat.training_matrix(matrix, vocab, (), cfg.negation_words, with_switching)
+        dense = to_dense([textfeat.vectorize(u, vocab, (), cfg.negation_words, with_switching)
+                          for u in corpus])
         return X, dense, [u.label for u in corpus]
 
     def test_traps_present(self):
@@ -436,6 +476,23 @@ class TestSparseTraining:
             v, r = rng.normal(size=dense.shape[1]), rng.normal(size=dense.shape[0])
             np.testing.assert_allclose(X @ v, dense @ v, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(X.T @ r, dense.T @ r, rtol=1e-12, atol=1e-12)
+
+    def test_leading_columns_match_dense(self):
+        X, dense, _ = self.matrices(with_switching=True)
+        plain, _, _ = self.matrices()
+        d = plain.shape[1]
+        assert X.shape[1] == d + 9 and dense[:, d:].any(axis=1).all()
+        lead = X.leading_columns(d)
+        assert lead.shape == (len(dense), d) and lead.T.shape == (d, len(dense))
+        assert np.array_equal(as_dense(lead), dense[:, :d])
+        assert np.array_equal(as_dense(lead), as_dense(plain))
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            v, r = rng.normal(size=d), rng.normal(size=len(dense))
+            assert np.array_equal(lead @ v, plain @ v)
+            assert np.array_equal(lead.T @ r, plain.T @ r)
+            np.testing.assert_allclose(lead @ v, dense[:, :d] @ v, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lead.T @ r, dense[:, :d].T @ r, rtol=1e-12, atol=1e-12)
 
     def test_train_matches_dense(self):
         X, dense, labels = self.matrices()

@@ -7,9 +7,9 @@ from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.stats import (
     ContingencyTable,
     average_switching,
-    conditional_positive_rates,
-    phi_correlation,
+    contingency,
     phi_from_table,
+    rates_from_table,
     summarize,
 )
 
@@ -43,14 +43,14 @@ def pearson(xs, ys):
 class TestConditionalRates:
     def test_perfect_association(self):
         corpus = corpus_from_cells(4, 0, 0, 4)
-        assert conditional_positive_rates(corpus) == (1.0, 0.0)
+        assert rates_from_table(contingency(corpus)) == (1.0, 0.0)
 
     def test_mixed_cells(self):
         corpus = corpus_from_cells(2, 1, 2, 3)
-        assert conditional_positive_rates(corpus) == (0.5, 0.25)
+        assert rates_from_table(contingency(corpus)) == (0.5, 0.25)
 
     def test_empty_cell_undefined(self):
-        p_q, p_not_q = conditional_positive_rates(corpus_from_cells(2, 0, 1, 0))
+        p_q, p_not_q = rates_from_table(contingency(corpus_from_cells(2, 0, 1, 0)))
         assert p_q == pytest.approx(2 / 3)
         assert p_not_q is None
 
@@ -86,16 +86,16 @@ class TestAverageSwitching:
 
 class TestPhi:
     def test_diagonal_table(self):
-        assert phi_correlation(corpus_from_cells(2, 0, 0, 2)) == 1.0
+        assert phi_from_table(contingency(corpus_from_cells(2, 0, 0, 2))) == 1.0
 
     def test_independent_table(self):
-        assert phi_correlation(corpus_from_cells(1, 1, 1, 1)) == 0.0
+        assert phi_from_table(contingency(corpus_from_cells(1, 1, 1, 1))) == 0.0
 
     def test_hand_value(self):
-        assert phi_correlation(corpus_from_cells(3, 1, 1, 3)) == 0.5
+        assert phi_from_table(contingency(corpus_from_cells(3, 1, 1, 3))) == 0.5
 
     def test_zero_marginal_undefined(self):
-        assert phi_correlation(corpus_from_cells(2, 3, 0, 0)) is None
+        assert phi_from_table(contingency(corpus_from_cells(2, 3, 0, 0))) is None
 
     def test_counts_consistent_with_rates(self):
         corpus = corpus_from_cells(3, 2, 4, 1)

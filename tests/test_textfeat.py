@@ -23,6 +23,7 @@ from codeswitch.textfeat import (
     vectorize,
     word_ngrams,
 )
+from codeswitch.switching import N_FEATURES, switching_features
 
 
 def utterance(surfaces, label=1, uid="0", tag="hi"):
@@ -107,6 +108,19 @@ class TestFeaturize:
         assert taken.indptr[1] == taken.indptr[2]  # row 2 stores no entry
         assert taken.indices.tolist() == matrix.columns(part.vocab)[part.indices].tolist()
         assert taken.data.tolist() == part.data.tolist()
+        assert taken.switching.tobytes() == part.switching.tobytes() \
+            == matrix.switching[rows].tobytes()
+
+    def test_switching_block_holds_each_rows_profile(self):
+        tags = ["hi", "en", "hi", "rest", "en"]
+        c = corpus(*(LabeledUtterance(tuple(Token(f"w{j}", tags[(i + j) % 5])
+                                            for j in range(i + 1)), i % 2, str(i))
+                     for i in range(6)))
+        matrix = featurize(c, {"bow"}, {})
+        assert matrix.switching.shape == (6, N_FEATURES)
+        assert matrix.switching.tolist() == [list(switching_features(u.tokens).as_tuple())
+                                             for u in c]
+        assert matrix.take([5, 1]).switching.tolist() == matrix.switching[[5, 1]].tolist()
 
     def test_fitted_vocabulary_keeps_only_its_keys(self):
         c = balanced_four_corpus()
@@ -244,7 +258,8 @@ class TestChi2Exact:
                              for i, label in enumerate(labels)))
         matrix = FeatureMatrix(one_token, vocab,
                                np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
-                               cols.astype(np.int32), np.ones(len(cols), dtype=np.int32))
+                               cols.astype(np.int32), np.ones(len(cols), dtype=np.int32),
+                               np.zeros((n, N_FEATURES)))
         scores = chi2_scores(matrix, vocab)
         n_pos = int(labels.sum())
         expected = []
