@@ -14,7 +14,6 @@ from codeswitch.corpus import (
     load_corpus,
     parse_tagged_line,
     serialize_tagged_line,
-    split_train_test,
 )
 from codeswitch.switching import (
     SwitchProfile,
@@ -33,7 +32,6 @@ __all__ = [
     "load_corpus",
     "parse_tagged_line",
     "serialize_tagged_line",
-    "split_train_test",
     "SwitchProfile",
     "SwitchVectors",
     "has_embedding_property",

@@ -49,7 +49,6 @@ from codeswitch.switching import has_embedding_property, switching_features
 from codeswitch.textfeat import (
     DEFAULT_NEGATION_WORDS,
     KIND_ORDER,
-    IndicativeLexicon,
     Vocabulary,
     _feature_sort_key,
     featurize,
@@ -123,6 +122,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _save_pipeline_bundle(pipeline, path: str) -> None:
     cfg = pipeline.config
+    # class_name is read by no one; format v1 keeps it, so bundles stay the same bytes
+    lexicon = {"class_name": "", "scores": dict(sorted(pipeline.lexicon.items()))}
     doc = {
         "version": PIPELINE_FORMAT_VERSION,
         "config": {
@@ -136,8 +137,7 @@ def _save_pipeline_bundle(pipeline, path: str) -> None:
             "with_switching": cfg.with_switching,
         },
         "vocab": [list(key) for key in pipeline.vocab.features],
-        "lexicons": [{"class_name": lex.class_name, "scores": dict(sorted(lex.scores.items()))}
-                     for lex in pipeline.lexicons],
+        "lexicons": [lexicon] if cfg.use_indicative else [],
     }
     _write_output(path, json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
 
@@ -159,8 +159,7 @@ def _read_json(path: str):
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
-def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
-                                              tuple[IndicativeLexicon, ...]]:
+def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[str, float]]:
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != PIPELINE_FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline bundle version in {path}")
@@ -179,13 +178,15 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
         "vocab": isinstance(doc.get("vocab"), list) and all(
             _is_strs(pair) and len(pair) == 2 for pair in doc["vocab"]),
         "lexicons": isinstance(doc.get("lexicons"), list) and all(
-            isinstance(lex, dict) and isinstance(lex.get("class_name"), str)
-            and isinstance(lex.get("scores"), dict)
+            isinstance(lex, dict) and isinstance(lex.get("scores"), dict)
             and all(map(_is_number, lex["scores"].values())) for lex in doc["lexicons"]),
     }
     bad = [key for key, ok in valid.items() if not ok]
     if bad:
         raise ValueError(f"pipeline bundle {path}: missing or mistyped {', '.join(bad)}")
+    if len(doc["lexicons"]) != int(c["use_indicative"]):
+        raise ValueError(f"pipeline bundle {path}: lexicons must hold one entry when "
+                         "use_indicative is true and none when it is false")
     features = tuple((kind, payload) for kind, payload in doc["vocab"])
     if not {kind for kind, _ in features} <= set(c["kinds"]):
         raise ValueError(f"pipeline bundle {path}: a vocab kind is not in config.kinds")
@@ -202,9 +203,7 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary,
         with_switching=c["with_switching"],
     )
     vocab = Vocabulary(features, cfg.kinds, cfg.n_values)
-    lexicons = tuple(IndicativeLexicon(lex["scores"], lex["class_name"])
-                     for lex in doc["lexicons"])
-    return cfg, vocab, lexicons
+    return cfg, vocab, doc["lexicons"][0]["scores"] if cfg.use_indicative else {}
 
 
 def _report_dict(report: EvalReport) -> dict:
@@ -273,17 +272,18 @@ def cmd_train(args) -> int:
 
 
 def _load_fitted(args):
-    cfg, vocab, lexicons = _load_pipeline_bundle(args.pipeline)
+    cfg, vocab, lexicon = _load_pipeline_bundle(args.pipeline)
     model = load_model(args.model,
                        expected_dim=vector_dim(vocab, cfg.with_switching))
-    return FittedPipeline(cfg, vocab, lexicons, model)
+    return FittedPipeline(cfg, vocab, lexicon, model)
 
 
 def cmd_eval(args) -> int:
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args)
     vocab = pipeline.vocab
-    report = evaluate(pipeline, featurize(corpus, vocab.kinds, vocab.n_values, vocab))
+    matrix = featurize(corpus, vocab.kinds, vocab.n_values, vocab)
+    report = evaluate(pipeline.predict_proba(matrix), matrix.labels)
     _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
     return 0
 

@@ -34,10 +34,9 @@ class Token:
     tag: str
 
     def __post_init__(self) -> None:
-        if not self.surface:
-            raise ValueError("token surface must be non-empty")
-        if any(c.isspace() for c in self.surface):
-            raise ValueError(f"token surface contains whitespace: {self.surface!r}")
+        if self.surface.split() != [self.surface]:
+            raise ValueError(f"token surface must be non-empty, without whitespace: "
+                             f"{self.surface!r}")
         if self.tag not in LANG_TAGS:
             raise ValueError(f"unknown language tag: {self.tag!r}")
 
@@ -163,26 +162,6 @@ def save_corpus(corpus: LabeledCorpus, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for u in corpus:
             fh.write(serialize_tagged_line(u) + "\n")
-
-
-def split_train_test(corpus: LabeledCorpus, train_fraction: float,
-                     seed: int) -> tuple[LabeledCorpus, LabeledCorpus]:
-    """Deterministic uniform-random train/test partition.
-
-    Train size is floor(train_fraction * N).  Not stratified.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if len(corpus) == 0:
-        raise ValueError("cannot split an empty corpus")
-
-    order = list(range(len(corpus)))
-    random.Random(seed).shuffle(order)
-    n_train = int(train_fraction * len(corpus))
-    train_idx = sorted(order[:n_train])
-    test_idx = sorted(order[n_train:])
-    return (corpus.subset(corpus[i] for i in train_idx),
-            corpus.subset(corpus[i] for i in test_idx))
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

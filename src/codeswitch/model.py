@@ -13,7 +13,7 @@ X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
@@ -24,8 +24,6 @@ from codeswitch.textfeat import (
     DEFAULT_N_VALUES,
     DEFAULT_NEGATION_WORDS,
     FeatureMatrix,
-    IndicativeLexicon,
-    SparseVector,
     TrainingMatrix,
     Vocabulary,
     build_vocabulary,
@@ -72,17 +70,11 @@ class EvalReport:
     degenerate_classes: tuple[int, ...] = ()
 
 
-def to_dense(vectors: Sequence[SparseVector]) -> np.ndarray:
-    if not vectors:
+def to_dense(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The N x D matrix of N vectorize rows of one dimension."""
+    if not rows:
         raise ValueError("no vectors given")
-    dim = vectors[0].dim
-    if any(v.dim != dim for v in vectors):
-        raise ValueError("inconsistent vector dimensions")
-    X = np.zeros((len(vectors), dim))
-    for row, vec in enumerate(vectors):
-        for i, v in vec.entries:
-            X[row, i] = v
-    return X
+    return np.vstack(rows)
 
 
 def sigmoid(z):
@@ -213,46 +205,42 @@ class PipelineConfig:
 class FittedPipeline:
     config: PipelineConfig
     vocab: Vocabulary
-    lexicons: tuple[IndicativeLexicon, ...]
+    lexicon: Mapping[str, float]  # empty when config.use_indicative is off
     model: LinearModel
 
-    def vectorize(self, utterance: LabeledUtterance) -> SparseVector:
-        return vectorize(utterance, self.vocab, self.lexicons,
+    def vectorize(self, utterance: LabeledUtterance) -> np.ndarray:
+        return vectorize(utterance, self.vocab, self.lexicon,
                          self.config.negation_words,
                          self.config.with_switching)
 
     def predict_proba(self, matrix: FeatureMatrix) -> np.ndarray:
         """Positive-class probability of every row of the matrix."""
         return predict_proba(self.model, training_matrix(
-            matrix, self.vocab, self.lexicons, self.config.negation_words,
+            matrix, self.vocab, self.lexicon, self.config.negation_words,
             self.config.with_switching))
 
 
 def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
-                  ) -> tuple[Vocabulary, tuple[IndicativeLexicon, ...]]:
+                  ) -> tuple[Vocabulary, dict[str, float]]:
     """Vocabulary, chi-squared selection and lexicon fitted on the matrix rows only."""
     vocab = build_vocabulary(matrix, cfg.min_count)
     if cfg.chi2_k is not None:
         vocab = chi2_select(matrix, vocab, cfg.chi2_k)
-    lexicons: tuple[IndicativeLexicon, ...] = ()
-    if cfg.use_indicative:
-        lexicons = (indicative_scores(matrix.corpus, cfg.lexicon_floor,
-                                      matrix.corpus.task_name),)
-    return vocab, lexicons
+    lexicon = indicative_scores(matrix.corpus, cfg.lexicon_floor) if cfg.use_indicative else {}
+    return vocab, lexicon
 
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
     matrix = featurize(train_corpus, cfg.kinds, cfg.n_values)
-    vocab, lexicons = _fit_features(matrix, cfg)
-    X = training_matrix(matrix, vocab, lexicons, cfg.negation_words, cfg.with_switching)
-    return FittedPipeline(cfg, vocab, lexicons, train(X, matrix.labels, cfg.train_config))
+    vocab, lexicon = _fit_features(matrix, cfg)
+    X = training_matrix(matrix, vocab, lexicon, cfg.negation_words, cfg.with_switching)
+    return FittedPipeline(cfg, vocab, lexicon, train(X, matrix.labels, cfg.train_config))
 
 
-def evaluate(pipeline: FittedPipeline, matrix: FeatureMatrix) -> EvalReport:
-    """Macro-F1 of the matrix rows, predicted positive at probability >= 0.5."""
-    predictions = (pipeline.predict_proba(matrix) >= 0.5).astype(int)
-    return macro_f1(predictions.tolist(), matrix.labels.tolist())
+def evaluate(proba: np.ndarray, labels: np.ndarray) -> EvalReport:
+    """Macro-F1 of the labels, each predicted positive at probability >= 0.5."""
+    return macro_f1((proba >= 0.5).astype(int).tolist(), labels.tolist())
 
 
 @dataclass(frozen=True)
@@ -268,10 +256,11 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
     CVResult per arm (the with_switching value it scores).
 
     The corpus is featurized once.  Each fold fits the features once from
-    matrix.take of its train rows into one training matrix, whose leading
-    columns an arm without switching trains on, and every arm scores
-    matrix.take of its test rows.  Folds whose train or test part contains
-    a single class are skipped with a warning and excluded from the aggregate.
+    matrix.take of its train rows and builds one training matrix of its
+    train rows and one of its test rows; an arm without switching trains
+    and scores on their leading columns.  Folds whose train or test part
+    contains a single class are skipped with a warning and excluded from
+    the aggregate.
     """
     folds = fold_indices(len(corpus), k, seed)
     matrix = featurize(corpus, cfg.kinds, cfg.n_values)
@@ -283,13 +272,14 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
             skipped.append(fold_index)
             continue
         train_part, test_part = matrix.take(train_rows), matrix.take(test_rows)
-        vocab, lexicons = _fit_features(train_part, cfg)
-        X = training_matrix(train_part, vocab, lexicons, cfg.negation_words, any(arms))
+        vocab, lexicon = _fit_features(train_part, cfg)
+        X_train, X_test = (training_matrix(part, vocab, lexicon, cfg.negation_words, any(arms))
+                           for part in (train_part, test_part))
         for arm_reports, with_switching in zip(reports, arms):
-            model = train(X if with_switching else X.leading_columns(vector_dim(vocab, False)),
-                          train_part.labels, cfg.train_config)
-            arm_reports.append(evaluate(FittedPipeline(replace(cfg, with_switching=with_switching),
-                                                       vocab, lexicons, model), test_part))
+            d = vector_dim(vocab, with_switching)
+            model = train(X_train.leading_columns(d), train_part.labels, cfg.train_config)
+            proba = predict_proba(model, X_test.leading_columns(d))
+            arm_reports.append(evaluate(proba, test_part.labels))
     if len(skipped) == len(folds):
         raise ValueError("every fold was degenerate; cannot aggregate")
     return tuple(CVResult(tuple(r), sum(x.macro_f1 for x in r) / len(r), tuple(skipped))

@@ -125,19 +125,11 @@ def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
     )
 
 
-def has_embedding_property(tokens: Sequence[Token], strict: bool = True) -> bool:
-    """True when some en token sits in a hi context.
-
-    strict (default): in the hi/en projection, an en token has a hi token
-    immediately before and immediately after it.  Non-strict: an en token
-    merely has some hi token before it and some hi token after it.
-    """
+def has_embedding_property(tokens: Sequence[Token]) -> bool:
+    """True when some en token sits in a hi context: in the hi/en
+    projection, an en token has a hi token immediately before and
+    immediately after it."""
     _require_tokens(tokens)
     tags = _projected_tags(tokens)
-    if strict:
-        return any(tags[i - 1] == "hi" and tags[i] == "en" and tags[i + 1] == "hi"
-                   for i in range(1, len(tags) - 1))
-    for i, tag in enumerate(tags):
-        if tag == "en" and "hi" in tags[:i] and "hi" in tags[i + 1:]:
-            return True
-    return False
+    return any(tags[i - 1] == "hi" and tags[i] == "en" and tags[i + 1] == "hi"
+               for i in range(1, len(tags) - 1))

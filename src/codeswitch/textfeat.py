@@ -1,5 +1,5 @@
 """Baseline text features: n-grams, bag-of-words, chi-squared selection,
-indicative-token lexicons and negation counts, and the sparse matrix that
+an indicative-token lexicon and negation counts, and the sparse matrix that
 training and scoring multiply, with optional switching features.
 
 A corpus is featurized once into a FeatureMatrix (CSR counts over global
@@ -8,7 +8,7 @@ describe); vocabulary, chi-squared selection and the sparse TrainingMatrix
 each read the whole matrix they are given.  A cross-validation fold is
 matrix.take(rows), and a held-out corpus is featurized over the fitted
 vocabulary, so no utterance is extracted twice.  vectorize encodes one
-utterance; it is the reference the matrix rows are checked against.
+utterance as a dense row, the reference for the matrix rows.
 
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  Vocabulary indices are dense and deterministic:
@@ -241,22 +241,11 @@ def chi2_select(matrix: FeatureMatrix, vocab: Vocabulary, k: int = 500) -> Vocab
                       vocab.kinds, vocab.n_values)
 
 
-@dataclass(frozen=True)
-class IndicativeLexicon:
-    """Token scores measuring association with the positive class."""
-
-    scores: Mapping[str, float]
-    class_name: str = ""
-
-    def score(self, surface: str) -> float:
-        return self.scores.get(surface.lower(), 0.0)
-
-
-def indicative_scores(corpus: LabeledCorpus, floor: float = 0.0,
-                      class_name: str = "") -> IndicativeLexicon:
-    """Smoothed log-ratio score per token:
-    log((count in positives + 1) / (count in negatives + 1)).
-    Tokens with |score| < floor are dropped."""
+def indicative_scores(corpus: LabeledCorpus, floor: float = 0.0) -> dict[str, float]:
+    """The indicative lexicon: a smoothed log-ratio score per lowercased
+    token, log((count in positives + 1) / (count in negatives + 1)),
+    measuring association with the positive class.  Tokens with
+    |score| < floor are dropped."""
     pos_counts: Counter = Counter()
     neg_counts: Counter = Counter()
     for u in corpus:
@@ -270,7 +259,7 @@ def indicative_scores(corpus: LabeledCorpus, floor: float = 0.0,
         s = math.log((pos_counts[token] + 1) / (neg_counts[token] + 1))
         if abs(s) >= floor:
             scores[token] = s
-    return IndicativeLexicon(scores, class_name)
+    return scores
 
 
 def load_wordlist(path: Union[str, Path]) -> frozenset[str]:
@@ -284,51 +273,33 @@ def load_wordlist(path: Union[str, Path]) -> frozenset[str]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Strictly-increasing (index, value) pairs; zero values never stored."""
-
-    entries: tuple[tuple[int, float], ...]
-    dim: int
-
-    def __post_init__(self) -> None:
-        last = -1
-        for i, v in self.entries:
-            if i <= last:
-                raise ValueError("indices must be strictly increasing")
-            if not 0 <= i < self.dim:
-                raise ValueError(f"index {i} out of range for dim {self.dim}")
-            if v == 0.0:
-                raise ValueError("zero-valued entries must not be stored")
-            last = i
-
-
 def vector_dim(vocab: Vocabulary, with_switching: bool) -> int:
     return len(vocab) + 2 + (N_FEATURES if with_switching else 0)
 
 
-def special_values(tokens: Sequence[Token], lexicons: Sequence[IndicativeLexicon],
+def special_values(tokens: Sequence[Token], lexicon: Mapping[str, float],
                    negation_words: frozenset[str]) -> tuple[float, float]:
     """The two dimensions after the vocabulary block: indicative-score sum
     and negation count.  Both encoders take them from here."""
-    indicative = sum(lex.score(t.surface) for lex in lexicons for t in tokens)
+    indicative = sum(lexicon.get(t.surface.lower(), 0.0) for t in tokens)
     negations = sum(1 for t in tokens if t.surface.lower() in negation_words)
     return float(indicative), float(negations)
 
 
 def vectorize(utterance: LabeledUtterance,
               vocab: Vocabulary,
-              lexicons: Sequence[IndicativeLexicon] = (),
+              lexicon: Mapping[str, float],
               negation_words: frozenset[str] = DEFAULT_NEGATION_WORDS,
-              with_switching: bool = False) -> SparseVector:
-    """Extract and encode one utterance as a vector of vector_dim size."""
-    counts = extract_features(utterance.tokens, vocab.kinds, vocab.n_values)
+              with_switching: bool = False) -> np.ndarray:
+    """Extract and encode one utterance as a dense row of vector_dim length."""
+    row = np.zeros(vector_dim(vocab, with_switching))
     idx = vocab.feature_id_map
-    entries = sorted((idx[key], float(count)) for key, count in counts.items() if key in idx)
+    for key, count in extract_features(utterance.tokens, vocab.kinds, vocab.n_values).items():
+        if key in idx:
+            row[idx[key]] = count
     switching = switching_features(utterance.tokens).as_tuple() if with_switching else ()
-    tail = special_values(utterance.tokens, lexicons, negation_words) + switching
-    entries += [(len(vocab) + i, float(v)) for i, v in enumerate(tail) if v != 0.0]
-    return SparseVector(tuple(entries), vector_dim(vocab, with_switching))
+    row[len(vocab):] = special_values(utterance.tokens, lexicon, negation_words) + switching
+    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,14 +337,17 @@ class TrainingMatrix:
         return out
 
     def leading_columns(self, d: int) -> "TrainingMatrix":
-        """The matrix of the first d columns, by a mask over the entries."""
+        """The matrix of the first d columns, by a mask over the entries
+        (the matrix itself when it has d columns)."""
+        if d == self.shape[1]:
+            return self
         kept = self.cols < d
         return TrainingMatrix((self.shape[0], d), self.rows[kept], self.cols[kept],
                               self.values[kept])
 
 
 def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
-                    lexicons: Sequence[IndicativeLexicon], negation_words: frozenset[str],
+                    lexicon: Mapping[str, float], negation_words: frozenset[str],
                     with_switching: bool) -> TrainingMatrix:
     """Sparse matrix whose row i is vectorize(matrix.corpus[i]): the
     vocabulary block comes from the stored counts through one column
@@ -382,7 +356,7 @@ def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
     remap[matrix.columns(vocab)] = np.arange(len(vocab))
     target = remap[matrix.indices]
     hit = target >= 0
-    block = np.array([special_values(u.tokens, lexicons, negation_words) for u in matrix.corpus],
+    block = np.array([special_values(u.tokens, lexicon, negation_words) for u in matrix.corpus],
                      dtype=np.float64).reshape(-1, 2)
     if with_switching:
         block = np.hstack([block, matrix.switching])

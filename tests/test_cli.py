@@ -277,6 +277,11 @@ BAD_INPUTS = {
         "pipeline.json", _bundle_with("vocab", lambda v: [["char_ngram", "abc"]] + v[1:])),
     "bundle config kind unknown": (
         "pipeline.json", _bundle_with("config", lambda c: {**c, "kinds": ["nope"]})),
+    "bundle lexicon with use_indicative off": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "use_indicative": False})),
+    "bundle lexicon twice": ("pipeline.json", _bundle_with("lexicons", lambda v: v * 2)),
+    "bundle without the lexicon use_indicative needs": (
+        "pipeline.json", _bundle_with("lexicons", lambda v: [])),
     "model with only its magic line": ("model.txt", lambda text: text.splitlines()[0] + "\n"),
     "model with short header": ("model.txt", lambda text: text.replace(" seed 13", "")),
     "model with a NaN weight": ("model.txt", lambda text: _replace_line(text, -1, "nan")),
@@ -322,6 +327,9 @@ BUNDLE_ERRORS = {
     "bundle vocab out of order": "vocab is not strictly increasing",
     "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
     "bundle config kind unknown": "missing or mistyped kinds",
+    **dict.fromkeys(["bundle lexicon with use_indicative off", "bundle lexicon twice",
+                     "bundle without the lexicon use_indicative needs"],
+                    "lexicons must hold one entry when use_indicative is true"),
 }
 
 

@@ -12,7 +12,6 @@ from codeswitch.corpus import (
     load_corpus,
     parse_tagged_line,
     serialize_tagged_line,
-    split_train_test,
 )
 
 LINE_POS = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
@@ -63,6 +62,17 @@ class TestParseTaggedLine:
             parse_tagged_line("1\tx_fr", line_number=7)
 
 
+class TestToken:
+    @pytest.mark.parametrize("surface", ["", "a b", "a\tb", "a\u00a0b", "\u2003"])
+    def test_empty_or_whitespace_surface_rejected(self, surface):
+        with pytest.raises(ValueError, match="surface"):
+            Token(surface, "hi")
+
+    @pytest.mark.parametrize("surface", ["a_b", "ñ", ":P"])
+    def test_surface_accepted(self, surface):
+        assert Token(surface, "hi").surface == surface
+
+
 class TestLoadCorpus:
     def test_two_lines(self):
         corpus = load_corpus(io.StringIO(LINE_POS + "\n" + LINE_NEG + "\n"), "humour")
@@ -83,32 +93,6 @@ class TestLoadCorpus:
     def test_empty_corpus_is_error(self):
         with pytest.raises(CorpusFormatError, match="empty corpus"):
             load_corpus(io.StringIO("\n\n"))
-
-
-class TestSplitTrainTest:
-    def test_sizes_and_disjointness(self):
-        corpus = make_corpus(10)
-        train, test = split_train_test(corpus, 0.8, seed=1)
-        assert (len(train), len(test)) == (8, 2)
-        assert {u.id for u in train}.isdisjoint({u.id for u in test})
-        assert {u.id for u in train} | {u.id for u in test} == {u.id for u in corpus}
-
-    def test_deterministic(self):
-        corpus = make_corpus(10)
-        a = split_train_test(corpus, 0.8, seed=42)
-        b = split_train_test(corpus, 0.8, seed=42)
-        assert [u.id for u in a[0]] == [u.id for u in b[0]]
-
-    def test_different_seeds_still_partition(self):
-        corpus = make_corpus(10)
-        for seed in (1, 2):
-            train, test = split_train_test(corpus, 0.8, seed=seed)
-            assert (len(train), len(test)) == (8, 2)
-            assert {u.id for u in train} | {u.id for u in test} == {u.id for u in corpus}
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split_train_test(make_corpus(10), 1.0, seed=0)
 
 
 class TestKFold:

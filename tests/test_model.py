@@ -12,6 +12,7 @@ import pytest
 from codeswitch import model as model_module, textfeat
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, fold_indices
 from codeswitch.model import (
+    FittedPipeline,
     LinearModel,
     PipelineConfig,
     TrainConfig,
@@ -29,7 +30,6 @@ from codeswitch.model import (
     to_dense,
     train,
 )
-from codeswitch.textfeat import SparseVector
 
 
 def as_dense(X):
@@ -39,8 +39,17 @@ def as_dense(X):
 
 
 def sv(values, dim):
-    entries = tuple((i, float(v)) for i, v in enumerate(values) if v != 0)
-    return SparseVector(entries, dim)
+    """A vectorize-style dense row: the values, then zeros up to dim."""
+    row = np.zeros(dim)
+    row[:len(values)] = values
+    return row
+
+
+def held_out_report(pipeline, corpus):
+    """evaluate of the corpus featurized over the pipeline's vocabulary."""
+    vocab = pipeline.vocab
+    matrix = textfeat.featurize(corpus, vocab.kinds, vocab.n_values, vocab)
+    return evaluate(pipeline.predict_proba(matrix), matrix.labels)
 
 
 def kfold(corpus, k, seed):
@@ -83,7 +92,7 @@ class TestTrain:
     def test_loss_non_increasing(self):
         rng = random.Random(1)
         vectors = [sv([rng.gauss(0, 1)], 1) for _ in range(30)]
-        labels = [1 if v.entries and v.entries[0][1] > 0 else 0 for v in vectors]
+        labels = [1 if v[0] > 0 else 0 for v in vectors]
         labels[0] = 1 - labels[0]  # keep it non-trivial
         X = to_dense(vectors)
         y = np.array(labels, dtype=float)
@@ -101,7 +110,7 @@ class TestPredictProba:
 
     def test_bias_ten(self):
         model = LinearModel(np.zeros(2), 10.0, TrainConfig())
-        assert predict_proba(model, to_dense([SparseVector((), 2)]))[0] == \
+        assert predict_proba(model, to_dense([sv([], 2)]))[0] == \
             pytest.approx(1 / (1 + math.exp(-10)), abs=1e-12)
 
     def test_monotone_in_positive_weight(self):
@@ -263,9 +272,7 @@ class TestCrossValidate:
         assert all(len(pipeline.vocab) == 30 for pipeline, _ in fits)
         result = cross_validate(corpus, cfg, k=4, seed=13)
         assert result.skipped_folds == ()
-        assert result.reports == tuple(
-            evaluate(pipeline, textfeat.featurize(test, cfg.kinds, cfg.n_values, pipeline.vocab))
-            for pipeline, test in fits)
+        assert result.reports == tuple(held_out_report(pipeline, test) for pipeline, test in fits)
 
     def test_extracts_each_utterance_once(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)
@@ -287,19 +294,21 @@ class TestCrossValidate:
         corpus = corpus.subset(LabeledUtterance(u.tokens + (Token(f"only{u.id}", "en"),),
                                                 u.label, u.id) for u in corpus)
         fitted = []
-        score = model_module.evaluate
+        fit_features = model_module._fit_features
 
-        def recorded(pipeline, test_part):
-            fitted.append((pipeline.vocab, {u.id for u in test_part.corpus}))
-            return score(pipeline, test_part)
-        monkeypatch.setattr(model_module, "evaluate", recorded)
+        def recorded(train_part, cfg):
+            vocab, lexicon = fit_features(train_part, cfg)
+            fitted.append((vocab, {u.id for u in train_part.corpus}))
+            return vocab, lexicon
+        monkeypatch.setattr(model_module, "_fit_features", recorded)
         cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None,
                              train_config=TrainConfig(epochs=5))
         cross_validate(corpus, cfg, k=3, seed=13)
         assert len(fitted) == 3
-        for vocab, test_ids in fitted:
+        for vocab, train_ids in fitted:
+            assert len(train_ids) == 20
             for u in corpus:
-                assert (("bow", f"only{u.id}") in vocab) == (u.id not in test_ids)
+                assert (("bow", f"only{u.id}") in vocab) == (u.id in train_ids)
 
     @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
     def test_arms_equal_one_run_per_arm(self, n, k, seed):
@@ -322,7 +331,7 @@ class TestCrossValidate:
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)
-        calls = {"extract_features": 0, "switching_features": 0}
+        calls = {"extract_features": 0, "switching_features": 0, "special_values": 0}
 
         def counted(name):
             original = getattr(textfeat, name)
@@ -335,7 +344,9 @@ class TestCrossValidate:
             monkeypatch.setattr(textfeat, name, counted(name))
         arms = cross_validate_arms(corpus, self.FULL, (True, False), k=5, seed=13)
         assert arms[0].skipped_folds == ()
-        assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
+        # the indicative and negation columns: each utterance once per fold
+        assert calls == {"extract_features": len(corpus), "switching_features": len(corpus),
+                         "special_values": len(corpus) * 5}
 
     def test_no_leakage_from_test_fold(self):
         corpus = word_pool_corpus(40, seed=3)
@@ -393,27 +404,44 @@ class TestMatrixScoring:
     CFG = replace(TestFitPipeline.CFG, chi2_k=30)
 
     @staticmethod
-    def assert_matches_reference(pipeline, matrix):
-        reference = sigmoid(to_dense([pipeline.vectorize(u) for u in matrix.corpus])
+    def assert_matches_reference(pipeline, corpus, probs):
+        reference = sigmoid(to_dense([pipeline.vectorize(u) for u in corpus])
                             @ pipeline.model.weights + pipeline.model.bias)
-        probs = pipeline.predict_proba(matrix)
         np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
         assert np.array_equal(probs >= 0.5, reference >= 0.5)
-        assert evaluate(pipeline, matrix) == macro_f1(
-            (reference >= 0.5).astype(int).tolist(), [u.label for u in matrix.corpus])
+        labels = np.array([u.label for u in corpus])
+        assert evaluate(probs, labels) == macro_f1((reference >= 0.5).astype(int).tolist(),
+                                                   labels.tolist())
 
     def test_cv_test_folds(self, monkeypatch):
-        scored = []
-        score = model_module.evaluate
+        """Both ablation arms score each test fold as the reference encoder
+        does with that arm's with_switching."""
+        recorded = {"_fit_features": [], "train": [], "evaluate": []}
 
-        def recorded(pipeline, test_part):
-            scored.append((pipeline, test_part))
-            return score(pipeline, test_part)
-        monkeypatch.setattr(model_module, "evaluate", recorded)
-        cross_validate(word_pool_corpus(60, seed=5), self.CFG, k=4, seed=13)
-        assert len(scored) == 4
-        for pipeline, test_part in scored:
-            self.assert_matches_reference(pipeline, test_part)
+        def recording(name):
+            original = getattr(model_module, name)
+
+            def call(*args):
+                recorded[name].append((args, original(*args)))
+                return recorded[name][-1][1]
+            return call
+        for name in recorded:
+            monkeypatch.setattr(model_module, name, recording(name))
+        corpus = word_pool_corpus(60, seed=5)
+        arms = (True, False)
+        cross_validate_arms(corpus, self.CFG, arms, k=4, seed=13)
+        assert [len(calls) for calls in recorded.values()] == [4, 8, 8]
+        folds = fold_indices(len(corpus), 4, 13)
+        for i, (_, test_rows) in enumerate(folds):
+            vocab, lexicon = recorded["_fit_features"][i][1]
+            test = corpus.subset(corpus[r] for r in test_rows)
+            for j, with_switching in enumerate(arms):
+                model = recorded["train"][2 * i + j][1]
+                (probs, labels), _ = recorded["evaluate"][2 * i + j]
+                assert labels.tolist() == [u.label for u in test]
+                pipeline = FittedPipeline(replace(self.CFG, with_switching=with_switching),
+                                          vocab, lexicon, model)
+                self.assert_matches_reference(pipeline, test, probs)
 
     def test_held_out_corpus(self):
         pipeline = fit_pipeline(word_pool_corpus(40, seed=4), self.CFG)
@@ -430,7 +458,7 @@ class TestMatrixScoring:
         assert np.diff(matrix.indptr)[0] > 0  # ... next to known ones
         assert not any(key in pipeline.vocab for key in keys[-1])
         assert np.diff(matrix.indptr)[-1] == 0
-        self.assert_matches_reference(pipeline, matrix)
+        self.assert_matches_reference(pipeline, corpus, pipeline.predict_proba(matrix))
 
 
 class TestSparseTraining:
@@ -455,8 +483,8 @@ class TestSparseTraining:
         cfg = cls.CFG
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
         vocab = textfeat.build_vocabulary(matrix, cfg.min_count)
-        X = textfeat.training_matrix(matrix, vocab, (), cfg.negation_words, with_switching)
-        dense = to_dense([textfeat.vectorize(u, vocab, (), cfg.negation_words, with_switching)
+        X = textfeat.training_matrix(matrix, vocab, {}, cfg.negation_words, with_switching)
+        dense = to_dense([textfeat.vectorize(u, vocab, {}, cfg.negation_words, with_switching)
                           for u in corpus])
         return X, dense, [u.label for u in corpus]
 

@@ -9,7 +9,6 @@ from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
     NGRAM_SEP,
     FeatureMatrix,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
     _chi2,
@@ -276,30 +275,20 @@ class TestIndicativeScores:
         utts = [utterance(["magic"] * 5, label=1, uid="0"),
                 utterance(["dull"], label=0, uid="1")]
         lex = indicative_scores(corpus(*utts))
-        assert lex.scores["magic"] == pytest.approx(math.log(6 / 1))
+        assert lex["magic"] == pytest.approx(math.log(6 / 1))
 
     def test_equal_counts_score_zero(self):
         utts = [utterance(["same"], label=1, uid="0"),
                 utterance(["same"], label=0, uid="1")]
         lex = indicative_scores(corpus(*utts))
-        assert lex.scores["same"] == 0.0
+        assert lex["same"] == 0.0
 
     def test_floor_drops_weak_tokens(self):
         utts = [utterance(["same", "strong"], label=1, uid="0"),
                 utterance(["same"], label=0, uid="1")]
         lex = indicative_scores(corpus(*utts), floor=0.5)
-        assert "same" not in lex.scores
-        assert "strong" in lex.scores
-
-
-class TestSparseVector:
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SparseVector(((2, 1.0), (1, 1.0)), dim=5)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            SparseVector(((0, 0.0),), dim=1)
+        assert "same" not in lex
+        assert "strong" in lex
 
 
 class TestVectorize:
@@ -308,27 +297,26 @@ class TestVectorize:
         vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["unseen"], uid="9")
-        v = vectorize(u, vocab, (lex,), frozenset(), with_switching=False)
-        assert all(i >= len(vocab) for i, _ in v.entries)
-        assert v.dim == len(vocab) + 2
+        v = vectorize(u, vocab, lex, frozenset(), with_switching=False)
+        assert all(i >= len(vocab) for i in np.flatnonzero(v))
+        assert v.shape == (len(vocab) + 2,) and v.dtype == np.float64
 
     def test_switching_grows_dim_by_nine(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["marker"], uid="9")
-        plain = vectorize(u, vocab, (), frozenset(), with_switching=False)
-        with_sw = vectorize(u, vocab, (), frozenset(), with_switching=True)
-        assert with_sw.dim == plain.dim + 9
+        plain = vectorize(u, vocab, {}, frozenset(), with_switching=False)
+        with_sw = vectorize(u, vocab, {}, frozenset(), with_switching=True)
+        assert len(with_sw) == len(plain) + 9
 
     def test_switching_never_changes_leading_block(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared"], uid="9")
-        plain = vectorize(u, vocab, (lex,), frozenset(), with_switching=False)
-        with_sw = vectorize(u, vocab, (lex,), frozenset(), with_switching=True)
-        leading = [(i, v) for i, v in with_sw.entries if i < len(vocab) + 2]
-        assert tuple(leading) == plain.entries
+        plain = vectorize(u, vocab, lex, frozenset(), with_switching=False)
+        with_sw = vectorize(u, vocab, lex, frozenset(), with_switching=True)
+        assert np.array_equal(with_sw[:len(vocab) + 2], plain)
 
     def test_paper_sentence_composition(self):
         vocab = Vocabulary((("bow", "koi"), ("bow", "pray")),
@@ -336,22 +324,21 @@ class TestVectorize:
         tokens = [("koi", "hi"), ("to", "hi"), ("pray", "en"), ("karo", "hi"),
                   ("mere", "hi"), ("liye", "hi"), ("bhi", "hi")]
         u = LabeledUtterance(tuple(Token(s, t) for s, t in tokens), 1, "0")
-        v = vectorize(u, vocab, (), frozenset(), with_switching=True)
-        dense = dict(v.entries)
+        dense = vectorize(u, vocab, {}, frozenset(), with_switching=True)
         assert dense[0] == 1.0 and dense[1] == 1.0  # koi, pray counts
         base = len(vocab) + 2
         expected_tail = (1, 1, 2, 1 / 7, 6 / 7, 2 / 7, 0.6998542122237653,
                          4 / 7, 0.4948716593053935)
         for offset, value in enumerate(expected_tail):
-            assert dense.get(base + offset, 0.0) == pytest.approx(value, abs=1e-12)
+            assert dense[base + offset] == pytest.approx(value, abs=1e-12)
 
     def test_negation_dimension(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["nahi", "not", "word"], uid="9")
-        v = vectorize(u, vocab, (), frozenset({"nahi", "not"}),
+        v = vectorize(u, vocab, {}, frozenset({"nahi", "not"}),
                       with_switching=False)
-        assert dict(v.entries)[len(vocab) + 1] == 2.0
+        assert v[len(vocab) + 1] == 2.0
 
     def test_deterministic(self):
         c = balanced_four_corpus()
@@ -359,6 +346,6 @@ class TestVectorize:
                            n_values={"char_ngram": (3,)})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared", "x"], uid="9")
-        a = vectorize(u, vocab, (lex,), frozenset({"not"}), True)
-        b = vectorize(u, vocab, (lex,), frozenset({"not"}), True)
-        assert a == b
+        a = vectorize(u, vocab, lex, frozenset({"not"}), True)
+        b = vectorize(u, vocab, lex, frozenset({"not"}), True)
+        assert np.array_equal(a, b)
