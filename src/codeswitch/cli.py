@@ -27,6 +27,7 @@ from codeswitch.corpus import (
     CorpusFormatError,
     LabeledCorpus,
     LabeledUtterance,
+    Token,
     load_corpus,
     serialize_tagged_line,
 )
@@ -44,7 +45,7 @@ from codeswitch.model import (
     save_model,
     subsample_negatives,
 )
-from codeswitch.preprocess import PreprocessConfig, normalize
+from codeswitch.preprocess import PreprocessConfig, normalize_token
 from codeswitch.switching import has_embedding_property, switching_features
 from codeswitch.textfeat import (
     DEFAULT_NEGATION_WORDS,
@@ -80,17 +81,25 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _preprocess_corpus(corpus: LabeledCorpus, args) -> LabeledCorpus:
+    """The corpus normalized once per distinct token; utterances left
+    empty are dropped with a warning."""
     if args.no_preprocess:
         return corpus
     cfg = PreprocessConfig(
         keep_hashtag_placeholder=not args.no_hashtag_placeholder,
         segment_hashtags=not args.no_segment_hashtags,
-        punctuation_set=frozenset(args.punct) if args.punct
-        else PreprocessConfig().punctuation_set,
+        punctuation_set=PreprocessConfig().punctuation_set if args.punct is None
+        else frozenset(args.punct),
     )
+    normalized: dict[Token, tuple[Token, ...]] = {}
     kept = []
     for u in corpus:
-        tokens = normalize(u.tokens, cfg)
+        tokens: list[Token] = []
+        for t in u.tokens:
+            out = normalized.get(t)
+            if out is None:
+                out = normalized[t] = normalize_token(t, cfg)
+            tokens += out
         if not tokens:
             print(f"warning: utterance {u.id} empty after preprocessing; dropped",
                   file=sys.stderr)
@@ -282,7 +291,8 @@ def cmd_eval(args) -> int:
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args)
     vocab = pipeline.vocab
-    matrix = featurize(corpus, vocab.kinds, vocab.n_values, vocab)
+    matrix = featurize(corpus, vocab.kinds, vocab.n_values, vocab,
+                       pipeline.config.with_switching)
     report = evaluate(pipeline.predict_proba(matrix), matrix.labels)
     _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
     return 0
@@ -314,7 +324,8 @@ def cmd_subsample(args) -> int:
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args)
     negatives, vocab = corpus.subset(corpus.negatives), pipeline.vocab  # only they are scored
-    proba = pipeline.predict_proba(featurize(negatives, vocab.kinds, vocab.n_values, vocab))
+    proba = pipeline.predict_proba(featurize(negatives, vocab.kinds, vocab.n_values, vocab,
+                                             pipeline.config.with_switching))
     by_id = dict(zip([u.id for u in negatives], proba.tolist()))
     filtered = subsample_negatives(corpus, lambda u: by_id[u.id], args.tau)
     _write_output(args.output, "".join(serialize_tagged_line(u) + "\n" for u in filtered))

@@ -100,6 +100,14 @@ def parse_tagged_line(line: str, line_number: int | None = None,
     Raises CorpusFormatError naming the line number (when given) and the
     offending token on malformed input.
     """
+    return _parse_tagged_line(line, line_number, uid, {})
+
+
+def _parse_tagged_line(line: str, line_number: int | None, uid: str | None,
+                       interned: dict[str, Token]) -> LabeledUtterance:
+    """parse_tagged_line, taking each token from interned, a map from raw
+    `surface_tag` strings to their Tokens: a raw token seen before is that
+    same (frozen) object, and a new one is checked, built and added."""
     where = f"line {line_number}: " if line_number is not None else ""
     if "\t" not in line:
         raise CorpusFormatError(f"{where}expected '<label> TAB <tokens>', got {line!r}")
@@ -115,8 +123,9 @@ def parse_tagged_line(line: str, line_number: int | None = None,
     if not raw_tokens:
         raise CorpusFormatError(f"{where}empty token list")
 
-    tokens = []
     for raw in raw_tokens:
+        if raw in interned:
+            continue
         surface, sep, tag = raw.rpartition("_")
         if not sep:
             raise CorpusFormatError(f"{where}token without underscore tag: {raw!r}")
@@ -124,11 +133,11 @@ def parse_tagged_line(line: str, line_number: int | None = None,
             raise CorpusFormatError(f"{where}unknown tag {tag!r} in token {raw!r}")
         if not surface:
             raise CorpusFormatError(f"{where}empty surface in token {raw!r}")
-        tokens.append(Token(surface, tag))
+        interned[raw] = Token(surface, tag)
 
     if uid is None:
         uid = "0" if line_number is None else str(line_number)
-    return LabeledUtterance(tuple(tokens), label, uid)
+    return LabeledUtterance(tuple(map(interned.__getitem__, raw_tokens)), label, uid)
 
 
 def serialize_tagged_line(utterance: LabeledUtterance) -> str:
@@ -141,18 +150,19 @@ def load_corpus(source: Union[str, Path, IO[str]], task_name: str = "") -> Label
     """Load a tagged-line corpus from a path or open text stream.
 
     Ids are assigned as 0-based ordinals over non-blank lines; blank lines
-    are skipped.  An empty corpus is an error.
+    are skipped.  An empty corpus is an error.  Tokens are interned per
+    call: every occurrence of one raw token is the same Token object.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_corpus(fh, task_name)
 
     utterances = []
+    interned: dict[str, Token] = {}
     for line_number, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        utterances.append(parse_tagged_line(line, line_number=line_number,
-                                            uid=str(len(utterances))))
+        utterances.append(_parse_tagged_line(line, line_number, str(len(utterances)), interned))
     if not utterances:
         raise CorpusFormatError("empty corpus")
     return LabeledCorpus(tuple(utterances), task_name)

@@ -232,7 +232,7 @@ def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
-    matrix = featurize(train_corpus, cfg.kinds, cfg.n_values)
+    matrix = featurize(train_corpus, cfg.kinds, cfg.n_values, with_switching=cfg.with_switching)
     vocab, lexicon = _fit_features(matrix, cfg)
     X = training_matrix(matrix, vocab, lexicon, cfg.negation_words, cfg.with_switching)
     return FittedPipeline(cfg, vocab, lexicon, train(X, matrix.labels, cfg.train_config))
@@ -263,7 +263,7 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
     the aggregate.
     """
     folds = fold_indices(len(corpus), k, seed)
-    matrix = featurize(corpus, cfg.kinds, cfg.n_values)
+    matrix = featurize(corpus, cfg.kinds, cfg.n_values, with_switching=any(arms))
     reports: list[list[EvalReport]] = [[] for _ in arms]
     skipped: list[int] = []
     for fold_index, (train_rows, test_rows) in enumerate(folds):

@@ -6,6 +6,10 @@ additionally segmented into lowercased words that inherit the hashtag's
 original language tag.  Standalone punctuation is dropped and punctuation
 is stripped from the edges of hi/en words; rest-tagged tokens that are not
 pure punctuation (emoticons like ":P") pass through untouched.
+
+A token's output does not depend on its position, so normalize_token
+decides it alone, and a corpus is normalized once per distinct token
+(the CLI memoizes normalize_token over the tokens load_corpus interned).
 """
 
 from __future__ import annotations
@@ -13,12 +17,17 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 from codeswitch.corpus import Token
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z])(?=[A-Z])")
 
 URL_PREFIXES = ("http://", "https://", "http", "www.")
+
+_MENTION = (Token("mention", "rest"),)
+_URL = (Token("url", "rest"),)
+_HASHTAG = (Token("hashtag", "rest"),)
 
 
 @dataclass(frozen=True)
@@ -28,8 +37,13 @@ class PreprocessConfig:
     punctuation_set: frozenset[str] = frozenset(string.punctuation)
 
     def __post_init__(self) -> None:
-        if not self.punctuation_set:
-            raise ValueError("punctuation_set must be non-empty")
+        if not self.punctuation_set or any(len(c) != 1 for c in self.punctuation_set):
+            raise ValueError("punctuation_set must be a non-empty set of single characters")
+
+    @cached_property
+    def strip_chars(self) -> str:
+        """The punctuation as one str.strip argument."""
+        return "".join(self.punctuation_set)
 
 
 def segment_camel_case(word: str) -> list[str]:
@@ -43,44 +57,38 @@ def segment_camel_case(word: str) -> list[str]:
     return _CAMEL_BOUNDARY.split(word)
 
 
-def _is_punctuation_only(surface: str, punct: frozenset[str]) -> bool:
-    return all(c in punct for c in surface)
+def normalize_token(token: Token, cfg: PreprocessConfig) -> tuple[Token, ...]:
+    """The tokens one token normalizes to, whatever its position: a
+    placeholder (plus, for a hashtag, its segments), nothing for
+    punctuation only, the token itself (the same object) when it is kept
+    as it is, or its edge-stripped word."""
+    surface, tag = token.surface, token.tag
+    if surface.startswith("@") and len(surface) > 1:
+        return _MENTION
+    if surface.lower().startswith(URL_PREFIXES):
+        return _URL
+    if surface.startswith("#") and len(surface) > 1:
+        placeholder = _HASHTAG if cfg.keep_hashtag_placeholder else ()
+        words = segment_camel_case(surface[1:]) if cfg.segment_hashtags else ()
+        segments = (w.strip(cfg.strip_chars).lower() for w in words)
+        return placeholder + tuple(Token(w, tag) for w in segments if w)
+    stripped = surface.strip(cfg.strip_chars)
+    if not stripped:
+        return ()
+    if tag == "rest" or stripped == surface:
+        # rest tokens (emoticons like ":P") keep their edge punctuation
+        return (token,)
+    return (Token(stripped, tag),)
 
 
 def normalize(raw_tokens, cfg: PreprocessConfig | None = None) -> list[Token]:
-    """Normalize a sequence of (surface, tag) pairs or Tokens.
+    """Normalize a sequence of Tokens or (surface, tag) pairs, each pair
+    checked as a Token, by normalize_token.
 
     Returns a list of Tokens; may be empty if every input token was
     punctuation (callers decide whether that is an error).
     """
     if cfg is None:
         cfg = PreprocessConfig()
-    punct = cfg.punctuation_set
-
-    out: list[Token] = []
-    for item in raw_tokens:
-        surface, tag = (item.surface, item.tag) if isinstance(item, Token) else item
-        lowered = surface.lower()
-
-        if surface.startswith("@") and len(surface) > 1:
-            out.append(Token("mention", "rest"))
-        elif lowered.startswith(URL_PREFIXES):
-            out.append(Token("url", "rest"))
-        elif surface.startswith("#") and len(surface) > 1:
-            if cfg.keep_hashtag_placeholder:
-                out.append(Token("hashtag", "rest"))
-            if cfg.segment_hashtags:
-                for word in segment_camel_case(surface[1:]):
-                    stripped = word.strip("".join(punct)).lower()
-                    if stripped:
-                        out.append(Token(stripped, tag))
-        elif _is_punctuation_only(surface, punct):
-            continue
-        elif tag == "rest":
-            # emoticons and other residual tokens survive verbatim
-            out.append(Token(surface, tag))
-        else:
-            stripped = surface.strip("".join(punct))
-            if stripped:
-                out.append(Token(stripped, tag))
-    return out
+    return [out for item in raw_tokens
+            for out in normalize_token(item if isinstance(item, Token) else Token(*item), cfg)]

@@ -3,9 +3,9 @@ an indicative-token lexicon and negation counts, and the sparse matrix that
 training and scoring multiply, with optional switching features.
 
 A corpus is featurized once into a FeatureMatrix (CSR counts over global
-feature ids and each row's switching features, with the corpus they
-describe); vocabulary, chi-squared selection and the sparse TrainingMatrix
-each read the whole matrix they are given.  A cross-validation fold is
+feature ids and, when asked for, each row's switching features, with the
+corpus they describe); vocabulary, chi-squared selection and the sparse
+TrainingMatrix each read the whole matrix they are given.  A cross-validation fold is
 matrix.take(rows), and a held-out corpus is featurized over the fitted
 vocabulary, so no utterance is extracted twice.  vectorize encodes one
 utterance as a dense row, the reference for the matrix rows.
@@ -119,14 +119,15 @@ class FeatureMatrix:
     is utterance corpus[r], its column ids are indices[indptr[r]:indptr[r + 1]]
     and its counts the same slice of data.  Column c is the feature
     vocab.features[c], so column order is key order.  switching[r] is
-    the switching profile of corpus[r], in SwitchProfile.as_tuple order."""
+    the switching profile of corpus[r], in SwitchProfile.as_tuple order,
+    or switching is None when the matrix was featurized without them."""
 
     corpus: LabeledCorpus
     vocab: Vocabulary
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    switching: np.ndarray
+    switching: np.ndarray | None
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -144,8 +145,9 @@ class FeatureMatrix:
         lengths = self.indptr[rows + 1] - starts
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        switching = None if self.switching is None else self.switching[rows]
         return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()), self.vocab,
-                             indptr, self.indices[at], self.data[at], self.switching[rows])
+                             indptr, self.indices[at], self.data[at], switching)
 
     def columns(self, vocab: Vocabulary) -> np.ndarray:
         """Column id of each feature of vocab, in vocab's order."""
@@ -155,21 +157,21 @@ class FeatureMatrix:
 
 def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
-              vocab: Vocabulary | None = None) -> FeatureMatrix:
+              vocab: Vocabulary | None = None, with_switching: bool = True) -> FeatureMatrix:
     """Count matrix of the corpus, built in one streaming pass: each
     utterance is extracted once, its keys are interned into column ids
     appended to flat lists, and its Counter is dropped.  The ids are then
     remapped to the rank of their key, or, given a fitted vocab, only its
     keys are kept and it gives the columns.  Ids and counts are int32,
-    which keeps the matrix small while a cross-validation holds it."""
+    which keeps the matrix small while a cross-validation holds it.  The
+    switching block is built only with_switching, and is None otherwise."""
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
     ids: dict[FeatureKey, int] = {} if vocab is None else vocab.feature_id_map
-    indptr, indices, data, switching = [0], [], [], []
+    indptr, indices, data = [0], [], []
     for u in corpus:
-        switching.append(switching_features(u.tokens).as_tuple())
         counts = extract_features(u.tokens, kinds, n_values)
         if vocab is not None:
             counts = {key: n for key, n in counts.items() if key in ids}
@@ -182,8 +184,10 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
         rank = np.empty(len(keys), dtype=np.int32)
         rank[[ids[key] for key in keys]] = np.arange(len(keys))
         indices, vocab = rank[indices], Vocabulary(tuple(keys), kinds, dict(n_values))
+    switching = np.array([switching_features(u.tokens).as_tuple() for u in corpus],
+                         dtype=np.float64).reshape(-1, N_FEATURES) if with_switching else None
     return FeatureMatrix(corpus, vocab, np.array(indptr), indices, np.array(data, dtype=np.int32),
-                         np.array(switching, dtype=np.float64).reshape(-1, N_FEATURES))
+                         switching)
 
 
 def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> Vocabulary:
@@ -351,7 +355,10 @@ def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
                     with_switching: bool) -> TrainingMatrix:
     """Sparse matrix whose row i is vectorize(matrix.corpus[i]): the
     vocabulary block comes from the stored counts through one column
-    remap, the rest from the nonzeros of special_values and switching."""
+    remap, the rest from the nonzeros of special_values and switching.
+    Switching columns need a matrix featurized with its switching block."""
+    if with_switching and matrix.switching is None:
+        raise ValueError("switching columns asked of a matrix featurized without them")
     remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
     remap[matrix.columns(vocab)] = np.arange(len(vocab))
     target = remap[matrix.indices]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import codeswitch
+from codeswitch import textfeat
 from codeswitch.cli import _load_pipeline_bundle, build_parser, run
 from codeswitch.corpus import load_corpus, save_corpus, serialize_tagged_line
 from codeswitch.model import FittedPipeline, load_model, sigmoid, to_dense
@@ -129,6 +130,26 @@ class TestTrainEvalSubsample:
                     "--no-preprocess", "--tau", repr(tau), "-o", str(out)]) == 0
         assert out.read_text().splitlines() == [serialize_tagged_line(u) for u, p in
                                                 zip(corpus, proba) if u.label == 1 or p >= tau]
+
+    @pytest.mark.parametrize("with_switching", [False, True])
+    def test_utterances_are_profiled_only_for_switching_columns(self, with_switching,
+                                                                synth_file, tmp_path,
+                                                                monkeypatch):
+        profiled = []
+        profile = textfeat.switching_features
+        monkeypatch.setattr(textfeat, "switching_features",
+                            lambda tokens: (profiled.append(tokens), profile(tokens))[1])
+        model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
+        served = ["--model", str(model), "--pipeline", str(bundle)]
+        flags = ["--with-switching"] if with_switching else []
+        assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+                    "--kinds", "bow", "--epochs", "5", *flags]) == 0
+        assert run(["eval", synth_file, *served, "-o", str(tmp_path / "eval.json")]) == 0
+        assert run(["subsample", synth_file, *served, "-o", str(tmp_path / "kept.txt")]) == 0
+        corpus = load_corpus(synth_file)
+        # train and eval profile every utterance, subsample the negatives it scores
+        n = 2 * len(corpus) + len(corpus.negatives)
+        assert len(profiled) == (n if with_switching else 0)
 
 
 def test_train_output_ignores_blas_threads(tmp_path):
@@ -307,7 +328,7 @@ BAD_INPUTS = {
 }
 
 
-# (CODESWITCH_CONFIG contents, train flags) asking for training that cannot work
+# (CODESWITCH_CONFIG contents, train flags) that train must reject before training
 BAD_TRAINING = {
     "train flag epochs negative": ("{}", ["--epochs", "-1"]),
     "train flag epochs zero": ("{}", ["--epochs", "0"]),
@@ -317,9 +338,12 @@ BAD_TRAINING = {
     "train config epochs zero": ('{"epochs": 0}', []),
     "train config learning rate negative": ('{"learning_rate": -1}', []),
     "train config l2 negative": ('{"l2": -0.5}', []),
+    "train flag punct empty": ("{}", ["--punct", ""]),
+    "train config punct empty": ('{"punct": ""}', []),
 }
 
 TRAINING_ERROR = "need epochs >= 1, learning_rate > 0 and l2 >= 0"
+PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
 
 # the check each bundle case must fail
 BUNDLE_ERRORS = {
@@ -362,7 +386,7 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if case in BAD_TRAINING:
-        assert TRAINING_ERROR in err
+        assert (PUNCT_ERROR if "punct" in case else TRAINING_ERROR) in err
         assert (model.read_text(), bundle.read_text()) == written  # nothing was trained
         return
     if case.startswith("config ") and case != "config missing":

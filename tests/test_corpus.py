@@ -94,6 +94,30 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="empty corpus"):
             load_corpus(io.StringIO("\n\n"))
 
+    def test_one_token_per_distinct_raw_token(self, monkeypatch):
+        built = []
+        check = Token.__post_init__
+        monkeypatch.setattr(Token, "__post_init__", lambda t: (built.append(t), check(t))[1])
+        lines = [LINE_POS, LINE_NEG, "0\tkoi_hi koi_en koi_hi bhi_hi"] * 40
+        corpus = load_corpus(io.StringIO("\n".join(lines) + "\n"))
+        raw = [r for line in lines for r in line.partition("\t")[2].split()]
+        tokens = [t for u in corpus for t in u.tokens]
+        assert [f"{t.surface}_{t.tag}" for t in tokens] == raw
+        assert len(built) == len(set(raw)) == 16
+        first = {}
+        assert all(first.setdefault(r, t) is t for r, t in zip(raw, tokens))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("koi_fr", "unknown tag 'fr' in token 'koi_fr'"),
+        ("koi", "token without underscore tag: 'koi'"),
+        ("_hi", "empty surface in token '_hi'"),
+    ])
+    def test_malformed_token_after_many_lines(self, bad, message):
+        lines = [LINE_POS, LINE_NEG] * 100 + [f"1\tkoi_hi {bad} to_hi"]
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(io.StringIO("\n".join(lines) + "\n"))
+        assert str(info.value) == f"line 201: {message}"
+
 
 class TestKFold:
     """fold_indices: the (train, test) row lists of a k-fold split."""

@@ -1,5 +1,11 @@
+import argparse
+import io
+
+import pytest
 from hypothesis import given, strategies as st
 
+from codeswitch.cli import _preprocess_corpus
+from codeswitch.corpus import CorpusFormatError, Token, load_corpus
 from codeswitch.preprocess import PreprocessConfig, normalize, segment_camel_case
 
 
@@ -46,6 +52,11 @@ class TestNormalize:
         out = normalize([("#AadabArzHai", "hi")], cfg)
         assert [t.surface for t in out] == ["aadab", "arz", "hai"]
 
+    @pytest.mark.parametrize("punct", [frozenset(), frozenset({"!", ".."})])
+    def test_punctuation_set_of_single_characters(self, punct):
+        with pytest.raises(ValueError, match="non-empty set of single characters"):
+            PreprocessConfig(punctuation_set=punct)
+
     def test_no_segmentation_flag(self):
         cfg = PreprocessConfig(segment_hashtags=False)
         out = normalize([("#AadabArzHai", "hi")], cfg)
@@ -74,3 +85,52 @@ def test_normalize_never_invents_language_tokens(pairs):
     n_lang_out = sum(1 for t in out if t.tag in ("hi", "en"))
     max_segments = max((len(s) for s, _ in pairs), default=0)
     assert n_lang_out <= n_lang_in * max(1, max_segments)
+
+
+PUNCT = "!.,:#@/'-_"
+
+surfaces = st.one_of(
+    st.text(alphabet=PUNCT, min_size=1, max_size=4),  # punctuation only
+    st.text(alphabet="ab.", max_size=3).map("@".__add__),  # a bare "@" too
+    st.tuples(st.sampled_from(["http", "HTTPS://", "www.", "wwwx"]),
+              st.text(alphabet="ab/.", max_size=3)).map("".join),
+    st.lists(st.sampled_from(["Aadab", "arz", "Hai", "!", "X", "y."]),
+             max_size=4).map(lambda words: "#" + "".join(words)),  # a bare "#" too
+    st.text(alphabet="aBc" + PUNCT, min_size=1, max_size=6),
+)
+
+
+@st.composite
+def tagged_corpora(draw):
+    """(label, [(surface, tag), ...]) utterances drawn from a small pool of
+    tokens, so that tokens repeat within and across utterances."""
+    pool = draw(st.lists(st.tuples(surfaces, st.sampled_from(["hi", "en", "rest"])),
+                         min_size=1, max_size=8))
+    utterance = st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    return draw(st.lists(st.tuples(st.sampled_from([0, 1]), utterance), min_size=1, max_size=8))
+
+
+@given(tagged_corpora(), st.none() | st.text(alphabet=PUNCT + "ab", min_size=1, max_size=5),
+       st.booleans(), st.booleans())
+def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, placeholder,
+                                                         segment):
+    cfg = PreprocessConfig(placeholder, segment,
+                           PreprocessConfig().punctuation_set if punct is None
+                           else frozenset(punct))
+    expected = []
+    for uid, (_, pairs) in enumerate(utterances):
+        tokens = normalize(pairs, cfg)
+        assert normalize(tuple(map(list, pairs)), cfg) == tokens
+        assert normalize([Token(*pair) for pair in pairs], cfg) == tokens
+        if tokens:
+            expected.append((str(uid), tokens))
+    text = "".join(f"{label}\t{' '.join(f'{s}_{t}' for s, t in pairs)}\n"
+                   for label, pairs in utterances)
+    args = argparse.Namespace(no_preprocess=False, no_hashtag_placeholder=not placeholder,
+                              no_segment_hashtags=not segment, punct=punct)
+    corpus = load_corpus(io.StringIO(text))
+    if not expected:
+        with pytest.raises(CorpusFormatError, match="empty corpus after preprocessing"):
+            _preprocess_corpus(corpus, args)
+        return
+    assert [(u.id, list(u.tokens)) for u in _preprocess_corpus(corpus, args)] == expected

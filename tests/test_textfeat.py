@@ -19,6 +19,8 @@ from codeswitch.textfeat import (
     extract_features,
     featurize,
     indicative_scores,
+    training_matrix,
+    vector_dim,
     vectorize,
     word_ngrams,
 )
@@ -120,6 +122,20 @@ class TestFeaturize:
         assert matrix.switching.tolist() == [list(switching_features(u.tokens).as_tuple())
                                              for u in c]
         assert matrix.take([5, 1]).switching.tolist() == matrix.switching[[5, 1]].tolist()
+
+    def test_switching_columns_need_the_switching_block(self):
+        c = balanced_four_corpus()
+        matrix = featurize(c, {"bow"}, {}, with_switching=False)
+        assert matrix.switching is None and matrix.take([3, 0]).switching is None
+        vocab = build_vocabulary(matrix)
+        with pytest.raises(ValueError, match="featurized without them"):
+            training_matrix(matrix, vocab, {}, frozenset(), True)
+        X = training_matrix(matrix, vocab, {}, frozenset(), False)
+        with_block = featurize(c, {"bow"}, {})
+        Y = training_matrix(with_block, vocab, {}, frozenset(), True).leading_columns(X.shape[1])
+        assert X.shape == (4, vector_dim(vocab, False))
+        assert [X.rows.tolist(), X.cols.tolist(), X.values.tolist()] == \
+            [Y.rows.tolist(), Y.cols.tolist(), Y.values.tolist()]
 
     def test_fitted_vocabulary_keeps_only_its_keys(self):
         c = balanced_four_corpus()
