@@ -176,7 +176,7 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[s
     valid = {
         "kinds": _is_strs(c.get("kinds")) and set(c["kinds"]) <= set(KIND_ORDER),
         "n_values": isinstance(c.get("n_values"), dict) and all(
-            isinstance(ns, list) and all(type(n) is int for n in ns)
+            isinstance(ns, list) and all(type(n) is int and n >= 1 for n in ns)
             for ns in c["n_values"].values()),
         "min_count": type(c.get("min_count")) is int,
         "chi2_k": "chi2_k" in c and type(c["chi2_k"]) in (int, type(None)),

@@ -150,12 +150,19 @@ def load_corpus(source: Union[str, Path, IO[str]], task_name: str = "") -> Label
     """Load a tagged-line corpus from a path or open text stream.
 
     Ids are assigned as 0-based ordinals over non-blank lines; blank lines
-    are skipped.  An empty corpus is an error.  Tokens are interned per
-    call: every occurrence of one raw token is the same Token object.
+    are skipped.  An empty corpus is an error, and so, read from a path,
+    are bytes that are not UTF-8; every error of a path names it.  Tokens
+    are interned per call: every occurrence of one raw token is the same
+    Token object.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_corpus(fh, task_name)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return load_corpus(fh, task_name)
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{source}: not valid UTF-8: {exc.reason}") from None
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{source}: {exc}") from None
 
     utterances = []
     interned: dict[str, Token] = {}

@@ -200,6 +200,11 @@ class PipelineConfig:
     with_switching: bool = False
     train_config: TrainConfig = TrainConfig()
 
+    def __post_init__(self) -> None:
+        for kind, ns in self.n_values.items():  # also for a kind that is off
+            if min(ns, default=1) < 1:
+                raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
+
 
 @dataclass(frozen=True)
 class FittedPipeline:

@@ -267,13 +267,17 @@ def indicative_scores(corpus: LabeledCorpus, floor: float = 0.0) -> dict[str, fl
 
 
 def load_wordlist(path: Union[str, Path]) -> frozenset[str]:
-    """One bare token per line; blank lines and '#' comments skipped."""
+    """One bare token per line; blank lines and '#' comments skipped.
+    Bytes that are not UTF-8 are an error naming the file."""
     words = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("\t")[0].strip()
-            if word and not word.startswith("#"):
-                words.add(word.lower())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                word = line.split("\t")[0].strip()
+                if word and not word.startswith("#"):
+                    words.add(word.lower())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from None
     return frozenset(words)
 
 
@@ -308,37 +312,26 @@ def vectorize(utterance: LabeledUtterance,
 
 @dataclass(frozen=True, eq=False)
 class TrainingMatrix:
-    """Sparse N x D matrix of (row, col, value) entries with X @ v and
-    X.T @ v, X.T being the entries with rows and columns swapped.  A
-    product sums each non-empty row's run of entries with np.add.reduceat
-    (which gives an empty run the value at its start, not zero), in a
-    fixed order without BLAS, so results do not depend on the BLAS thread
-    count.  The entries are sorted by row on the first product, so
-    scoring, which needs only X @ w, sorts once.  X keeps X.T, which holds
-    no reference back to X, so no cycle keeps either alive."""
+    """Sparse N x D matrix of (row, col, value) entries, with X @ v and
+    X.T @ v, X.T being the same entries with rows and columns swapped.
+    X @ v is one np.bincount: each row's terms are added one after another
+    in entry order (the order training_matrix builds them), in numpy and
+    not in BLAS, so results do not depend on the BLAS thread count.  The
+    entries may come in any order; only the last bits of a sum depend on it."""
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
 
-    @cached_property
+    @property
     def T(self) -> "TrainingMatrix":
         return TrainingMatrix(self.shape[::-1], self.cols, self.rows, self.values)
 
-    @cached_property
-    def by_row(self) -> tuple[np.ndarray, ...]:
-        """(start and row of each row's run, cols, values), sorted by (row, col)."""
-        order = np.argsort(self.rows * self.shape[1] + self.cols)  # each (row, col) is stored once
-        rows = self.rows[order]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        return starts, rows[starts], self.cols[order], self.values[order]
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        starts, rows, cols, values = self.by_row
-        out = np.zeros(self.shape[0])
-        out[rows] = np.add.reduceat(values * v[cols], starts)
-        return out
+        terms = v[self.cols]
+        terms *= self.values  # in place, so a product copies the entries' values once
+        return np.bincount(self.rows, terms, self.shape[0])
 
     def leading_columns(self, d: int) -> "TrainingMatrix":
         """The matrix of the first d columns, by a mask over the entries

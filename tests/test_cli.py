@@ -81,6 +81,27 @@ class TestStats:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_error_names_the_corpus_at_fault(self, tiny_corpus_file, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(PAPER_LINE + "\n2\tx_hi\n")
+        assert run(["stats", tiny_corpus_file, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: malformed label '2' (must be 0 or 1)\n")
+
+    def test_non_utf8_corpus_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes((PAPER_LINE + "\n0\tcaf\xe9_en\n").encode("latin-1"))
+        assert run(["stats", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not valid UTF-8: invalid continuation byte\n")
+
+    def test_non_utf8_negation_file_is_named(self, synth_file, tmp_path, capsys):
+        words = tmp_path / "negation.txt"
+        words.write_bytes(b"nahi\n\xff\n")
+        assert run(["cv", synth_file, "--kinds", "bow", "--negation-file", str(words)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {words}: not valid UTF-8: invalid start byte\n")
+
 
 class TestTrainEvalSubsample:
     def test_train_eval_roundtrip(self, synth_file, tmp_path, capsys):
@@ -290,6 +311,11 @@ BAD_INPUTS = {
         "pipeline.json", lambda text: text.replace('"min_count": 1', '"min_count": "1"')),
     "bundle n-gram size not an integer": (
         "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": ["3"]')),
+    # the bundle's kinds are bow alone, so no featurization would reach these sizes
+    "bundle n-gram size zero": (
+        "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": [0]')),
+    "bundle n-gram size negative": (
+        "pipeline.json", lambda text: text.replace('"word_ngram": [1, 2]', '"word_ngram": [-2]')),
     # the vocab keeps its length, so the model dim still matches
     "bundle vocab repeats a key": (
         "pipeline.json", _bundle_with("vocab", lambda v: v[:1] + v[:-1])),
@@ -340,10 +366,15 @@ BAD_TRAINING = {
     "train config l2 negative": ('{"l2": -0.5}', []),
     "train flag punct empty": ("{}", ["--punct", ""]),
     "train config punct empty": ('{"punct": ""}', []),
+    # --kinds bow: the sizes are rejected even for kinds that are off
+    "train flag char n-gram size zero": ("{}", ["--char-n", "0"]),
+    "train flag word n-gram size negative": ("{}", ["--word-n", "1", "-1"]),
+    "train config n-gram sizes below 1": ('{"char_n": [0], "word_n": [-1]}', []),
 }
 
 TRAINING_ERROR = "need epochs >= 1, learning_rate > 0 and l2 >= 0"
 PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
+NGRAM_ERROR = "sizes must be >= 1, got"
 
 # the check each bundle case must fail
 BUNDLE_ERRORS = {
@@ -351,6 +382,8 @@ BUNDLE_ERRORS = {
     "bundle vocab out of order": "vocab is not strictly increasing",
     "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
     "bundle config kind unknown": "missing or mistyped kinds",
+    **dict.fromkeys(["bundle n-gram size not an integer", "bundle n-gram size zero",
+                     "bundle n-gram size negative"], "missing or mistyped n_values"),
     **dict.fromkeys(["bundle lexicon with use_indicative off", "bundle lexicon twice",
                      "bundle without the lexicon use_indicative needs"],
                     "lexicons must hold one entry when use_indicative is true"),
@@ -386,7 +419,8 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if case in BAD_TRAINING:
-        assert (PUNCT_ERROR if "punct" in case else TRAINING_ERROR) in err
+        assert (PUNCT_ERROR if "punct" in case else NGRAM_ERROR if "size" in case
+                else TRAINING_ERROR) in err
         assert (model.read_text(), bundle.read_text()) == written  # nothing was trained
         return
     if case.startswith("config ") and case != "config missing":
@@ -413,6 +447,13 @@ def test_corpus_without_features_exits_cleanly(command, synth_file, tmp_path, ca
                  "--pipeline-out", str(tmp_path / "pipeline.json")]
     assert run(args) == 1
     assert capsys.readouterr().err == "error: resulting vocabulary is empty\n"
+
+
+def test_cv_rejects_ngram_size_below_one(synth_file, tmp_path, capsys):
+    out = tmp_path / "cv.json"
+    assert run(["cv", synth_file, "--kinds", "bow", "--char-n", "0", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: char_ngram sizes must be >= 1, got [0]\n"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------

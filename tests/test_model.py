@@ -473,8 +473,9 @@ class TestSparseTraining:
         """Sparse and dense training matrices of a corpus with empty rows
         (first, middle, last: each utterance is one token seen once, which
         min_count drops) and all-zero trailing columns (no lexicon and no
-        negation words): the segments np.add.reduceat gets wrong.  With
-        switching, the rows are not empty, but their leading columns are."""
+        negation words), so a product's output length comes from the shape,
+        not from the entries.  With switching, the rows are not empty, but
+        their leading columns are."""
         solo = [LabeledUtterance((Token(f"solo{i}", "en"),), i % 2, f"solo{i}")
                 for i in range(3)]
         body = list(word_pool_corpus(30, seed=2))
@@ -504,6 +505,37 @@ class TestSparseTraining:
             v, r = rng.normal(size=dense.shape[1]), rng.normal(size=dense.shape[0])
             np.testing.assert_allclose(X @ v, dense @ v, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(X.T @ r, dense.T @ r, rtol=1e-12, atol=1e-12)
+
+    def test_products_ignore_entry_order(self):
+        X, dense, _ = self.matrices()
+        order = np.random.default_rng(5).permutation(len(X.values))
+        shuffled = textfeat.TrainingMatrix(X.shape, X.rows[order], X.cols[order],
+                                           X.values[order])
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            v, r = rng.normal(size=dense.shape[1]), rng.normal(size=dense.shape[0])
+            for got, plain, reference in ((shuffled @ v, X @ v, dense @ v),
+                                          (shuffled.T @ r, X.T @ r, dense.T @ r)):
+                np.testing.assert_allclose(got, plain, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12)
+
+    def test_scoring_product_copies_the_values_once(self):
+        """Scoring needs one X @ w; it allocates one float per entry (the
+        terms it sums) and the output, and keeps no copy of the entries."""
+        corpus = word_pool_corpus(2500, seed=6)
+        matrix = textfeat.featurize(corpus, {"bow", "word_ngram"}, {"word_ngram": (1, 2)},
+                                    with_switching=False)
+        X = textfeat.training_matrix(matrix, textfeat.build_vocabulary(matrix), {},
+                                     frozenset(), False)
+        w = np.random.default_rng(7).normal(size=X.shape[1])
+        assert len(X.values) > 40_000
+        tracemalloc.start()
+        try:
+            X @ w
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.values.nbytes
 
     def test_leading_columns_match_dense(self):
         X, dense, _ = self.matrices(with_switching=True)
