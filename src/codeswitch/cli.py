@@ -41,8 +41,8 @@ from codeswitch.model import (
     cross_validate_arms,
     evaluate,
     fit_pipeline,
+    format_model,
     load_model,
-    save_model,
     subsample_negatives,
 )
 from codeswitch.preprocess import PreprocessConfig, normalize_token
@@ -52,7 +52,6 @@ from codeswitch.textfeat import (
     KIND_ORDER,
     Vocabulary,
     _feature_sort_key,
-    featurize,
     load_wordlist,
     vector_dim,
 )
@@ -80,9 +79,10 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
-def _preprocess_corpus(corpus: LabeledCorpus, args) -> LabeledCorpus:
-    """The corpus normalized once per distinct token; utterances left
-    empty are dropped with a warning."""
+def _preprocess_corpus(corpus: LabeledCorpus, args, path: str) -> LabeledCorpus:
+    """The corpus read from path, normalized once per distinct token;
+    utterances left empty are dropped with a warning, and the warning and
+    the error for a corpus left empty name the path."""
     if args.no_preprocess:
         return corpus
     cfg = PreprocessConfig(
@@ -101,12 +101,12 @@ def _preprocess_corpus(corpus: LabeledCorpus, args) -> LabeledCorpus:
                 out = normalized[t] = normalize_token(t, cfg)
             tokens += out
         if not tokens:
-            print(f"warning: utterance {u.id} empty after preprocessing; dropped",
+            print(f"warning: {path}: utterance {u.id} empty after preprocessing; dropped",
                   file=sys.stderr)
             continue
         kept.append(LabeledUtterance(tuple(tokens), u.label, u.id))
     if not kept:
-        raise CorpusFormatError("empty corpus after preprocessing")
+        raise CorpusFormatError(f"{path}: empty corpus after preprocessing")
     return corpus.subset(kept)
 
 
@@ -175,7 +175,8 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[s
     c = doc["config"] if isinstance(doc.get("config"), dict) else {}
     valid = {
         "kinds": _is_strs(c.get("kinds")) and set(c["kinds"]) <= set(KIND_ORDER),
-        "n_values": isinstance(c.get("n_values"), dict) and all(
+        "n_values": isinstance(c.get("n_values"), dict)
+        and c["n_values"].keys() == {"char_ngram", "word_ngram"} and all(
             isinstance(ns, list) and all(type(n) is int and n >= 1 for n in ns)
             for ns in c["n_values"].values()),
         "min_count": type(c.get("min_count")) is int,
@@ -239,7 +240,7 @@ def _cv_dict(result: CVResult) -> dict:
 def cmd_stats(args) -> int:
     columns = []
     for path in args.inputs:
-        corpus = _preprocess_corpus(load_corpus(path, Path(path).stem), args)
+        corpus = _preprocess_corpus(load_corpus(path, Path(path).stem), args, path)
         columns.append(stats_mod.summarize(corpus))
 
     def cell(value) -> str:
@@ -260,7 +261,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_features(args) -> int:
-    corpus = _preprocess_corpus(load_corpus(args.input), args)
+    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     lines = []
     for u in corpus:
         record = {"id": u.id, "label": u.label, "q": has_embedding_property(u.tokens),
@@ -271,9 +272,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus = _preprocess_corpus(load_corpus(args.input), args)
+    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     pipeline = fit_pipeline(corpus, _pipeline_config(args))
-    save_model(pipeline.model, args.model_out)
+    _write_output(args.model_out, format_model(pipeline.model))
     _save_pipeline_bundle(pipeline, args.pipeline_out)
     print(f"trained on {len(corpus)} utterances; "
           f"feature dim {pipeline.model.dim}", file=sys.stderr)
@@ -289,17 +290,14 @@ def _load_fitted(args):
 
 def cmd_eval(args) -> int:
     pipeline = _load_fitted(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args)
-    vocab = pipeline.vocab
-    matrix = featurize(corpus, vocab.kinds, vocab.n_values, vocab,
-                       pipeline.config.with_switching)
-    report = evaluate(pipeline.predict_proba(matrix), matrix.labels)
+    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    report = evaluate(pipeline.predict_proba(corpus), [u.label for u in corpus])
     _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
     return 0
 
 
 def cmd_cv(args) -> int:
-    corpus = _preprocess_corpus(load_corpus(args.input), args)
+    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     cfg = _pipeline_config(args)
 
     if args.ablate_switching:
@@ -322,10 +320,9 @@ def cmd_cv(args) -> int:
 
 def cmd_subsample(args) -> int:
     pipeline = _load_fitted(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args)
-    negatives, vocab = corpus.subset(corpus.negatives), pipeline.vocab  # only they are scored
-    proba = pipeline.predict_proba(featurize(negatives, vocab.kinds, vocab.n_values, vocab,
-                                             pipeline.config.with_switching))
+    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    negatives = corpus.subset(corpus.negatives)  # only they are scored
+    proba = pipeline.predict_proba(negatives)
     by_id = dict(zip([u.id for u in negatives], proba.tolist()))
     filtered = subsample_negatives(corpus, lambda u: by_id[u.id], args.tau)
     _write_output(args.output, "".join(serialize_tagged_line(u) + "\n" for u in filtered))

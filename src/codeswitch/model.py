@@ -7,7 +7,9 @@ with an L2 penalty on the weights (bias unpenalized), initialized at zero
 so results are exactly reproducible.  Training and scoring (sigmoid of
 X @ w + b) both use the sparse textfeat.TrainingMatrix, whose time and
 memory grow with the stored entries; train and loss_and_grad use only
-X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
+X.shape, X @ v and X.T @ v, so a dense ndarray works as well.  A
+FittedPipeline scores a corpus by featurizing it over the fitted vocabulary
+into one training matrix; its vectorize is the dense view of one such row.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from codeswitch.textfeat import (
     indicative_scores,
     training_matrix,
     vector_dim,
-    vectorize,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -71,7 +72,7 @@ class EvalReport:
 
 
 def to_dense(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """The N x D matrix of N vectorize rows of one dimension."""
+    """The N x D matrix of N FittedPipeline.vectorize rows of one dimension."""
     if not rows:
         raise ValueError("no vectors given")
     return np.vstack(rows)
@@ -213,16 +214,23 @@ class FittedPipeline:
     lexicon: Mapping[str, float]  # empty when config.use_indicative is off
     model: LinearModel
 
-    def vectorize(self, utterance: LabeledUtterance) -> np.ndarray:
-        return vectorize(utterance, self.vocab, self.lexicon,
-                         self.config.negation_words,
-                         self.config.with_switching)
+    def _training_matrix(self, corpus: LabeledCorpus) -> TrainingMatrix:
+        """The corpus featurized over the fitted vocabulary, with the
+        switching block exactly when config.with_switching, one row each."""
+        vocab = self.vocab
+        matrix = featurize(corpus, vocab.kinds, vocab.n_values, vocab, self.config.with_switching)
+        return training_matrix(matrix, vocab, self.lexicon, self.config.negation_words)
 
-    def predict_proba(self, matrix: FeatureMatrix) -> np.ndarray:
-        """Positive-class probability of every row of the matrix."""
-        return predict_proba(self.model, training_matrix(
-            matrix, self.vocab, self.lexicon, self.config.negation_words,
-            self.config.with_switching))
+    def vectorize(self, utterance: LabeledUtterance) -> np.ndarray:
+        """The utterance's training-matrix row as a dense vector."""
+        X = self._training_matrix(LabeledCorpus((utterance,)))
+        row = np.zeros(X.shape[1])
+        row[X.cols] = X.values
+        return row
+
+    def predict_proba(self, corpus: LabeledCorpus) -> np.ndarray:
+        """Positive-class probability of every utterance of the corpus."""
+        return predict_proba(self.model, self._training_matrix(corpus))
 
 
 def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
@@ -239,13 +247,13 @@ def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipe
     """Featurize the training corpus once and fit the pipeline on all of it."""
     matrix = featurize(train_corpus, cfg.kinds, cfg.n_values, with_switching=cfg.with_switching)
     vocab, lexicon = _fit_features(matrix, cfg)
-    X = training_matrix(matrix, vocab, lexicon, cfg.negation_words, cfg.with_switching)
+    X = training_matrix(matrix, vocab, lexicon, cfg.negation_words)
     return FittedPipeline(cfg, vocab, lexicon, train(X, matrix.labels, cfg.train_config))
 
 
-def evaluate(proba: np.ndarray, labels: np.ndarray) -> EvalReport:
+def evaluate(proba: np.ndarray, labels: Sequence[int] | np.ndarray) -> EvalReport:
     """Macro-F1 of the labels, each predicted positive at probability >= 0.5."""
-    return macro_f1((proba >= 0.5).astype(int).tolist(), labels.tolist())
+    return macro_f1((proba >= 0.5).astype(int).tolist(), np.asarray(labels).tolist())
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
             continue
         train_part, test_part = matrix.take(train_rows), matrix.take(test_rows)
         vocab, lexicon = _fit_features(train_part, cfg)
-        X_train, X_test = (training_matrix(part, vocab, lexicon, cfg.negation_words, any(arms))
+        X_train, X_test = (training_matrix(part, vocab, lexicon, cfg.negation_words)
                            for part in (train_part, test_part))
         for arm_reports, with_switching in zip(reports, arms):
             d = vector_dim(vocab, with_switching)
@@ -301,23 +309,26 @@ def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
 # Model persistence: versioned flat text file
 # --------------------------------------------------------------------
 
-def save_model(model: LinearModel, path: Union[str, Path]) -> None:
+def format_model(model: LinearModel) -> str:
     """Header (magic + version, dim, hyperparameters), then bias, then one
     weight per line, all as decimal text."""
     meta = model.training_meta
+    lines = [f"{MODEL_MAGIC} v{MODEL_FORMAT_VERSION}", f"dim {model.dim}",
+             f"epochs {meta.epochs} learning_rate {meta.learning_rate!r} "
+             f"l2 {meta.l2!r} seed {meta.seed}",
+             f"{model.bias!r}", *(f"{float(w)!r}" for w in model.weights)]
+    return "".join(line + "\n" for line in lines)
+
+
+def save_model(model: LinearModel, path: Union[str, Path]) -> None:
+    """Write the format_model text of the model to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{MODEL_MAGIC} v{MODEL_FORMAT_VERSION}\n")
-        fh.write(f"dim {model.dim}\n")
-        fh.write(f"epochs {meta.epochs} learning_rate {meta.learning_rate!r} "
-                 f"l2 {meta.l2!r} seed {meta.seed}\n")
-        fh.write(f"{model.bias!r}\n")
-        for w in model.weights:
-            fh.write(f"{float(w)!r}\n")
+        fh.write(format_model(model))
 
 
 def load_model(path: Union[str, Path],
                expected_dim: int | None = None) -> LinearModel:
-    """Read a save_model file; every error names the file, and the line
+    """Read a format_model file; every error names the file, and the line
     where one line is at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

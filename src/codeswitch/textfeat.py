@@ -7,8 +7,9 @@ feature ids and, when asked for, each row's switching features, with the
 corpus they describe); vocabulary, chi-squared selection and the sparse
 TrainingMatrix each read the whole matrix they are given.  A cross-validation fold is
 matrix.take(rows), and a held-out corpus is featurized over the fitted
-vocabulary, so no utterance is extracted twice.  vectorize encodes one
-utterance as a dense row, the reference for the matrix rows.
+vocabulary, so no utterance is extracted twice.  training_matrix is the one
+row encoder: training and scoring read its rows, with the switching
+columns exactly when the FeatureMatrix carries its switching block.
 
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  Vocabulary indices are dense and deterministic:
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, Token
+from codeswitch.corpus import LabeledCorpus, POSITIVE, Token
 from codeswitch.switching import N_FEATURES, switching_features
 
 NGRAM_SEP = "§"  # reserved word-ngram joiner; never appears in surfaces
@@ -288,26 +289,10 @@ def vector_dim(vocab: Vocabulary, with_switching: bool) -> int:
 def special_values(tokens: Sequence[Token], lexicon: Mapping[str, float],
                    negation_words: frozenset[str]) -> tuple[float, float]:
     """The two dimensions after the vocabulary block: indicative-score sum
-    and negation count.  Both encoders take them from here."""
+    and negation count."""
     indicative = sum(lexicon.get(t.surface.lower(), 0.0) for t in tokens)
     negations = sum(1 for t in tokens if t.surface.lower() in negation_words)
     return float(indicative), float(negations)
-
-
-def vectorize(utterance: LabeledUtterance,
-              vocab: Vocabulary,
-              lexicon: Mapping[str, float],
-              negation_words: frozenset[str] = DEFAULT_NEGATION_WORDS,
-              with_switching: bool = False) -> np.ndarray:
-    """Extract and encode one utterance as a dense row of vector_dim length."""
-    row = np.zeros(vector_dim(vocab, with_switching))
-    idx = vocab.feature_id_map
-    for key, count in extract_features(utterance.tokens, vocab.kinds, vocab.n_values).items():
-        if key in idx:
-            row[idx[key]] = count
-    switching = switching_features(utterance.tokens).as_tuple() if with_switching else ()
-    row[len(vocab):] = special_values(utterance.tokens, lexicon, negation_words) + switching
-    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,14 +329,12 @@ class TrainingMatrix:
 
 
 def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
-                    lexicon: Mapping[str, float], negation_words: frozenset[str],
-                    with_switching: bool) -> TrainingMatrix:
-    """Sparse matrix whose row i is vectorize(matrix.corpus[i]): the
+                    lexicon: Mapping[str, float], negation_words: frozenset[str]) -> TrainingMatrix:
+    """Sparse matrix of one row per utterance of matrix.corpus: the
     vocabulary block comes from the stored counts through one column
-    remap, the rest from the nonzeros of special_values and switching.
-    Switching columns need a matrix featurized with its switching block."""
-    if with_switching and matrix.switching is None:
-        raise ValueError("switching columns asked of a matrix featurized without them")
+    remap, the rest from the nonzeros of special_values and, when the
+    matrix carries its switching block, the nine switching columns."""
+    with_switching = matrix.switching is not None
     remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
     remap[matrix.columns(vocab)] = np.arange(len(vocab))
     target = remap[matrix.indices]

@@ -15,6 +15,7 @@ from codeswitch import textfeat
 from codeswitch.cli import _load_pipeline_bundle, build_parser, run
 from codeswitch.corpus import load_corpus, save_corpus, serialize_tagged_line
 from codeswitch.model import FittedPipeline, load_model, sigmoid, to_dense
+from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
 
 PAPER_LINE = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
@@ -88,6 +89,23 @@ class TestStats:
         assert capsys.readouterr().err == (
             f"error: {bad}: line 2: malformed label '2' (must be 0 or 1)\n")
 
+    def test_dropped_utterances_name_their_corpus(self, tiny_corpus_file, tmp_path, capsys):
+        other = tmp_path / "other.txt"
+        other.write_text(PAPER_LINE + "\n0\t!!_rest ..._rest\n")  # line 2: punctuation only
+        assert run(["stats", tiny_corpus_file, str(other)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {other}: utterance 1 empty after preprocessing; dropped\n")
+
+    def test_corpus_left_empty_by_preprocessing_is_named(self, tiny_corpus_file, tmp_path,
+                                                          capsys):
+        punct = tmp_path / "punct.txt"
+        punct.write_text("1\t!!_rest\n0\t..._rest ?_rest\n")
+        assert run(["stats", tiny_corpus_file, str(punct)]) == 1
+        assert capsys.readouterr().err == (
+            f"warning: {punct}: utterance 0 empty after preprocessing; dropped\n"
+            f"warning: {punct}: utterance 1 empty after preprocessing; dropped\n"
+            f"error: {punct}: empty corpus after preprocessing\n")
+
     def test_non_utf8_corpus_is_named(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes((PAPER_LINE + "\n0\tcaf\xe9_en\n").encode("latin-1"))
@@ -142,7 +160,7 @@ class TestTrainEvalSubsample:
                     "--no-preprocess", "--with-switching", "--epochs", "20"]) == 0
         pipeline = FittedPipeline(*_load_pipeline_bundle(str(bundle)), load_model(model))
         corpus = load_corpus(synth_file)
-        proba = sigmoid(to_dense([pipeline.vectorize(u) for u in corpus])
+        proba = sigmoid(pipeline_rows(pipeline, corpus)
                         @ pipeline.model.weights + pipeline.model.bias)
         negative = sorted(p for u, p in zip(corpus, proba.tolist()) if u.label == 0)
         middle = len(negative) // 2
@@ -173,18 +191,48 @@ class TestTrainEvalSubsample:
         assert len(profiled) == (n if with_switching else 0)
 
 
+def _cli_env(**variables):
+    """The environment of a CLI subprocess that imports this checkout's package."""
+    src = str(Path(codeswitch.__file__).resolve().parents[1])
+    return dict(os.environ, **variables,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_failed_model_write_keeps_the_earlier_model(synth_file, tmp_path):
+    """train under a file-size limit below the model's size: the model
+    write fails part-way, so train exits with an error, an existing
+    --model-out file keeps its bytes and no temporary file is left."""
+    resource = pytest.importorskip("resource")
+    model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
+    argv = ["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+            "--kinds", "bow", "--epochs", "5"]
+    assert run(argv) == 0
+    limit = model.stat().st_size // 2
+    model.write_text("an earlier model\n")
+    bundle.unlink()
+    earlier, files = model.read_bytes(), sorted(tmp_path.iterdir())
+
+    def limit_file_size():  # CPython ignores SIGXFSZ, so a write past the limit raises
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+    result = subprocess.run([sys.executable, "-m", "codeswitch.cli", *argv],
+                            env=_cli_env(PYTHONDONTWRITEBYTECODE="1"),
+                            preexec_fn=limit_file_size, capture_output=True, text=True)
+    assert result.returncode == 1 and result.stderr.splitlines()[-1].startswith("error: ")
+    assert model.read_bytes() == earlier
+    assert sorted(tmp_path.iterdir()) == files
+
+
 def test_train_output_ignores_blas_threads(tmp_path):
     """A wide --chi2-k 0 fit writes the same bytes at 1 and 2 BLAS threads:
     training sums in numpy, in a fixed order, not in BLAS."""
     corpus = tmp_path / "wide.txt"
     save_corpus(switching_driven_corpus(150, seed=7, length=24, pool_size=1000, mu=11.5), corpus)
-    src = str(Path(codeswitch.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         model, bundle = tmp_path / f"model{threads}.txt", tmp_path / f"pipeline{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "codeswitch.cli", "train", str(corpus),
                         "--chi2-k", "0", "--model-out", str(model), "--pipeline-out", str(bundle)],
                        env=env, check=True, capture_output=True)
@@ -316,6 +364,10 @@ BAD_INPUTS = {
         "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": [0]')),
     "bundle n-gram size negative": (
         "pipeline.json", lambda text: text.replace('"word_ngram": [1, 2]', '"word_ngram": [-2]')),
+    "bundle n-gram sizes missing": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "n_values": {}})),
+    "bundle n-gram sizes of an unknown kind": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "n_values": {"bogus": [7]}})),
     # the vocab keeps its length, so the model dim still matches
     "bundle vocab repeats a key": (
         "pipeline.json", _bundle_with("vocab", lambda v: v[:1] + v[:-1])),
@@ -383,7 +435,8 @@ BUNDLE_ERRORS = {
     "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
     "bundle config kind unknown": "missing or mistyped kinds",
     **dict.fromkeys(["bundle n-gram size not an integer", "bundle n-gram size zero",
-                     "bundle n-gram size negative"], "missing or mistyped n_values"),
+                     "bundle n-gram size negative", "bundle n-gram sizes missing",
+                     "bundle n-gram sizes of an unknown kind"], "missing or mistyped n_values"),
     **dict.fromkeys(["bundle lexicon with use_indicative off", "bundle lexicon twice",
                      "bundle without the lexicon use_indicative needs"],
                     "lexicons must hold one entry when use_indicative is true"),

@@ -30,6 +30,7 @@ from codeswitch.model import (
     to_dense,
     train,
 )
+from reference_encoder import dense_row, pipeline_rows
 
 
 def as_dense(X):
@@ -46,10 +47,8 @@ def sv(values, dim):
 
 
 def held_out_report(pipeline, corpus):
-    """evaluate of the corpus featurized over the pipeline's vocabulary."""
-    vocab = pipeline.vocab
-    matrix = textfeat.featurize(corpus, vocab.kinds, vocab.n_values, vocab)
-    return evaluate(pipeline.predict_proba(matrix), matrix.labels)
+    """evaluate of the pipeline's probabilities for the corpus."""
+    return evaluate(pipeline.predict_proba(corpus), [u.label for u in corpus])
 
 
 def kfold(corpus, k, seed):
@@ -391,21 +390,21 @@ class TestFitPipeline:
             return fit(X, labels, hyper)
         monkeypatch.setattr(model_module, "train", captured)
         pipeline = fit_pipeline(corpus, self.CFG)
-        served = to_dense([pipeline.vectorize(u) for u in corpus])
+        served = pipeline_rows(pipeline, corpus)
         assert len(pipeline.vocab) == 20
         assert (served[:, 20:] != 0).any(axis=0).all()  # specials and switching used
         assert len(matrices) == 1 and np.array_equal(as_dense(matrices[0]), served)
 
 
 class TestMatrixScoring:
-    """predict_proba of a FeatureMatrix against the reference encoder,
-    sigmoid(to_dense([pipeline.vectorize(u) ...]) @ w + b)."""
+    """Probabilities of the training matrix against the reference encoder,
+    sigmoid(pipeline_rows(pipeline, corpus) @ w + b)."""
 
     CFG = replace(TestFitPipeline.CFG, chi2_k=30)
 
     @staticmethod
     def assert_matches_reference(pipeline, corpus, probs):
-        reference = sigmoid(to_dense([pipeline.vectorize(u) for u in corpus])
+        reference = sigmoid(pipeline_rows(pipeline, corpus)
                             @ pipeline.model.weights + pipeline.model.bias)
         np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
         assert np.array_equal(probs >= 0.5, reference >= 0.5)
@@ -444,21 +443,28 @@ class TestMatrixScoring:
                 self.assert_matches_reference(pipeline, test, probs)
 
     def test_held_out_corpus(self):
-        pipeline = fit_pipeline(word_pool_corpus(40, seed=4), self.CFG)
+        """predict_proba of a held-out corpus and vectorize of each of its
+        utterances, for a model with and one without switching."""
         held_out = list(word_pool_corpus(20, seed=8))
         unseen = LabeledUtterance(held_out[0].tokens + (Token("zzzz", "en"),), 1, "unseen")
         unknown = LabeledUtterance((Token("qqqq", "en"), Token("xxxx", "hi")), 0, "unknown")
         corpus = LabeledCorpus(tuple([unseen] + held_out + [unknown]), "held-out")
-        cfg = pipeline.config
-        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, pipeline.vocab)
-        assert matrix.vocab is pipeline.vocab
-        assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).vocab) > len(pipeline.vocab)
-        keys = [textfeat.extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
-        assert any(key not in pipeline.vocab for key in keys[0])  # unseen keys ...
-        assert np.diff(matrix.indptr)[0] > 0  # ... next to known ones
-        assert not any(key in pipeline.vocab for key in keys[-1])
-        assert np.diff(matrix.indptr)[-1] == 0
-        self.assert_matches_reference(pipeline, corpus, pipeline.predict_proba(matrix))
+        for with_switching in (True, False):
+            cfg = replace(self.CFG, with_switching=with_switching)
+            pipeline = fit_pipeline(word_pool_corpus(40, seed=4), cfg)
+            matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, pipeline.vocab)
+            assert matrix.vocab is pipeline.vocab
+            assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).vocab) \
+                > len(pipeline.vocab)
+            keys = [textfeat.extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
+            assert any(key not in pipeline.vocab for key in keys[0])  # unseen keys ...
+            assert np.diff(matrix.indptr)[0] > 0  # ... next to known ones
+            assert not any(key in pipeline.vocab for key in keys[-1])
+            assert np.diff(matrix.indptr)[-1] == 0
+            self.assert_matches_reference(pipeline, corpus, pipeline.predict_proba(corpus))
+            rows = pipeline_rows(pipeline, corpus)
+            assert rows.shape[1] == textfeat.vector_dim(pipeline.vocab, with_switching)
+            assert np.array_equal(to_dense([pipeline.vectorize(u) for u in corpus]), rows)
 
 
 class TestSparseTraining:
@@ -482,10 +488,11 @@ class TestSparseTraining:
         corpus = LabeledCorpus(tuple([solo[0]] + body[:15] + [solo[1]] + body[15:] + [solo[2]]),
                                "rand")
         cfg = cls.CFG
-        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
+        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values,
+                                    with_switching=with_switching)
         vocab = textfeat.build_vocabulary(matrix, cfg.min_count)
-        X = textfeat.training_matrix(matrix, vocab, {}, cfg.negation_words, with_switching)
-        dense = to_dense([textfeat.vectorize(u, vocab, {}, cfg.negation_words, with_switching)
+        X = textfeat.training_matrix(matrix, vocab, {}, cfg.negation_words)
+        dense = to_dense([dense_row(u, vocab, {}, cfg.negation_words, with_switching)
                           for u in corpus])
         return X, dense, [u.label for u in corpus]
 
@@ -525,8 +532,7 @@ class TestSparseTraining:
         corpus = word_pool_corpus(2500, seed=6)
         matrix = textfeat.featurize(corpus, {"bow", "word_ngram"}, {"word_ngram": (1, 2)},
                                     with_switching=False)
-        X = textfeat.training_matrix(matrix, textfeat.build_vocabulary(matrix), {},
-                                     frozenset(), False)
+        X = textfeat.training_matrix(matrix, textfeat.build_vocabulary(matrix), {}, frozenset())
         w = np.random.default_rng(7).normal(size=X.shape[1])
         assert len(X.values) > 40_000
         tracemalloc.start()

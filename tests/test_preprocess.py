@@ -130,7 +130,9 @@ def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, plac
                               no_segment_hashtags=not segment, punct=punct)
     corpus = load_corpus(io.StringIO(text))
     if not expected:
-        with pytest.raises(CorpusFormatError, match="empty corpus after preprocessing"):
-            _preprocess_corpus(corpus, args)
+        with pytest.raises(CorpusFormatError,
+                           match="^corpus.txt: empty corpus after preprocessing$"):
+            _preprocess_corpus(corpus, args, "corpus.txt")
         return
-    assert [(u.id, list(u.tokens)) for u in _preprocess_corpus(corpus, args)] == expected
+    assert [(u.id, list(u.tokens)) for u in _preprocess_corpus(corpus, args, "corpus.txt")] \
+        == expected

@@ -21,10 +21,10 @@ from codeswitch.textfeat import (
     indicative_scores,
     training_matrix,
     vector_dim,
-    vectorize,
     word_ngrams,
 )
 from codeswitch.switching import N_FEATURES, switching_features
+from reference_encoder import dense_row
 
 
 def utterance(surfaces, label=1, uid="0", tag="hi"):
@@ -41,6 +41,17 @@ def vocabulary(c, kinds, n_values=None, min_count=1):
 
 def bow_matrix(c):
     return featurize(c, {"bow"}, {})
+
+
+def encode(u, vocab, lexicon, negation_words, with_switching):
+    """The training_matrix row of u alone as a dense vector, checked
+    against the reference encoder."""
+    matrix = featurize(corpus(u), vocab.kinds, vocab.n_values, vocab, with_switching)
+    X = training_matrix(matrix, vocab, lexicon, negation_words)
+    row = np.zeros(X.shape[1])
+    row[X.cols] = X.values
+    assert np.array_equal(row, dense_row(u, vocab, lexicon, negation_words, with_switching))
+    return row
 
 
 def chi2_by_key(c, vocab):
@@ -128,11 +139,11 @@ class TestFeaturize:
         matrix = featurize(c, {"bow"}, {}, with_switching=False)
         assert matrix.switching is None and matrix.take([3, 0]).switching is None
         vocab = build_vocabulary(matrix)
-        with pytest.raises(ValueError, match="featurized without them"):
-            training_matrix(matrix, vocab, {}, frozenset(), True)
-        X = training_matrix(matrix, vocab, {}, frozenset(), False)
+        X = training_matrix(matrix, vocab, {}, frozenset())
         with_block = featurize(c, {"bow"}, {})
-        Y = training_matrix(with_block, vocab, {}, frozenset(), True).leading_columns(X.shape[1])
+        Y = training_matrix(with_block, vocab, {}, frozenset())
+        assert Y.shape == (4, vector_dim(vocab, True))
+        Y = Y.leading_columns(X.shape[1])
         assert X.shape == (4, vector_dim(vocab, False))
         assert [X.rows.tolist(), X.cols.tolist(), X.values.tolist()] == \
             [Y.rows.tolist(), Y.cols.tolist(), Y.values.tolist()]
@@ -313,7 +324,7 @@ class TestVectorize:
         vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["unseen"], uid="9")
-        v = vectorize(u, vocab, lex, frozenset(), with_switching=False)
+        v = encode(u, vocab, lex, frozenset(), with_switching=False)
         assert all(i >= len(vocab) for i in np.flatnonzero(v))
         assert v.shape == (len(vocab) + 2,) and v.dtype == np.float64
 
@@ -321,8 +332,8 @@ class TestVectorize:
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["marker"], uid="9")
-        plain = vectorize(u, vocab, {}, frozenset(), with_switching=False)
-        with_sw = vectorize(u, vocab, {}, frozenset(), with_switching=True)
+        plain = encode(u, vocab, {}, frozenset(), with_switching=False)
+        with_sw = encode(u, vocab, {}, frozenset(), with_switching=True)
         assert len(with_sw) == len(plain) + 9
 
     def test_switching_never_changes_leading_block(self):
@@ -330,8 +341,8 @@ class TestVectorize:
         vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared"], uid="9")
-        plain = vectorize(u, vocab, lex, frozenset(), with_switching=False)
-        with_sw = vectorize(u, vocab, lex, frozenset(), with_switching=True)
+        plain = encode(u, vocab, lex, frozenset(), with_switching=False)
+        with_sw = encode(u, vocab, lex, frozenset(), with_switching=True)
         assert np.array_equal(with_sw[:len(vocab) + 2], plain)
 
     def test_paper_sentence_composition(self):
@@ -340,7 +351,7 @@ class TestVectorize:
         tokens = [("koi", "hi"), ("to", "hi"), ("pray", "en"), ("karo", "hi"),
                   ("mere", "hi"), ("liye", "hi"), ("bhi", "hi")]
         u = LabeledUtterance(tuple(Token(s, t) for s, t in tokens), 1, "0")
-        dense = vectorize(u, vocab, {}, frozenset(), with_switching=True)
+        dense = encode(u, vocab, {}, frozenset(), with_switching=True)
         assert dense[0] == 1.0 and dense[1] == 1.0  # koi, pray counts
         base = len(vocab) + 2
         expected_tail = (1, 1, 2, 1 / 7, 6 / 7, 2 / 7, 0.6998542122237653,
@@ -352,7 +363,7 @@ class TestVectorize:
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["nahi", "not", "word"], uid="9")
-        v = vectorize(u, vocab, {}, frozenset({"nahi", "not"}),
+        v = encode(u, vocab, {}, frozenset({"nahi", "not"}),
                       with_switching=False)
         assert v[len(vocab) + 1] == 2.0
 
@@ -362,6 +373,6 @@ class TestVectorize:
                            n_values={"char_ngram": (3,)})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared", "x"], uid="9")
-        a = vectorize(u, vocab, lex, frozenset({"not"}), True)
-        b = vectorize(u, vocab, lex, frozenset({"not"}), True)
+        a = encode(u, vocab, lex, frozenset({"not"}), True)
+        b = encode(u, vocab, lex, frozenset({"not"}), True)
         assert np.array_equal(a, b)
