@@ -56,8 +56,6 @@ from codeswitch.textfeat import (
     vector_dim,
 )
 
-DEFAULT_SEED = 13
-
 PIPELINE_FORMAT_VERSION = 1
 
 
@@ -113,19 +111,16 @@ def _preprocess_corpus(corpus: LabeledCorpus, args, path: str) -> LabeledCorpus:
 def _pipeline_config(args) -> PipelineConfig:
     negation = (load_wordlist(args.negation_file) if args.negation_file
                 else DEFAULT_NEGATION_WORDS)
-    n_values = {"char_ngram": tuple(args.char_n), "word_ngram": tuple(args.word_n)}
     return PipelineConfig(
         kinds=frozenset(args.kinds.split(",")),
-        n_values=n_values,
+        n_values={"char_ngram": tuple(args.char_n), "word_ngram": tuple(args.word_n)},
         min_count=args.min_count,
         chi2_k=None if args.chi2_k == 0 else args.chi2_k,
         use_indicative=not args.no_indicative,
         lexicon_floor=args.lexicon_floor,
         negation_words=negation,
         with_switching=args.with_switching,
-        train_config=TrainConfig(epochs=args.epochs,
-                                 learning_rate=args.learning_rate,
-                                 l2=args.l2, seed=args.seed),
+        train_config=TrainConfig(max_iter=args.max_iter, tol=args.tol, l2=args.l2),
     )
 
 
@@ -362,8 +357,10 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
                    help="file with one negation word per line")
     p.add_argument("--with-switching", action="store_true",
                    help="append the nine switching features")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--learning-rate", type=_finite_float, default=0.1)
+    p.add_argument("--max-iter", type=int, default=100,
+                   help="most Newton iterations of training")
+    p.add_argument("--tol", type=_finite_float, default=1e-6,
+                   help="training stops once the gradient norm falls to tol times its start")
     p.add_argument("--l2", type=_finite_float, default=1e-3)
 
 
@@ -373,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Code-switching feature extraction and classification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True, seed=False):
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def common(p, output=True):
         if output:
             p.add_argument("-o", "--output", default=None,
                            help="output file (default: stdout)")
@@ -396,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--pipeline-out", required=True,
                    help="fitted vocabulary/lexicon bundle (JSON)")
-    common(p, output=False, seed=True)
+    common(p, output=False)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -413,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablate-switching", action="store_true",
                    help="run with and without switching features and report the delta")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, default=13, help="seed of the fold split")
+    common(p)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_cv)
 

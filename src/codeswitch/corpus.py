@@ -112,11 +112,8 @@ def _parse_tagged_line(line: str, line_number: int | None, uid: str | None,
     if "\t" not in line:
         raise CorpusFormatError(f"{where}expected '<label> TAB <tokens>', got {line!r}")
     label_part, _, token_part = line.rstrip("\n").partition("\t")
-    if label_part == "1":
-        label = POSITIVE
-    elif label_part == "0":
-        label = NEGATIVE
-    else:
+    label = {"1": POSITIVE, "0": NEGATIVE}.get(label_part)
+    if label is None:
         raise CorpusFormatError(f"{where}malformed label {label_part!r} (must be 0 or 1)")
 
     raw_tokens = token_part.split()
@@ -191,13 +188,8 @@ def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]
     order = list(range(n))
     random.Random(seed).shuffle(order)
 
-    folds = []
-    base, extra = divmod(n, k)
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        test_idx = set(order[start:start + size])
-        start += size
-        folds.append(([i for i in range(n) if i not in test_idx], sorted(test_idx)))
-    return folds
+    base, extra = divmod(n, k)  # the first extra folds hold one more
+    starts = [fold * base + min(fold, extra) for fold in range(k + 1)]
+    tests = [set(order[a:b]) for a, b in zip(starts, starts[1:])]
+    return [([i for i in range(n) if i not in test], sorted(test)) for test in tests]
 

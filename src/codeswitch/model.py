@@ -2,19 +2,22 @@
 cross-validation that scores every arm of the switching ablation from one
 feature fit per fold, and confidence-based negative sub-sampling.
 
-Training is full-batch gradient descent on the mean binary cross-entropy
-with an L2 penalty on the weights (bias unpenalized), initialized at zero
-so results are exactly reproducible.  Training and scoring (sigmoid of
-X @ w + b) both use the sparse textfeat.TrainingMatrix, whose time and
-memory grow with the stored entries; train and loss_and_grad use only
-X.shape, X @ v and X.T @ v, so a dense ndarray works as well.  A
-FittedPipeline scores a corpus by featurizing it over the fitted vocabulary
-into one training matrix; its vectorize is the dense view of one such row.
+Training minimizes the mean binary cross-entropy with an L2 penalty on the
+weights (bias unpenalized) by line-search Newton-CG from zero, so results
+are exactly reproducible, and stops on a relative gradient-norm tolerance.
+Training and scoring (sigmoid of X @ w + b) both use the sparse
+textfeat.TrainingMatrix, whose time and memory grow with the stored
+entries; train and loss_and_grad use only X.shape, X @ v and X.T @ v, so a
+dense ndarray works as well.  A FittedPipeline scores a corpus by
+featurizing it over the fitted vocabulary into one training matrix; its
+vectorize is the dense view of one such row.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
@@ -36,20 +39,20 @@ from codeswitch.textfeat import (
     vector_dim,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 MODEL_MAGIC = "codeswitch-linear-model"
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 300
-    learning_rate: float = 0.1
+    max_iter: int = 100
+    tol: float = 1e-6
     l2: float = 1e-3
-    seed: int = 13
 
     def __post_init__(self) -> None:
-        if not (self.epochs >= 1 and self.learning_rate > 0 and self.l2 >= 0):  # or NaN
-            raise ValueError(f"need epochs >= 1, learning_rate > 0 and l2 >= 0, got {self}")
+        if not (1 <= self.max_iter < math.inf and 0 < self.tol < math.inf
+                and 0 <= self.l2 < math.inf):  # or NaN
+            raise ValueError(f"need finite max_iter >= 1, tol > 0 and l2 >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,11 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     training_meta: TrainConfig
+    # how train's solver ended; not persisted, so None on a loaded model
+    iterations: int | None = None
+    final_loss: float | None = None
+    grad_norm: float | None = None
+    converged: bool | None = None
 
     @property
     def dim(self) -> int:
@@ -73,19 +81,18 @@ class EvalReport:
 
 def to_dense(rows: Sequence[np.ndarray]) -> np.ndarray:
     """The N x D matrix of N FittedPipeline.vectorize rows of one dimension."""
-    if not rows:
-        raise ValueError("no vectors given")
     return np.vstack(rows)
 
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)) as exp(z - softplus(z)), stable for large |z|."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return np.exp(z - np.logaddexp(0.0, z))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed by numpy, not by BLAS, whose sums depend on its thread count."""
+    return float(np.sum(a * b))
 
 
 def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | TrainingMatrix,
@@ -95,37 +102,80 @@ def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | TrainingMatr
     # -log p(y|z) = softplus(z) - y*z and sigmoid(z) = exp(z - softplus(z)),
     # both stable for large |z|
     softplus = np.logaddexp(0.0, z)
-    loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * float(weights @ weights)
+    loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * _dot(weights, weights)
     residual = np.exp(z - softplus) - y
     grad_w = X.T @ residual / len(y) + l2 * weights
     grad_b = float(np.mean(residual))
     return loss, grad_w, grad_b
 
 
+def _newton_step(X: np.ndarray | TrainingMatrix, s: np.ndarray, l2: float, g: np.ndarray,
+                 g_norm: float) -> np.ndarray:
+    """Truncated conjugate gradients on H d = -g, H being the Hessian in
+    theta = (w, b), H v = (X.T @ u + l2 v_w, sum(u)) with u = s (X @ v_w + v_b),
+    stopped at a residual of min(0.1, sqrt(||g||)) ||g|| or after 50 steps
+    or at a direction of no positive curvature; -g if that is the first."""
+    bound = min(0.1, math.sqrt(g_norm)) * g_norm
+    d, r = np.zeros_like(g), -g
+    p, rr = r, _dot(r, r)
+    for _ in range(50):
+        u = s * (X @ p[:-1] + p[-1])
+        hp = np.append(X.T @ u + l2 * p[:-1], np.sum(u))
+        curvature = _dot(p, hp)
+        if curvature <= 0:
+            break
+        alpha = rr / curvature
+        d, r = d + alpha * p, r - alpha * hp
+        rr, rr_prev = _dot(r, r), rr
+        if math.sqrt(rr) <= bound:
+            break
+        p = r + (rr / rr_prev) * p
+    return d if d.any() else -g
+
+
 def train(X: np.ndarray | TrainingMatrix, labels: Sequence[int],
           hyper: TrainConfig = TrainConfig()) -> LinearModel:
-    """Fit logistic regression to the rows of X by full-batch gradient descent.
-
-    Deterministic (zero initialization); raises on single-class input or
-    when X has not one row per label.
-    """
+    """Fit logistic regression to the rows of X by line-search Newton-CG:
+    each iteration takes a _newton_step and halves it from 1 until the loss
+    falls by 1e-4 of the step's linear decrease (Armijo).  Stops converged
+    at ||g|| <= tol ||g0||, or else warns once, after max_iter iterations
+    or a failed line search.  Deterministic (zero start, inner products
+    summed in numpy); raises on single-class input or when X has not one
+    row per label."""
     if X.shape[0] != len(labels):
         raise ValueError("X and labels must have one row per label")
     y = np.asarray(labels, dtype=np.float64)
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("training data must contain both classes")
 
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    prev_loss = np.inf
-    for _ in range(hyper.epochs):
-        loss, grad_w, grad_b = loss_and_grad(w, b, X, y, hyper.l2)
-        if loss > prev_loss + 1e-9:
-            warnings.warn("training loss increased; consider a lower learning rate")
-        prev_loss = loss
-        w = w - hyper.learning_rate * grad_w
-        b = b - hyper.learning_rate * grad_b
-    return LinearModel(w, b, hyper)
+    def loss_at(theta):
+        loss, grad_w, grad_b = loss_and_grad(theta[:-1], float(theta[-1]), X, y, hyper.l2)
+        return loss, np.append(grad_w, grad_b)
+
+    theta = np.zeros(X.shape[1] + 1)
+    loss, g = loss_at(theta)
+    g_norm = g0_norm = math.sqrt(_dot(g, g))
+    iterations = 0
+    while g_norm > hyper.tol * g0_norm and iterations < hyper.max_iter:
+        iterations += 1
+        p = sigmoid(X @ theta[:-1] + theta[-1])
+        step = _newton_step(X, p * (1.0 - p) / len(y), hyper.l2, g, g_norm)
+        decrease, t = 1e-4 * _dot(g, step), 1.0
+        for _ in range(50):
+            trial = theta + t * step
+            trial_loss, trial_g = loss_at(trial)
+            if trial_loss <= loss + t * decrease:
+                break
+            t /= 2
+        else:
+            break  # no decrease left within rounding: stop where we are
+        theta, loss, g = trial, trial_loss, trial_g
+        g_norm = math.sqrt(_dot(g, g))
+    converged = g_norm <= hyper.tol * g0_norm
+    if not converged:
+        warnings.warn(f"training did not converge: gradient norm {g_norm:.3g} after "
+                      f"{iterations} iterations, above tol {hyper.tol!r} x {g0_norm:.3g}")
+    return LinearModel(theta[:-1], float(theta[-1]), hyper, iterations, loss, g_norm, converged)
 
 
 def predict_proba(model: LinearModel, X: np.ndarray | TrainingMatrix) -> np.ndarray:
@@ -151,10 +201,8 @@ def macro_f1(predictions: Sequence[int], gold: Sequence[int]) -> EvalReport:
     if not predictions:
         raise ValueError("empty prediction sequence")
 
-    tp = sum(1 for p, g in zip(predictions, gold) if p == 1 and g == 1)
-    fp = sum(1 for p, g in zip(predictions, gold) if p == 1 and g == 0)
-    fn = sum(1 for p, g in zip(predictions, gold) if p == 0 and g == 1)
-    tn = sum(1 for p, g in zip(predictions, gold) if p == 0 and g == 0)
+    n = Counter(zip(predictions, gold))
+    tp, fp, fn, tn = n[1, 1], n[1, 0], n[0, 1], n[0, 0]
 
     f1_pos = _f1(tp, fp, fn)
     f1_neg = _f1(tn, fn, fp)
@@ -314,9 +362,8 @@ def format_model(model: LinearModel) -> str:
     weight per line, all as decimal text."""
     meta = model.training_meta
     lines = [f"{MODEL_MAGIC} v{MODEL_FORMAT_VERSION}", f"dim {model.dim}",
-             f"epochs {meta.epochs} learning_rate {meta.learning_rate!r} "
-             f"l2 {meta.l2!r} seed {meta.seed}",
-             f"{model.bias!r}", *(f"{float(w)!r}" for w in model.weights)]
+             f"max_iter {meta.max_iter} tol {meta.tol!r} l2 {meta.l2!r}",
+             f"{float(model.bias)!r}", *(f"{float(w)!r}" for w in model.weights)]
     return "".join(line + "\n" for line in lines)
 
 
@@ -337,9 +384,12 @@ def load_model(path: Union[str, Path],
     version = lines[0].split()[-1]
     if version != f"v{MODEL_FORMAT_VERSION}":
         raise ValueError(f"{path}: unsupported model format version {version}")
-    h = lines[2].split() if len(lines) > 3 else []
-    if len(h) != 8 or h[0::2] != ["epochs", "learning_rate", "l2", "seed"]:
-        raise ValueError(f"truncated or malformed model header in {path}")
+    if len(lines) < 4:
+        raise ValueError(f"truncated model header in {path}")
+    h = lines[2].split()
+    if len(h) != 6 or h[0::2] != ["max_iter", "tol", "l2"]:
+        raise ValueError(f"{path}: line 3: malformed model header, "
+                         "expected 'max_iter M tol T l2 L'")
 
     def parse(convert, text, line):
         try:
@@ -353,14 +403,13 @@ def load_model(path: Union[str, Path],
         raise ValueError(f"{path}: line 2: negative model dim {dim}")
     if expected_dim is not None and dim != expected_dim:
         raise ValueError(f"{path}: model dim {dim} does not match expected {expected_dim}")
-    hyper = [parse(convert, text, 3) for convert, text in zip((int, float, float, int), h[1::2])]
+    hyper = [parse(convert, text, 3) for convert, text in zip((int, float, float), h[1::2])]
     try:
         meta = TrainConfig(*hyper)
     except ValueError as exc:
         raise ValueError(f"{path}: line 3: {exc}") from None
     if len(lines) != 4 + dim:
-        found = len(lines) - 4
-        raise ValueError(f"{path}: {found} weight lines after the bias, expected {dim}")
+        raise ValueError(f"{path}: {len(lines) - 4} weight lines after the bias, expected {dim}")
     bias = parse(float, lines[3], 4)
     weights = np.array([parse(float, x, 5 + i) for i, x in enumerate(lines[4:])])
     if not (np.isfinite(bias) and np.isfinite(weights).all()):

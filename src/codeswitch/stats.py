@@ -10,6 +10,7 @@ is empty are reported as None rather than 0.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from codeswitch.corpus import LabeledCorpus, POSITIVE
@@ -42,20 +43,8 @@ class SwitchTaskSummary:
 
 
 def contingency(corpus: LabeledCorpus) -> ContingencyTable:
-    n11 = n10 = n01 = n00 = 0
-    for u in corpus:
-        q = has_embedding_property(u.tokens)
-        if u.label == POSITIVE:
-            if q:
-                n11 += 1
-            else:
-                n10 += 1
-        else:
-            if q:
-                n01 += 1
-            else:
-                n00 += 1
-    return ContingencyTable(n11, n10, n01, n00)
+    n = Counter((u.label == POSITIVE, has_embedding_property(u.tokens)) for u in corpus)
+    return ContingencyTable(n[True, True], n[True, False], n[False, True], n[False, False])
 
 
 def rates_from_table(t: ContingencyTable) -> tuple[float | None, float | None]:
@@ -85,14 +74,5 @@ def phi_from_table(t: ContingencyTable) -> float | None:
 
 def summarize(corpus: LabeledCorpus) -> SwitchTaskSummary:
     t = contingency(corpus)
-    p_q, p_not_q = rates_from_table(t)
-    avg_pos, avg_neg = average_switching(corpus)
-    return SwitchTaskSummary(
-        task_name=corpus.task_name,
-        p_pos_given_q=p_q,
-        p_pos_given_not_q=p_not_q,
-        avg_switch_pos=avg_pos,
-        avg_switch_neg=avg_neg,
-        phi=phi_from_table(t),
-        counts=t,
-    )
+    return SwitchTaskSummary(corpus.task_name, *rates_from_table(t), *average_switching(corpus),
+                             phi_from_table(t), t)

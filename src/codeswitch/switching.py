@@ -102,27 +102,12 @@ def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
     vector moments are population statistics over the full-length vectors.
     """
     _require_tokens(tokens)
-    en_hi_sw, hi_en_sw, v = switch_counts(tokens)
     vectors = lang_run_vectors(tokens)
-
     n = len(tokens)
-    n_en = sum(1 for t in tokens if t.tag == "en")
-    n_hi = sum(1 for t in tokens if t.tag == "hi")
-
-    mean_hi_en, std_hi_en = _population_moments(vectors.hi_en)
-    mean_en_hi, std_en_hi = _population_moments(vectors.en_hi)
-
-    return SwitchProfile(
-        en_hi_switches=en_hi_sw,
-        hi_en_switches=hi_en_sw,
-        v=v,
-        fraction_en=n_en / n,
-        fraction_hi=n_hi / n,
-        mean_hi_en=mean_hi_en,
-        stddev_hi_en=std_hi_en,
-        mean_en_hi=mean_en_hi,
-        stddev_en_hi=std_en_hi,
-    )
+    return SwitchProfile(*switch_counts(tokens),  # in as_tuple order
+                         sum(1 for t in tokens if t.tag == "en") / n,
+                         sum(1 for t in tokens if t.tag == "hi") / n,
+                         *_population_moments(vectors.hi_en), *_population_moments(vectors.en_hi))
 
 
 def has_embedding_property(tokens: Sequence[Token]) -> bool:

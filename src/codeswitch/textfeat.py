@@ -316,7 +316,8 @@ class TrainingMatrix:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         terms = v[self.cols]
         terms *= self.values  # in place, so a product copies the entries' values once
-        return np.bincount(self.rows, terms, self.shape[0])
+        # with no entries, bincount returns int64 whatever the weights
+        return np.bincount(self.rows, terms, self.shape[0]).astype(np.float64, copy=False)
 
     def leading_columns(self, d: int) -> "TrainingMatrix":
         """The matrix of the first d columns, by a mask over the entries

@@ -10,11 +10,12 @@ import math
 import os
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from codeswitch.cli import run
+from codeswitch.cli import _pipeline_config, build_parser, run
 from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
@@ -26,6 +27,7 @@ from codeswitch.model import (
     PipelineConfig,
     TrainConfig,
     cross_validate,
+    cross_validate_arms,
     loss_and_grad,
     macro_f1,
     subsample_negatives,
@@ -126,7 +128,7 @@ def test_04_switching_features_improve_cv_macro_f1():
     corpus = switching_driven_corpus(2000, seed=42)
     cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None,
                          use_indicative=False,
-                         train_config=TrainConfig(epochs=200))
+                         train_config=TrainConfig())
     without = cross_validate(corpus, cfg, k=10, seed=13)
     with_sw = cross_validate(corpus,
                              dataclasses.replace(cfg, with_switching=True),
@@ -137,6 +139,27 @@ def test_04_switching_features_improve_cv_macro_f1():
     assert time.monotonic() - start < 60.0
     ok(4, f"ablation delta {delta:.3f} >= 0.10; baseline "
           f"{without.mean_macro_f1:.3f} within 0.5 +/- 0.07")
+
+
+def test_04c_ablation_at_cli_defaults(monkeypatch):
+    """The ablation at the CLI's default settings (all three kinds,
+    chi-squared top 500, lexicon, negations): the arm without switching
+    reads near chance, as the labels depend on switching alone, and every
+    fit converges."""
+    start = time.monotonic()
+    monkeypatch.delenv("CODESWITCH_CONFIG", raising=False)
+    cfg = _pipeline_config(build_parser().parse_args(["cv", "corpus.txt"]))
+    corpus = switching_driven_corpus(2000, seed=42)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with_sw, without = cross_validate_arms(corpus, cfg, (True, False), k=10, seed=13)
+    assert not [w for w in caught if "did not converge" in str(w.message)]
+    assert abs(without.mean_macro_f1 - 0.5) <= 0.07
+    delta = with_sw.mean_macro_f1 - without.mean_macro_f1
+    assert delta > 0
+    assert time.monotonic() - start < 60.0
+    ok("4c", f"CLI-default ablation delta {delta:.3f} > 0; baseline "
+             f"{without.mean_macro_f1:.3f} within 0.5 +/- 0.07")
 
 
 def test_04b_user_supplied_datasets_if_present(tmp_path):
@@ -231,7 +254,6 @@ def test_09_chi_squared():
     assert scores[("bow", "marker")] == 4.0
     assert scores[("bow", "shared")] == 0.0
     for k in (1, 3, len(vocab), len(vocab) + 10):
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             selected = chi2_select(matrix, vocab, k)
@@ -247,8 +269,7 @@ def test_10_cv_determinism_byte_identical(tmp_path):
     corpus_path = tmp_path / "synth.txt"
     save_corpus(switching_driven_corpus(100, seed=3), corpus_path)
     args = ["cv", str(corpus_path), "--k", "5", "--seed", "13",
-            "--kinds", "bow", "--chi2-k", "0", "--epochs", "50",
-            "--learning-rate", "0.05", "--ablate-switching"]
+            "--kinds", "bow", "--chi2-k", "0", "--ablate-switching"]
     a = tmp_path / "run_a.json"
     b = tmp_path / "run_b.json"
     assert run(args + ["-o", str(a)]) == 0

@@ -157,7 +157,7 @@ class TestTrainEvalSubsample:
                                                                        tmp_path):
         model, bundle, out = tmp_path / "model.txt", tmp_path / "pipeline.json", tmp_path / "f.txt"
         assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-                    "--no-preprocess", "--with-switching", "--epochs", "20"]) == 0
+                    "--no-preprocess", "--with-switching"]) == 0
         pipeline = FittedPipeline(*_load_pipeline_bundle(str(bundle)), load_model(model))
         corpus = load_corpus(synth_file)
         proba = sigmoid(pipeline_rows(pipeline, corpus)
@@ -182,7 +182,7 @@ class TestTrainEvalSubsample:
         served = ["--model", str(model), "--pipeline", str(bundle)]
         flags = ["--with-switching"] if with_switching else []
         assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-                    "--kinds", "bow", "--epochs", "5", *flags]) == 0
+                    "--kinds", "bow", *flags]) == 0
         assert run(["eval", synth_file, *served, "-o", str(tmp_path / "eval.json")]) == 0
         assert run(["subsample", synth_file, *served, "-o", str(tmp_path / "kept.txt")]) == 0
         corpus = load_corpus(synth_file)
@@ -205,7 +205,7 @@ def test_failed_model_write_keeps_the_earlier_model(synth_file, tmp_path):
     resource = pytest.importorskip("resource")
     model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
     argv = ["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-            "--kinds", "bow", "--epochs", "5"]
+            "--kinds", "bow"]
     assert run(argv) == 0
     limit = model.stat().st_size // 2
     model.write_text("an earlier model\n")
@@ -225,9 +225,12 @@ def test_failed_model_write_keeps_the_earlier_model(synth_file, tmp_path):
 
 def test_train_output_ignores_blas_threads(tmp_path):
     """A wide --chi2-k 0 fit writes the same bytes at 1 and 2 BLAS threads:
-    training sums in numpy, in a fixed order, not in BLAS."""
+    training sums in numpy, in a fixed order, not in BLAS.  The model has
+    over 20k weights, past the length at which OpenBLAS splits one inner
+    product across threads."""
     corpus = tmp_path / "wide.txt"
-    save_corpus(switching_driven_corpus(150, seed=7, length=24, pool_size=1000, mu=11.5), corpus)
+    save_corpus(switching_driven_corpus(300, seed=7, length=40, pool_size=20_000, mu=19.5),
+                corpus)
     outputs = []
     for threads in ("1", "2"):
         model, bundle = tmp_path / f"model{threads}.txt", tmp_path / f"pipeline{threads}.json"
@@ -237,6 +240,7 @@ def test_train_output_ignores_blas_threads(tmp_path):
                         "--chi2-k", "0", "--model-out", str(model), "--pipeline-out", str(bundle)],
                        env=env, check=True, capture_output=True)
         outputs.append((model.read_bytes(), bundle.read_bytes()))
+    assert int(outputs[0][0].split(b"\n")[1].removeprefix(b"dim ")) > 20_000
     assert outputs[0] == outputs[1]
 
 
@@ -244,7 +248,7 @@ class TestCV:
     def test_cv_json_report(self, synth_file, tmp_path):
         out = tmp_path / "cv.json"
         assert run(["cv", synth_file, "--k", "5", "--kinds", "bow",
-                    "--chi2-k", "0", "--epochs", "50", "-o", str(out)]) == 0
+                    "--chi2-k", "0", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["folds"]) + len(doc["skipped_folds"]) == 5
         assert 0.0 <= doc["mean_macro_f1"] <= 1.0
@@ -252,8 +256,7 @@ class TestCV:
     def test_ablation_reports_delta(self, synth_file, tmp_path):
         out = tmp_path / "ablate.json"
         assert run(["cv", synth_file, "--k", "5", "--ablate-switching",
-                    "--kinds", "bow", "--chi2-k", "0", "--epochs", "100",
-                    "-o", str(out)]) == 0
+                    "--kinds", "bow", "--chi2-k", "0", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         delta = (doc["with_switching"]["mean_macro_f1"]
                  - doc["without_switching"]["mean_macro_f1"])
@@ -262,7 +265,7 @@ class TestCV:
 
     def test_byte_identical_reruns(self, synth_file, tmp_path):
         args = ["cv", synth_file, "--k", "5", "--seed", "13", "--kinds", "bow",
-                "--chi2-k", "0", "--epochs", "50"]
+                "--chi2-k", "0"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert run(args + ["-o", str(a)]) == 0
@@ -271,18 +274,18 @@ class TestCV:
 
     def test_tsv_format(self, synth_file, capsys):
         assert run(["cv", synth_file, "--k", "5", "--kinds", "bow",
-                    "--chi2-k", "0", "--epochs", "50", "--format", "tsv"]) == 0
+                    "--chi2-k", "0", "--format", "tsv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "fold\tmacro_f1"
         assert lines[-1].startswith("mean\t")
 
 
-@pytest.mark.parametrize("flag, value", [("--epochs", "x"), ("--learning-rate", "nan"),
+@pytest.mark.parametrize("flag, value", [("--max-iter", "x"), ("--tol", "nan"),
                                          ("--l2", "inf"), ("--lexicon-floor", "nan"),
-                                         ("--learning-rate", "1e999")])
+                                         ("--tol", "1e999")])
 def test_bad_train_flag_value_is_rejected_before_any_file(flag, value, synth_file, tmp_path,
                                                           capsys):
-    """A non-finite float flag fails as a non-integer --epochs does: an
+    """A non-finite float flag fails as a non-integer --max-iter does: an
     argparse error, no traceback, and neither output file written."""
     model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
     with pytest.raises(SystemExit) as exit_info:
@@ -299,6 +302,8 @@ def test_bad_train_flag_value_is_rejected_before_any_file(flag, value, synth_fil
                                   ["eval", "--model", "M", "--pipeline", "P", "--seed", "1"],
                                   ["stats", "--seed", "1"], ["features", "--seed", "1"],
                                   ["subsample", "--model", "M", "--pipeline", "P",
+                                   "--seed", "1"],
+                                  ["train", "--model-out", "M", "--pipeline-out", "P",
                                    "--seed", "1"]])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, synth_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -326,11 +331,11 @@ class TestConfigOverride:
         monkeypatch.setenv("CODESWITCH_CONFIG", str(cfg))
         train = ["train", synth_file, "--model-out", str(tmp_path / "model.txt"),
                  "--pipeline-out", str(tmp_path / "pipeline.json"), "--kinds", "bow",
-                 "--chi2-k", "0", "--epochs", "5"]
+                 "--chi2-k", "0"]
         assert not hasattr(build_parser().parse_args(train), "output")
         assert run(train) == 0
         assert not out.exists()
-        assert run(["cv", synth_file, "--kinds", "bow", "--chi2-k", "0", "--epochs", "5"]) == 0
+        assert run(["cv", synth_file, "--kinds", "bow", "--chi2-k", "0"]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["folds"]) + len(doc["skipped_folds"]) == 3
 
@@ -382,7 +387,7 @@ BAD_INPUTS = {
     "bundle without the lexicon use_indicative needs": (
         "pipeline.json", _bundle_with("lexicons", lambda v: [])),
     "model with only its magic line": ("model.txt", lambda text: text.splitlines()[0] + "\n"),
-    "model with short header": ("model.txt", lambda text: text.replace(" seed 13", "")),
+    "model with short header": ("model.txt", lambda text: text.replace(" l2 0.001\n", "\n")),
     "model with a NaN weight": ("model.txt", lambda text: _replace_line(text, -1, "nan")),
     "model with an infinite weight": ("model.txt", lambda text: _replace_line(text, -1, "inf")),
     "model dim not an integer": ("model.txt", lambda text: _replace_line(text, 1, "dim x")),
@@ -390,10 +395,18 @@ BAD_INPUTS = {
     "model bias not a number": ("model.txt", lambda text: _replace_line(text, 3, "0.1x")),
     "model weight not a number": ("model.txt", lambda text: _replace_line(text, -1, "0.1x")),
     "model with a line after its weights": ("model.txt", lambda text: text + "0.5\n"),
-    "model epochs zero": ("model.txt", lambda text: text.replace("epochs 5 ", "epochs 0 ")),
-    "model learning rate negative": (
-        "model.txt", lambda text: text.replace("learning_rate 0.1 ", "learning_rate -1.0 ")),
-    "model l2 negative": ("model.txt", lambda text: text.replace("l2 0.001 ", "l2 -50.0 ")),
+    # a v2 file that carries the gradient-descent trainer's header fields
+    "model epochs zero": ("model.txt", lambda text: text.replace(
+        "max_iter 100 tol 1e-06 l2 0.001", "epochs 0 learning_rate 0.1 l2 0.001 seed 13")),
+    "model learning rate negative": ("model.txt", lambda text: text.replace(
+        "max_iter 100 tol 1e-06 l2 0.001", "epochs 300 learning_rate -1.0 l2 0.001 seed 13")),
+    "model max_iter zero": ("model.txt",
+                            lambda text: text.replace("max_iter 100 ", "max_iter 0 ")),
+    "model tol nan": ("model.txt", lambda text: text.replace("tol 1e-06 ", "tol nan ")),
+    "model l2 negative": ("model.txt", lambda text: text.replace("l2 0.001\n", "l2 -50.0\n")),
+    # the format of the gradient-descent trainer, header and all
+    "model format v1": ("model.txt", lambda text: text.replace(" v2\n", " v1\n").replace(
+        "max_iter 100 tol 1e-06 l2 0.001", "epochs 300 learning_rate 0.1 l2 0.001 seed 13")),
     "config not JSON": ("config.json", lambda text: "{not json"),
     "config missing": ("config.json", None),
     "config a JSON list": ("config.json", lambda text: '["seed"]'),
@@ -403,18 +416,22 @@ BAD_INPUTS = {
     "config integer for a list": ("config.json", lambda text: '{"char_n": 3}'),
     "config string for an integer": ("config.json", lambda text: '{"seed": "x"}'),
     "config string for a switch": ("config.json", lambda text: '{"with_switching": "no"}'),
+    "config NaN for a float": ("config.json", lambda text: '{"tol": NaN}'),
 }
 
 
 # (CODESWITCH_CONFIG contents, train flags) that train must reject before training
 BAD_TRAINING = {
-    "train flag epochs negative": ("{}", ["--epochs", "-1"]),
-    "train flag epochs zero": ("{}", ["--epochs", "0"]),
-    "train flag learning rate negative": ("{}", ["--learning-rate", "-1"]),
-    "train flag learning rate zero": ("{}", ["--learning-rate", "0"]),
+    "train flag max_iter negative": ("{}", ["--max-iter", "-1"]),
+    "train flag max_iter zero": ("{}", ["--max-iter", "0"]),
+    "train flag tol negative": ("{}", ["--tol", "-1"]),
+    "train flag tol zero": ("{}", ["--tol", "0"]),
     "train flag l2 negative": ("{}", ["--l2", "-50"]),
+    "train config max_iter zero": ('{"max_iter": 0}', []),
+    # the gradient-descent trainer's settings are unknown options now
     "train config epochs zero": ('{"epochs": 0}', []),
     "train config learning rate negative": ('{"learning_rate": -1}', []),
+    "train config tol negative": ('{"tol": -1}', []),
     "train config l2 negative": ('{"l2": -0.5}', []),
     "train flag punct empty": ("{}", ["--punct", ""]),
     "train config punct empty": ('{"punct": ""}', []),
@@ -424,7 +441,7 @@ BAD_TRAINING = {
     "train config n-gram sizes below 1": ('{"char_n": [0], "word_n": [-1]}', []),
 }
 
-TRAINING_ERROR = "need epochs >= 1, learning_rate > 0 and l2 >= 0"
+TRAINING_ERROR = "need finite max_iter >= 1, tol > 0 and l2 >= 0"
 PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
 NGRAM_ERROR = "sizes must be >= 1, got"
 
@@ -448,7 +465,7 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     model, bundle, config = (tmp_path / name for name in
                              ("model.txt", "pipeline.json", "config.json"))
     assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-                "--kinds", "bow", "--chi2-k", "0", "--epochs", "5"]) == 0
+                "--kinds", "bow", "--chi2-k", "0"]) == 0
     config.write_text("{}")
     monkeypatch.setenv("CODESWITCH_CONFIG", str(config))
     argv = ["eval", synth_file, "--model", str(model), "--pipeline", str(bundle)]
@@ -473,6 +490,7 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     assert err.startswith("error: ")
     if case in BAD_TRAINING:
         assert (PUNCT_ERROR if "punct" in case else NGRAM_ERROR if "size" in case
+                else "unknown options" if "epochs" in case or "learning rate" in case
                 else TRAINING_ERROR) in err
         assert (model.read_text(), bundle.read_text()) == written  # nothing was trained
         return
@@ -485,8 +503,13 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
         assert str(model) in err
         if "not a" in case or "negative" in case:
             assert f"{model}: line " in err
-        if case.startswith(("model epochs", "model learning rate", "model l2")):
+        if case.startswith(("model max_iter", "model tol", "model l2")):
             assert err.startswith(f"error: {model}: line 3: {TRAINING_ERROR}, got ")
+        if case.startswith(("model epochs", "model learning rate")):
+            assert err == (f"error: {model}: line 3: malformed model header, "
+                           "expected 'max_iter M tol T l2 L'\n")
+        if case == "model format v1":
+            assert err == f"error: {model}: unsupported model format version v1\n"
     if "not JSON" in case or "nested" in case:
         assert err.startswith(f"error: {target}: not valid JSON")
 
@@ -521,7 +544,7 @@ JSON_VALUES = st.recursive(
 
 OPTION_NAMES = ("seed", "output", "no_preprocess", "no_segment_hashtags", "punct", "kinds",
                 "char_n", "word_n", "min_count", "chi2_k", "no_indicative", "lexicon_floor",
-                "negation_file", "with_switching", "epochs", "learning_rate", "l2", "k",
+                "negation_file", "with_switching", "max_iter", "tol", "l2", "k",
                 "ablate_switching", "format", "tau", "model", "pipeline", "input")
 
 
@@ -533,7 +556,7 @@ def served(tmp_path_factory):
     save_corpus(switching_driven_corpus(16, seed=7, length=6), corpus)
     model, bundle = root / "model.txt", root / "pipeline.json"
     assert run(["train", str(corpus), "--model-out", str(model), "--pipeline-out", str(bundle),
-                "--chi2-k", "20", "--epochs", "3", "--with-switching"]) == 0
+                "--chi2-k", "20", "--with-switching"]) == 0
     return root, corpus, model.read_text(), json.loads(bundle.read_text())
 
 
@@ -599,5 +622,5 @@ def test_fuzz_config(served, overrides):
     root, corpus = served[:2]
     config = root / "fuzz_config.json"
     config.write_text(json.dumps(overrides))
-    exits_cleanly(["cv", str(corpus), "--k", "2", "--epochs", "2", "-o", str(root / "cv.json")],
+    exits_cleanly(["cv", str(corpus), "--k", "2", "--max-iter", "2", "-o", str(root / "cv.json")],
                   config)

@@ -60,8 +60,7 @@ def kfold(corpus, k, seed):
 class TestTrain:
     def test_separable_1d(self):
         vectors = [sv([-1.0], 1), sv([1.0], 1)]
-        model = train(to_dense(vectors), [0, 1],
-                      TrainConfig(epochs=200, learning_rate=0.5, l2=0.0))
+        model = train(to_dense(vectors), [0, 1], TrainConfig(l2=0.0))
         assert model.weights[0] > 0
         probs = predict_proba(model, to_dense(vectors))
         assert probs[0] < 0.5
@@ -95,11 +94,44 @@ class TestTrain:
         labels[0] = 1 - labels[0]  # keep it non-trivial
         X = to_dense(vectors)
         y = np.array(labels, dtype=float)
-        hyper = TrainConfig(epochs=100, learning_rate=0.1, l2=1e-3)
+        hyper = TrainConfig(l2=1e-3)
         model = train(X, labels, hyper)
         loss_start, _, _ = loss_and_grad(np.zeros(1), 0.0, X, y, hyper.l2)
         loss_end, _, _ = loss_and_grad(model.weights, model.bias, X, y, hyper.l2)
         assert loss_end <= loss_start + 1e-9
+
+    def test_reports_how_it_converged(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        labels = (X @ [1.0, -2.0, 0.5] + rng.normal(size=40) > 0).astype(int).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(X, labels)
+        y = np.array(labels, dtype=float)
+        loss, grad_w, grad_b = loss_and_grad(model.weights, model.bias, X, y, 1e-3)
+        _, start_w, start_b = loss_and_grad(np.zeros(3), 0.0, X, y, 1e-3)
+        assert model.converged and 1 <= model.iterations <= 20
+        assert model.final_loss == loss
+        assert model.grad_norm == pytest.approx(math.hypot(*grad_w, grad_b), rel=1e-12)
+        assert model.grad_norm <= 1e-6 * math.hypot(*start_w, start_b)
+        assert type(model.bias) is float
+
+    def test_warns_once_when_stopped_unconverged(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        labels = (X[:, 0] > 0).astype(int).tolist()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = train(X, labels, TrainConfig(max_iter=1))
+        assert [str(w.message).startswith("training did not converge") for w in caught] == [True]
+        assert model.iterations == 1 and not model.converged
+
+    @pytest.mark.parametrize("settings", [dict(max_iter=0), dict(max_iter=math.inf),
+                                          dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan),
+                                          dict(tol=math.inf), dict(l2=-1.0), dict(l2=math.nan)])
+    def test_rejects_settings_that_cannot_work(self, settings):
+        with pytest.raises(ValueError, match="need finite max_iter >= 1, tol > 0 and l2 >= 0"):
+            TrainConfig(**settings)
 
 
 class TestPredictProba:
@@ -237,7 +269,7 @@ def word_pool_corpus(n, seed, informative=False):
 class TestCrossValidate:
     CFG = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None,
                          use_indicative=False,
-                         train_config=TrainConfig(epochs=100))
+                         train_config=TrainConfig())
 
     def test_reports_and_aggregate(self):
         corpus = word_pool_corpus(100, seed=0)
@@ -261,7 +293,7 @@ class TestCrossValidate:
     # all three kinds, min_count and chi-squared both cut, lexicon, negations
     FULL = PipelineConfig(kinds=frozenset({"bow", "char_ngram", "word_ngram"}),
                           min_count=2, chi2_k=30, negation_words=frozenset({"tok3"}),
-                          train_config=TrainConfig(epochs=20))
+                          train_config=TrainConfig())
 
     @pytest.mark.parametrize("with_switching", [False, True])
     def test_equals_per_fold_fits(self, with_switching):
@@ -300,8 +332,7 @@ class TestCrossValidate:
             fitted.append((vocab, {u.id for u in train_part.corpus}))
             return vocab, lexicon
         monkeypatch.setattr(model_module, "_fit_features", recorded)
-        cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None,
-                             train_config=TrainConfig(epochs=5))
+        cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None)
         cross_validate(corpus, cfg, k=3, seed=13)
         assert len(fitted) == 3
         for vocab, train_ids in fitted:
@@ -366,7 +397,7 @@ class TestFitPipeline:
 
     CFG = PipelineConfig(kinds=frozenset({"bow", "char_ngram", "word_ngram"}),
                          chi2_k=20, negation_words=frozenset({"tok3"}),
-                         with_switching=True, train_config=TrainConfig(epochs=20))
+                         with_switching=True)
 
     def test_extracts_each_training_utterance_once(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)
@@ -471,8 +502,7 @@ class TestSparseTraining:
     """The sparse training matrix against the dense rows it stands for."""
 
     CFG = PipelineConfig(kinds=frozenset({"bow"}), min_count=2, chi2_k=None,
-                         use_indicative=False, negation_words=frozenset(),
-                         train_config=TrainConfig(epochs=300, learning_rate=0.3))
+                         use_indicative=False, negation_words=frozenset())
 
     @classmethod
     def matrices(cls, with_switching=False):
@@ -561,13 +591,33 @@ class TestSparseTraining:
             np.testing.assert_allclose(lead.T @ r, dense[:, :d].T @ r, rtol=1e-12, atol=1e-12)
 
     def test_train_matches_dense(self):
+        """The two fits differ only as far as the solver's tolerance lets
+        them: the objective and its gradient agree on the two matrices at
+        each fit, both fits converge, and their weights differ by at most
+        the strong-convexity bound of the l2 penalty, (|g_sparse| +
+        |g_dense|) / l2.  (Bounding the difference by 1e-12 instead would
+        pin the solver's path, not its answer.)"""
         X, dense, labels = self.matrices()
+        l2 = self.CFG.train_config.l2
         sparse_fit = train(X, labels, self.CFG.train_config)
         dense_fit = train(dense, labels, self.CFG.train_config)
-        scale = np.abs(dense_fit.weights).max()
-        assert scale > 0.1  # the fit moved away from zero
-        assert np.abs(sparse_fit.weights - dense_fit.weights).max() <= 1e-12 * scale
-        assert abs(sparse_fit.bias - dense_fit.bias) <= 1e-12 * max(abs(dense_fit.bias), scale)
+        assert sparse_fit.converged and dense_fit.converged
+        assert np.abs(dense_fit.weights).max() > 0.1  # the fit moved away from zero
+        y = np.array(labels, dtype=float)
+        for fit in (sparse_fit, dense_fit):
+            (sparse_loss, sparse_w, sparse_b), (dense_loss, dense_w, dense_b) = (
+                loss_and_grad(fit.weights, fit.bias, matrix, y, l2) for matrix in (X, dense))
+            assert abs(sparse_loss - dense_loss) <= 1e-12
+            np.testing.assert_allclose(sparse_w, dense_w, rtol=0, atol=1e-12)
+            assert abs(sparse_b - dense_b) <= 1e-12
+        bound = (sparse_fit.grad_norm + dense_fit.grad_norm) / l2
+        assert np.abs(sparse_fit.weights - dense_fit.weights).max() <= bound
+
+    def test_products_without_entries_are_float(self):
+        X = textfeat.TrainingMatrix((2, 3), *(np.array([], dtype=dt) for dt in
+                                              (np.intp, np.intp, np.float64)))
+        for product in (X @ np.ones(3), X.T @ np.ones(2)):
+            assert product.dtype == np.float64 and not product.any()
 
     def test_transpose_keeps_no_cycle(self):
         X, _, _ = self.matrices()
@@ -588,8 +638,7 @@ class TestSparseTraining:
             LabeledUtterance(tuple(Token(f"w{i}x{j}", rng.choice(["hi", "en"]))
                                    for j in range(length)), i % 2, str(i))
             for i in range(n)), "wide")
-        cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None,
-                             train_config=TrainConfig(epochs=3))
+        cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None)
         tracemalloc.start()
         try:
             pipeline = fit_pipeline(corpus, cfg)
@@ -614,6 +663,22 @@ class TestPersistence:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
         assert loaded.training_meta == model.training_meta
+
+    def test_roundtrip_of_a_numpy_scalar_bias(self, tmp_path):
+        model = LinearModel(np.array([0.25, -1.5]), np.float64(4.586), TrainConfig())
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert path.read_text().splitlines()[3] == "4.586"
+        loaded = load_model(path, expected_dim=2)
+        assert loaded.bias == 4.586 and type(loaded.bias) is float
+        assert np.array_equal(loaded.weights, model.weights)
+
+    def test_rejects_the_format_before_newton_cg(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("codeswitch-linear-model v1\ndim 1\n"
+                        "epochs 300 learning_rate 0.1 l2 0.001 seed 13\n0.5\n0.25\n")
+        with pytest.raises(ValueError, match=f"{path}: unsupported model format version v1"):
+            load_model(path)
 
     def test_dimension_validation(self, tmp_path):
         model = LinearModel(np.zeros(3), 0.0, TrainConfig())
