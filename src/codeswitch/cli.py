@@ -50,7 +50,7 @@ from codeswitch.switching import has_embedding_property, switching_features
 from codeswitch.textfeat import (
     DEFAULT_NEGATION_WORDS,
     KIND_ORDER,
-    Vocabulary,
+    FeatureKey,
     _feature_sort_key,
     load_wordlist,
     vector_dim,
@@ -140,7 +140,7 @@ def _save_pipeline_bundle(pipeline, path: str) -> None:
             "negation_words": sorted(cfg.negation_words),
             "with_switching": cfg.with_switching,
         },
-        "vocab": [list(key) for key in pipeline.vocab.features],
+        "vocab": [list(key) for key in pipeline.vocab],
         "lexicons": [lexicon] if cfg.use_indicative else [],
     }
     _write_output(path, json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
@@ -163,7 +163,8 @@ def _read_json(path: str):
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
-def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[str, float]]:
+def _load_pipeline_bundle(path: str
+                          ) -> tuple[PipelineConfig, tuple[FeatureKey, ...], dict[str, float]]:
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != PIPELINE_FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline bundle version in {path}")
@@ -174,8 +175,9 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[s
         and c["n_values"].keys() == {"char_ngram", "word_ngram"} and all(
             isinstance(ns, list) and all(type(n) is int and n >= 1 for n in ns)
             for ns in c["n_values"].values()),
-        "min_count": type(c.get("min_count")) is int,
-        "chi2_k": "chi2_k" in c and type(c["chi2_k"]) in (int, type(None)),
+        "min_count": type(c.get("min_count")) is int and c["min_count"] >= 0,
+        "chi2_k": "chi2_k" in c and (c["chi2_k"] is None
+                                     or type(c["chi2_k"]) is int and c["chi2_k"] >= 1),
         "use_indicative": isinstance(c.get("use_indicative"), bool),
         "lexicon_floor": _is_number(c.get("lexicon_floor")),
         "negation_words": _is_strs(c.get("negation_words")),
@@ -192,10 +194,10 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[s
     if len(doc["lexicons"]) != int(c["use_indicative"]):
         raise ValueError(f"pipeline bundle {path}: lexicons must hold one entry when "
                          "use_indicative is true and none when it is false")
-    features = tuple((kind, payload) for kind, payload in doc["vocab"])
-    if not {kind for kind, _ in features} <= set(c["kinds"]):
+    vocab = tuple((kind, payload) for kind, payload in doc["vocab"])
+    if not {kind for kind, _ in vocab} <= set(c["kinds"]):
         raise ValueError(f"pipeline bundle {path}: a vocab kind is not in config.kinds")
-    if features != tuple(sorted(set(features), key=_feature_sort_key)):
+    if vocab != tuple(sorted(set(vocab), key=_feature_sort_key)):
         raise ValueError(f"pipeline bundle {path}: vocab is not strictly increasing")
     cfg = PipelineConfig(
         kinds=frozenset(c["kinds"]),
@@ -207,7 +209,6 @@ def _load_pipeline_bundle(path: str) -> tuple[PipelineConfig, Vocabulary, dict[s
         negation_words=frozenset(c["negation_words"]),
         with_switching=c["with_switching"],
     )
-    vocab = Vocabulary(features, cfg.kinds, cfg.n_values)
     return cfg, vocab, doc["lexicons"][0]["scores"] if cfg.use_indicative else {}
 
 

@@ -8,9 +8,10 @@ are exactly reproducible, and stops on a relative gradient-norm tolerance.
 Training and scoring (sigmoid of X @ w + b) both use the sparse
 textfeat.TrainingMatrix, whose time and memory grow with the stored
 entries; train and loss_and_grad use only X.shape, X @ v and X.T @ v, so a
-dense ndarray works as well.  A FittedPipeline scores a corpus by
-featurizing it over the fitted vocabulary into one training matrix; its
-vectorize is the dense view of one such row.
+dense ndarray works as well.  Feature fits keep column ids of the
+featurized matrix; a FittedPipeline holds the keys of its fitted columns and
+scores a corpus by featurizing it over them into one training matrix, whose
+rows its vectorize views densely.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_in
 from codeswitch.textfeat import (
     DEFAULT_N_VALUES,
     DEFAULT_NEGATION_WORDS,
+    FeatureKey,
     FeatureMatrix,
     TrainingMatrix,
-    Vocabulary,
     build_vocabulary,
     chi2_select,
     featurize,
@@ -250,6 +251,10 @@ class PipelineConfig:
     train_config: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
+        if self.chi2_k is not None and self.chi2_k < 1:
+            raise ValueError(f"chi2_k must be >= 1 (None keeps every feature), got {self.chi2_k}")
+        if self.min_count < 0:
+            raise ValueError(f"min_count must be >= 0, got {self.min_count}")
         for kind, ns in self.n_values.items():  # also for a kind that is off
             if min(ns, default=1) < 1:
                 raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
@@ -258,16 +263,16 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class FittedPipeline:
     config: PipelineConfig
-    vocab: Vocabulary
+    vocab: tuple[FeatureKey, ...]  # the fitted features, in column order
     lexicon: Mapping[str, float]  # empty when config.use_indicative is off
     model: LinearModel
 
     def _training_matrix(self, corpus: LabeledCorpus) -> TrainingMatrix:
         """The corpus featurized over the fitted vocabulary, with the
         switching block exactly when config.with_switching, one row each."""
-        vocab = self.vocab
-        matrix = featurize(corpus, vocab.kinds, vocab.n_values, vocab, self.config.with_switching)
-        return training_matrix(matrix, vocab, self.lexicon, self.config.negation_words)
+        cfg = self.config
+        matrix = featurize(corpus, cfg.kinds, cfg.n_values, self.vocab, cfg.with_switching)
+        return training_matrix(matrix, np.arange(len(self.vocab)), self.lexicon, cfg.negation_words)
 
     def vectorize(self, utterance: LabeledUtterance) -> np.ndarray:
         """The utterance's training-matrix row as a dense vector."""
@@ -282,20 +287,22 @@ class FittedPipeline:
 
 
 def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
-                  ) -> tuple[Vocabulary, dict[str, float]]:
-    """Vocabulary, chi-squared selection and lexicon fitted on the matrix rows only."""
-    vocab = build_vocabulary(matrix, cfg.min_count)
+                  ) -> tuple[np.ndarray, dict[str, float]]:
+    """The kept column ids (vocabulary, then chi-squared selection) and the
+    lexicon, fitted on the matrix rows only."""
+    cols = build_vocabulary(matrix, cfg.min_count)
     if cfg.chi2_k is not None:
-        vocab = chi2_select(matrix, vocab, cfg.chi2_k)
+        cols = chi2_select(matrix, cols, cfg.chi2_k)
     lexicon = indicative_scores(matrix.corpus, cfg.lexicon_floor) if cfg.use_indicative else {}
-    return vocab, lexicon
+    return cols, lexicon
 
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
     matrix = featurize(train_corpus, cfg.kinds, cfg.n_values, with_switching=cfg.with_switching)
-    vocab, lexicon = _fit_features(matrix, cfg)
-    X = training_matrix(matrix, vocab, lexicon, cfg.negation_words)
+    cols, lexicon = _fit_features(matrix, cfg)
+    X = training_matrix(matrix, cols, lexicon, cfg.negation_words)
+    vocab = tuple(matrix.keys[c] for c in cols.tolist())
     return FittedPipeline(cfg, vocab, lexicon, train(X, matrix.labels, cfg.train_config))
 
 
@@ -333,11 +340,11 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
             skipped.append(fold_index)
             continue
         train_part, test_part = matrix.take(train_rows), matrix.take(test_rows)
-        vocab, lexicon = _fit_features(train_part, cfg)
-        X_train, X_test = (training_matrix(part, vocab, lexicon, cfg.negation_words)
+        cols, lexicon = _fit_features(train_part, cfg)
+        X_train, X_test = (training_matrix(part, cols, lexicon, cfg.negation_words)
                            for part in (train_part, test_part))
         for arm_reports, with_switching in zip(reports, arms):
-            d = vector_dim(vocab, with_switching)
+            d = vector_dim(cols, with_switching)
             model = train(X_train.leading_columns(d), train_part.labels, cfg.train_config)
             proba = predict_proba(model, X_test.leading_columns(d))
             arm_reports.append(evaluate(proba, test_part.labels))
@@ -365,12 +372,6 @@ def format_model(model: LinearModel) -> str:
              f"max_iter {meta.max_iter} tol {meta.tol!r} l2 {meta.l2!r}",
              f"{float(model.bias)!r}", *(f"{float(w)!r}" for w in model.weights)]
     return "".join(line + "\n" for line in lines)
-
-
-def save_model(model: LinearModel, path: Union[str, Path]) -> None:
-    """Write the format_model text of the model to path."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_model(model))
 
 
 def load_model(path: Union[str, Path],

@@ -2,21 +2,23 @@
 an indicative-token lexicon and negation counts, and the sparse matrix that
 training and scoring multiply, with optional switching features.
 
-A corpus is featurized once into a FeatureMatrix (CSR counts over global
-feature ids and, when asked for, each row's switching features, with the
-corpus they describe); vocabulary, chi-squared selection and the sparse
-TrainingMatrix each read the whole matrix they are given.  A cross-validation fold is
+A corpus is featurized once into a FeatureMatrix (CSR counts over one
+column per feature key and, when asked for, each row's switching features,
+with the corpus they describe).  A fitted vocabulary is the ascending
+column ids of the matrix it keeps: build_vocabulary and chi2_select return
+them, and training_matrix takes them.  A cross-validation fold is
 matrix.take(rows), and a held-out corpus is featurized over the fitted
-vocabulary, so no utterance is extracted twice.  training_matrix is the one
-row encoder: training and scoring read its rows, with the switching
+vocabulary's keys, so no utterance is extracted twice.  training_matrix is
+the one row encoder: training and scoring read its rows, with the switching
 columns exactly when the FeatureMatrix carries its switching block.
 
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
-word_ngram, bow}.  Vocabulary indices are dense and deterministic:
-sorted by kind (char_ngram, word_ngram, bow) then payload.  Rows carry
-two special_values dimensions (indicative-score sum, negation count)
-after the vocabulary block and, when requested, the nine switching
-features last, so a row without them is the leading columns of one with.
+word_ngram, bow}.  A featurized matrix's columns are its keys sorted by
+kind (char_ngram, word_ngram, bow) then payload, so ascending column ids
+keep that order.  Rows carry two special_values dimensions (indicative-score
+sum, negation count) after the vocabulary block and, when requested, the
+nine switching features last, so a row without them is the leading columns
+of one with.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Sized, Union
 
 import numpy as np
 
@@ -95,36 +97,17 @@ def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:
     return (KIND_ORDER.index(key[0]), key[1])
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Dense, deterministic feature index over (kind, payload) keys."""
-
-    features: tuple[FeatureKey, ...]
-    kinds: frozenset[str]
-    n_values: Mapping[str, tuple[int, ...]]
-
-    @cached_property
-    def feature_id_map(self) -> dict[FeatureKey, int]:
-        return {key: i for i, key in enumerate(self.features)}
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-    def __contains__(self, key: FeatureKey) -> bool:
-        return key in self.feature_id_map
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """extract_features counts of a labeled corpus as a CSR matrix: row r
     is utterance corpus[r], its column ids are indices[indptr[r]:indptr[r + 1]]
-    and its counts the same slice of data.  Column c is the feature
-    vocab.features[c], so column order is key order.  switching[r] is
-    the switching profile of corpus[r], in SwitchProfile.as_tuple order,
-    or switching is None when the matrix was featurized without them."""
+    and its counts the same slice of data.  Column c counts the feature
+    keys[c].  switching[r] is the switching profile of corpus[r], in
+    SwitchProfile.as_tuple order, or switching is None when the matrix was
+    featurized without them."""
 
     corpus: LabeledCorpus
-    vocab: Vocabulary
+    keys: tuple[FeatureKey, ...]
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -147,30 +130,26 @@ class FeatureMatrix:
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
         switching = None if self.switching is None else self.switching[rows]
-        return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()), self.vocab,
+        return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()), self.keys,
                              indptr, self.indices[at], self.data[at], switching)
-
-    def columns(self, vocab: Vocabulary) -> np.ndarray:
-        """Column id of each feature of vocab, in vocab's order."""
-        column_of = self.vocab.feature_id_map
-        return np.array([column_of[key] for key in vocab.features], dtype=np.intp)
 
 
 def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
-              vocab: Vocabulary | None = None, with_switching: bool = True) -> FeatureMatrix:
+              vocab: Sequence[FeatureKey] | None = None,
+              with_switching: bool = True) -> FeatureMatrix:
     """Count matrix of the corpus, built in one streaming pass: each
     utterance is extracted once, its keys are interned into column ids
     appended to flat lists, and its Counter is dropped.  The ids are then
-    remapped to the rank of their key, or, given a fitted vocab, only its
-    keys are kept and it gives the columns.  Ids and counts are int32,
+    remapped to the rank of their key, or, given the keys of a fitted
+    vocab, only those are kept, as its columns.  Ids and counts are int32,
     which keeps the matrix small while a cross-validation holds it.  The
     switching block is built only with_switching, and is None otherwise."""
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
-    ids: dict[FeatureKey, int] = {} if vocab is None else vocab.feature_id_map
+    ids: dict[FeatureKey, int] = {} if vocab is None else {key: i for i, key in enumerate(vocab)}
     indptr, indices, data = [0], [], []
     for u in corpus:
         counts = extract_features(u.tokens, kinds, n_values)
@@ -184,22 +163,21 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
         keys = sorted(ids, key=_feature_sort_key)
         rank = np.empty(len(keys), dtype=np.int32)
         rank[[ids[key] for key in keys]] = np.arange(len(keys))
-        indices, vocab = rank[indices], Vocabulary(tuple(keys), kinds, dict(n_values))
+        indices, vocab = rank[indices], keys
     switching = np.array([switching_features(u.tokens).as_tuple() for u in corpus],
                          dtype=np.float64).reshape(-1, N_FEATURES) if with_switching else None
-    return FeatureMatrix(corpus, vocab, np.array(indptr), indices, np.array(data, dtype=np.int32),
-                         switching)
+    return FeatureMatrix(corpus, tuple(vocab), np.array(indptr), indices,
+                         np.array(data, dtype=np.int32), switching)
 
 
-def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> Vocabulary:
-    """The features present in the matrix whose total count there is at
-    least min_count, indexed in sorted (kind, payload) order."""
-    full = matrix.vocab
-    totals = np.bincount(matrix.indices, weights=matrix.data, minlength=len(full))
-    kept = np.flatnonzero((totals > 0) & (totals >= min_count))
-    if not len(kept):
+def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> np.ndarray:
+    """The ascending column ids of the features present in the matrix whose
+    total count there is at least min_count."""
+    totals = np.bincount(matrix.indices, weights=matrix.data, minlength=len(matrix.keys))
+    cols = np.flatnonzero((totals > 0) & (totals >= min_count))
+    if not len(cols):
         raise ValueError("resulting vocabulary is empty")
-    return Vocabulary(tuple(full.features[c] for c in kept.tolist()), full.kinds, full.n_values)
+    return cols
 
 
 def _chi2(a: int, b: int, c: int, d: int) -> float:
@@ -211,15 +189,14 @@ def _chi2(a: int, b: int, c: int, d: int) -> float:
     return n * (a * d - b * c) ** 2 / denom
 
 
-def chi2_scores(matrix: FeatureMatrix, vocab: Vocabulary) -> np.ndarray:
+def chi2_scores(matrix: FeatureMatrix, cols: np.ndarray) -> np.ndarray:
     """Chi-squared statistic of (feature presence x label) over the rows of
-    the matrix, per vocabulary feature in vocabulary order; each equals
-    _chi2 of the feature's presence counts bit for bit."""
-    labels, cols = matrix.labels, matrix.indices
-    vcols = matrix.columns(vocab)
-    a = np.bincount(cols[labels[matrix.entry_rows] == POSITIVE],
-                    minlength=len(matrix.vocab))[vcols]
-    b = np.bincount(cols, minlength=len(matrix.vocab))[vcols] - a
+    the matrix, per column of cols in that order; each equals _chi2 of the
+    feature's presence counts bit for bit."""
+    labels, indices = matrix.labels, matrix.indices
+    a = np.bincount(indices[labels[matrix.entry_rows] == POSITIVE],
+                    minlength=len(matrix.keys))[cols]
+    b = np.bincount(indices, minlength=len(matrix.keys))[cols] - a
     n = len(labels)
     n_pos = int(np.count_nonzero(labels == POSITIVE))
     # Over fixed rows the score depends on (a, b) alone, so _chi2 runs once
@@ -230,20 +207,18 @@ def chi2_scores(matrix: FeatureMatrix, vocab: Vocabulary) -> np.ndarray:
     return np.array(scores, dtype=np.float64)[inverse]
 
 
-def chi2_select(matrix: FeatureMatrix, vocab: Vocabulary, k: int = 500) -> Vocabulary:
-    """Keep the k highest-scoring features over the rows of the matrix
-    (ties by deterministic key order) and re-index densely."""
+def chi2_select(matrix: FeatureMatrix, cols: np.ndarray, k: int = 500) -> np.ndarray:
+    """The k of the ascending column ids cols whose features score highest
+    over the rows of the matrix (ties by key order), in ascending order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k >= len(vocab):
-        if k > len(vocab):
-            warnings.warn(f"k={k} exceeds vocabulary size {len(vocab)}; "
+    if k >= len(cols):
+        if k > len(cols):
+            warnings.warn(f"k={k} exceeds vocabulary size {len(cols)}; "
                           "keeping the full vocabulary")
-        return vocab
-    ranked = np.argsort(-chi2_scores(matrix, vocab), kind="stable")
-    kept = np.sort(ranked[:k])
-    return Vocabulary(tuple(vocab.features[i] for i in kept.tolist()),
-                      vocab.kinds, vocab.n_values)
+        return cols
+    ranked = np.argsort(-chi2_scores(matrix, cols), kind="stable")
+    return cols[np.sort(ranked[:k])]
 
 
 def indicative_scores(corpus: LabeledCorpus, floor: float = 0.0) -> dict[str, float]:
@@ -282,7 +257,7 @@ def load_wordlist(path: Union[str, Path]) -> frozenset[str]:
     return frozenset(words)
 
 
-def vector_dim(vocab: Vocabulary, with_switching: bool) -> int:
+def vector_dim(vocab: Sized, with_switching: bool) -> int:
     return len(vocab) + 2 + (N_FEATURES if with_switching else 0)
 
 
@@ -329,15 +304,15 @@ class TrainingMatrix:
                               self.values[kept])
 
 
-def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
+def training_matrix(matrix: FeatureMatrix, cols: np.ndarray,
                     lexicon: Mapping[str, float], negation_words: frozenset[str]) -> TrainingMatrix:
     """Sparse matrix of one row per utterance of matrix.corpus: the
-    vocabulary block comes from the stored counts through one column
-    remap, the rest from the nonzeros of special_values and, when the
+    vocabulary block is the matrix's columns cols, in that order, through
+    one column remap, the rest the nonzeros of special_values and, when the
     matrix carries its switching block, the nine switching columns."""
     with_switching = matrix.switching is not None
-    remap = np.full(len(matrix.vocab), -1, dtype=np.intp)
-    remap[matrix.columns(vocab)] = np.arange(len(vocab))
+    remap = np.full(len(matrix.keys), -1, dtype=np.intp)
+    remap[cols] = np.arange(len(cols))
     target = remap[matrix.indices]
     hit = target >= 0
     block = np.array([special_values(u.tokens, lexicon, negation_words) for u in matrix.corpus],
@@ -345,8 +320,8 @@ def training_matrix(matrix: FeatureMatrix, vocab: Vocabulary,
     if with_switching:
         block = np.hstack([block, matrix.switching])
     s_rows, s_cols = np.nonzero(block)
-    n, d = len(matrix.corpus), vector_dim(vocab, with_switching)
+    n, d = len(matrix.corpus), vector_dim(cols, with_switching)
     return TrainingMatrix((n, d), np.concatenate([matrix.entry_rows[hit], s_rows]),
-                          np.concatenate([target[hit], len(vocab) + s_cols]),
+                          np.concatenate([target[hit], len(cols) + s_cols]),
                           np.concatenate([matrix.data[hit].astype(np.float64),
                                           block[s_rows, s_cols]]))

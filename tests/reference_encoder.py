@@ -8,14 +8,14 @@ from codeswitch.switching import N_FEATURES, switching_features
 from codeswitch.textfeat import extract_features
 
 
-def dense_row(utterance, vocab, lexicon, negation_words, with_switching):
-    """Vocabulary counts, then the indicative-score sum and the negation
-    count of the lowercased surfaces, then (with_switching) the nine
-    switching features."""
+def dense_row(utterance, vocab, kinds, n_values, lexicon, negation_words, with_switching):
+    """Counts of the feature keys of vocab, extracted with kinds and
+    n_values, then the indicative-score sum and the negation count of the
+    lowercased surfaces, then (with_switching) the nine switching features."""
     row = np.zeros(len(vocab) + 2 + (N_FEATURES if with_switching else 0))
-    for key, count in extract_features(utterance.tokens, vocab.kinds, vocab.n_values).items():
-        if key in vocab.features:
-            row[vocab.features.index(key)] = count
+    for key, count in extract_features(utterance.tokens, kinds, n_values).items():
+        if key in vocab:
+            row[vocab.index(key)] = count
     surfaces = [t.surface.lower() for t in utterance.tokens]
     row[len(vocab)] = sum(lexicon.get(s, 0.0) for s in surfaces)
     row[len(vocab) + 1] = sum(s in negation_words for s in surfaces)
@@ -28,5 +28,5 @@ def pipeline_rows(pipeline, corpus):
     """dense_row of every utterance of the corpus, with the pipeline's
     fitted vocabulary, lexicon and configuration, as an N x D array."""
     cfg = pipeline.config
-    return np.array([dense_row(u, pipeline.vocab, pipeline.lexicon, cfg.negation_words,
-                               cfg.with_switching) for u in corpus])
+    return np.array([dense_row(u, pipeline.vocab, cfg.kinds, cfg.n_values, pipeline.lexicon,
+                               cfg.negation_words, cfg.with_switching) for u in corpus])

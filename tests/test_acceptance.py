@@ -249,17 +249,18 @@ def test_09_chi_squared():
     )
     corpus = LabeledCorpus(utts, "chi")
     matrix = featurize(corpus, {"bow"}, {})
-    vocab = build_vocabulary(matrix)
-    scores = dict(zip(vocab.features, chi2_scores(matrix, vocab)))
+    cols = build_vocabulary(matrix)
+    vocab = [matrix.keys[c] for c in cols.tolist()]
+    scores = dict(zip(vocab, chi2_scores(matrix, cols)))
     assert scores[("bow", "marker")] == 4.0
     assert scores[("bow", "shared")] == 0.0
     for k in (1, 3, len(vocab), len(vocab) + 10):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            selected = chi2_select(matrix, vocab, k)
+            selected = [matrix.keys[c] for c in chi2_select(matrix, cols, k).tolist()]
         assert len(selected) == min(k, len(vocab))
-        kept = {scores[f] for f in selected.features}
-        rejected = [scores[f] for f in vocab.features
+        kept = {scores[f] for f in selected}
+        rejected = [scores[f] for f in vocab
                     if f not in selected]
         assert all(min(kept) >= r for r in rejected)
     ok(9, "associated feature scores 4.0, independent 0.0, top-k exact")

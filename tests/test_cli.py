@@ -14,7 +14,7 @@ import codeswitch
 from codeswitch import textfeat
 from codeswitch.cli import _load_pipeline_bundle, build_parser, run
 from codeswitch.corpus import load_corpus, save_corpus, serialize_tagged_line
-from codeswitch.model import FittedPipeline, load_model, sigmoid, to_dense
+from codeswitch.model import FittedPipeline, load_model, sigmoid
 from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
 
@@ -379,6 +379,13 @@ BAD_INPUTS = {
     "bundle vocab out of order": ("pipeline.json", _bundle_with("vocab", lambda v: v[::-1])),
     "bundle vocab kind not in config kinds": (
         "pipeline.json", _bundle_with("vocab", lambda v: [["char_ngram", "abc"]] + v[1:])),
+    # train writes null for no selection, so a bundle never holds a chi2_k below 1
+    "bundle chi2_k negative": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "chi2_k": -7})),
+    "bundle chi2_k zero": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "chi2_k": 0})),
+    "bundle min_count negative": (
+        "pipeline.json", _bundle_with("config", lambda c: {**c, "min_count": -3})),
     "bundle config kind unknown": (
         "pipeline.json", _bundle_with("config", lambda c: {**c, "kinds": ["nope"]})),
     "bundle lexicon with use_indicative off": (
@@ -439,11 +446,18 @@ BAD_TRAINING = {
     "train flag char n-gram size zero": ("{}", ["--char-n", "0"]),
     "train flag word n-gram size negative": ("{}", ["--word-n", "1", "-1"]),
     "train config n-gram sizes below 1": ('{"char_n": [0], "word_n": [-1]}', []),
+    # rejected where the settings come in, not after featurizing
+    "train flag chi2_k negative": ("{}", ["--chi2-k", "-2"]),
+    "train config chi2_k negative": ('{"chi2_k": -2}', []),
+    "train flag min_count negative": ("{}", ["--min-count", "-3"]),
+    "train config min_count negative": ('{"min_count": -1}', []),
 }
 
 TRAINING_ERROR = "need finite max_iter >= 1, tol > 0 and l2 >= 0"
 PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
 NGRAM_ERROR = "sizes must be >= 1, got"
+SELECTION_ERRORS = {"chi2_k": "chi2_k must be >= 1 (None keeps every feature), got -2",
+                    "min_count": "min_count must be >= 0, got -"}
 
 # the check each bundle case must fail
 BUNDLE_ERRORS = {
@@ -451,6 +465,9 @@ BUNDLE_ERRORS = {
     "bundle vocab out of order": "vocab is not strictly increasing",
     "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
     "bundle config kind unknown": "missing or mistyped kinds",
+    "bundle chi2_k negative": "missing or mistyped chi2_k",
+    "bundle chi2_k zero": "missing or mistyped chi2_k",
+    "bundle min_count negative": "missing or mistyped min_count",
     **dict.fromkeys(["bundle n-gram size not an integer", "bundle n-gram size zero",
                      "bundle n-gram size negative", "bundle n-gram sizes missing",
                      "bundle n-gram sizes of an unknown kind"], "missing or mistyped n_values"),
@@ -489,9 +506,10 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if case in BAD_TRAINING:
+        setting = next((key for key in SELECTION_ERRORS if key in case), None)
         assert (PUNCT_ERROR if "punct" in case else NGRAM_ERROR if "size" in case
                 else "unknown options" if "epochs" in case or "learning rate" in case
-                else TRAINING_ERROR) in err
+                else SELECTION_ERRORS[setting] if setting else TRAINING_ERROR) in err
         assert (model.read_text(), bundle.read_text()) == written  # nothing was trained
         return
     if case.startswith("config ") and case != "config missing":
@@ -529,6 +547,18 @@ def test_cv_rejects_ngram_size_below_one(synth_file, tmp_path, capsys):
     out = tmp_path / "cv.json"
     assert run(["cv", synth_file, "--kinds", "bow", "--char-n", "0", "-o", str(out)]) == 1
     assert capsys.readouterr().err == "error: char_ngram sizes must be >= 1, got [0]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--chi2-k", "-2"], SELECTION_ERRORS["chi2_k"]),
+    (["--min-count", "-1"], SELECTION_ERRORS["min_count"] + "1")])
+def test_cv_rejects_selection_settings_before_featurizing(flags, message, synth_file, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(textfeat, "extract_features", None)  # featurizing would raise TypeError
+    out = tmp_path / "cv.json"
+    assert run(["cv", synth_file, "--kinds", "bow", *flags, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -20,11 +20,11 @@ from codeswitch.model import (
     cross_validate_arms,
     evaluate,
     fit_pipeline,
+    format_model,
     load_model,
     loss_and_grad,
     macro_f1,
     predict_proba,
-    save_model,
     sigmoid,
     subsample_negatives,
     to_dense,
@@ -328,9 +328,10 @@ class TestCrossValidate:
         fit_features = model_module._fit_features
 
         def recorded(train_part, cfg):
-            vocab, lexicon = fit_features(train_part, cfg)
-            fitted.append((vocab, {u.id for u in train_part.corpus}))
-            return vocab, lexicon
+            cols, lexicon = fit_features(train_part, cfg)
+            fitted.append(({train_part.keys[c] for c in cols.tolist()},
+                           {u.id for u in train_part.corpus}))
+            return cols, lexicon
         monkeypatch.setattr(model_module, "_fit_features", recorded)
         cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None)
         cross_validate(corpus, cfg, k=3, seed=13)
@@ -387,7 +388,7 @@ class TestCrossValidate:
             LabeledUtterance((Token("zzz", "hi"),), u.label, u.id)
             for u in test_part)
         pipeline2 = fit_pipeline(train_part, self.CFG)
-        assert pipeline.vocab.features == pipeline2.vocab.features
+        assert pipeline.vocab == pipeline2.vocab
         assert ("bow", "zzz") not in pipeline.vocab
 
 
@@ -463,7 +464,8 @@ class TestMatrixScoring:
         assert [len(calls) for calls in recorded.values()] == [4, 8, 8]
         folds = fold_indices(len(corpus), 4, 13)
         for i, (_, test_rows) in enumerate(folds):
-            vocab, lexicon = recorded["_fit_features"][i][1]
+            (train_part, _), (cols, lexicon) = recorded["_fit_features"][i]
+            vocab = tuple(train_part.keys[c] for c in cols.tolist())
             test = corpus.subset(corpus[r] for r in test_rows)
             for j, with_switching in enumerate(arms):
                 model = recorded["train"][2 * i + j][1]
@@ -484,8 +486,8 @@ class TestMatrixScoring:
             cfg = replace(self.CFG, with_switching=with_switching)
             pipeline = fit_pipeline(word_pool_corpus(40, seed=4), cfg)
             matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, pipeline.vocab)
-            assert matrix.vocab is pipeline.vocab
-            assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).vocab) \
+            assert matrix.keys is pipeline.vocab
+            assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).keys) \
                 > len(pipeline.vocab)
             keys = [textfeat.extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
             assert any(key not in pipeline.vocab for key in keys[0])  # unseen keys ...
@@ -520,10 +522,11 @@ class TestSparseTraining:
         cfg = cls.CFG
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values,
                                     with_switching=with_switching)
-        vocab = textfeat.build_vocabulary(matrix, cfg.min_count)
-        X = textfeat.training_matrix(matrix, vocab, {}, cfg.negation_words)
-        dense = to_dense([dense_row(u, vocab, {}, cfg.negation_words, with_switching)
-                          for u in corpus])
+        cols = textfeat.build_vocabulary(matrix, cfg.min_count)
+        X = textfeat.training_matrix(matrix, cols, {}, cfg.negation_words)
+        vocab = tuple(matrix.keys[c] for c in cols.tolist())
+        dense = to_dense([dense_row(u, vocab, cfg.kinds, cfg.n_values, {}, cfg.negation_words,
+                                    with_switching) for u in corpus])
         return X, dense, [u.label for u in corpus]
 
     def test_traps_present(self):
@@ -658,7 +661,7 @@ class TestPersistence:
         labels[:2] = [0, 1]
         model = train(to_dense(vectors), labels)
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        path.write_text(format_model(model), encoding="utf-8")
         loaded = load_model(path, expected_dim=4)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
@@ -667,7 +670,7 @@ class TestPersistence:
     def test_roundtrip_of_a_numpy_scalar_bias(self, tmp_path):
         model = LinearModel(np.array([0.25, -1.5]), np.float64(4.586), TrainConfig())
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        path.write_text(format_model(model), encoding="utf-8")
         assert path.read_text().splitlines()[3] == "4.586"
         loaded = load_model(path, expected_dim=2)
         assert loaded.bias == 4.586 and type(loaded.bias) is float
@@ -683,7 +686,7 @@ class TestPersistence:
     def test_dimension_validation(self, tmp_path):
         model = LinearModel(np.zeros(3), 0.0, TrainConfig())
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        path.write_text(format_model(model), encoding="utf-8")
         with pytest.raises(ValueError, match="dim"):
             load_model(path, expected_dim=5)
 

@@ -9,7 +9,6 @@ from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
     NGRAM_SEP,
     FeatureMatrix,
-    Vocabulary,
     build_vocabulary,
     _chi2,
     _feature_sort_key,
@@ -35,27 +34,41 @@ def corpus(*utts):
     return LabeledCorpus(tuple(utts))
 
 
+def keys_of(matrix, cols):
+    """The feature keys of the columns cols of the matrix."""
+    return tuple(matrix.keys[c] for c in cols.tolist())
+
+
 def vocabulary(c, kinds, n_values=None, min_count=1):
-    return build_vocabulary(featurize(c, kinds, n_values or {}), min_count)
+    """The keys of the columns that build_vocabulary keeps of c's matrix."""
+    matrix = featurize(c, kinds, n_values or {})
+    return keys_of(matrix, build_vocabulary(matrix, min_count))
 
 
 def bow_matrix(c):
     return featurize(c, {"bow"}, {})
 
 
-def encode(u, vocab, lexicon, negation_words, with_switching):
-    """The training_matrix row of u alone as a dense vector, checked
-    against the reference encoder."""
-    matrix = featurize(corpus(u), vocab.kinds, vocab.n_values, vocab, with_switching)
-    X = training_matrix(matrix, vocab, lexicon, negation_words)
+def bow_fit(c):
+    """c's bag-of-words matrix and the column ids build_vocabulary keeps."""
+    matrix = bow_matrix(c)
+    return matrix, build_vocabulary(matrix)
+
+
+def encode(u, vocab, kinds, n_values, lexicon, negation_words, with_switching):
+    """The training_matrix row of u alone, featurized over the keys vocab,
+    as a dense vector, checked against the reference encoder."""
+    matrix = featurize(corpus(u), kinds, n_values, vocab, with_switching)
+    X = training_matrix(matrix, np.arange(len(vocab)), lexicon, negation_words)
     row = np.zeros(X.shape[1])
     row[X.cols] = X.values
-    assert np.array_equal(row, dense_row(u, vocab, lexicon, negation_words, with_switching))
+    assert np.array_equal(row, dense_row(u, vocab, kinds, n_values, lexicon, negation_words,
+                                         with_switching))
     return row
 
 
-def chi2_by_key(c, vocab):
-    return dict(zip(vocab.features, chi2_scores(bow_matrix(c), vocab)))
+def chi2_by_key(matrix, cols):
+    return dict(zip(keys_of(matrix, cols), chi2_scores(matrix, cols)))
 
 
 class TestCharNgrams:
@@ -93,7 +106,7 @@ class TestFeaturize:
         c = balanced_four_corpus()
         kinds = frozenset({"bow", "char_ngram", "word_ngram"})
         matrix = featurize(c, kinds, {})
-        keys = matrix.vocab.features
+        keys = matrix.keys
         assert list(keys) == sorted(keys, key=_feature_sort_key)
         assert matrix.labels.tolist() == [u.label for u in c]
         for r, u in enumerate(c):
@@ -113,12 +126,13 @@ class TestFeaturize:
         rows = [4, 2, 0, 3]
         taken = matrix.take(rows)
         part = featurize(c.subset(c[r] for r in rows), {"word_ngram"}, n_values)
-        assert taken.vocab is matrix.vocab
+        assert taken.keys is matrix.keys
         assert taken.corpus == part.corpus
         assert taken.labels.tolist() == part.labels.tolist() == [0, 0, 1, 1]
         assert taken.indptr.tolist() == part.indptr.tolist()
         assert taken.indptr[1] == taken.indptr[2]  # row 2 stores no entry
-        assert taken.indices.tolist() == matrix.columns(part.vocab)[part.indices].tolist()
+        assert [matrix.keys[c] for c in taken.indices.tolist()] \
+            == [part.keys[c] for c in part.indices.tolist()]
         assert taken.data.tolist() == part.data.tolist()
         assert taken.switching.tobytes() == part.switching.tobytes() \
             == matrix.switching[rows].tobytes()
@@ -138,13 +152,14 @@ class TestFeaturize:
         c = balanced_four_corpus()
         matrix = featurize(c, {"bow"}, {}, with_switching=False)
         assert matrix.switching is None and matrix.take([3, 0]).switching is None
-        vocab = build_vocabulary(matrix)
-        X = training_matrix(matrix, vocab, {}, frozenset())
+        cols = build_vocabulary(matrix)
+        X = training_matrix(matrix, cols, {}, frozenset())
         with_block = featurize(c, {"bow"}, {})
-        Y = training_matrix(with_block, vocab, {}, frozenset())
-        assert Y.shape == (4, vector_dim(vocab, True))
+        assert with_block.keys == matrix.keys
+        Y = training_matrix(with_block, cols, {}, frozenset())
+        assert Y.shape == (4, vector_dim(cols, True))
         Y = Y.leading_columns(X.shape[1])
-        assert X.shape == (4, vector_dim(vocab, False))
+        assert X.shape == (4, vector_dim(cols, False))
         assert [X.rows.tolist(), X.cols.tolist(), X.values.tolist()] == \
             [Y.rows.tolist(), Y.cols.tolist(), Y.values.tolist()]
 
@@ -152,13 +167,13 @@ class TestFeaturize:
         c = balanced_four_corpus()
         kinds = frozenset({"bow", "word_ngram"})
         full = featurize(c, kinds, {})
-        vocab = Vocabulary(full.vocab.features[1::2], kinds, {})
+        vocab = full.keys[1::2]
         matrix = featurize(c, kinds, {}, vocab)
-        assert matrix.vocab is vocab
+        assert matrix.keys is vocab
         for r, u in enumerate(c):
             row = matrix.take([r])
             counts = extract_features(u.tokens, kinds, {})
-            assert dict(zip((vocab.features[i] for i in row.indices.tolist()),
+            assert dict(zip((vocab[i] for i in row.indices.tolist()),
                             row.data.tolist())) \
                 == {key: n for key, n in counts.items() if key in vocab}
 
@@ -166,14 +181,16 @@ class TestFeaturize:
         matrix = featurize(balanced_four_corpus(), {"bow"}, {})
         taken = matrix.take([3, 0])
         assert taken.entry_rows.tolist() == [0, 0, 1, 1]
-        assert {matrix.vocab.features[i] for i in taken.indices[:2].tolist()} \
+        assert {matrix.keys[i] for i in taken.indices[:2].tolist()} \
             == {("bow", "plain"), ("bow", "other")}
 
 
 class TestBuildVocabulary:
     def test_bow_enumeration(self):
-        vocab = vocabulary(corpus(utterance(["koi", "to"])), kinds={"bow"})
-        assert vocab.features == (("bow", "koi"), ("bow", "to"))
+        matrix = featurize(corpus(utterance(["koi", "to"])), {"bow"}, {})
+        cols = build_vocabulary(matrix)
+        assert cols.dtype == np.intp and cols.tolist() == [0, 1]
+        assert keys_of(matrix, cols) == (("bow", "koi"), ("bow", "to"))
 
     def test_min_count_threshold(self):
         c = corpus(utterance(["koi", "to"], uid="0"),
@@ -186,12 +203,12 @@ class TestBuildVocabulary:
         c = corpus(utterance(["ab"]))
         vocab = vocabulary(c, kinds={"bow", "char_ngram", "word_ngram"},
                            n_values={"char_ngram": (2,), "word_ngram": (1,)})
-        kinds_in_order = [k for k, _ in vocab.features]
+        kinds_in_order = [k for k, _ in vocab]
         assert kinds_in_order == sorted(
             kinds_in_order, key=["char_ngram", "word_ngram", "bow"].index)
         # and payloads sorted within each kind
-        assert list(vocab.features) == sorted(
-            vocab.features, key=lambda f: (["char_ngram", "word_ngram", "bow"].index(f[0]), f[1]))
+        assert list(vocab) == sorted(
+            vocab, key=lambda f: (["char_ngram", "word_ngram", "bow"].index(f[0]), f[1]))
 
     def test_empty_vocabulary_is_error(self):
         with pytest.raises(ValueError, match="vocabulary is empty"):
@@ -220,49 +237,77 @@ def balanced_four_corpus():
 class TestChi2:
     def test_perfectly_associated_feature(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
-        assert chi2_by_key(c, vocab)[("bow", "marker")] == 4.0
+        assert chi2_by_key(*bow_fit(c))[("bow", "marker")] == 4.0
 
     def test_independent_feature(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
-        assert chi2_by_key(c, vocab)[("bow", "shared")] == 0.0
+        assert chi2_by_key(*bow_fit(c))[("bow", "shared")] == 0.0
 
     def test_select_top_k(self):
-        c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
-        selected = chi2_select(bow_matrix(c), vocab, k=2)
+        matrix, cols = bow_fit(balanced_four_corpus())
+        selected = keys_of(matrix, chi2_select(matrix, cols, k=2))
         assert len(selected) == 2
         assert ("bow", "marker") in selected
-        scores = chi2_by_key(c, vocab)
-        kept = min(scores[f] for f in selected.features)
-        rejected = [scores[f] for f in vocab.features if f not in selected]
+        scores = chi2_by_key(matrix, cols)
+        kept = min(scores[f] for f in selected)
+        rejected = [scores[f] for f in keys_of(matrix, cols) if f not in selected]
         assert all(kept >= r for r in rejected)
 
     def test_select_matches_reference_ranking_with_ties(self):
         rng = random.Random(3)
         c = corpus(*(utterance([f"w{rng.randrange(60)}" for _ in range(4)],
                                label=i % 2, uid=str(i)) for i in range(30)))
-        vocab = vocabulary(c, kinds={"bow"})
-        scores = chi2_by_key(c, vocab)
-        ranked = sorted(vocab.features, key=lambda f: (-scores[f], _feature_sort_key(f)))
-        assert len(set(scores.values())) < len(vocab) // 2  # many ties
+        matrix, cols = bow_fit(c)
+        scores = chi2_by_key(matrix, cols)
+        ranked = sorted(keys_of(matrix, cols), key=lambda f: (-scores[f], _feature_sort_key(f)))
+        assert len(set(scores.values())) < len(cols) // 2  # many ties
         for k in (1, 7, 20):
-            assert chi2_select(bow_matrix(c), vocab, k=k).features == \
+            assert keys_of(matrix, chi2_select(matrix, cols, k=k)) == \
                 tuple(sorted(ranked[:k], key=_feature_sort_key))
 
     def test_k_larger_than_vocab_warns(self):
-        c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
+        matrix, cols = bow_fit(balanced_four_corpus())
         with pytest.warns(UserWarning):
-            selected = chi2_select(bow_matrix(c), vocab, k=1000)
-        assert selected.features == vocab.features
+            selected = chi2_select(matrix, cols, k=1000)
+        assert selected.tolist() == cols.tolist()
 
     def test_label_swap_symmetry(self):
         c = balanced_four_corpus()
         flipped = c.subset(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in c)
-        vocab = vocabulary(c, kinds={"bow"})
-        assert chi2_by_key(c, vocab) == chi2_by_key(flipped, vocab)
+        matrix, cols = bow_fit(c)
+        flipped_matrix = bow_matrix(flipped)
+        assert flipped_matrix.keys == matrix.keys
+        assert chi2_by_key(matrix, cols) == chi2_by_key(flipped_matrix, cols)
+
+
+class TestFoldFit:
+    """A fold's fit runs on matrix.take(rows) and keeps column ids of the
+    whole corpus's matrix; it must keep the features that the same fit keeps
+    on a featurization of those rows alone, and build the same rows."""
+
+    def test_taken_rows_fit_equals_the_fit_on_the_rows_alone(self):
+        rng = random.Random(11)
+        c = corpus(*(utterance([f"w{rng.randrange(25)}" for _ in range(rng.randint(1, 6))],
+                               label=i % 2, uid=str(i)) for i in range(40)))
+        kinds, n_values = frozenset({"bow", "word_ngram"}), {"word_ngram": (2,)}
+        matrix = featurize(c, kinds, n_values)
+        rows = [r for r in range(len(c)) if r % 4 != 1][::-1]
+        part = matrix.take(rows)
+        alone = featurize(c.subset(c[r] for r in rows), kinds, n_values)
+        assert len(alone.keys) < len(matrix.keys)  # the fold misses some features
+        fits = []
+        for m in (part, alone):
+            vocab = build_vocabulary(m, min_count=2)
+            cols = chi2_select(m, vocab, k=15)
+            assert 15 == len(cols) < len(vocab) < len(m.keys)  # both cuts drop columns
+            assert cols.tolist() == sorted(cols.tolist())
+            fits.append((m, cols))
+        assert keys_of(*fits[0]) == keys_of(*fits[1])
+        lexicon = indicative_scores(part.corpus)
+        X, Y = (training_matrix(m, cols, lexicon, frozenset({"w3"})) for m, cols in fits)
+        assert X.shape == Y.shape == (len(rows), 15 + 2 + N_FEATURES)
+        for a, b in ((X.rows, Y.rows), (X.cols, Y.cols), (X.values, Y.values)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestChi2Exact:
@@ -279,14 +324,13 @@ class TestChi2Exact:
         present[:, 2] = False
         _, cols = np.nonzero(present)
         keys = tuple(("bow", f"f{j:02d}") for j in range(40))
-        vocab = Vocabulary(keys, frozenset({"bow"}), {})
         one_token = corpus(*(utterance(["w"], label=int(label), uid=str(i))
                              for i, label in enumerate(labels)))
-        matrix = FeatureMatrix(one_token, vocab,
+        matrix = FeatureMatrix(one_token, keys,
                                np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
                                cols.astype(np.int32), np.ones(len(cols), dtype=np.int32),
                                np.zeros((n, N_FEATURES)))
-        scores = chi2_scores(matrix, vocab)
+        scores = chi2_scores(matrix, np.arange(len(keys)))
         n_pos = int(labels.sum())
         expected = []
         for column in present.T:
@@ -319,12 +363,14 @@ class TestIndicativeScores:
 
 
 class TestVectorize:
+    BOW = (frozenset({"bow"}), {})
+
     def test_no_hits_only_specials(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["unseen"], uid="9")
-        v = encode(u, vocab, lex, frozenset(), with_switching=False)
+        v = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=False)
         assert all(i >= len(vocab) for i in np.flatnonzero(v))
         assert v.shape == (len(vocab) + 2,) and v.dtype == np.float64
 
@@ -332,8 +378,8 @@ class TestVectorize:
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["marker"], uid="9")
-        plain = encode(u, vocab, {}, frozenset(), with_switching=False)
-        with_sw = encode(u, vocab, {}, frozenset(), with_switching=True)
+        plain = encode(u, vocab, *self.BOW, {}, frozenset(), with_switching=False)
+        with_sw = encode(u, vocab, *self.BOW, {}, frozenset(), with_switching=True)
         assert len(with_sw) == len(plain) + 9
 
     def test_switching_never_changes_leading_block(self):
@@ -341,17 +387,16 @@ class TestVectorize:
         vocab = vocabulary(c, kinds={"bow"})
         lex = indicative_scores(c)
         u = utterance(["marker", "shared"], uid="9")
-        plain = encode(u, vocab, lex, frozenset(), with_switching=False)
-        with_sw = encode(u, vocab, lex, frozenset(), with_switching=True)
+        plain = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=False)
+        with_sw = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=True)
         assert np.array_equal(with_sw[:len(vocab) + 2], plain)
 
     def test_paper_sentence_composition(self):
-        vocab = Vocabulary((("bow", "koi"), ("bow", "pray")),
-                           frozenset({"bow"}), {})
+        vocab = (("bow", "koi"), ("bow", "pray"))
         tokens = [("koi", "hi"), ("to", "hi"), ("pray", "en"), ("karo", "hi"),
                   ("mere", "hi"), ("liye", "hi"), ("bhi", "hi")]
         u = LabeledUtterance(tuple(Token(s, t) for s, t in tokens), 1, "0")
-        dense = encode(u, vocab, {}, frozenset(), with_switching=True)
+        dense = encode(u, vocab, *self.BOW, {}, frozenset(), with_switching=True)
         assert dense[0] == 1.0 and dense[1] == 1.0  # koi, pray counts
         base = len(vocab) + 2
         expected_tail = (1, 1, 2, 1 / 7, 6 / 7, 2 / 7, 0.6998542122237653,
@@ -363,16 +408,16 @@ class TestVectorize:
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
         u = utterance(["nahi", "not", "word"], uid="9")
-        v = encode(u, vocab, {}, frozenset({"nahi", "not"}),
-                      with_switching=False)
+        v = encode(u, vocab, *self.BOW, {}, frozenset({"nahi", "not"}),
+                   with_switching=False)
         assert v[len(vocab) + 1] == 2.0
 
     def test_deterministic(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow", "char_ngram"},
-                           n_values={"char_ngram": (3,)})
+        kinds, n_values = frozenset({"bow", "char_ngram"}), {"char_ngram": (3,)}
+        vocab = vocabulary(c, kinds, n_values)
         lex = indicative_scores(c)
         u = utterance(["marker", "shared", "x"], uid="9")
-        a = encode(u, vocab, lex, frozenset({"not"}), True)
-        b = encode(u, vocab, lex, frozenset({"not"}), True)
+        a = encode(u, vocab, kinds, n_values, lex, frozenset({"not"}), True)
+        b = encode(u, vocab, kinds, n_values, lex, frozenset({"not"}), True)
         assert np.array_equal(a, b)
