@@ -5,13 +5,13 @@ feature fit per fold, and confidence-based negative sub-sampling.
 Training minimizes the mean binary cross-entropy with an L2 penalty on the
 weights (bias unpenalized) by line-search Newton-CG from zero, so results
 are exactly reproducible, and stops on a relative gradient-norm tolerance.
-Training and scoring (sigmoid of X @ w + b) both use the sparse
-textfeat.TrainingMatrix, whose time and memory grow with the stored
-entries; train and loss_and_grad use only X.shape, X @ v and X.T @ v, so a
-dense ndarray works as well.  Feature fits keep column ids of the
-featurized matrix; a FittedPipeline holds the keys of its fitted columns and
-scores a corpus by featurizing it over them into one training matrix, whose
-rows its vectorize views densely.
+Training and scoring (sigmoid of X @ w + b) both use textfeat.SparseMatrix,
+whose time and memory grow with the stored entries; train and loss_and_grad
+use only X.shape, X @ v and X.T @ v, so a dense ndarray works as well.  A
+fold's feature fit keeps column ids and words of the one featurized matrix,
+so no fold reads an utterance again; a FittedPipeline holds the keys of its
+fitted columns and scores a corpus by featurizing it over them into one
+training matrix, whose rows its vectorize views densely.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from codeswitch.textfeat import (
     DEFAULT_NEGATION_WORDS,
     FeatureKey,
     FeatureMatrix,
-    TrainingMatrix,
+    SparseMatrix,
     build_vocabulary,
     chi2_select,
     featurize,
@@ -96,7 +96,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | TrainingMatrix,
+def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | SparseMatrix,
                   y: np.ndarray, l2: float) -> tuple[float, np.ndarray, float]:
     """Mean binary cross-entropy plus (l2/2)||w||^2, with its gradient."""
     z = X @ weights + bias
@@ -110,7 +110,7 @@ def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | TrainingMatr
     return loss, grad_w, grad_b
 
 
-def _newton_step(X: np.ndarray | TrainingMatrix, s: np.ndarray, l2: float, g: np.ndarray,
+def _newton_step(X: np.ndarray | SparseMatrix, s: np.ndarray, l2: float, g: np.ndarray,
                  g_norm: float) -> np.ndarray:
     """Truncated conjugate gradients on H d = -g, H being the Hessian in
     theta = (w, b), H v = (X.T @ u + l2 v_w, sum(u)) with u = s (X @ v_w + v_b),
@@ -134,7 +134,7 @@ def _newton_step(X: np.ndarray | TrainingMatrix, s: np.ndarray, l2: float, g: np
     return d if d.any() else -g
 
 
-def train(X: np.ndarray | TrainingMatrix, labels: Sequence[int],
+def train(X: np.ndarray | SparseMatrix, labels: Sequence[int],
           hyper: TrainConfig = TrainConfig()) -> LinearModel:
     """Fit logistic regression to the rows of X by line-search Newton-CG:
     each iteration takes a _newton_step and halves it from 1 until the loss
@@ -179,7 +179,7 @@ def train(X: np.ndarray | TrainingMatrix, labels: Sequence[int],
     return LinearModel(theta[:-1], float(theta[-1]), hyper, iterations, loss, g_norm, converged)
 
 
-def predict_proba(model: LinearModel, X: np.ndarray | TrainingMatrix) -> np.ndarray:
+def predict_proba(model: LinearModel, X: np.ndarray | SparseMatrix) -> np.ndarray:
     """Probability of the positive class per row of X: sigmoid of the score."""
     if X.shape[1] != model.dim:
         raise ValueError(f"matrix dim {X.shape[1]} != model dim {model.dim}")
@@ -267,7 +267,7 @@ class FittedPipeline:
     lexicon: Mapping[str, float]  # empty when config.use_indicative is off
     model: LinearModel
 
-    def _training_matrix(self, corpus: LabeledCorpus) -> TrainingMatrix:
+    def _training_matrix(self, corpus: LabeledCorpus) -> SparseMatrix:
         """The corpus featurized over the fitted vocabulary, with the
         switching block exactly when config.with_switching, one row each."""
         cfg = self.config
@@ -293,7 +293,7 @@ def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
     cols = build_vocabulary(matrix, cfg.min_count)
     if cfg.chi2_k is not None:
         cols = chi2_select(matrix, cols, cfg.chi2_k)
-    lexicon = indicative_scores(matrix.corpus, cfg.lexicon_floor) if cfg.use_indicative else {}
+    lexicon = indicative_scores(matrix, cfg.lexicon_floor) if cfg.use_indicative else {}
     return cols, lexicon
 
 

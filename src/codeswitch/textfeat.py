@@ -2,12 +2,13 @@
 an indicative-token lexicon and negation counts, and the sparse matrix that
 training and scoring multiply, with optional switching features.
 
-A corpus is featurized once into a FeatureMatrix (CSR counts over one
-column per feature key and, when asked for, each row's switching features,
-with the corpus they describe).  A fitted vocabulary is the ascending
-column ids of the matrix it keeps: build_vocabulary and chi2_select return
-them, and training_matrix takes them.  A cross-validation fold is
-matrix.take(rows), and a held-out corpus is featurized over the fitted
+A corpus is featurized once into a FeatureMatrix: labels, feature counts,
+token occurrences and, when asked for, switching features, its sparse
+blocks being SparseMatrix, the one sparse type, which the trainer multiplies
+too.  A fitted vocabulary is the ascending column ids of the matrix it
+keeps: build_vocabulary and chi2_select return them, and training_matrix
+takes them.  A cross-validation fold is matrix.take(rows), so it reads no
+token again, and a held-out corpus is featurized over the fitted
 vocabulary's keys, so no utterance is extracted twice.  training_matrix is
 the one row encoder: training and scoring read its rows, with the switching
 columns exactly when the FeatureMatrix carries its switching block.
@@ -15,8 +16,8 @@ columns exactly when the FeatureMatrix carries its switching block.
 Feature keys are (kind, payload) pairs with kind in {char_ngram,
 word_ngram, bow}.  A featurized matrix's columns are its keys sorted by
 kind (char_ngram, word_ngram, bow) then payload, so ascending column ids
-keep that order.  Rows carry two special_values dimensions (indicative-score
-sum, negation count) after the vocabulary block and, when requested, the
+keep that order.  Rows carry two special dimensions (indicative-score sum,
+negation count) after the vocabulary block and, when requested, the
 nine switching features last, so a row without them is the leading columns
 of one with.
 """
@@ -27,7 +28,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Sized, Union
 
@@ -98,82 +98,126 @@ def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """extract_features counts of a labeled corpus as a CSR matrix: row r
-    is utterance corpus[r], its column ids are indices[indptr[r]:indptr[r + 1]]
-    and its counts the same slice of data.  Column c counts the feature
-    keys[c].  switching[r] is the switching profile of corpus[r], in
-    SwitchProfile.as_tuple order, or switching is None when the matrix was
-    featurized without them."""
+class SparseMatrix:
+    """Sparse N x D matrix of (row, col, value) entries, with X @ v and
+    X.T @ v, X.T being the same entries with rows and columns swapped.
+    X @ v is one np.bincount: each row's terms are added one after another
+    in entry order, from 0.0, in numpy and not in BLAS, so results do not
+    depend on the BLAS thread count or on the Python version.  The entries
+    may come in any order; only the last bits of a sum depend on it."""
 
-    corpus: LabeledCorpus
-    keys: tuple[FeatureKey, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    switching: np.ndarray | None
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.array([u.label for u in self.corpus], dtype=np.intp)
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @property
-    def entry_rows(self) -> np.ndarray:
-        """Row of each stored entry."""
-        return np.repeat(np.arange(len(self.corpus)), np.diff(self.indptr))
+    def T(self) -> "SparseMatrix":
+        return SparseMatrix(self.shape[::-1], self.cols, self.rows, self.values)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        terms = v[self.cols]
+        terms *= self.values  # in place, so a product copies the entries' values once
+        # with no entries, bincount returns int64 whatever the weights
+        return np.bincount(self.rows, terms, self.shape[0]).astype(np.float64, copy=False)
+
+    def take(self, rows: Sequence[int]) -> "SparseMatrix":
+        """The given distinct rows, in the order given, over the same
+        columns; each row keeps its entries in their order."""
+        new_row = np.full(self.shape[0], -1, dtype=self.rows.dtype)  # keeps the row id type
+        new_row[rows] = np.arange(len(rows))
+        target = new_row[self.rows]
+        at = np.flatnonzero(target >= 0)
+        at = at[np.argsort(target[at], kind="stable")]
+        return SparseMatrix((len(rows), self.shape[1]), target[at], self.cols[at],
+                            self.values[at])
+
+    def leading_columns(self, d: int) -> "SparseMatrix":
+        """The matrix of the first d columns, by a mask over the entries
+        (the matrix itself when it has d columns)."""
+        if d == self.shape[1]:
+            return self
+        kept = self.cols < d
+        return SparseMatrix((self.shape[0], d), self.rows[kept], self.cols[kept],
+                            self.values[kept])
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """A featurized labeled corpus, one row per utterance: labels[r] is the
+    label of utterance r; counts its extract_features counts, column c
+    counting the feature keys[c]; tokens one entry of value 1 per token
+    occurrence, in token order, at the column of its lowercased surface in
+    words; switching[r] its switching profile, in SwitchProfile.as_tuple
+    order, or switching is None when it was featurized without them."""
+
+    labels: np.ndarray
+    keys: tuple[FeatureKey, ...]
+    counts: SparseMatrix
+    words: tuple[str, ...]
+    tokens: SparseMatrix
+    switching: np.ndarray | None
 
     def take(self, rows: Sequence[int]) -> "FeatureMatrix":
-        """The given rows, in the order given, over the same columns."""
-        rows = np.asarray(rows, dtype=np.intp)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        """The given distinct rows, in the order given, over the same columns."""
         switching = None if self.switching is None else self.switching[rows]
-        return FeatureMatrix(self.corpus.subset(self.corpus[r] for r in rows.tolist()), self.keys,
-                             indptr, self.indices[at], self.data[at], switching)
+        return FeatureMatrix(self.labels[rows], self.keys, self.counts.take(rows), self.words,
+                             self.tokens.take(rows), switching)
 
 
 def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
               vocab: Sequence[FeatureKey] | None = None,
               with_switching: bool = True) -> FeatureMatrix:
-    """Count matrix of the corpus, built in one streaming pass: each
-    utterance is extracted once, its keys are interned into column ids
-    appended to flat lists, and its Counter is dropped.  The ids are then
-    remapped to the rank of their key, or, given the keys of a fitted
-    vocab, only those are kept, as its columns.  Ids and counts are int32,
-    which keeps the matrix small while a cross-validation holds it.  The
-    switching block is built only with_switching, and is None otherwise."""
+    """Feature matrix of the corpus, built in one streaming pass: each
+    utterance is extracted once, its keys and lowercased surfaces are
+    interned into column ids appended to flat lists, and its Counter is
+    dropped.  The key ids are then remapped to the rank of their key, or,
+    given the keys of a fitted vocab, only those are kept, as its columns.
+    Row and column ids and counts are int32, and token values int8, which
+    keeps the matrix small while a cross-validation holds it.  The switching
+    block is built only with_switching, and is None otherwise."""
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
     ids: dict[FeatureKey, int] = {} if vocab is None else {key: i for i, key in enumerate(vocab)}
-    indptr, indices, data = [0], [], []
+    word_ids: dict[str, int] = {}
+    labels, switching = [], []
+    n_keys, key_cols, key_counts, n_tokens, token_cols = [], [], [], [], []
     for u in corpus:
-        counts = extract_features(u.tokens, kinds, n_values)
+        feats = extract_features(u.tokens, kinds, n_values)
         if vocab is not None:
-            counts = {key: n for key, n in counts.items() if key in ids}
-        indices.extend([ids.setdefault(key, len(ids)) for key in counts])
-        data.extend(counts.values())
-        indptr.append(len(indices))
-    indices = np.array(indices, dtype=np.int32)
+            feats = {key: n for key, n in feats.items() if key in ids}
+        n_keys.append(len(feats))
+        key_cols.extend([ids.setdefault(key, len(ids)) for key in feats])
+        key_counts.extend(feats.values())
+        n_tokens.append(len(u.tokens))
+        token_cols.extend([word_ids.setdefault(t.surface.lower(), len(word_ids))
+                           for t in u.tokens])
+        labels.append(u.label)
+        if with_switching:
+            switching.append(switching_features(u.tokens).as_tuple())
+    key_cols = np.array(key_cols, dtype=np.int32)
     if vocab is None:
-        keys = sorted(ids, key=_feature_sort_key)
-        rank = np.empty(len(keys), dtype=np.int32)
-        rank[[ids[key] for key in keys]] = np.arange(len(keys))
-        indices, vocab = rank[indices], keys
-    switching = np.array([switching_features(u.tokens).as_tuple() for u in corpus],
-                         dtype=np.float64).reshape(-1, N_FEATURES) if with_switching else None
-    return FeatureMatrix(corpus, tuple(vocab), np.array(indptr), indices,
-                         np.array(data, dtype=np.int32), switching)
+        vocab = sorted(ids, key=_feature_sort_key)
+        rank = np.empty(len(vocab), dtype=np.int32)
+        rank[[ids[key] for key in vocab]] = np.arange(len(vocab))
+        key_cols = rank[key_cols]
+    n = len(labels)
+    counts = SparseMatrix((n, len(vocab)), np.repeat(np.arange(n, dtype=np.int32), n_keys),
+                          key_cols, np.array(key_counts, dtype=np.int32))
+    tokens = SparseMatrix((n, len(word_ids)), np.repeat(np.arange(n, dtype=np.int32), n_tokens),
+                          np.array(token_cols, dtype=np.int32), np.ones(len(token_cols), np.int8))
+    switching = np.array(switching, dtype=np.float64).reshape(-1, N_FEATURES)
+    return FeatureMatrix(np.array(labels, dtype=np.intp), tuple(vocab), counts, tuple(word_ids),
+                         tokens, switching if with_switching else None)
 
 
 def build_vocabulary(matrix: FeatureMatrix, min_count: int = 1) -> np.ndarray:
     """The ascending column ids of the features present in the matrix whose
     total count there is at least min_count."""
-    totals = np.bincount(matrix.indices, weights=matrix.data, minlength=len(matrix.keys))
+    totals = matrix.counts.T @ np.ones(len(matrix.labels))
     cols = np.flatnonzero((totals > 0) & (totals >= min_count))
     if not len(cols):
         raise ValueError("resulting vocabulary is empty")
@@ -193,10 +237,9 @@ def chi2_scores(matrix: FeatureMatrix, cols: np.ndarray) -> np.ndarray:
     """Chi-squared statistic of (feature presence x label) over the rows of
     the matrix, per column of cols in that order; each equals _chi2 of the
     feature's presence counts bit for bit."""
-    labels, indices = matrix.labels, matrix.indices
-    a = np.bincount(indices[labels[matrix.entry_rows] == POSITIVE],
-                    minlength=len(matrix.keys))[cols]
-    b = np.bincount(indices, minlength=len(matrix.keys))[cols] - a
+    labels, counts = matrix.labels, matrix.counts
+    a = np.bincount(counts.cols[labels[counts.rows] == POSITIVE], minlength=len(matrix.keys))[cols]
+    b = np.bincount(counts.cols, minlength=len(matrix.keys))[cols] - a
     n = len(labels)
     n_pos = int(np.count_nonzero(labels == POSITIVE))
     # Over fixed rows the score depends on (a, b) alone, so _chi2 runs once
@@ -221,24 +264,21 @@ def chi2_select(matrix: FeatureMatrix, cols: np.ndarray, k: int = 500) -> np.nda
     return cols[np.sort(ranked[:k])]
 
 
-def indicative_scores(corpus: LabeledCorpus, floor: float = 0.0) -> dict[str, float]:
+def indicative_scores(matrix: FeatureMatrix, floor: float = 0.0) -> dict[str, float]:
     """The indicative lexicon: a smoothed log-ratio score per lowercased
-    token, log((count in positives + 1) / (count in negatives + 1)),
-    measuring association with the positive class.  Tokens with
-    |score| < floor are dropped."""
-    pos_counts: Counter = Counter()
-    neg_counts: Counter = Counter()
-    for u in corpus:
-        target = pos_counts if u.label == POSITIVE else neg_counts
-        target.update(t.surface.lower() for t in u.tokens)
-    if not pos_counts or not neg_counts:
+    token of the matrix rows, log((count in positives + 1) / (count in
+    negatives + 1)), measuring association with the positive class.  Tokens
+    with |score| < floor are dropped."""
+    positive = (matrix.labels == POSITIVE).astype(np.float64)
+    pos, neg = matrix.tokens.T @ positive, matrix.tokens.T @ (1.0 - positive)
+    if not (pos.any() and neg.any()):
         raise ValueError("both classes must be present to score tokens")
-
+    present = np.flatnonzero(pos + neg)
     scores = {}
-    for token in set(pos_counts) | set(neg_counts):
-        s = math.log((pos_counts[token] + 1) / (neg_counts[token] + 1))
+    for w, p, n in zip(present.tolist(), pos[present].tolist(), neg[present].tolist()):
+        s = math.log((p + 1) / (n + 1))
         if abs(s) >= floor:
-            scores[token] = s
+            scores[matrix.words[w]] = s
     return scores
 
 
@@ -261,67 +301,26 @@ def vector_dim(vocab: Sized, with_switching: bool) -> int:
     return len(vocab) + 2 + (N_FEATURES if with_switching else 0)
 
 
-def special_values(tokens: Sequence[Token], lexicon: Mapping[str, float],
-                   negation_words: frozenset[str]) -> tuple[float, float]:
-    """The two dimensions after the vocabulary block: indicative-score sum
-    and negation count."""
-    indicative = sum(lexicon.get(t.surface.lower(), 0.0) for t in tokens)
-    negations = sum(1 for t in tokens if t.surface.lower() in negation_words)
-    return float(indicative), float(negations)
-
-
-@dataclass(frozen=True, eq=False)
-class TrainingMatrix:
-    """Sparse N x D matrix of (row, col, value) entries, with X @ v and
-    X.T @ v, X.T being the same entries with rows and columns swapped.
-    X @ v is one np.bincount: each row's terms are added one after another
-    in entry order (the order training_matrix builds them), in numpy and
-    not in BLAS, so results do not depend on the BLAS thread count.  The
-    entries may come in any order; only the last bits of a sum depend on it."""
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    @property
-    def T(self) -> "TrainingMatrix":
-        return TrainingMatrix(self.shape[::-1], self.cols, self.rows, self.values)
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        terms = v[self.cols]
-        terms *= self.values  # in place, so a product copies the entries' values once
-        # with no entries, bincount returns int64 whatever the weights
-        return np.bincount(self.rows, terms, self.shape[0]).astype(np.float64, copy=False)
-
-    def leading_columns(self, d: int) -> "TrainingMatrix":
-        """The matrix of the first d columns, by a mask over the entries
-        (the matrix itself when it has d columns)."""
-        if d == self.shape[1]:
-            return self
-        kept = self.cols < d
-        return TrainingMatrix((self.shape[0], d), self.rows[kept], self.cols[kept],
-                              self.values[kept])
-
-
 def training_matrix(matrix: FeatureMatrix, cols: np.ndarray,
-                    lexicon: Mapping[str, float], negation_words: frozenset[str]) -> TrainingMatrix:
-    """Sparse matrix of one row per utterance of matrix.corpus: the
-    vocabulary block is the matrix's columns cols, in that order, through
-    one column remap, the rest the nonzeros of special_values and, when the
-    matrix carries its switching block, the nine switching columns."""
+                    lexicon: Mapping[str, float], negation_words: frozenset[str]) -> SparseMatrix:
+    """Sparse matrix of one row per row of the matrix: the vocabulary block
+    is the matrix's columns cols, in that order, through one column remap;
+    then the nonzeros of the indicative-score sum and the negation count of
+    each row's tokens and, when the matrix carries its switching block, the
+    nine switching columns."""
     with_switching = matrix.switching is not None
     remap = np.full(len(matrix.keys), -1, dtype=np.intp)
     remap[cols] = np.arange(len(cols))
-    target = remap[matrix.indices]
+    target = remap[matrix.counts.cols]
     hit = target >= 0
-    block = np.array([special_values(u.tokens, lexicon, negation_words) for u in matrix.corpus],
-                     dtype=np.float64).reshape(-1, 2)
+    word_scores = np.array([lexicon.get(w, 0.0) for w in matrix.words], dtype=np.float64)
+    negations = np.array([w in negation_words for w in matrix.words], dtype=np.float64)
+    block = np.column_stack([matrix.tokens @ word_scores, matrix.tokens @ negations])
     if with_switching:
         block = np.hstack([block, matrix.switching])
     s_rows, s_cols = np.nonzero(block)
-    n, d = len(matrix.corpus), vector_dim(cols, with_switching)
-    return TrainingMatrix((n, d), np.concatenate([matrix.entry_rows[hit], s_rows]),
-                          np.concatenate([target[hit], len(cols) + s_cols]),
-                          np.concatenate([matrix.data[hit].astype(np.float64),
-                                          block[s_rows, s_cols]]))
+    n, d = len(matrix.labels), vector_dim(cols, with_switching)
+    return SparseMatrix((n, d), np.concatenate([matrix.counts.rows[hit], s_rows]),
+                        np.concatenate([target[hit], len(cols) + s_cols]),
+                        np.concatenate([matrix.counts.values[hit].astype(np.float64),
+                                        block[s_rows, s_cols]]))

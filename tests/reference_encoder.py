@@ -11,13 +11,18 @@ from codeswitch.textfeat import extract_features
 def dense_row(utterance, vocab, kinds, n_values, lexicon, negation_words, with_switching):
     """Counts of the feature keys of vocab, extracted with kinds and
     n_values, then the indicative-score sum and the negation count of the
-    lowercased surfaces, then (with_switching) the nine switching features."""
+    lowercased surfaces, then (with_switching) the nine switching features.
+    The scores are added left to right from 0.0, the order the package pins;
+    sum() would compensate its rounding from Python 3.12 on."""
     row = np.zeros(len(vocab) + 2 + (N_FEATURES if with_switching else 0))
     for key, count in extract_features(utterance.tokens, kinds, n_values).items():
         if key in vocab:
             row[vocab.index(key)] = count
     surfaces = [t.surface.lower() for t in utterance.tokens]
-    row[len(vocab)] = sum(lexicon.get(s, 0.0) for s in surfaces)
+    indicative = 0.0
+    for s in surfaces:
+        indicative += lexicon.get(s, 0.0)
+    row[len(vocab)] = indicative
     row[len(vocab) + 1] = sum(s in negation_words for s in surfaces)
     if with_switching:
         row[len(vocab) + 2:] = switching_features(utterance.tokens).as_tuple()

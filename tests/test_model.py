@@ -31,6 +31,7 @@ from codeswitch.model import (
     train,
 )
 from reference_encoder import dense_row, pipeline_rows
+from synth_corpus import switching_driven_corpus
 
 
 def as_dense(X):
@@ -330,14 +331,17 @@ class TestCrossValidate:
         def recorded(train_part, cfg):
             cols, lexicon = fit_features(train_part, cfg)
             fitted.append(({train_part.keys[c] for c in cols.tolist()},
-                           {u.id for u in train_part.corpus}))
+                           {train_part.words[c] for c in train_part.tokens.cols.tolist()}))
             return cols, lexicon
         monkeypatch.setattr(model_module, "_fit_features", recorded)
         cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None)
         cross_validate(corpus, cfg, k=3, seed=13)
         assert len(fitted) == 3
-        for vocab, train_ids in fitted:
+        for (vocab, words), (train_rows, _) in zip(fitted, fold_indices(len(corpus), 3, 13)):
+            train_ids = {corpus[r].id for r in train_rows}
             assert len(train_ids) == 20
+            # the fit ran on exactly the train rows
+            assert {w for w in words if w.startswith("only")} == {f"only{i}" for i in train_ids}
             for u in corpus:
                 assert (("bow", f"only{u.id}") in vocab) == (u.id in train_ids)
 
@@ -361,8 +365,11 @@ class TestCrossValidate:
             cross_validate_arms(word_pool_corpus(4, seed=1), self.CFG, (True, False), k=4, seed=13)
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
-        corpus = word_pool_corpus(40, seed=4)
-        calls = {"extract_features": 0, "switching_features": 0, "special_values": 0}
+        """Whatever k is, each utterance is extracted and profiled once and
+        the corpus is iterated as often: the folds, their lexicons and their
+        indicative and negation columns all read the featurized matrix."""
+        corpus = switching_driven_corpus(200, seed=3)
+        calls = {"extract_features": 0, "switching_features": 0}
 
         def counted(name):
             original = getattr(textfeat, name)
@@ -373,23 +380,48 @@ class TestCrossValidate:
             return call
         for name in calls:
             monkeypatch.setattr(textfeat, name, counted(name))
-        arms = cross_validate_arms(corpus, self.FULL, (True, False), k=5, seed=13)
-        assert arms[0].skipped_folds == ()
-        # the indicative and negation columns: each utterance once per fold
-        assert calls == {"extract_features": len(corpus), "switching_features": len(corpus),
-                         "special_values": len(corpus) * 5}
+        passes = []
+        iterate = LabeledCorpus.__iter__
 
-    def test_no_leakage_from_test_fold(self):
+        def counted_iter(self):
+            passes[-1] += 1
+            return iterate(self)
+        monkeypatch.setattr(LabeledCorpus, "__iter__", counted_iter)
+        for k in (3, 5, 10):
+            calls.update(dict.fromkeys(calls, 0))
+            passes.append(0)
+            arms = cross_validate_arms(corpus, self.FULL, (True, False), k=k, seed=13)
+            assert arms[0].skipped_folds == ()
+            assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
+        assert passes[0] == passes[1] == passes[2]
+
+    def test_no_leakage_from_test_fold(self, monkeypatch):
+        """Fold 0 fits the same keys and lexicon when its test utterances
+        are replaced by 'zzz' alone, and keeps no 'zzz' key or lexicon entry
+        though 'zzz' is a word of the featurized matrix."""
         corpus = word_pool_corpus(40, seed=3)
-        train_part, test_part = kfold(corpus, 4, seed=13)[0]
-        pipeline = fit_pipeline(train_part, self.CFG)
-        # mutate every test utterance: fitted vocabulary must be identical
-        mutated = test_part.subset(
-            LabeledUtterance((Token("zzz", "hi"),), u.label, u.id)
-            for u in test_part)
-        pipeline2 = fit_pipeline(train_part, self.CFG)
-        assert pipeline.vocab == pipeline2.vocab
-        assert ("bow", "zzz") not in pipeline.vocab
+        _, test_rows = fold_indices(len(corpus), 4, 13)[0]
+        replaced = set(test_rows)
+        mutated = corpus.subset(LabeledUtterance((Token("zzz", "hi"),), u.label, u.id)
+                                if r in replaced else u for r, u in enumerate(corpus))
+        fits = []
+        fit_features = model_module._fit_features
+
+        def recorded(train_part, cfg):
+            cols, lexicon = fit_features(train_part, cfg)
+            fits.append((tuple(train_part.keys[c] for c in cols.tolist()), lexicon,
+                         train_part.words))
+            return cols, lexicon
+        monkeypatch.setattr(model_module, "_fit_features", recorded)
+        runs = []
+        for c in (corpus, mutated):
+            fits.clear()
+            assert cross_validate(c, self.FULL, k=4, seed=13).skipped_folds == ()
+            runs.append(fits[0])
+        (keys, lexicon, _), (mutated_keys, mutated_lexicon, words) = runs
+        assert "zzz" in words and lexicon
+        assert (mutated_keys, mutated_lexicon) == (keys, lexicon)
+        assert ("bow", "zzz") not in mutated_keys and "zzz" not in mutated_lexicon
 
 
 class TestFitPipeline:
@@ -491,9 +523,9 @@ class TestMatrixScoring:
                 > len(pipeline.vocab)
             keys = [textfeat.extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
             assert any(key not in pipeline.vocab for key in keys[0])  # unseen keys ...
-            assert np.diff(matrix.indptr)[0] > 0  # ... next to known ones
+            assert 0 in matrix.counts.rows.tolist()  # ... next to known ones
             assert not any(key in pipeline.vocab for key in keys[-1])
-            assert np.diff(matrix.indptr)[-1] == 0
+            assert len(corpus) - 1 not in matrix.counts.rows.tolist()
             self.assert_matches_reference(pipeline, corpus, pipeline.predict_proba(corpus))
             rows = pipeline_rows(pipeline, corpus)
             assert rows.shape[1] == textfeat.vector_dim(pipeline.vocab, with_switching)
@@ -549,8 +581,8 @@ class TestSparseTraining:
     def test_products_ignore_entry_order(self):
         X, dense, _ = self.matrices()
         order = np.random.default_rng(5).permutation(len(X.values))
-        shuffled = textfeat.TrainingMatrix(X.shape, X.rows[order], X.cols[order],
-                                           X.values[order])
+        shuffled = textfeat.SparseMatrix(X.shape, X.rows[order], X.cols[order],
+                                         X.values[order])
         rng = np.random.default_rng(6)
         for _ in range(5):
             v, r = rng.normal(size=dense.shape[1]), rng.normal(size=dense.shape[0])
@@ -558,6 +590,21 @@ class TestSparseTraining:
                                           (shuffled.T @ r, X.T @ r, dense.T @ r)):
                 np.testing.assert_allclose(got, plain, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12)
+
+    def test_take_keeps_each_rows_entries_in_order(self):
+        """take of a matrix whose entries come in no row order: the given
+        rows (empty ones too), each with its entries in their old order."""
+        X, dense, _ = self.matrices()
+        order = np.random.default_rng(8).permutation(len(X.values))
+        shuffled = textfeat.SparseMatrix(X.shape, X.rows[order], X.cols[order],
+                                         X.values[order])
+        rows = [20, 0, 32, 5, 16]
+        taken = shuffled.take(rows)
+        assert taken.shape == (len(rows), X.shape[1])
+        assert np.array_equal(as_dense(taken), dense[rows])
+        for i, r in enumerate(rows):
+            for got, old in ((taken.cols, shuffled.cols), (taken.values, shuffled.values)):
+                assert got[taken.rows == i].tolist() == old[shuffled.rows == r].tolist()
 
     def test_scoring_product_copies_the_values_once(self):
         """Scoring needs one X @ w; it allocates one float per entry (the
@@ -617,8 +664,8 @@ class TestSparseTraining:
         assert np.abs(sparse_fit.weights - dense_fit.weights).max() <= bound
 
     def test_products_without_entries_are_float(self):
-        X = textfeat.TrainingMatrix((2, 3), *(np.array([], dtype=dt) for dt in
-                                              (np.intp, np.intp, np.float64)))
+        X = textfeat.SparseMatrix((2, 3), *(np.array([], dtype=dt) for dt in
+                                            (np.intp, np.intp, np.float64)))
         for product in (X @ np.ones(3), X.T @ np.ones(2)):
             assert product.dtype == np.float64 and not product.any()
 

@@ -9,6 +9,7 @@ from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
     NGRAM_SEP,
     FeatureMatrix,
+    SparseMatrix,
     build_vocabulary,
     _chi2,
     _feature_sort_key,
@@ -67,6 +68,14 @@ def encode(u, vocab, kinds, n_values, lexicon, negation_words, with_switching):
     return row
 
 
+def entries(matrix):
+    """The stored entries of the matrix's counts and tokens blocks, in
+    order, as (row, feature key, count) and (row, word, value) triples."""
+    return [[(r, names[c], v) for r, c, v in zip(block.rows.tolist(), block.cols.tolist(),
+                                                 block.values.tolist())]
+            for block, names in ((matrix.counts, matrix.keys), (matrix.tokens, matrix.words))]
+
+
 def chi2_by_key(matrix, cols):
     return dict(zip(keys_of(matrix, cols), chi2_scores(matrix, cols)))
 
@@ -111,31 +120,34 @@ class TestFeaturize:
         assert matrix.labels.tolist() == [u.label for u in c]
         for r, u in enumerate(c):
             row = matrix.take([r])
-            cols, counts = row.indices, row.data
+            cols, counts = row.counts.cols, row.counts.values
             assert dict(zip((keys[i] for i in cols.tolist()), counts.tolist())) \
                 == extract_features(u.tokens, kinds, {})
+            assert [matrix.words[i] for i in row.tokens.cols.tolist()] \
+                == [t.surface.lower() for t in u.tokens]
+            assert row.tokens.values.tolist() == [1] * len(u.tokens)
 
     def test_take_equals_featurize_of_the_rows(self):
         c = corpus(utterance(["a", "b", "c", "d", "e", "f"], uid="0"),
-                   utterance(["a", "b", "c", "d", "e"], label=0, uid="1"),
+                   utterance(["a", "B", "c", "d", "e"], label=0, uid="1"),
                    utterance(["koi"], label=0, uid="2"),  # no word 2- or 5-gram
                    utterance(["b", "c", "d", "e", "f", "g", "a"], uid="3"),
                    utterance(["x", "b", "c", "d", "e"], label=0, uid="4"))
         n_values = {"word_ngram": (2, 5)}
         matrix = featurize(c, {"word_ngram"}, n_values)
-        rows = [4, 2, 0, 3]
-        taken = matrix.take(rows)
-        part = featurize(c.subset(c[r] for r in rows), {"word_ngram"}, n_values)
-        assert taken.keys is matrix.keys
-        assert taken.corpus == part.corpus
-        assert taken.labels.tolist() == part.labels.tolist() == [0, 0, 1, 1]
-        assert taken.indptr.tolist() == part.indptr.tolist()
-        assert taken.indptr[1] == taken.indptr[2]  # row 2 stores no entry
-        assert [matrix.keys[c] for c in taken.indices.tolist()] \
-            == [part.keys[c] for c in part.indices.tolist()]
-        assert taken.data.tolist() == part.data.tolist()
-        assert taken.switching.tobytes() == part.switching.tobytes() \
-            == matrix.switching[rows].tobytes()
+        for rows in ([4, 2, 0, 3], [4, 3, 2, 1, 0]):
+            taken = matrix.take(rows)
+            part = featurize(c.subset(c[r] for r in rows), {"word_ngram"}, n_values)
+            assert taken.keys is matrix.keys and taken.words is matrix.words
+            assert taken.labels.tolist() == part.labels.tolist() == [c[r].label for r in rows]
+            assert taken.counts.shape == (len(rows), len(matrix.keys))
+            assert taken.tokens.shape == (len(rows), len(matrix.words))
+            # the row of utterance 2 stores no count, and every other row does
+            assert sorted(set(taken.counts.rows.tolist())) \
+                == [i for i, r in enumerate(rows) if r != 2]
+            assert entries(taken) == entries(part)
+            assert taken.switching.tobytes() == part.switching.tobytes() \
+                == matrix.switching[rows].tobytes()
 
     def test_switching_block_holds_each_rows_profile(self):
         tags = ["hi", "en", "hi", "rest", "en"]
@@ -173,16 +185,18 @@ class TestFeaturize:
         for r, u in enumerate(c):
             row = matrix.take([r])
             counts = extract_features(u.tokens, kinds, {})
-            assert dict(zip((vocab[i] for i in row.indices.tolist()),
-                            row.data.tolist())) \
+            assert dict(zip((vocab[i] for i in row.counts.cols.tolist()),
+                            row.counts.values.tolist())) \
                 == {key: n for key, n in counts.items() if key in vocab}
 
     def test_entries_follow_the_given_row_order(self):
         matrix = featurize(balanced_four_corpus(), {"bow"}, {})
         taken = matrix.take([3, 0])
-        assert taken.entry_rows.tolist() == [0, 0, 1, 1]
-        assert {matrix.keys[i] for i in taken.indices[:2].tolist()} \
+        assert taken.counts.rows.tolist() == taken.tokens.rows.tolist() == [0, 0, 1, 1]
+        assert {matrix.keys[i] for i in taken.counts.cols[:2].tolist()} \
             == {("bow", "plain"), ("bow", "other")}
+        assert [matrix.words[i] for i in taken.tokens.cols.tolist()] \
+            == ["plain", "other", "marker", "shared"]
 
 
 class TestBuildVocabulary:
@@ -303,7 +317,8 @@ class TestFoldFit:
             assert cols.tolist() == sorted(cols.tolist())
             fits.append((m, cols))
         assert keys_of(*fits[0]) == keys_of(*fits[1])
-        lexicon = indicative_scores(part.corpus)
+        lexicon = indicative_scores(part)
+        assert lexicon == indicative_scores(alone)
         X, Y = (training_matrix(m, cols, lexicon, frozenset({"w3"})) for m, cols in fits)
         assert X.shape == Y.shape == (len(rows), 15 + 2 + N_FEATURES)
         for a, b in ((X.rows, Y.rows), (X.cols, Y.cols), (X.values, Y.values)):
@@ -322,14 +337,14 @@ class TestChi2Exact:
         present[:, 0] = labels == 1
         present[:, 1] = True
         present[:, 2] = False
-        _, cols = np.nonzero(present)
+        rows, cols = np.nonzero(present)
         keys = tuple(("bow", f"f{j:02d}") for j in range(40))
-        one_token = corpus(*(utterance(["w"], label=int(label), uid=str(i))
-                             for i, label in enumerate(labels)))
-        matrix = FeatureMatrix(one_token, keys,
-                               np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
-                               cols.astype(np.int32), np.ones(len(cols), dtype=np.int32),
-                               np.zeros((n, N_FEATURES)))
+        one_token = SparseMatrix((n, 1), np.arange(n), np.zeros(n, dtype=np.intp),
+                                 np.ones(n, dtype=np.int8))
+        matrix = FeatureMatrix(labels, keys,
+                               SparseMatrix((n, len(keys)), rows, cols,
+                                            np.ones(len(cols), dtype=np.int32)),
+                               ("w",), one_token, np.zeros((n, N_FEATURES)))
         scores = chi2_scores(matrix, np.arange(len(keys)))
         n_pos = int(labels.sum())
         expected = []
@@ -345,21 +360,43 @@ class TestIndicativeScores:
     def test_positive_only_token(self):
         utts = [utterance(["magic"] * 5, label=1, uid="0"),
                 utterance(["dull"], label=0, uid="1")]
-        lex = indicative_scores(corpus(*utts))
+        lex = indicative_scores(bow_matrix(corpus(*utts)))
         assert lex["magic"] == pytest.approx(math.log(6 / 1))
 
     def test_equal_counts_score_zero(self):
         utts = [utterance(["same"], label=1, uid="0"),
                 utterance(["same"], label=0, uid="1")]
-        lex = indicative_scores(corpus(*utts))
+        lex = indicative_scores(bow_matrix(corpus(*utts)))
         assert lex["same"] == 0.0
 
     def test_floor_drops_weak_tokens(self):
         utts = [utterance(["same", "strong"], label=1, uid="0"),
                 utterance(["same"], label=0, uid="1")]
-        lex = indicative_scores(corpus(*utts), floor=0.5)
+        lex = indicative_scores(bow_matrix(corpus(*utts)), floor=0.5)
         assert "same" not in lex
         assert "strong" in lex
+
+    def test_equals_counter_reference(self):
+        """The lexicon of taken rows, against counting each lowercased
+        surface of those utterances alone: the same words, scored bit for
+        bit, and none for a word that occurs only in other rows."""
+        rng = random.Random(5)
+        c = corpus(*(utterance([rng.choice(["Ab", "ab", "AB"]) + str(rng.randrange(30))
+                                for _ in range(rng.randint(1, 8))], label=i % 2, uid=str(i))
+                     for i in range(50)))
+        rows = list(range(0, 50, 3))
+        pos, neg = Counter(), Counter()
+        for r in rows:
+            (pos if c[r].label == 1 else neg).update(t.surface.lower() for t in c[r].tokens)
+        matrix = bow_matrix(c)
+        assert len(pos | neg) < len(matrix.words)
+        lex = indicative_scores(matrix.take(rows))
+        assert lex == {w: math.log((pos[w] + 1) / (neg[w] + 1)) for w in pos | neg}
+
+    def test_single_class_rows_are_an_error(self):
+        matrix = bow_matrix(balanced_four_corpus())
+        with pytest.raises(ValueError, match="both classes"):
+            indicative_scores(matrix.take([0, 1]))
 
 
 class TestVectorize:
@@ -368,7 +405,7 @@ class TestVectorize:
     def test_no_hits_only_specials(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
-        lex = indicative_scores(c)
+        lex = indicative_scores(bow_matrix(c))
         u = utterance(["unseen"], uid="9")
         v = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=False)
         assert all(i >= len(vocab) for i in np.flatnonzero(v))
@@ -385,7 +422,7 @@ class TestVectorize:
     def test_switching_never_changes_leading_block(self):
         c = balanced_four_corpus()
         vocab = vocabulary(c, kinds={"bow"})
-        lex = indicative_scores(c)
+        lex = indicative_scores(bow_matrix(c))
         u = utterance(["marker", "shared"], uid="9")
         plain = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=False)
         with_sw = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=True)
@@ -416,7 +453,7 @@ class TestVectorize:
         c = balanced_four_corpus()
         kinds, n_values = frozenset({"bow", "char_ngram"}), {"char_ngram": (3,)}
         vocab = vocabulary(c, kinds, n_values)
-        lex = indicative_scores(c)
+        lex = indicative_scores(bow_matrix(c))
         u = utterance(["marker", "shared", "x"], uid="9")
         a = encode(u, vocab, kinds, n_values, lex, frozenset({"not"}), True)
         b = encode(u, vocab, kinds, n_values, lex, frozenset({"not"}), True)
