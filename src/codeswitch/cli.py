@@ -236,7 +236,7 @@ def _cv_dict(result: CVResult) -> dict:
 def cmd_stats(args) -> int:
     columns = []
     for path in args.inputs:
-        corpus = _preprocess_corpus(load_corpus(path, Path(path).stem), args, path)
+        corpus = _preprocess_corpus(load_corpus(path), args, path)
         columns.append(stats_mod.summarize(corpus))
 
     def cell(value) -> str:
@@ -249,7 +249,7 @@ def cmd_stats(args) -> int:
         ("avg(S|~T)", [c.avg_switch_neg for c in columns]),
         ("phi", [c.phi for c in columns]),
     ]
-    lines = ["metric\t" + "\t".join(c.task_name for c in columns)]
+    lines = ["metric\t" + "\t".join(Path(path).stem for path in args.inputs)]
     for name, values in rows:
         lines.append(name + "\t" + "\t".join(cell(v) for v in values))
     _write_output(args.output, "\n".join(lines) + "\n")
@@ -268,8 +268,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _pipeline_config(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
-    pipeline = fit_pipeline(corpus, _pipeline_config(args))
+    pipeline = fit_pipeline(corpus, cfg)
     _write_output(args.model_out, format_model(pipeline.model))
     _save_pipeline_bundle(pipeline, args.pipeline_out)
     print(f"trained on {len(corpus)} utterances; "
@@ -293,8 +294,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     cfg = _pipeline_config(args)
+    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
 
     if args.ablate_switching:
         with_sw, without_sw = cross_validate_arms(corpus, cfg, (True, False), args.k, args.seed)

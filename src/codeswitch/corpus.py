@@ -6,7 +6,8 @@ File format (one utterance per line, UTF-8, LF):
 
 where label is 0 or 1 and tag is one of hi / en / rest.  The *last*
 underscore in each token delimits the tag, so surfaces may themselves
-contain underscores.  Blank lines are skipped.
+contain underscores.  Blank lines are skipped.  load_corpus reads a
+corpus; serialize_tagged_line writes one utterance as a line.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class LabeledCorpus:
     """An ordered, immutable collection of labeled utterances."""
 
     utterances: tuple[LabeledUtterance, ...]
-    task_name: str = ""
 
     def __post_init__(self) -> None:
         ids = [u.id for u in self.utterances]
@@ -90,7 +90,7 @@ class LabeledCorpus:
         return tuple(u for u in self.utterances if u.label == NEGATIVE)
 
     def subset(self, utterances: Iterable[LabeledUtterance]) -> "LabeledCorpus":
-        return LabeledCorpus(tuple(utterances), self.task_name)
+        return LabeledCorpus(tuple(utterances))
 
 
 def parse_tagged_line(line: str, line_number: int | None = None,
@@ -143,7 +143,7 @@ def serialize_tagged_line(utterance: LabeledUtterance) -> str:
     return f"{utterance.label}\t{body}"
 
 
-def load_corpus(source: Union[str, Path, IO[str]], task_name: str = "") -> LabeledCorpus:
+def load_corpus(source: Union[str, Path, IO[str]]) -> LabeledCorpus:
     """Load a tagged-line corpus from a path or open text stream.
 
     Ids are assigned as 0-based ordinals over non-blank lines; blank lines
@@ -155,7 +155,7 @@ def load_corpus(source: Union[str, Path, IO[str]], task_name: str = "") -> Label
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                return load_corpus(fh, task_name)
+                return load_corpus(fh)
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{source}: not valid UTF-8: {exc.reason}") from None
         except CorpusFormatError as exc:
@@ -169,13 +169,7 @@ def load_corpus(source: Union[str, Path, IO[str]], task_name: str = "") -> Label
         utterances.append(_parse_tagged_line(line, line_number, str(len(utterances)), interned))
     if not utterances:
         raise CorpusFormatError("empty corpus")
-    return LabeledCorpus(tuple(utterances), task_name)
-
-
-def save_corpus(corpus: LabeledCorpus, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in corpus:
-            fh.write(serialize_tagged_line(u) + "\n")
+    return LabeledCorpus(tuple(utterances))
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

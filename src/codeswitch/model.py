@@ -33,6 +33,7 @@ from codeswitch.textfeat import (
     FeatureMatrix,
     SparseMatrix,
     build_vocabulary,
+    checked_kinds,
     chi2_select,
     featurize,
     indicative_scores,
@@ -258,6 +259,7 @@ class PipelineConfig:
         for kind, ns in self.n_values.items():  # also for a kind that is off
             if min(ns, default=1) < 1:
                 raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
+        checked_kinds(self.kinds)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ is stripped from the edges of hi/en words; rest-tagged tokens that are not
 pure punctuation (emoticons like ":P") pass through untouched.
 
 A token's output does not depend on its position, so normalize_token
-decides it alone, and a corpus is normalized once per distinct token
-(the CLI memoizes normalize_token over the tokens load_corpus interned).
+decides it alone, normalize maps it over a sequence of Tokens, and a
+corpus is normalized once per distinct token (the CLI memoizes
+normalize_token over the tokens load_corpus interned).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import re
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from codeswitch.corpus import Token
 
@@ -81,14 +83,12 @@ def normalize_token(token: Token, cfg: PreprocessConfig) -> tuple[Token, ...]:
     return (Token(stripped, tag),)
 
 
-def normalize(raw_tokens, cfg: PreprocessConfig | None = None) -> list[Token]:
-    """Normalize a sequence of Tokens or (surface, tag) pairs, each pair
-    checked as a Token, by normalize_token.
+def normalize(tokens: Iterable[Token], cfg: PreprocessConfig | None = None) -> list[Token]:
+    """Normalize a sequence of Tokens, each by normalize_token.
 
     Returns a list of Tokens; may be empty if every input token was
     punctuation (callers decide whether that is an error).
     """
     if cfg is None:
         cfg = PreprocessConfig()
-    return [out for item in raw_tokens
-            for out in normalize_token(item if isinstance(item, Token) else Token(*item), cfg)]
+    return [out for token in tokens for out in normalize_token(token, cfg)]

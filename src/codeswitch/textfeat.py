@@ -97,6 +97,15 @@ def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:
     return (KIND_ORDER.index(key[0]), key[1])
 
 
+def checked_kinds(kinds: Iterable[str]) -> frozenset[str]:
+    """The kinds as a frozenset; a kind not in KIND_ORDER is a ValueError."""
+    kinds = frozenset(kinds)
+    unknown = kinds - set(KIND_ORDER)
+    if unknown:
+        raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
+    return kinds
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Sparse N x D matrix of (row, col, value) entries, with X @ v and
@@ -177,10 +186,7 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
     Row and column ids and counts are int32, and token values int8, which
     keeps the matrix small while a cross-validation holds it.  The switching
     block is built only with_switching, and is None otherwise."""
-    kinds = frozenset(kinds)
-    unknown = kinds - set(KIND_ORDER)
-    if unknown:
-        raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
+    kinds = checked_kinds(kinds)
     ids: dict[FeatureKey, int] = {} if vocab is None else {key: i for i, key in enumerate(vocab)}
     word_ids: dict[str, int] = {}
     labels, switching = [], []

@@ -24,4 +24,4 @@ def switching_driven_corpus(n: int, seed: int, alpha: float = 1.5,
         p = 1.0 / (1.0 + math.exp(-alpha * (v - mu)))
         label = 1 if rng.random() < p else 0
         utts.append(LabeledUtterance(tokens, label, str(i)))
-    return LabeledCorpus(tuple(utts), "synthetic")
+    return LabeledCorpus(tuple(utts))

@@ -21,7 +21,7 @@ from codeswitch.corpus import (
     LabeledUtterance,
     Token,
     parse_tagged_line,
-    save_corpus,
+    serialize_tagged_line,
 )
 from codeswitch.model import (
     PipelineConfig,
@@ -213,7 +213,7 @@ def test_06_subsampling_invariants():
             LabeledUtterance((Token(f"w{i}", rng.choice(["hi", "en"])),),
                              rng.randint(0, 1), str(i))
             for i in range(n))
-        corpus = LabeledCorpus(utts, "rand")
+        corpus = LabeledCorpus(utts)
         scores = {u.id: rng.random() * 0.01 for u in corpus}
         scorer = lambda u: scores[u.id]
         tau = 0.001
@@ -247,7 +247,7 @@ def test_09_chi_squared():
         LabeledUtterance((Token("shared", "hi"), Token("beta", "hi")), 0, "2"),
         LabeledUtterance((Token("gamma", "hi"), Token("beta", "hi")), 0, "3"),
     )
-    corpus = LabeledCorpus(utts, "chi")
+    corpus = LabeledCorpus(utts)
     matrix = featurize(corpus, {"bow"}, {})
     cols = build_vocabulary(matrix)
     vocab = [matrix.keys[c] for c in cols.tolist()]
@@ -268,7 +268,9 @@ def test_09_chi_squared():
 
 def test_10_cv_determinism_byte_identical(tmp_path):
     corpus_path = tmp_path / "synth.txt"
-    save_corpus(switching_driven_corpus(100, seed=3), corpus_path)
+    corpus_path.write_text("".join(serialize_tagged_line(u) + "\n"
+                                   for u in switching_driven_corpus(100, seed=3)),
+                           encoding="utf-8")
     args = ["cv", str(corpus_path), "--k", "5", "--seed", "13",
             "--kinds", "bow", "--chi2-k", "0", "--ablate-switching"]
     a = tmp_path / "run_a.json"

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -13,13 +15,17 @@ from hypothesis import given, settings, strategies as st
 import codeswitch
 from codeswitch import textfeat
 from codeswitch.cli import _load_pipeline_bundle, build_parser, run
-from codeswitch.corpus import load_corpus, save_corpus, serialize_tagged_line
+from codeswitch.corpus import load_corpus, serialize_tagged_line
 from codeswitch.model import FittedPipeline, load_model, sigmoid
 from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
 
 PAPER_LINE = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
 ALL_HI_LINE = "0\tbumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi"
+
+
+def write_corpus(corpus, path):
+    path.write_text("".join(serialize_tagged_line(u) + "\n" for u in corpus), encoding="utf-8")
 
 
 @pytest.fixture
@@ -32,7 +38,7 @@ def tiny_corpus_file(tmp_path):
 @pytest.fixture
 def synth_file(tmp_path):
     path = tmp_path / "synth.txt"
-    save_corpus(switching_driven_corpus(120, seed=7), path)
+    write_corpus(switching_driven_corpus(120, seed=7), path)
     return str(path)
 
 
@@ -119,6 +125,37 @@ class TestStats:
         assert run(["cv", synth_file, "--kinds", "bow", "--negation-file", str(words)]) == 1
         assert capsys.readouterr().err == (
             f"error: {words}: not valid UTF-8: invalid start byte\n")
+
+
+@pytest.mark.parametrize("lines", [None, [PAPER_LINE, ALL_HI_LINE], [PAPER_LINE]],
+                         ids=["synthetic", "paper", "positive-only"])
+def test_stats_table_follows_from_the_feature_records(lines, synth_file, tmp_path):
+    """Each stats cell recomputed per utterance from the (label, q, v) of
+    the features records, NA where its conditioning cell or class is empty."""
+    path = Path(synth_file)
+    if lines is not None:
+        path = tmp_path / "paper.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    stats, features = tmp_path / "stats.tsv", tmp_path / "features.jsonl"
+    assert run(["stats", str(path), "-o", str(stats)]) == 0
+    assert run(["features", str(path), "-o", str(features)]) == 0
+    records = [json.loads(line) for line in features.read_text(encoding="utf-8").splitlines()]
+    n = Counter((r["label"], r["q"]) for r in records)
+    n11, n10, n01, n00 = n[1, True], n[1, False], n[0, True], n[0, False]
+    v_pos = [r["v"] for r in records if r["label"] == 1]
+    v_neg = [r["v"] for r in records if r["label"] == 0]
+    denom = (n11 + n10) * (n01 + n00) * (n11 + n01) * (n10 + n00)
+    expected = {
+        "p(T|Q)": n11 / (n11 + n01) if n11 + n01 else None,
+        "p(T|~Q)": n10 / (n10 + n00) if n10 + n00 else None,
+        "avg(S|T)": sum(v_pos) / len(v_pos) if v_pos else None,
+        "avg(S|~T)": sum(v_neg) / len(v_neg) if v_neg else None,
+        "phi": (n11 * n00 - n10 * n01) / math.sqrt(denom) if denom else None,
+    }
+    rows = [line.split("\t") for line in stats.read_text(encoding="utf-8").splitlines()]
+    assert rows[0] == ["metric", path.stem]
+    assert dict(rows[1:]) == {metric: "NA" if value is None else repr(value)
+                              for metric, value in expected.items()}
 
 
 class TestTrainEvalSubsample:
@@ -229,8 +266,8 @@ def test_train_output_ignores_blas_threads(tmp_path):
     over 20k weights, past the length at which OpenBLAS splits one inner
     product across threads."""
     corpus = tmp_path / "wide.txt"
-    save_corpus(switching_driven_corpus(300, seed=7, length=40, pool_size=20_000, mu=19.5),
-                corpus)
+    write_corpus(switching_driven_corpus(300, seed=7, length=40, pool_size=20_000, mu=19.5),
+                 corpus)
     outputs = []
     for threads in ("1", "2"):
         model, bundle = tmp_path / f"model{threads}.txt", tmp_path / f"pipeline{threads}.json"
@@ -562,6 +599,25 @@ def test_cv_rejects_selection_settings_before_featurizing(flags, message, synth_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kinds", "bogus"], "unknown feature kinds: ['bogus']"),
+    (["--chi2-k", "-2"], SELECTION_ERRORS["chi2_k"]),
+    (["--max-iter", "0"], f"{TRAINING_ERROR}, got TrainConfig(max_iter=0, tol=1e-06, l2=0.001)"),
+    (["--char-n", "0"], "char_ngram sizes must be >= 1, got [0]")],
+    ids=["kinds", "chi2_k", "max_iter", "char_n"])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_bad_setting_is_rejected_before_the_corpus_is_read(command, flags, message, tmp_path,
+                                                           capsys):
+    """The corpus path does not exist, so only a check made before reading it can
+    report the setting."""
+    outputs = (["--model-out", str(tmp_path / "model.txt"),
+                "--pipeline-out", str(tmp_path / "pipeline.json")] if command == "train"
+               else ["-o", str(tmp_path / "cv.json")])
+    assert run([command, str(tmp_path / "missing.txt"), *outputs, *flags]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------
 # Fuzzing: every malformed input exits 0 or 1, never with a traceback
 # --------------------------------------------------------------------
@@ -583,7 +639,7 @@ def served(tmp_path_factory):
     """A small corpus and the model and bundle trained on it."""
     root = tmp_path_factory.mktemp("served")
     corpus = root / "corpus.txt"
-    save_corpus(switching_driven_corpus(16, seed=7, length=6), corpus)
+    write_corpus(switching_driven_corpus(16, seed=7, length=6), corpus)
     model, bundle = root / "model.txt", root / "pipeline.json"
     assert run(["train", str(corpus), "--model-out", str(model), "--pipeline-out", str(bundle),
                 "--chi2-k", "20", "--with-switching"]) == 0

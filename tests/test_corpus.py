@@ -18,10 +18,10 @@ LINE_POS = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
 LINE_NEG = "0\tbumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi"
 
 
-def make_corpus(n, task="t"):
+def make_corpus(n):
     utts = [LabeledUtterance((Token(f"w{i}", "hi"),), i % 2, str(i))
             for i in range(n)]
-    return LabeledCorpus(tuple(utts), task)
+    return LabeledCorpus(tuple(utts))
 
 
 class TestParseTaggedLine:
@@ -75,10 +75,9 @@ class TestToken:
 
 class TestLoadCorpus:
     def test_two_lines(self):
-        corpus = load_corpus(io.StringIO(LINE_POS + "\n" + LINE_NEG + "\n"), "humour")
+        corpus = load_corpus(io.StringIO(LINE_POS + "\n" + LINE_NEG + "\n"))
         assert len(corpus) == 2
         assert corpus[0].label == 1 and corpus[1].label == 0
-        assert corpus.task_name == "humour"
 
     def test_blank_line_skipped_ids_dense(self):
         corpus = load_corpus(io.StringIO(LINE_POS + "\n\n" + LINE_NEG + "\n"))

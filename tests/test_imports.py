@@ -1,8 +1,11 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package and of the tests uses each name it imports,
+and the package defines no top-level function or class that nothing names.
 
 A name counts as used when the module reads it anywhere, in code or in a
-string annotation, or lists it in __all__.  Only the standard library's
-ast is used, so the check needs no linter."""
+string annotation, or lists it in __all__.  A definition counts as named
+when a package or bench/ module reads it, as a name, an attribute or an
+imported name, outside the definition itself, or an __all__ lists it.
+Only the standard library's ast is used, so the checks need no linter."""
 
 import ast
 from pathlib import Path
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "codeswitch").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "codeswitch").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _names_read(node: ast.AST) -> set[str]:
@@ -55,3 +59,51 @@ def f(x: "Sequence[int]") -> None:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names_referenced(node: ast.AST) -> set[str]:
+    """The names node reads, the attributes it takes, the names it imports
+    and the names an __all__ in it lists."""
+    names = _names_read(node)
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names |= {alias.name for alias in n.names}
+        elif isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+            names |= set(ast.literal_eval(n.value))
+    return names
+
+
+def unnamed_definitions(source: str, others: list[str]) -> list[str]:
+    """The top-level functions and classes of source that neither source,
+    outside their own definition, nor any of the others names, in order."""
+    body = ast.parse(source).body
+    referenced = [_names_referenced(node) for node in body]
+    elsewhere = set().union(*(_names_referenced(ast.parse(other)) for other in others))
+    return [node.name for i, node in enumerate(body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in elsewhere.union(*referenced[:i], *referenced[i + 1:])]
+
+
+def test_the_check_finds_unnamed_definitions():
+    source = '''
+__all__ = ["exported"]
+def exported(): pass
+def recursive(n): return recursive(n - 1)
+def called(): pass
+class Read: pass
+def unused(): return called(), Read
+def attribute(): pass
+def imported(): pass
+'''
+    others = ["import m\nm.attribute()", "from m import imported"]
+    assert unnamed_definitions(source, others) == ["recursive", "unused"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_package_definition_is_named(path):
+    others = [p.read_text(encoding="utf-8")
+              for p in [*PACKAGE, *sorted((ROOT / "bench").glob("*.py"))] if p != path]
+    assert unnamed_definitions(path.read_text(encoding="utf-8"), others) == []

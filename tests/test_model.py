@@ -218,7 +218,7 @@ def small_corpus():
     for i in range(6):
         tokens = (Token(f"w{i}", "hi"), Token("x", "en"), Token("y", "hi"))
         utts.append(LabeledUtterance(tokens, i % 2, str(i)))
-    return LabeledCorpus(tuple(utts), "t")
+    return LabeledCorpus(tuple(utts))
 
 
 class TestSubsampleNegatives:
@@ -237,7 +237,7 @@ class TestSubsampleNegatives:
         corpus = small_corpus()  # odd ids are... labels: i % 2 -> 1,3,5 positive
         # relabel so 0,2,4 are positive and 1,3,5 negative with given scores
         utts = tuple(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in corpus)
-        corpus = LabeledCorpus(utts, "t")
+        corpus = LabeledCorpus(utts)
         result = subsample_negatives(corpus, lambda u: scores.get(u.id, 0.5),
                                      tau=0.001)
         assert [u.id for u in result] == ["0", "2", "3", "4"]
@@ -264,7 +264,7 @@ def word_pool_corpus(n, seed, informative=False):
                        for _ in range(8))
         label = rng.randint(0, 1)
         utts.append(LabeledUtterance(tokens, label, str(i)))
-    return LabeledCorpus(tuple(utts), "rand")
+    return LabeledCorpus(tuple(utts))
 
 
 class TestCrossValidate:
@@ -513,7 +513,7 @@ class TestMatrixScoring:
         held_out = list(word_pool_corpus(20, seed=8))
         unseen = LabeledUtterance(held_out[0].tokens + (Token("zzzz", "en"),), 1, "unseen")
         unknown = LabeledUtterance((Token("qqqq", "en"), Token("xxxx", "hi")), 0, "unknown")
-        corpus = LabeledCorpus(tuple([unseen] + held_out + [unknown]), "held-out")
+        corpus = LabeledCorpus(tuple([unseen] + held_out + [unknown]))
         for with_switching in (True, False):
             cfg = replace(self.CFG, with_switching=with_switching)
             pipeline = fit_pipeline(word_pool_corpus(40, seed=4), cfg)
@@ -549,8 +549,7 @@ class TestSparseTraining:
         solo = [LabeledUtterance((Token(f"solo{i}", "en"),), i % 2, f"solo{i}")
                 for i in range(3)]
         body = list(word_pool_corpus(30, seed=2))
-        corpus = LabeledCorpus(tuple([solo[0]] + body[:15] + [solo[1]] + body[15:] + [solo[2]]),
-                               "rand")
+        corpus = LabeledCorpus(tuple([solo[0]] + body[:15] + [solo[1]] + body[15:] + [solo[2]]))
         cfg = cls.CFG
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values,
                                     with_switching=with_switching)
@@ -687,7 +686,7 @@ class TestSparseTraining:
         corpus = LabeledCorpus(tuple(
             LabeledUtterance(tuple(Token(f"w{i}x{j}", rng.choice(["hi", "en"]))
                                    for j in range(length)), i % 2, str(i))
-            for i in range(n)), "wide")
+            for i in range(n)))
         cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None)
         tracemalloc.start()
         try:

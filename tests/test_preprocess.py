@@ -24,32 +24,36 @@ class TestSegmentCamelCase:
         assert "".join(segment_camel_case(word)) == word
 
 
+def tokens(*pairs):
+    return [Token(surface, tag) for surface, tag in pairs]
+
+
 class TestNormalize:
     def test_mention_placeholder(self):
-        out = normalize([("@user", "rest"), ("kya", "hi"), ("scene", "en")])
+        out = normalize(tokens(("@user", "rest"), ("kya", "hi"), ("scene", "en")))
         assert [(t.surface, t.tag) for t in out] == \
             [("mention", "rest"), ("kya", "hi"), ("scene", "en")]
 
     def test_hashtag_placeholder_and_segments(self):
-        out = normalize([("#AadabArzHai", "hi")])
+        out = normalize(tokens(("#AadabArzHai", "hi")))
         assert [(t.surface, t.tag) for t in out] == \
             [("hashtag", "rest"), ("aadab", "hi"), ("arz", "hi"), ("hai", "hi")]
 
     def test_edge_strip_and_emoticon_survival(self):
-        out = normalize([("karo!", "hi"), (":P", "rest")])
+        out = normalize(tokens(("karo!", "hi"), (":P", "rest")))
         assert [(t.surface, t.tag) for t in out] == [("karo", "hi"), (":P", "rest")]
 
     def test_url_placeholder(self):
-        out = normalize([("https://t.co/abc", "rest"), ("www.example.com", "rest")])
+        out = normalize(tokens(("https://t.co/abc", "rest"), ("www.example.com", "rest")))
         assert [(t.surface, t.tag) for t in out] == \
             [("url", "rest"), ("url", "rest")]
 
     def test_pure_punctuation_dropped(self):
-        assert normalize([("!!!", "rest"), ("...", "hi")]) == []
+        assert normalize(tokens(("!!!", "rest"), ("...", "hi"))) == []
 
     def test_no_placeholder_flag(self):
         cfg = PreprocessConfig(keep_hashtag_placeholder=False)
-        out = normalize([("#AadabArzHai", "hi")], cfg)
+        out = normalize(tokens(("#AadabArzHai", "hi")), cfg)
         assert [t.surface for t in out] == ["aadab", "arz", "hai"]
 
     @pytest.mark.parametrize("punct", [frozenset(), frozenset({"!", ".."})])
@@ -59,31 +63,32 @@ class TestNormalize:
 
     def test_no_segmentation_flag(self):
         cfg = PreprocessConfig(segment_hashtags=False)
-        out = normalize([("#AadabArzHai", "hi")], cfg)
+        out = normalize(tokens(("#AadabArzHai", "hi")), cfg)
         assert [t.surface for t in out] == ["hashtag"]
 
 
-token_pair = st.tuples(
+token = st.builds(
+    Token,
     st.text(alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cf")),
             min_size=1, max_size=10),
     st.sampled_from(["hi", "en", "rest"]),
 )
 
 
-@given(st.lists(token_pair, max_size=15))
-def test_normalize_idempotent(pairs):
-    once = normalize(pairs)
+@given(st.lists(token, max_size=15))
+def test_normalize_idempotent(raw):
+    once = normalize(raw)
     twice = normalize(once)
     assert twice == once
 
 
-@given(st.lists(token_pair, max_size=15))
-def test_normalize_never_invents_language_tokens(pairs):
-    out = normalize(pairs)
-    n_lang_in = sum(1 for _, tag in pairs if tag in ("hi", "en"))
+@given(st.lists(token, max_size=15))
+def test_normalize_never_invents_language_tokens(raw):
+    out = normalize(raw)
+    n_lang_in = sum(1 for t in raw if t.tag in ("hi", "en"))
     # each input hi/en token yields at most its own word or hashtag segments
     n_lang_out = sum(1 for t in out if t.tag in ("hi", "en"))
-    max_segments = max((len(s) for s, _ in pairs), default=0)
+    max_segments = max((len(t.surface) for t in raw), default=0)
     assert n_lang_out <= n_lang_in * max(1, max_segments)
 
 
@@ -119,11 +124,11 @@ def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, plac
                            else frozenset(punct))
     expected = []
     for uid, (_, pairs) in enumerate(utterances):
-        tokens = normalize(pairs, cfg)
-        assert normalize(tuple(map(list, pairs)), cfg) == tokens
-        assert normalize([Token(*pair) for pair in pairs], cfg) == tokens
-        if tokens:
-            expected.append((str(uid), tokens))
+        raw = [Token(*pair) for pair in pairs]
+        normalized = normalize(raw, cfg)
+        assert normalize(tuple(raw), cfg) == normalized
+        if normalized:
+            expected.append((str(uid), normalized))
     text = "".join(f"{label}\t{' '.join(f'{s}_{t}' for s, t in pairs)}\n"
                    for label, pairs in utterances)
     args = argparse.Namespace(no_preprocess=False, no_hashtag_placeholder=not placeholder,

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
-from codeswitch.stats import (
-    ContingencyTable,
-    average_switching,
-    contingency,
-    phi_from_table,
-    rates_from_table,
-    summarize,
-)
+from codeswitch.stats import ContingencyTable, phi_from_table, rates_from_table, summarize
 
 # hi-en-hi satisfies the embedding property; all-hi does not
 Q_TOKENS = (Token("a", "hi"), Token("b", "en"), Token("c", "hi"))
@@ -28,7 +21,12 @@ def corpus_from_cells(n11, n10, n01, n00):
                         (True, 0, n01), (False, 0, n00)):
         for _ in range(n):
             utts.append(utt(q, label, len(utts)))
-    return LabeledCorpus(tuple(utts), "test")
+    return LabeledCorpus(tuple(utts))
+
+
+def mean_switches(corpus):
+    s = summarize(corpus)
+    return s.avg_switch_pos, s.avg_switch_neg
 
 
 def pearson(xs, ys):
@@ -43,14 +41,14 @@ def pearson(xs, ys):
 class TestConditionalRates:
     def test_perfect_association(self):
         corpus = corpus_from_cells(4, 0, 0, 4)
-        assert rates_from_table(contingency(corpus)) == (1.0, 0.0)
+        assert rates_from_table(summarize(corpus).counts) == (1.0, 0.0)
 
     def test_mixed_cells(self):
         corpus = corpus_from_cells(2, 1, 2, 3)
-        assert rates_from_table(contingency(corpus)) == (0.5, 0.25)
+        assert rates_from_table(summarize(corpus).counts) == (0.5, 0.25)
 
     def test_empty_cell_undefined(self):
-        p_q, p_not_q = rates_from_table(contingency(corpus_from_cells(2, 0, 1, 0)))
+        p_q, p_not_q = rates_from_table(summarize(corpus_from_cells(2, 0, 1, 0)).counts)
         assert p_q == pytest.approx(2 / 3)
         assert p_not_q is None
 
@@ -71,37 +69,38 @@ class TestAverageSwitching:
             LabeledUtterance(seq(1), 0, "3"),
         ]
         corpus = LabeledCorpus(tuple(utts))
-        assert average_switching(corpus) == (3.0, 1.0)
+        assert mean_switches(corpus) == (3.0, 1.0)
 
     def test_single_language_corpus(self):
         corpus = corpus_from_cells(0, 2, 0, 2)
-        assert average_switching(corpus) == (0.0, 0.0)
+        assert mean_switches(corpus) == (0.0, 0.0)
 
     def test_empty_class_undefined(self):
         utts = (LabeledUtterance(NOT_Q_TOKENS, 1, "0"),)
-        avg_pos, avg_neg = average_switching(LabeledCorpus(utts))
+        avg_pos, avg_neg = mean_switches(LabeledCorpus(utts))
         assert avg_pos == 0.0
         assert avg_neg is None
 
 
 class TestPhi:
     def test_diagonal_table(self):
-        assert phi_from_table(contingency(corpus_from_cells(2, 0, 0, 2))) == 1.0
+        assert phi_from_table(summarize(corpus_from_cells(2, 0, 0, 2)).counts) == 1.0
 
     def test_independent_table(self):
-        assert phi_from_table(contingency(corpus_from_cells(1, 1, 1, 1))) == 0.0
+        assert phi_from_table(summarize(corpus_from_cells(1, 1, 1, 1)).counts) == 0.0
 
     def test_hand_value(self):
-        assert phi_from_table(contingency(corpus_from_cells(3, 1, 1, 3))) == 0.5
+        assert phi_from_table(summarize(corpus_from_cells(3, 1, 1, 3)).counts) == 0.5
 
     def test_zero_marginal_undefined(self):
-        assert phi_from_table(contingency(corpus_from_cells(2, 3, 0, 0))) is None
+        assert phi_from_table(summarize(corpus_from_cells(2, 3, 0, 0)).counts) is None
 
     def test_counts_consistent_with_rates(self):
         corpus = corpus_from_cells(3, 2, 4, 1)
         s = summarize(corpus)
         t = s.counts
-        assert t.total == len(corpus)
+        assert t == ContingencyTable(3, 2, 4, 1)
+        assert t.n11 + t.n10 + t.n01 + t.n00 == len(corpus)
         assert s.p_pos_given_q == t.n11 / (t.n11 + t.n01)
         assert s.p_pos_given_not_q == t.n10 / (t.n10 + t.n00)
 
