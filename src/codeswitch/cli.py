@@ -199,16 +199,19 @@ def _load_pipeline_bundle(path: str
         raise ValueError(f"pipeline bundle {path}: a vocab kind is not in config.kinds")
     if vocab != tuple(sorted(set(vocab), key=_feature_sort_key)):
         raise ValueError(f"pipeline bundle {path}: vocab is not strictly increasing")
-    cfg = PipelineConfig(
-        kinds=frozenset(c["kinds"]),
-        n_values={k: tuple(v) for k, v in c["n_values"].items()},
-        min_count=c["min_count"],
-        chi2_k=c["chi2_k"],
-        use_indicative=c["use_indicative"],
-        lexicon_floor=c["lexicon_floor"],
-        negation_words=frozenset(c["negation_words"]),
-        with_switching=c["with_switching"],
-    )
+    try:
+        cfg = PipelineConfig(
+            kinds=frozenset(c["kinds"]),
+            n_values={k: tuple(v) for k, v in c["n_values"].items()},
+            min_count=c["min_count"],
+            chi2_k=c["chi2_k"],
+            use_indicative=c["use_indicative"],
+            lexicon_floor=c["lexicon_floor"],
+            negation_words=frozenset(c["negation_words"]),
+            with_switching=c["with_switching"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"pipeline bundle {path}: {exc}") from None
     return cfg, vocab, doc["lexicons"][0]["scores"] if cfg.use_indicative else {}
 
 
@@ -343,27 +346,28 @@ def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_feature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kinds", default="bow,char_ngram,word_ngram",
-                   help="comma-separated feature kinds")
-    p.add_argument("--char-n", type=int, nargs="+", default=[3],
+    cfg = PipelineConfig()  # the flags default to its settings
+    p.add_argument("--kinds", default=",".join(sorted(cfg.kinds)),
+                   help=f"comma-separated feature kinds, of {', '.join(KIND_ORDER)}")
+    p.add_argument("--char-n", type=int, nargs="+", default=list(cfg.n_values["char_ngram"]),
                    help="character n-gram sizes")
-    p.add_argument("--word-n", type=int, nargs="+", default=[1, 2],
+    p.add_argument("--word-n", type=int, nargs="+", default=list(cfg.n_values["word_ngram"]),
                    help="word n-gram sizes")
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--chi2-k", type=int, default=500,
+    p.add_argument("--min-count", type=int, default=cfg.min_count)
+    p.add_argument("--chi2-k", type=int, default=cfg.chi2_k,
                    help="chi-squared top-k selection (0 disables)")
     p.add_argument("--no-indicative", action="store_true",
                    help="disable the indicative-lexicon dimension")
-    p.add_argument("--lexicon-floor", type=_finite_float, default=0.0)
+    p.add_argument("--lexicon-floor", type=_finite_float, default=cfg.lexicon_floor)
     p.add_argument("--negation-file", default=None,
                    help="file with one negation word per line")
     p.add_argument("--with-switching", action="store_true",
                    help="append the nine switching features")
-    p.add_argument("--max-iter", type=int, default=100,
+    p.add_argument("--max-iter", type=int, default=cfg.train_config.max_iter,
                    help="most Newton iterations of training")
-    p.add_argument("--tol", type=_finite_float, default=1e-6,
+    p.add_argument("--tol", type=_finite_float, default=cfg.train_config.tol,
                    help="training stops once the gradient norm falls to tol times its start")
-    p.add_argument("--l2", type=_finite_float, default=1e-3)
+    p.add_argument("--l2", type=_finite_float, default=cfg.train_config.l2)
 
 
 def build_parser() -> argparse.ArgumentParser:

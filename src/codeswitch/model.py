@@ -27,8 +27,8 @@ import numpy as np
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices
 from codeswitch.textfeat import (
-    DEFAULT_N_VALUES,
     DEFAULT_NEGATION_WORDS,
+    KIND_ORDER,
     FeatureKey,
     FeatureMatrix,
     SparseMatrix,
@@ -240,9 +240,9 @@ def subsample_negatives(corpus: LabeledCorpus,
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    kinds: frozenset[str] = frozenset({"bow"})
+    kinds: frozenset[str] = frozenset(KIND_ORDER)
     n_values: Mapping[str, tuple[int, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_N_VALUES))
+        default_factory=lambda: {"char_ngram": (3,), "word_ngram": (1, 2)})
     min_count: int = 1
     chi2_k: int | None = 500
     use_indicative: bool = True
@@ -259,6 +259,8 @@ class PipelineConfig:
         for kind, ns in self.n_values.items():  # also for a kind that is off
             if min(ns, default=1) < 1:
                 raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
+            if len(set(ns)) < len(ns):  # a repeated size would count its n-grams twice
+                raise ValueError(f"{kind} sizes must not repeat, got {list(ns)}")
         checked_kinds(self.kinds)
 
 

@@ -1,6 +1,6 @@
-"""Baseline text features: n-grams, bag-of-words, chi-squared selection,
-an indicative-token lexicon and negation counts, and the sparse matrix that
-training and scoring multiply, with optional switching features.
+"""Baseline text features: character and word n-grams, chi-squared
+selection, an indicative-token lexicon and negation counts, and the sparse
+matrix that training and scoring multiply, with optional switching features.
 
 A corpus is featurized once into a FeatureMatrix: labels, feature counts,
 token occurrences and, when asked for, switching features, its sparse
@@ -13,9 +13,9 @@ vocabulary's keys, so no utterance is extracted twice.  training_matrix is
 the one row encoder: training and scoring read its rows, with the switching
 columns exactly when the FeatureMatrix carries its switching block.
 
-Feature keys are (kind, payload) pairs with kind in {char_ngram,
-word_ngram, bow}.  A featurized matrix's columns are its keys sorted by
-kind (char_ngram, word_ngram, bow) then payload, so ascending column ids
+Feature keys are (kind, payload) pairs, kind being char_ngram or word_ngram
+(a token's unigram is its word 1-gram).  A featurized matrix's columns are
+its keys sorted by kind, in KIND_ORDER, then payload, so ascending column ids
 keep that order.  Rows carry two special dimensions (indicative-score sum,
 negation count) after the vocabulary block and, when requested, the
 nine switching features last, so a row without them is the leading columns
@@ -38,14 +38,9 @@ from codeswitch.switching import N_FEATURES, switching_features
 
 NGRAM_SEP = "§"  # reserved word-ngram joiner; never appears in surfaces
 
-KIND_ORDER = ("char_ngram", "word_ngram", "bow")
+KIND_ORDER = ("char_ngram", "word_ngram")
 
 FeatureKey = tuple[str, str]
-
-DEFAULT_N_VALUES: dict[str, tuple[int, ...]] = {
-    "char_ngram": (3,),
-    "word_ngram": (1, 2),
-}
 
 # Negation cues for English plus romanized Hindi; users may supply their
 # own list file instead.
@@ -80,16 +75,13 @@ def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
     feats: Counter = Counter()
     if "char_ngram" in kinds:
         text = " ".join(t.surface for t in tokens)
-        for n in n_values.get("char_ngram", DEFAULT_N_VALUES["char_ngram"]):
+        for n in n_values["char_ngram"]:
             for gram, c in char_ngrams(text, n).items():
                 feats[("char_ngram", gram)] += c
     if "word_ngram" in kinds:
-        for n in n_values.get("word_ngram", DEFAULT_N_VALUES["word_ngram"]):
+        for n in n_values["word_ngram"]:
             for gram, c in word_ngrams(tokens, n).items():
                 feats[("word_ngram", gram)] += c
-    if "bow" in kinds:
-        for t in tokens:
-            feats[("bow", t.surface.lower())] += 1
     return feats
 
 
@@ -102,7 +94,8 @@ def checked_kinds(kinds: Iterable[str]) -> frozenset[str]:
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
-        raise ValueError(f"unknown feature kinds: {sorted(unknown)}")
+        hint = "; bow was removed: use word_ngram with --word-n 1" if "bow" in unknown else ""
+        raise ValueError(f"unknown feature kinds: {sorted(unknown)}{hint}")
     return kinds
 
 

@@ -126,8 +126,8 @@ def test_03_phi_correctness():
 def test_04_switching_features_improve_cv_macro_f1():
     start = time.monotonic()
     corpus = switching_driven_corpus(2000, seed=42)
-    cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None,
-                         use_indicative=False,
+    cfg = PipelineConfig(kinds=frozenset({"word_ngram"}), n_values={"word_ngram": (1,)},
+                         chi2_k=None, use_indicative=False,
                          train_config=TrainConfig())
     without = cross_validate(corpus, cfg, k=10, seed=13)
     with_sw = cross_validate(corpus,
@@ -142,7 +142,7 @@ def test_04_switching_features_improve_cv_macro_f1():
 
 
 def test_04c_ablation_at_cli_defaults(monkeypatch):
-    """The ablation at the CLI's default settings (all three kinds,
+    """The ablation at the CLI's default settings (both kinds,
     chi-squared top 500, lexicon, negations): the arm without switching
     reads near chance, as the labels depend on switching alone, and every
     fit converges."""
@@ -248,12 +248,12 @@ def test_09_chi_squared():
         LabeledUtterance((Token("gamma", "hi"), Token("beta", "hi")), 0, "3"),
     )
     corpus = LabeledCorpus(utts)
-    matrix = featurize(corpus, {"bow"}, {})
+    matrix = featurize(corpus, {"word_ngram"}, {"word_ngram": (1,)})
     cols = build_vocabulary(matrix)
     vocab = [matrix.keys[c] for c in cols.tolist()]
     scores = dict(zip(vocab, chi2_scores(matrix, cols)))
-    assert scores[("bow", "marker")] == 4.0
-    assert scores[("bow", "shared")] == 0.0
+    assert scores[("word_ngram", "marker")] == 4.0
+    assert scores[("word_ngram", "shared")] == 0.0
     for k in (1, 3, len(vocab), len(vocab) + 10):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -272,7 +272,7 @@ def test_10_cv_determinism_byte_identical(tmp_path):
                                    for u in switching_driven_corpus(100, seed=3)),
                            encoding="utf-8")
     args = ["cv", str(corpus_path), "--k", "5", "--seed", "13",
-            "--kinds", "bow", "--chi2-k", "0", "--ablate-switching"]
+            "--kinds", "word_ngram", "--word-n", "1", "--chi2-k", "0", "--ablate-switching"]
     a = tmp_path / "run_a.json"
     b = tmp_path / "run_b.json"
     assert run(args + ["-o", str(a)]) == 0

@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 import codeswitch
 from codeswitch import textfeat
-from codeswitch.cli import _load_pipeline_bundle, build_parser, run
+from codeswitch.cli import _load_pipeline_bundle, _pipeline_config, build_parser, run
 from codeswitch.corpus import load_corpus, serialize_tagged_line
-from codeswitch.model import FittedPipeline, load_model, sigmoid
+from codeswitch.model import FittedPipeline, PipelineConfig, load_model, sigmoid
 from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
 
+# word 1-grams: one feature per token, keyed by its lowercased surface
+UNIGRAMS = ("--kinds", "word_ngram", "--word-n", "1")
 PAPER_LINE = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
 ALL_HI_LINE = "0\tbumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi"
 
@@ -122,7 +124,7 @@ class TestStats:
     def test_non_utf8_negation_file_is_named(self, synth_file, tmp_path, capsys):
         words = tmp_path / "negation.txt"
         words.write_bytes(b"nahi\n\xff\n")
-        assert run(["cv", synth_file, "--kinds", "bow", "--negation-file", str(words)]) == 1
+        assert run(["cv", synth_file, *UNIGRAMS, "--negation-file", str(words)]) == 1
         assert capsys.readouterr().err == (
             f"error: {words}: not valid UTF-8: invalid start byte\n")
 
@@ -164,7 +166,7 @@ class TestTrainEvalSubsample:
         bundle = tmp_path / "pipeline.json"
         assert run(["train", synth_file, "--model-out", str(model),
                     "--pipeline-out", str(bundle), "--with-switching",
-                    "--kinds", "bow", "--chi2-k", "0"]) == 0
+                    *UNIGRAMS, "--chi2-k", "0"]) == 0
         assert model.exists() and bundle.exists()
         report_path = tmp_path / "report.json"
         assert run(["eval", synth_file, "--model", str(model),
@@ -180,7 +182,7 @@ class TestTrainEvalSubsample:
         model = tmp_path / "model.txt"
         bundle = tmp_path / "pipeline.json"
         run(["train", synth_file, "--model-out", str(model),
-             "--pipeline-out", str(bundle), "--kinds", "bow", "--chi2-k", "0"])
+             "--pipeline-out", str(bundle), *UNIGRAMS, "--chi2-k", "0"])
         out = tmp_path / "filtered.txt"
         assert run(["subsample", synth_file, "--model", str(model),
                     "--pipeline", str(bundle), "--tau", "0.4",
@@ -219,7 +221,7 @@ class TestTrainEvalSubsample:
         served = ["--model", str(model), "--pipeline", str(bundle)]
         flags = ["--with-switching"] if with_switching else []
         assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-                    "--kinds", "bow", *flags]) == 0
+                    *UNIGRAMS, *flags]) == 0
         assert run(["eval", synth_file, *served, "-o", str(tmp_path / "eval.json")]) == 0
         assert run(["subsample", synth_file, *served, "-o", str(tmp_path / "kept.txt")]) == 0
         corpus = load_corpus(synth_file)
@@ -242,7 +244,7 @@ def test_failed_model_write_keeps_the_earlier_model(synth_file, tmp_path):
     resource = pytest.importorskip("resource")
     model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
     argv = ["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-            "--kinds", "bow"]
+            *UNIGRAMS]
     assert run(argv) == 0
     limit = model.stat().st_size // 2
     model.write_text("an earlier model\n")
@@ -284,7 +286,7 @@ def test_train_output_ignores_blas_threads(tmp_path):
 class TestCV:
     def test_cv_json_report(self, synth_file, tmp_path):
         out = tmp_path / "cv.json"
-        assert run(["cv", synth_file, "--k", "5", "--kinds", "bow",
+        assert run(["cv", synth_file, "--k", "5", *UNIGRAMS,
                     "--chi2-k", "0", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["folds"]) + len(doc["skipped_folds"]) == 5
@@ -293,7 +295,7 @@ class TestCV:
     def test_ablation_reports_delta(self, synth_file, tmp_path):
         out = tmp_path / "ablate.json"
         assert run(["cv", synth_file, "--k", "5", "--ablate-switching",
-                    "--kinds", "bow", "--chi2-k", "0", "-o", str(out)]) == 0
+                    *UNIGRAMS, "--chi2-k", "0", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         delta = (doc["with_switching"]["mean_macro_f1"]
                  - doc["without_switching"]["mean_macro_f1"])
@@ -301,7 +303,7 @@ class TestCV:
         assert delta > 0
 
     def test_byte_identical_reruns(self, synth_file, tmp_path):
-        args = ["cv", synth_file, "--k", "5", "--seed", "13", "--kinds", "bow",
+        args = ["cv", synth_file, "--k", "5", "--seed", "13", *UNIGRAMS,
                 "--chi2-k", "0"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -310,7 +312,7 @@ class TestCV:
         assert a.read_bytes() == b.read_bytes()
 
     def test_tsv_format(self, synth_file, capsys):
-        assert run(["cv", synth_file, "--k", "5", "--kinds", "bow",
+        assert run(["cv", synth_file, "--k", "5", *UNIGRAMS,
                     "--chi2-k", "0", "--format", "tsv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "fold\tmacro_f1"
@@ -349,6 +351,13 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, synth_file, capsys)
     assert "error: unrecognized arguments: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["cv", "c.txt"],
+                                  ["train", "c.txt", "--model-out", "M", "--pipeline-out", "P"]])
+def test_cli_defaults_are_the_pipeline_defaults(argv, monkeypatch):
+    monkeypatch.delenv("CODESWITCH_CONFIG", raising=False)
+    assert _pipeline_config(build_parser().parse_args(argv)) == PipelineConfig()
+
+
 class TestConfigOverride:
     def test_env_config_sets_defaults(self, tiny_corpus_file, tmp_path,
                                       monkeypatch, capsys):
@@ -367,12 +376,12 @@ class TestConfigOverride:
         cfg.write_text(json.dumps({"output": str(out), "k": 3}))
         monkeypatch.setenv("CODESWITCH_CONFIG", str(cfg))
         train = ["train", synth_file, "--model-out", str(tmp_path / "model.txt"),
-                 "--pipeline-out", str(tmp_path / "pipeline.json"), "--kinds", "bow",
+                 "--pipeline-out", str(tmp_path / "pipeline.json"), *UNIGRAMS,
                  "--chi2-k", "0"]
         assert not hasattr(build_parser().parse_args(train), "output")
         assert run(train) == 0
         assert not out.exists()
-        assert run(["cv", synth_file, "--kinds", "bow", "--chi2-k", "0"]) == 0
+        assert run(["cv", synth_file, *UNIGRAMS, "--chi2-k", "0"]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["folds"]) + len(doc["skipped_folds"]) == 3
 
@@ -392,6 +401,14 @@ def _bundle_with(key, change):
     return corrupt
 
 
+def _as_bow_bundle(text):
+    """The word 1-gram bundle with its kind named bow, as bow bundles were."""
+    doc = json.loads(text)
+    doc["config"]["kinds"] = ["bow"]
+    doc["vocab"] = [["bow", payload] for _, payload in doc["vocab"]]
+    return json.dumps(doc)
+
+
 # (file to corrupt, the corrupted contents given the good ones, or None to delete)
 BAD_INPUTS = {
     "bundle without config": ("pipeline.json", lambda text: '{"version": 1}\n'),
@@ -401,11 +418,13 @@ BAD_INPUTS = {
         "pipeline.json", lambda text: text.replace('"min_count": 1', '"min_count": "1"')),
     "bundle n-gram size not an integer": (
         "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": ["3"]')),
-    # the bundle's kinds are bow alone, so no featurization would reach these sizes
+    # the bundle's kinds are word_ngram alone, so no featurization would reach char sizes
     "bundle n-gram size zero": (
         "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": [0]')),
     "bundle n-gram size negative": (
-        "pipeline.json", lambda text: text.replace('"word_ngram": [1, 2]', '"word_ngram": [-2]')),
+        "pipeline.json", lambda text: text.replace('"word_ngram": [1]', '"word_ngram": [-2]')),
+    "bundle n-gram size repeated": (
+        "pipeline.json", lambda text: text.replace('"char_ngram": [3]', '"char_ngram": [3, 3]')),
     "bundle n-gram sizes missing": (
         "pipeline.json", _bundle_with("config", lambda c: {**c, "n_values": {}})),
     "bundle n-gram sizes of an unknown kind": (
@@ -425,6 +444,8 @@ BAD_INPUTS = {
         "pipeline.json", _bundle_with("config", lambda c: {**c, "min_count": -3})),
     "bundle config kind unknown": (
         "pipeline.json", _bundle_with("config", lambda c: {**c, "kinds": ["nope"]})),
+    # as `train --kinds bow` wrote it before the kind was removed
+    "bundle of the removed bow kind": ("pipeline.json", _as_bow_bundle),
     "bundle lexicon with use_indicative off": (
         "pipeline.json", _bundle_with("config", lambda c: {**c, "use_indicative": False})),
     "bundle lexicon twice": ("pipeline.json", _bundle_with("lexicons", lambda v: v * 2)),
@@ -479,10 +500,17 @@ BAD_TRAINING = {
     "train config l2 negative": ('{"l2": -0.5}', []),
     "train flag punct empty": ("{}", ["--punct", ""]),
     "train config punct empty": ('{"punct": ""}', []),
-    # --kinds bow: the sizes are rejected even for kinds that are off
-    "train flag char n-gram size zero": ("{}", ["--char-n", "0"]),
-    "train flag word n-gram size negative": ("{}", ["--word-n", "1", "-1"]),
-    "train config n-gram sizes below 1": ('{"char_n": [0], "word_n": [-1]}', []),
+    # the sizes are rejected even for kinds that are off
+    "train flag char n-gram size zero": ("{}", [*UNIGRAMS, "--char-n", "0"]),
+    "train flag word n-gram size negative": ("{}", ["--kinds", "char_ngram",
+                                                    "--word-n", "1", "-1"]),
+    "train config n-gram sizes below 1": (
+        '{"kinds": "word_ngram", "char_n": [0], "word_n": [-1]}', []),
+    # a repeated size would count each of its n-grams twice
+    "train flag word n-gram size repeated": ("{}", ["--word-n", "1", "1"]),
+    "train config n-gram size repeated": ('{"char_n": [3, 3]}', []),
+    "train flag kinds bow": ("{}", ["--kinds", "bow"]),
+    "train config kinds bow": ('{"kinds": "bow"}', []),
     # rejected where the settings come in, not after featurizing
     "train flag chi2_k negative": ("{}", ["--chi2-k", "-2"]),
     "train config chi2_k negative": ('{"chi2_k": -2}', []),
@@ -493,6 +521,8 @@ BAD_TRAINING = {
 TRAINING_ERROR = "need finite max_iter >= 1, tol > 0 and l2 >= 0"
 PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
 NGRAM_ERROR = "sizes must be >= 1, got"
+REPEAT_ERROR = "sizes must not repeat, got"
+BOW_ERROR = "unknown feature kinds: ['bow']; bow was removed: use word_ngram with --word-n 1"
 SELECTION_ERRORS = {"chi2_k": "chi2_k must be >= 1 (None keeps every feature), got -2",
                     "min_count": "min_count must be >= 0, got -"}
 
@@ -502,6 +532,8 @@ BUNDLE_ERRORS = {
     "bundle vocab out of order": "vocab is not strictly increasing",
     "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
     "bundle config kind unknown": "missing or mistyped kinds",
+    "bundle of the removed bow kind": "missing or mistyped kinds",
+    "bundle n-gram size repeated": "char_ngram sizes must not repeat, got [3, 3]",
     "bundle chi2_k negative": "missing or mistyped chi2_k",
     "bundle chi2_k zero": "missing or mistyped chi2_k",
     "bundle min_count negative": "missing or mistyped min_count",
@@ -519,7 +551,7 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     model, bundle, config = (tmp_path / name for name in
                              ("model.txt", "pipeline.json", "config.json"))
     assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-                "--kinds", "bow", "--chi2-k", "0"]) == 0
+                *UNIGRAMS, "--chi2-k", "0"]) == 0
     config.write_text("{}")
     monkeypatch.setenv("CODESWITCH_CONFIG", str(config))
     argv = ["eval", synth_file, "--model", str(model), "--pipeline", str(bundle)]
@@ -527,7 +559,7 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
         settings, flags = BAD_TRAINING[case]
         config.write_text(settings)
         argv = ["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
-                "--kinds", "bow", *flags]
+                *flags]
         written = model.read_text(), bundle.read_text()
     else:
         name, corrupt = BAD_INPUTS[case]
@@ -544,7 +576,8 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
     assert err.startswith("error: ")
     if case in BAD_TRAINING:
         setting = next((key for key in SELECTION_ERRORS if key in case), None)
-        assert (PUNCT_ERROR if "punct" in case else NGRAM_ERROR if "size" in case
+        assert (PUNCT_ERROR if "punct" in case else BOW_ERROR if "bow" in case
+                else REPEAT_ERROR if "repeated" in case else NGRAM_ERROR if "size" in case
                 else "unknown options" if "epochs" in case or "learning rate" in case
                 else SELECTION_ERRORS[setting] if setting else TRAINING_ERROR) in err
         assert (model.read_text(), bundle.read_text()) == written  # nothing was trained
@@ -582,7 +615,7 @@ def test_corpus_without_features_exits_cleanly(command, synth_file, tmp_path, ca
 
 def test_cv_rejects_ngram_size_below_one(synth_file, tmp_path, capsys):
     out = tmp_path / "cv.json"
-    assert run(["cv", synth_file, "--kinds", "bow", "--char-n", "0", "-o", str(out)]) == 1
+    assert run(["cv", synth_file, *UNIGRAMS, "--char-n", "0", "-o", str(out)]) == 1
     assert capsys.readouterr().err == "error: char_ngram sizes must be >= 1, got [0]\n"
     assert not out.exists()
 
@@ -594,7 +627,7 @@ def test_cv_rejects_selection_settings_before_featurizing(flags, message, synth_
                                                           monkeypatch, capsys):
     monkeypatch.setattr(textfeat, "extract_features", None)  # featurizing would raise TypeError
     out = tmp_path / "cv.json"
-    assert run(["cv", synth_file, "--kinds", "bow", *flags, "-o", str(out)]) == 1
+    assert run(["cv", synth_file, *UNIGRAMS, *flags, "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

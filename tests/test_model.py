@@ -33,6 +33,9 @@ from codeswitch.model import (
 from reference_encoder import dense_row, pipeline_rows
 from synth_corpus import switching_driven_corpus
 
+# word 1-grams: one feature per token, keyed by its lowercased surface
+UNIGRAMS = {"kinds": frozenset({"word_ngram"}), "n_values": {"word_ngram": (1,)}}
+
 
 def as_dense(X):
     """X as a dense array, one product with a unit vector per column (each
@@ -268,7 +271,7 @@ def word_pool_corpus(n, seed, informative=False):
 
 
 class TestCrossValidate:
-    CFG = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None,
+    CFG = PipelineConfig(**UNIGRAMS, chi2_k=None,
                          use_indicative=False,
                          train_config=TrainConfig())
 
@@ -291,8 +294,8 @@ class TestCrossValidate:
         result = cross_validate(corpus, self.CFG, k=10, seed=13)
         assert abs(result.mean_macro_f1 - 0.5) <= 0.07
 
-    # all three kinds, min_count and chi-squared both cut, lexicon, negations
-    FULL = PipelineConfig(kinds=frozenset({"bow", "char_ngram", "word_ngram"}),
+    # both kinds, min_count and chi-squared both cut, lexicon, negations
+    FULL = PipelineConfig(kinds=frozenset({"char_ngram", "word_ngram"}),
                           min_count=2, chi2_k=30, negation_words=frozenset({"tok3"}),
                           train_config=TrainConfig())
 
@@ -334,7 +337,7 @@ class TestCrossValidate:
                            {train_part.words[c] for c in train_part.tokens.cols.tolist()}))
             return cols, lexicon
         monkeypatch.setattr(model_module, "_fit_features", recorded)
-        cfg = PipelineConfig(kinds=frozenset({"bow"}), min_count=min_count, chi2_k=None)
+        cfg = PipelineConfig(**UNIGRAMS, min_count=min_count, chi2_k=None)
         cross_validate(corpus, cfg, k=3, seed=13)
         assert len(fitted) == 3
         for (vocab, words), (train_rows, _) in zip(fitted, fold_indices(len(corpus), 3, 13)):
@@ -343,7 +346,7 @@ class TestCrossValidate:
             # the fit ran on exactly the train rows
             assert {w for w in words if w.startswith("only")} == {f"only{i}" for i in train_ids}
             for u in corpus:
-                assert (("bow", f"only{u.id}") in vocab) == (u.id in train_ids)
+                assert (("word_ngram", f"only{u.id}") in vocab) == (u.id in train_ids)
 
     @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
     def test_arms_equal_one_run_per_arm(self, n, k, seed):
@@ -421,14 +424,14 @@ class TestCrossValidate:
         (keys, lexicon, _), (mutated_keys, mutated_lexicon, words) = runs
         assert "zzz" in words and lexicon
         assert (mutated_keys, mutated_lexicon) == (keys, lexicon)
-        assert ("bow", "zzz") not in mutated_keys and "zzz" not in mutated_lexicon
+        assert ("word_ngram", "zzz") not in mutated_keys and "zzz" not in mutated_lexicon
 
 
 class TestFitPipeline:
-    """All three kinds, chi-squared selection, the lexicon, negations and
+    """Both kinds, chi-squared selection, the lexicon, negations and
     the switching block, so every part of the training row is exercised."""
 
-    CFG = PipelineConfig(kinds=frozenset({"bow", "char_ngram", "word_ngram"}),
+    CFG = PipelineConfig(kinds=frozenset({"char_ngram", "word_ngram"}),
                          chi2_k=20, negation_words=frozenset({"tok3"}),
                          with_switching=True)
 
@@ -535,7 +538,7 @@ class TestMatrixScoring:
 class TestSparseTraining:
     """The sparse training matrix against the dense rows it stands for."""
 
-    CFG = PipelineConfig(kinds=frozenset({"bow"}), min_count=2, chi2_k=None,
+    CFG = PipelineConfig(**UNIGRAMS, min_count=2, chi2_k=None,
                          use_indicative=False, negation_words=frozenset())
 
     @classmethod
@@ -609,7 +612,7 @@ class TestSparseTraining:
         """Scoring needs one X @ w; it allocates one float per entry (the
         terms it sums) and the output, and keeps no copy of the entries."""
         corpus = word_pool_corpus(2500, seed=6)
-        matrix = textfeat.featurize(corpus, {"bow", "word_ngram"}, {"word_ngram": (1, 2)},
+        matrix = textfeat.featurize(corpus, {"word_ngram"}, {"word_ngram": (1, 2, 3)},
                                     with_switching=False)
         X = textfeat.training_matrix(matrix, textfeat.build_vocabulary(matrix), {}, frozenset())
         w = np.random.default_rng(7).normal(size=X.shape[1])
@@ -687,7 +690,7 @@ class TestSparseTraining:
             LabeledUtterance(tuple(Token(f"w{i}x{j}", rng.choice(["hi", "en"]))
                                    for j in range(length)), i % 2, str(i))
             for i in range(n)))
-        cfg = PipelineConfig(kinds=frozenset({"bow"}), chi2_k=None)
+        cfg = PipelineConfig(**UNIGRAMS, chi2_k=None)
         tracemalloc.start()
         try:
             pipeline = fit_pipeline(corpus, cfg)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
@@ -26,6 +27,10 @@ from codeswitch.textfeat import (
 from codeswitch.switching import N_FEATURES, switching_features
 from reference_encoder import dense_row
 
+# word 1-grams: one feature per token, keyed by its lowercased surface
+UNIGRAMS = (frozenset({"word_ngram"}), {"word_ngram": (1,)})
+NGRAM_SIZES = {"char_ngram": (3,), "word_ngram": (1, 2)}
+
 
 def utterance(surfaces, label=1, uid="0", tag="hi"):
     return LabeledUtterance(tuple(Token(s, tag) for s in surfaces), label, uid)
@@ -46,13 +51,13 @@ def vocabulary(c, kinds, n_values=None, min_count=1):
     return keys_of(matrix, build_vocabulary(matrix, min_count))
 
 
-def bow_matrix(c):
-    return featurize(c, {"bow"}, {})
+def unigram_matrix(c):
+    return featurize(c, *UNIGRAMS)
 
 
-def bow_fit(c):
-    """c's bag-of-words matrix and the column ids build_vocabulary keeps."""
-    matrix = bow_matrix(c)
+def unigram_fit(c):
+    """c's word 1-gram matrix and the column ids build_vocabulary keeps."""
+    matrix = unigram_matrix(c)
     return matrix, build_vocabulary(matrix)
 
 
@@ -109,12 +114,23 @@ class TestWordNgrams:
         assert word_ngrams(toks, 2) == Counter({f"a{NGRAM_SEP}b": 2,
                                                 f"b{NGRAM_SEP}a": 1})
 
+    @given(st.lists(st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s]),
+                    max_size=8))
+    def test_unigrams_count_each_lowercased_surface(self, surfaces):
+        """Word 1-grams are the unigram features: one count per token of
+        its lowercased surface, keyed by that surface alone."""
+        toks = [Token(s, "hi") for s in surfaces]
+        expected = Counter(s.lower() for s in surfaces)
+        assert word_ngrams(toks, 1) == expected
+        assert extract_features(toks, *UNIGRAMS) \
+            == Counter({("word_ngram", w): n for w, n in expected.items()})
+
 
 class TestFeaturize:
     def test_rows_hold_the_extracted_counts(self):
         c = balanced_four_corpus()
-        kinds = frozenset({"bow", "char_ngram", "word_ngram"})
-        matrix = featurize(c, kinds, {})
+        kinds = frozenset({"char_ngram", "word_ngram"})
+        matrix = featurize(c, kinds, NGRAM_SIZES)
         keys = matrix.keys
         assert list(keys) == sorted(keys, key=_feature_sort_key)
         assert matrix.labels.tolist() == [u.label for u in c]
@@ -122,7 +138,7 @@ class TestFeaturize:
             row = matrix.take([r])
             cols, counts = row.counts.cols, row.counts.values
             assert dict(zip((keys[i] for i in cols.tolist()), counts.tolist())) \
-                == extract_features(u.tokens, kinds, {})
+                == extract_features(u.tokens, kinds, NGRAM_SIZES)
             assert [matrix.words[i] for i in row.tokens.cols.tolist()] \
                 == [t.surface.lower() for t in u.tokens]
             assert row.tokens.values.tolist() == [1] * len(u.tokens)
@@ -154,7 +170,7 @@ class TestFeaturize:
         c = corpus(*(LabeledUtterance(tuple(Token(f"w{j}", tags[(i + j) % 5])
                                             for j in range(i + 1)), i % 2, str(i))
                      for i in range(6)))
-        matrix = featurize(c, {"bow"}, {})
+        matrix = featurize(c, *UNIGRAMS)
         assert matrix.switching.shape == (6, N_FEATURES)
         assert matrix.switching.tolist() == [list(switching_features(u.tokens).as_tuple())
                                              for u in c]
@@ -162,11 +178,11 @@ class TestFeaturize:
 
     def test_switching_columns_need_the_switching_block(self):
         c = balanced_four_corpus()
-        matrix = featurize(c, {"bow"}, {}, with_switching=False)
+        matrix = featurize(c, *UNIGRAMS, with_switching=False)
         assert matrix.switching is None and matrix.take([3, 0]).switching is None
         cols = build_vocabulary(matrix)
         X = training_matrix(matrix, cols, {}, frozenset())
-        with_block = featurize(c, {"bow"}, {})
+        with_block = featurize(c, *UNIGRAMS)
         assert with_block.keys == matrix.keys
         Y = training_matrix(with_block, cols, {}, frozenset())
         assert Y.shape == (4, vector_dim(cols, True))
@@ -177,56 +193,56 @@ class TestFeaturize:
 
     def test_fitted_vocabulary_keeps_only_its_keys(self):
         c = balanced_four_corpus()
-        kinds = frozenset({"bow", "word_ngram"})
-        full = featurize(c, kinds, {})
+        kinds, n_values = frozenset({"word_ngram"}), {"word_ngram": (1, 2)}
+        full = featurize(c, kinds, n_values)
         vocab = full.keys[1::2]
-        matrix = featurize(c, kinds, {}, vocab)
+        matrix = featurize(c, kinds, n_values, vocab)
         assert matrix.keys is vocab
         for r, u in enumerate(c):
             row = matrix.take([r])
-            counts = extract_features(u.tokens, kinds, {})
+            counts = extract_features(u.tokens, kinds, n_values)
             assert dict(zip((vocab[i] for i in row.counts.cols.tolist()),
                             row.counts.values.tolist())) \
                 == {key: n for key, n in counts.items() if key in vocab}
 
     def test_entries_follow_the_given_row_order(self):
-        matrix = featurize(balanced_four_corpus(), {"bow"}, {})
+        matrix = featurize(balanced_four_corpus(), *UNIGRAMS)
         taken = matrix.take([3, 0])
         assert taken.counts.rows.tolist() == taken.tokens.rows.tolist() == [0, 0, 1, 1]
         assert {matrix.keys[i] for i in taken.counts.cols[:2].tolist()} \
-            == {("bow", "plain"), ("bow", "other")}
+            == {("word_ngram", "plain"), ("word_ngram", "other")}
         assert [matrix.words[i] for i in taken.tokens.cols.tolist()] \
             == ["plain", "other", "marker", "shared"]
 
 
 class TestBuildVocabulary:
-    def test_bow_enumeration(self):
-        matrix = featurize(corpus(utterance(["koi", "to"])), {"bow"}, {})
+    def test_unigram_enumeration(self):
+        matrix = featurize(corpus(utterance(["koi", "to"])), *UNIGRAMS)
         cols = build_vocabulary(matrix)
         assert cols.dtype == np.intp and cols.tolist() == [0, 1]
-        assert keys_of(matrix, cols) == (("bow", "koi"), ("bow", "to"))
+        assert keys_of(matrix, cols) == (("word_ngram", "koi"), ("word_ngram", "to"))
 
     def test_min_count_threshold(self):
         c = corpus(utterance(["koi", "to"], uid="0"),
                    utterance(["to", "to"], label=0, uid="1"))
-        vocab = vocabulary(c, kinds={"bow"}, min_count=2)
-        assert ("bow", "koi") not in vocab
-        assert ("bow", "to") in vocab
+        vocab = vocabulary(c, *UNIGRAMS, min_count=2)
+        assert ("word_ngram", "koi") not in vocab
+        assert ("word_ngram", "to") in vocab
 
     def test_mixed_kind_ordering(self):
         c = corpus(utterance(["ab"]))
-        vocab = vocabulary(c, kinds={"bow", "char_ngram", "word_ngram"},
+        vocab = vocabulary(c, kinds={"char_ngram", "word_ngram"},
                            n_values={"char_ngram": (2,), "word_ngram": (1,)})
         kinds_in_order = [k for k, _ in vocab]
         assert kinds_in_order == sorted(
-            kinds_in_order, key=["char_ngram", "word_ngram", "bow"].index)
+            kinds_in_order, key=["char_ngram", "word_ngram"].index)
         # and payloads sorted within each kind
         assert list(vocab) == sorted(
-            vocab, key=lambda f: (["char_ngram", "word_ngram", "bow"].index(f[0]), f[1]))
+            vocab, key=lambda f: (["char_ngram", "word_ngram"].index(f[0]), f[1]))
 
     def test_empty_vocabulary_is_error(self):
         with pytest.raises(ValueError, match="vocabulary is empty"):
-            vocabulary(corpus(utterance(["koi"])), kinds={"bow"}, min_count=5)
+            vocabulary(corpus(utterance(["koi"])), *UNIGRAMS, min_count=5)
         # no utterance has a word 5-gram, so no feature exists at all
         c = corpus(utterance(["koi", "to"]), utterance(["hai"], label=0, uid="1"))
         with pytest.raises(ValueError, match="vocabulary is empty"):
@@ -234,7 +250,7 @@ class TestBuildVocabulary:
 
     def test_unknown_kind_is_error(self):
         with pytest.raises(ValueError, match="unknown feature kinds"):
-            featurize(corpus(utterance(["koi"])), {"bow", "pos_tag"}, {})
+            featurize(corpus(utterance(["koi"])), {"word_ngram", "pos_tag"}, NGRAM_SIZES)
 
 
 def balanced_four_corpus():
@@ -251,17 +267,17 @@ def balanced_four_corpus():
 class TestChi2:
     def test_perfectly_associated_feature(self):
         c = balanced_four_corpus()
-        assert chi2_by_key(*bow_fit(c))[("bow", "marker")] == 4.0
+        assert chi2_by_key(*unigram_fit(c))[("word_ngram", "marker")] == 4.0
 
     def test_independent_feature(self):
         c = balanced_four_corpus()
-        assert chi2_by_key(*bow_fit(c))[("bow", "shared")] == 0.0
+        assert chi2_by_key(*unigram_fit(c))[("word_ngram", "shared")] == 0.0
 
     def test_select_top_k(self):
-        matrix, cols = bow_fit(balanced_four_corpus())
+        matrix, cols = unigram_fit(balanced_four_corpus())
         selected = keys_of(matrix, chi2_select(matrix, cols, k=2))
         assert len(selected) == 2
-        assert ("bow", "marker") in selected
+        assert ("word_ngram", "marker") in selected
         scores = chi2_by_key(matrix, cols)
         kept = min(scores[f] for f in selected)
         rejected = [scores[f] for f in keys_of(matrix, cols) if f not in selected]
@@ -271,7 +287,7 @@ class TestChi2:
         rng = random.Random(3)
         c = corpus(*(utterance([f"w{rng.randrange(60)}" for _ in range(4)],
                                label=i % 2, uid=str(i)) for i in range(30)))
-        matrix, cols = bow_fit(c)
+        matrix, cols = unigram_fit(c)
         scores = chi2_by_key(matrix, cols)
         ranked = sorted(keys_of(matrix, cols), key=lambda f: (-scores[f], _feature_sort_key(f)))
         assert len(set(scores.values())) < len(cols) // 2  # many ties
@@ -280,7 +296,7 @@ class TestChi2:
                 tuple(sorted(ranked[:k], key=_feature_sort_key))
 
     def test_k_larger_than_vocab_warns(self):
-        matrix, cols = bow_fit(balanced_four_corpus())
+        matrix, cols = unigram_fit(balanced_four_corpus())
         with pytest.warns(UserWarning):
             selected = chi2_select(matrix, cols, k=1000)
         assert selected.tolist() == cols.tolist()
@@ -288,8 +304,8 @@ class TestChi2:
     def test_label_swap_symmetry(self):
         c = balanced_four_corpus()
         flipped = c.subset(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in c)
-        matrix, cols = bow_fit(c)
-        flipped_matrix = bow_matrix(flipped)
+        matrix, cols = unigram_fit(c)
+        flipped_matrix = unigram_matrix(flipped)
         assert flipped_matrix.keys == matrix.keys
         assert chi2_by_key(matrix, cols) == chi2_by_key(flipped_matrix, cols)
 
@@ -303,7 +319,7 @@ class TestFoldFit:
         rng = random.Random(11)
         c = corpus(*(utterance([f"w{rng.randrange(25)}" for _ in range(rng.randint(1, 6))],
                                label=i % 2, uid=str(i)) for i in range(40)))
-        kinds, n_values = frozenset({"bow", "word_ngram"}), {"word_ngram": (2,)}
+        kinds, n_values = frozenset({"word_ngram"}), {"word_ngram": (1, 2)}
         matrix = featurize(c, kinds, n_values)
         rows = [r for r in range(len(c)) if r % 4 != 1][::-1]
         part = matrix.take(rows)
@@ -338,7 +354,7 @@ class TestChi2Exact:
         present[:, 1] = True
         present[:, 2] = False
         rows, cols = np.nonzero(present)
-        keys = tuple(("bow", f"f{j:02d}") for j in range(40))
+        keys = tuple(("word_ngram", f"f{j:02d}") for j in range(40))
         one_token = SparseMatrix((n, 1), np.arange(n), np.zeros(n, dtype=np.intp),
                                  np.ones(n, dtype=np.int8))
         matrix = FeatureMatrix(labels, keys,
@@ -360,19 +376,19 @@ class TestIndicativeScores:
     def test_positive_only_token(self):
         utts = [utterance(["magic"] * 5, label=1, uid="0"),
                 utterance(["dull"], label=0, uid="1")]
-        lex = indicative_scores(bow_matrix(corpus(*utts)))
+        lex = indicative_scores(unigram_matrix(corpus(*utts)))
         assert lex["magic"] == pytest.approx(math.log(6 / 1))
 
     def test_equal_counts_score_zero(self):
         utts = [utterance(["same"], label=1, uid="0"),
                 utterance(["same"], label=0, uid="1")]
-        lex = indicative_scores(bow_matrix(corpus(*utts)))
+        lex = indicative_scores(unigram_matrix(corpus(*utts)))
         assert lex["same"] == 0.0
 
     def test_floor_drops_weak_tokens(self):
         utts = [utterance(["same", "strong"], label=1, uid="0"),
                 utterance(["same"], label=0, uid="1")]
-        lex = indicative_scores(bow_matrix(corpus(*utts)), floor=0.5)
+        lex = indicative_scores(unigram_matrix(corpus(*utts)), floor=0.5)
         assert "same" not in lex
         assert "strong" in lex
 
@@ -388,52 +404,51 @@ class TestIndicativeScores:
         pos, neg = Counter(), Counter()
         for r in rows:
             (pos if c[r].label == 1 else neg).update(t.surface.lower() for t in c[r].tokens)
-        matrix = bow_matrix(c)
+        matrix = unigram_matrix(c)
         assert len(pos | neg) < len(matrix.words)
         lex = indicative_scores(matrix.take(rows))
         assert lex == {w: math.log((pos[w] + 1) / (neg[w] + 1)) for w in pos | neg}
 
     def test_single_class_rows_are_an_error(self):
-        matrix = bow_matrix(balanced_four_corpus())
+        matrix = unigram_matrix(balanced_four_corpus())
         with pytest.raises(ValueError, match="both classes"):
             indicative_scores(matrix.take([0, 1]))
 
 
 class TestVectorize:
-    BOW = (frozenset({"bow"}), {})
 
     def test_no_hits_only_specials(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
-        lex = indicative_scores(bow_matrix(c))
+        vocab = vocabulary(c, *UNIGRAMS)
+        lex = indicative_scores(unigram_matrix(c))
         u = utterance(["unseen"], uid="9")
-        v = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=False)
+        v = encode(u, vocab, *UNIGRAMS, lex, frozenset(), with_switching=False)
         assert all(i >= len(vocab) for i in np.flatnonzero(v))
         assert v.shape == (len(vocab) + 2,) and v.dtype == np.float64
 
     def test_switching_grows_dim_by_nine(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, *UNIGRAMS)
         u = utterance(["marker"], uid="9")
-        plain = encode(u, vocab, *self.BOW, {}, frozenset(), with_switching=False)
-        with_sw = encode(u, vocab, *self.BOW, {}, frozenset(), with_switching=True)
+        plain = encode(u, vocab, *UNIGRAMS, {}, frozenset(), with_switching=False)
+        with_sw = encode(u, vocab, *UNIGRAMS, {}, frozenset(), with_switching=True)
         assert len(with_sw) == len(plain) + 9
 
     def test_switching_never_changes_leading_block(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
-        lex = indicative_scores(bow_matrix(c))
+        vocab = vocabulary(c, *UNIGRAMS)
+        lex = indicative_scores(unigram_matrix(c))
         u = utterance(["marker", "shared"], uid="9")
-        plain = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=False)
-        with_sw = encode(u, vocab, *self.BOW, lex, frozenset(), with_switching=True)
+        plain = encode(u, vocab, *UNIGRAMS, lex, frozenset(), with_switching=False)
+        with_sw = encode(u, vocab, *UNIGRAMS, lex, frozenset(), with_switching=True)
         assert np.array_equal(with_sw[:len(vocab) + 2], plain)
 
     def test_paper_sentence_composition(self):
-        vocab = (("bow", "koi"), ("bow", "pray"))
+        vocab = (("word_ngram", "koi"), ("word_ngram", "pray"))
         tokens = [("koi", "hi"), ("to", "hi"), ("pray", "en"), ("karo", "hi"),
                   ("mere", "hi"), ("liye", "hi"), ("bhi", "hi")]
         u = LabeledUtterance(tuple(Token(s, t) for s, t in tokens), 1, "0")
-        dense = encode(u, vocab, *self.BOW, {}, frozenset(), with_switching=True)
+        dense = encode(u, vocab, *UNIGRAMS, {}, frozenset(), with_switching=True)
         assert dense[0] == 1.0 and dense[1] == 1.0  # koi, pray counts
         base = len(vocab) + 2
         expected_tail = (1, 1, 2, 1 / 7, 6 / 7, 2 / 7, 0.6998542122237653,
@@ -443,17 +458,18 @@ class TestVectorize:
 
     def test_negation_dimension(self):
         c = balanced_four_corpus()
-        vocab = vocabulary(c, kinds={"bow"})
+        vocab = vocabulary(c, *UNIGRAMS)
         u = utterance(["nahi", "not", "word"], uid="9")
-        v = encode(u, vocab, *self.BOW, {}, frozenset({"nahi", "not"}),
+        v = encode(u, vocab, *UNIGRAMS, {}, frozenset({"nahi", "not"}),
                    with_switching=False)
         assert v[len(vocab) + 1] == 2.0
 
     def test_deterministic(self):
         c = balanced_four_corpus()
-        kinds, n_values = frozenset({"bow", "char_ngram"}), {"char_ngram": (3,)}
+        kinds, n_values = frozenset({"char_ngram", "word_ngram"}), {"char_ngram": (3,),
+                                                                    "word_ngram": (1,)}
         vocab = vocabulary(c, kinds, n_values)
-        lex = indicative_scores(bow_matrix(c))
+        lex = indicative_scores(unigram_matrix(c))
         u = utterance(["marker", "shared", "x"], uid="9")
         a = encode(u, vocab, kinds, n_values, lex, frozenset({"not"}), True)
         b = encode(u, vocab, kinds, n_values, lex, frozenset({"not"}), True)
