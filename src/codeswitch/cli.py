@@ -173,11 +173,10 @@ def _load_pipeline_bundle(path: str
         "kinds": _is_strs(c.get("kinds")) and set(c["kinds"]) <= set(KIND_ORDER),
         "n_values": isinstance(c.get("n_values"), dict)
         and c["n_values"].keys() == {"char_ngram", "word_ngram"} and all(
-            isinstance(ns, list) and all(type(n) is int and n >= 1 for n in ns)
+            isinstance(ns, list) and all(type(n) is int for n in ns)
             for ns in c["n_values"].values()),
-        "min_count": type(c.get("min_count")) is int and c["min_count"] >= 0,
-        "chi2_k": "chi2_k" in c and (c["chi2_k"] is None
-                                     or type(c["chi2_k"]) is int and c["chi2_k"] >= 1),
+        "min_count": type(c.get("min_count")) is int,
+        "chi2_k": "chi2_k" in c and (c["chi2_k"] is None or type(c["chi2_k"]) is int),
         "use_indicative": isinstance(c.get("use_indicative"), bool),
         "lexicon_floor": _is_number(c.get("lexicon_floor")),
         "negation_words": _is_strs(c.get("negation_words")),

@@ -256,12 +256,7 @@ class PipelineConfig:
             raise ValueError(f"chi2_k must be >= 1 (None keeps every feature), got {self.chi2_k}")
         if self.min_count < 0:
             raise ValueError(f"min_count must be >= 0, got {self.min_count}")
-        for kind, ns in self.n_values.items():  # also for a kind that is off
-            if min(ns, default=1) < 1:
-                raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
-            if len(set(ns)) < len(ns):  # a repeated size would count its n-grams twice
-                raise ValueError(f"{kind} sizes must not repeat, got {list(ns)}")
-        checked_kinds(self.kinds)
+        checked_kinds(self.kinds, self.n_values)  # also the sizes of a kind that is off
 
 
 @dataclass(frozen=True)

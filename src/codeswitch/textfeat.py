@@ -14,20 +14,24 @@ the one row encoder: training and scoring read its rows, with the switching
 columns exactly when the FeatureMatrix carries its switching block.
 
 Feature keys are (kind, payload) pairs, kind being char_ngram or word_ngram
-(a token's unigram is its word 1-gram).  A featurized matrix's columns are
-its keys sorted by kind, in KIND_ORDER, then payload, so ascending column ids
-keep that order.  Rows carry two special dimensions (indicative-score sum,
-negation count) after the vocabulary block and, when requested, the
-nine switching features last, so a row without them is the leading columns
-of one with.
+(a token's unigram is its word 1-gram).  extract_features builds and counts
+an utterance's keys, and featurize interns them, through C iterators, with
+no Python step per n-gram; a row's entries keep extract_features' key
+order.  A featurized matrix's columns are its keys sorted by kind, in
+KIND_ORDER, then payload, so ascending column ids keep that order.  Rows
+carry two special dimensions (indicative-score sum, negation count) after
+the vocabulary block and, when requested, the nine switching features last,
+so a row without them is the leading columns of one with.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, count, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Sized, Union
 
@@ -39,6 +43,8 @@ from codeswitch.switching import N_FEATURES, switching_features
 NGRAM_SEP = "§"  # reserved word-ngram joiner; never appears in surfaces
 
 KIND_ORDER = ("char_ngram", "word_ngram")
+
+_surface = attrgetter("surface")
 
 FeatureKey = tuple[str, str]
 
@@ -52,45 +58,37 @@ DEFAULT_NEGATION_WORDS = frozenset({
 })
 
 
-def char_ngrams(text: str, n: int) -> Counter:
-    """Character n-grams of the lowercased text; empty when len(text) < n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    text = text.lower()
-    return Counter(text[i:i + n] for i in range(len(text) - n + 1))
-
-
-def word_ngrams(tokens: Sequence[Token], n: int) -> Counter:
-    """Token-surface n-grams joined by the reserved separator."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    surfaces = [t.surface.lower() for t in tokens]
-    return Counter(NGRAM_SEP.join(surfaces[i:i + n])
-                   for i in range(len(surfaces) - n + 1))
-
-
 def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
                      n_values: Mapping[str, tuple[int, ...]]) -> Counter:
-    """Multiset of (kind, payload) feature keys for one utterance."""
-    feats: Counter = Counter()
+    """Multiset of (kind, payload) feature keys for one utterance, in order
+    of first occurrence, size by size: char_ngram payloads are n-character
+    runs of the space-joined surfaces, lowercased after joining, word_ngram
+    ones runs of n lowercased surfaces joined by NGRAM_SEP.  Sizes must be
+    >= 1.  C iterators build and count the keys, with no Python step per
+    n-gram."""
+    runs = []
     if "char_ngram" in kinds:
-        text = " ".join(t.surface for t in tokens)
-        for n in n_values["char_ngram"]:
-            for gram, c in char_ngrams(text, n).items():
-                feats[("char_ngram", gram)] += c
+        runs.append(("char_ngram", " ".join(map(_surface, tokens)).lower(), "".join))
     if "word_ngram" in kinds:
-        for n in n_values["word_ngram"]:
-            for gram, c in word_ngrams(tokens, n).items():
-                feats[("word_ngram", gram)] += c
-    return feats
+        runs.append(("word_ngram", [*map(str.lower, map(_surface, tokens))], NGRAM_SEP.join))
+    return Counter(chain.from_iterable(
+        zip(repeat(kind), map(join, zip(*[items[i:] for i in range(n)])))
+        for kind, items, join in runs for n in n_values[kind]))
 
 
 def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:
     return (KIND_ORDER.index(key[0]), key[1])
 
 
-def checked_kinds(kinds: Iterable[str]) -> frozenset[str]:
-    """The kinds as a frozenset; a kind not in KIND_ORDER is a ValueError."""
+def checked_kinds(kinds: Iterable[str], n_values: Mapping[str, Sequence[int]]) -> frozenset[str]:
+    """The kinds as a frozenset.  A kind not in KIND_ORDER is a ValueError,
+    and so is a size of any kind of n_values that is below 1 or repeated
+    within its kind, which would count its n-grams twice."""
+    for kind, ns in n_values.items():
+        if min(ns, default=1) < 1:
+            raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
+        if len(set(ns)) < len(ns):
+            raise ValueError(f"{kind} sizes must not repeat, got {list(ns)}")
     kinds = frozenset(kinds)
     unknown = kinds - set(KIND_ORDER)
     if unknown:
@@ -172,28 +170,29 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
               vocab: Sequence[FeatureKey] | None = None,
               with_switching: bool = True) -> FeatureMatrix:
     """Feature matrix of the corpus, built in one streaming pass: each
-    utterance is extracted once, its keys and lowercased surfaces are
-    interned into column ids appended to flat lists, and its Counter is
-    dropped.  The key ids are then remapped to the rank of their key, or,
-    given the keys of a fitted vocab, only those are kept, as its columns.
+    utterance is extracted once, its keys (given a fitted vocab, only its
+    keys) and lowercased surfaces are interned into column ids by C
+    iterators, in extract_features' key order, the order in which X @ w adds
+    a row's terms, and its Counter is dropped.  The key ids are then
+    remapped to the rank of their key, or, given vocab, are its columns.
     Row and column ids and counts are int32, and token values int8, which
     keeps the matrix small while a cross-validation holds it.  The switching
-    block is built only with_switching, and is None otherwise."""
-    kinds = checked_kinds(kinds)
-    ids: dict[FeatureKey, int] = {} if vocab is None else {key: i for i, key in enumerate(vocab)}
-    word_ids: dict[str, int] = {}
+    block is built only with_switching, and is None otherwise.  checked_kinds
+    checks the kinds and sizes once per call."""
+    kinds = checked_kinds(kinds, n_values)
+    ids: dict[FeatureKey, int] = (defaultdict(count().__next__) if vocab is None
+                                  else {key: i for i, key in enumerate(vocab)})
+    word_ids: dict[str, int] = defaultdict(count().__next__)
     labels, switching = [], []
     n_keys, key_cols, key_counts, n_tokens, token_cols = [], [], [], [], []
     for u in corpus:
         feats = extract_features(u.tokens, kinds, n_values)
-        if vocab is not None:
-            feats = {key: n for key, n in feats.items() if key in ids}
-        n_keys.append(len(feats))
-        key_cols.extend([ids.setdefault(key, len(ids)) for key in feats])
-        key_counts.extend(feats.values())
+        kept = feats if vocab is None else [*filter(ids.__contains__, feats)]
+        n_keys.append(len(kept))
+        key_cols += map(ids.__getitem__, kept)  # a new key's id is the count of keys before it
+        key_counts += map(feats.__getitem__, kept)
         n_tokens.append(len(u.tokens))
-        token_cols.extend([word_ids.setdefault(t.surface.lower(), len(word_ids))
-                           for t in u.tokens])
+        token_cols += map(word_ids.__getitem__, map(str.lower, map(_surface, u.tokens)))
         labels.append(u.label)
         if with_switching:
             switching.append(switching_features(u.tokens).as_tuple())

@@ -283,6 +283,37 @@ def test_train_output_ignores_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_outputs_ignore_the_hash_seed(tmp_path):
+    """Every command writes the same bytes, files and standard streams,
+    under two string hash seeds: no output follows the iteration order of a
+    set or of a dict built from one."""
+    commands = [
+        ["train", "train.txt", "--with-switching", "--model-out", "model.txt",
+         "--pipeline-out", "pipeline.json"],
+        ["eval", "held.txt", "--model", "model.txt", "--pipeline", "pipeline.json",
+         "-o", "eval.json"],
+        ["subsample", "held.txt", "--model", "model.txt", "--pipeline", "pipeline.json",
+         "-o", "kept.txt"],
+        ["cv", "train.txt", "--k", "5", "--ablate-switching", "-o", "cv.json"],
+        ["stats", "train.txt", "held.txt", "-o", "stats.tsv"],
+        ["features", "held.txt", "-o", "features.jsonl"],
+    ]
+    outputs = []
+    for seed in ("0", "1"):
+        work = tmp_path / seed
+        work.mkdir()
+        write_corpus(switching_driven_corpus(120, seed=7), work / "train.txt")
+        write_corpus(switching_driven_corpus(80, seed=8), work / "held.txt")
+        streams = [subprocess.run([sys.executable, "-m", "codeswitch.cli", *argv], cwd=work,
+                                  env=_cli_env(PYTHONHASHSEED=seed), check=True,
+                                  capture_output=True)
+                   for argv in commands]
+        outputs.append(([(s.stdout, s.stderr) for s in streams],
+                        {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    assert len(outputs[0][1]) == 2 + 7
+    assert outputs[0] == outputs[1]
+
+
 class TestCV:
     def test_cv_json_report(self, synth_file, tmp_path):
         out = tmp_path / "cv.json"
@@ -534,11 +565,12 @@ BUNDLE_ERRORS = {
     "bundle config kind unknown": "missing or mistyped kinds",
     "bundle of the removed bow kind": "missing or mistyped kinds",
     "bundle n-gram size repeated": "char_ngram sizes must not repeat, got [3, 3]",
-    "bundle chi2_k negative": "missing or mistyped chi2_k",
-    "bundle chi2_k zero": "missing or mistyped chi2_k",
-    "bundle min_count negative": "missing or mistyped min_count",
-    **dict.fromkeys(["bundle n-gram size not an integer", "bundle n-gram size zero",
-                     "bundle n-gram size negative", "bundle n-gram sizes missing",
+    "bundle chi2_k negative": "chi2_k must be >= 1 (None keeps every feature), got -7",
+    "bundle chi2_k zero": "chi2_k must be >= 1 (None keeps every feature), got 0",
+    "bundle min_count negative": "min_count must be >= 0, got -3",
+    "bundle n-gram size zero": "char_ngram sizes must be >= 1, got [0]",
+    "bundle n-gram size negative": "word_ngram sizes must be >= 1, got [-2]",
+    **dict.fromkeys(["bundle n-gram size not an integer", "bundle n-gram sizes missing",
                      "bundle n-gram sizes of an unknown kind"], "missing or mistyped n_values"),
     **dict.fromkeys(["bundle lexicon with use_indicative off", "bundle lexicon twice",
                      "bundle without the lexicon use_indicative needs"],
@@ -586,7 +618,8 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
         assert str(config) in err
     if case.startswith("bundle "):
         assert str(bundle) in err
-        assert BUNDLE_ERRORS.get(case, "") in err
+        if case in BUNDLE_ERRORS:
+            assert err.startswith(f"error: pipeline bundle {bundle}: {BUNDLE_ERRORS[case]}")
     if case.startswith("model "):
         assert str(model) in err
         if "not a" in case or "negative" in case:

@@ -8,13 +8,13 @@ from hypothesis import given, strategies as st
 
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
+    KIND_ORDER,
     NGRAM_SEP,
     FeatureMatrix,
     SparseMatrix,
     build_vocabulary,
     _chi2,
     _feature_sort_key,
-    char_ngrams,
     chi2_scores,
     chi2_select,
     extract_features,
@@ -22,10 +22,10 @@ from codeswitch.textfeat import (
     indicative_scores,
     training_matrix,
     vector_dim,
-    word_ngrams,
 )
 from codeswitch.switching import N_FEATURES, switching_features
 from reference_encoder import dense_row
+from synth_corpus import switching_driven_corpus
 
 # word 1-grams: one feature per token, keyed by its lowercased surface
 UNIGRAMS = (frozenset({"word_ngram"}), {"word_ngram": (1,)})
@@ -85,45 +85,91 @@ def chi2_by_key(matrix, cols):
     return dict(zip(keys_of(matrix, cols), chi2_scores(matrix, cols)))
 
 
+def grams(surfaces, kind, n):
+    """The payloads of extract_features' kind n-grams of the utterance of
+    the given surfaces, with their counts."""
+    feats = extract_features([Token(s, "hi") for s in surfaces], frozenset({kind}), {kind: (n,)})
+    assert {k for k, _ in feats} <= {kind}
+    return Counter({payload: c for (_, payload), c in feats.items()})
+
+
+def reference_features(tokens, kinds, n_values):
+    """extract_features written one size at a time: each size's n-grams
+    counted alone, then merged into one Counter in size order."""
+    feats = Counter()
+    if "char_ngram" in kinds:
+        text = " ".join(t.surface for t in tokens).lower()
+        for n in n_values["char_ngram"]:
+            for gram, c in Counter(text[i:i + n] for i in range(len(text) - n + 1)).items():
+                feats[("char_ngram", gram)] += c
+    if "word_ngram" in kinds:
+        surfaces = [t.surface.lower() for t in tokens]
+        for n in n_values["word_ngram"]:
+            for gram, c in Counter(NGRAM_SEP.join(surfaces[i:i + n])
+                                   for i in range(len(surfaces) - n + 1)).items():
+                feats[("word_ngram", gram)] += c
+    return feats
+
+
 class TestCharNgrams:
     def test_basic(self):
-        assert char_ngrams("abcd", 3) == Counter({"abc": 1, "bcd": 1})
+        assert grams(["abcd"], "char_ngram", 3) == Counter({"abc": 1, "bcd": 1})
 
     def test_shorter_than_n(self):
-        assert char_ngrams("ab", 3) == Counter()
+        assert grams(["ab"], "char_ngram", 3) == Counter()
 
     def test_with_space(self):
-        assert char_ngrams("koi to", 3) == Counter({"koi": 1, "oi ": 1, "i t": 1, " to": 1})
+        assert grams(["koi", "to"], "char_ngram", 3) \
+            == Counter({"koi": 1, "oi ": 1, "i t": 1, " to": 1})
 
     def test_bad_n(self):
-        with pytest.raises(ValueError):
-            char_ngrams("abc", 0)
+        """featurize checks the sizes of every kind once per call, so also
+        for a corpus with no utterance to extract."""
+        for c in (corpus(utterance(["abc"])), corpus()):
+            for kind in KIND_ORDER:
+                for n in (0, -1):
+                    with pytest.raises(ValueError,
+                                       match=rf"{kind} sizes must be >= 1, got \[1, {n}\]"):
+                        featurize(c, {kind}, {**NGRAM_SIZES, kind: (1, n)})
 
 
 class TestWordNgrams:
     def test_bigrams(self):
-        toks = [Token(s, "hi") for s in ("koi", "to", "pray")]
-        assert word_ngrams(toks, 2) == Counter({f"koi{NGRAM_SEP}to": 1,
-                                                f"to{NGRAM_SEP}pray": 1})
+        assert grams(["koi", "to", "pray"], "word_ngram", 2) \
+            == Counter({f"koi{NGRAM_SEP}to": 1, f"to{NGRAM_SEP}pray": 1})
 
     def test_shorter_than_n(self):
-        assert word_ngrams([Token("koi", "hi")], 2) == Counter()
+        assert grams(["koi"], "word_ngram", 2) == Counter()
 
     def test_multiset_counts(self):
-        toks = [Token(s, "hi") for s in ("a", "b", "a", "b")]
-        assert word_ngrams(toks, 2) == Counter({f"a{NGRAM_SEP}b": 2,
-                                                f"b{NGRAM_SEP}a": 1})
+        assert grams(["a", "b", "a", "b"], "word_ngram", 2) \
+            == Counter({f"a{NGRAM_SEP}b": 2, f"b{NGRAM_SEP}a": 1})
 
     @given(st.lists(st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s]),
                     max_size=8))
     def test_unigrams_count_each_lowercased_surface(self, surfaces):
         """Word 1-grams are the unigram features: one count per token of
         its lowercased surface, keyed by that surface alone."""
-        toks = [Token(s, "hi") for s in surfaces]
         expected = Counter(s.lower() for s in surfaces)
-        assert word_ngrams(toks, 1) == expected
-        assert extract_features(toks, *UNIGRAMS) \
+        assert grams(surfaces, "word_ngram", 1) == expected
+        assert extract_features([Token(s, "hi") for s in surfaces], *UNIGRAMS) \
             == Counter({("word_ngram", w): n for w, n in expected.items()})
+
+
+class TestExtractExact:
+    # İ lowercases to two characters, and Σ to ς at the end of a word and σ
+    # elsewhere; § is NGRAM_SEP, so a surface holding it can make a word
+    # n-gram equal to one of another size.
+    @given(st.lists(st.text("aBİΣσς§x", min_size=1, max_size=4), max_size=6),
+           st.sampled_from([{"char_ngram"}, {"word_ngram"}, set(KIND_ORDER)]),
+           st.permutations((2, 3, 5)), st.permutations((1, 2, 3)))
+    def test_equals_per_size_reference(self, surfaces, kinds, char_n, word_n):
+        """Keys, counts and insertion order equal those of the per-size
+        reference, sizes longer than the utterance included."""
+        tokens = [Token(s, "hi") for s in surfaces]
+        n_values = {"char_ngram": tuple(char_n), "word_ngram": tuple(word_n)}
+        assert list(extract_features(tokens, frozenset(kinds), n_values).items()) \
+            == list(reference_features(tokens, kinds, n_values).items())
 
 
 class TestFeaturize:
@@ -204,6 +250,26 @@ class TestFeaturize:
             assert dict(zip((vocab[i] for i in row.counts.cols.tolist()),
                             row.counts.values.tolist())) \
                 == {key: n for key, n in counts.items() if key in vocab}
+
+    def test_row_entries_follow_the_extracted_key_order(self):
+        """X @ w adds a row's terms in entry order, so byte-identical scores
+        need each row's counts in extract_features' key order, with no
+        vocabulary and over fitted vocabulary keys."""
+        c = switching_driven_corpus(40, seed=3, pool_size=6)
+        kinds = frozenset(KIND_ORDER)
+        full = featurize(c, kinds, NGRAM_SIZES)
+        fitted = keys_of(full, chi2_select(full, build_vocabulary(full, min_count=2), k=60))
+        for vocab in (None, fitted):
+            matrix = featurize(c, kinds, NGRAM_SIZES, vocab)
+            counts = matrix.counts
+            for r, u in enumerate(c):
+                at = counts.rows == r
+                row = list(zip((matrix.keys[i] for i in counts.cols[at].tolist()),
+                               counts.values[at].tolist()))
+                assert row == [(key, n) for key, n in
+                               extract_features(u.tokens, kinds, NGRAM_SIZES).items()
+                               if vocab is None or key in vocab]
+                assert len(row) > 1
 
     def test_entries_follow_the_given_row_order(self):
         matrix = featurize(balanced_four_corpus(), *UNIGRAMS)
