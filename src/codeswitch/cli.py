@@ -10,6 +10,11 @@ Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name, each value of the type its flag gives) to override the
 built-in defaults.  A key applies to the subcommands that have its
 option and is ignored by the rest, so one file serves every subcommand.
+
+The flags' defaults come from codeswitch.config, which imports only the
+standard library.  model and textfeat, and with them numpy, are imported
+only by the code of train, eval, cv and subsample, so stats and features
+start without numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from codeswitch import stats as stats_mod
+from codeswitch.config import DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig
 from codeswitch.corpus import (
     CorpusFormatError,
     LabeledCorpus,
@@ -31,30 +38,12 @@ from codeswitch.corpus import (
     load_corpus,
     serialize_tagged_line,
 )
-from codeswitch.model import (
-    CVResult,
-    EvalReport,
-    FittedPipeline,
-    PipelineConfig,
-    TrainConfig,
-    cross_validate,
-    cross_validate_arms,
-    evaluate,
-    fit_pipeline,
-    format_model,
-    load_model,
-    subsample_negatives,
-)
 from codeswitch.preprocess import PreprocessConfig, normalize_token
 from codeswitch.switching import has_embedding_property, switching_features
-from codeswitch.textfeat import (
-    DEFAULT_NEGATION_WORDS,
-    KIND_ORDER,
-    FeatureKey,
-    _feature_sort_key,
-    load_wordlist,
-    vector_dim,
-)
+
+if TYPE_CHECKING:
+    from codeswitch.model import CVResult, EvalReport
+    from codeswitch.textfeat import FeatureKey
 
 PIPELINE_FORMAT_VERSION = 1
 
@@ -109,6 +98,7 @@ def _preprocess_corpus(corpus: LabeledCorpus, args, path: str) -> LabeledCorpus:
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    from codeswitch.textfeat import load_wordlist
     negation = (load_wordlist(args.negation_file) if args.negation_file
                 else DEFAULT_NEGATION_WORDS)
     return PipelineConfig(
@@ -165,6 +155,7 @@ def _read_json(path: str):
 
 def _load_pipeline_bundle(path: str
                           ) -> tuple[PipelineConfig, tuple[FeatureKey, ...], dict[str, float]]:
+    from codeswitch.textfeat import _feature_sort_key
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != PIPELINE_FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline bundle version in {path}")
@@ -270,6 +261,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from codeswitch.model import fit_pipeline, format_model
     cfg = _pipeline_config(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     pipeline = fit_pipeline(corpus, cfg)
@@ -281,6 +273,8 @@ def cmd_train(args) -> int:
 
 
 def _load_fitted(args):
+    from codeswitch.model import FittedPipeline, load_model
+    from codeswitch.textfeat import vector_dim
     cfg, vocab, lexicon = _load_pipeline_bundle(args.pipeline)
     model = load_model(args.model,
                        expected_dim=vector_dim(vocab, cfg.with_switching))
@@ -288,6 +282,7 @@ def _load_fitted(args):
 
 
 def cmd_eval(args) -> int:
+    from codeswitch.model import evaluate
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     report = evaluate(pipeline.predict_proba(corpus), [u.label for u in corpus])
@@ -296,6 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from codeswitch.model import cross_validate, cross_validate_arms
     cfg = _pipeline_config(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
 
@@ -318,6 +314,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_subsample(args) -> int:
+    from codeswitch.model import subsample_negatives
     pipeline = _load_fitted(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
     negatives = corpus.subset(corpus.negatives)  # only they are scored

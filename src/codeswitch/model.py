@@ -11,7 +11,8 @@ use only X.shape, X @ v and X.T @ v, so a dense ndarray works as well.  A
 fold's feature fit keeps column ids and words of the one featurized matrix,
 so no fold reads an utterance again; a FittedPipeline holds the keys of its
 fitted columns and scores a corpus by featurizing it over them into one
-training matrix, whose rows its vectorize views densely.
+training matrix, whose rows its vectorize views densely.  The settings,
+TrainConfig and PipelineConfig, live in codeswitch.config.
 """
 
 from __future__ import annotations
@@ -19,21 +20,19 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices
 from codeswitch.textfeat import (
-    DEFAULT_NEGATION_WORDS,
-    KIND_ORDER,
     FeatureKey,
     FeatureMatrix,
     SparseMatrix,
     build_vocabulary,
-    checked_kinds,
     chi2_select,
     featurize,
     indicative_scores,
@@ -43,18 +42,6 @@ from codeswitch.textfeat import (
 
 MODEL_FORMAT_VERSION = 2
 MODEL_MAGIC = "codeswitch-linear-model"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_iter: int = 100
-    tol: float = 1e-6
-    l2: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.max_iter < math.inf and 0 < self.tol < math.inf
-                and 0 <= self.l2 < math.inf):  # or NaN
-            raise ValueError(f"need finite max_iter >= 1, tol > 0 and l2 >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -237,27 +224,6 @@ def subsample_negatives(corpus: LabeledCorpus,
 # --------------------------------------------------------------------
 # End-to-end pipeline: feature fitting + training + evaluation
 # --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    kinds: frozenset[str] = frozenset(KIND_ORDER)
-    n_values: Mapping[str, tuple[int, ...]] = field(
-        default_factory=lambda: {"char_ngram": (3,), "word_ngram": (1, 2)})
-    min_count: int = 1
-    chi2_k: int | None = 500
-    use_indicative: bool = True
-    lexicon_floor: float = 0.0
-    negation_words: frozenset[str] = DEFAULT_NEGATION_WORDS
-    with_switching: bool = False
-    train_config: TrainConfig = TrainConfig()
-
-    def __post_init__(self) -> None:
-        if self.chi2_k is not None and self.chi2_k < 1:
-            raise ValueError(f"chi2_k must be >= 1 (None keeps every feature), got {self.chi2_k}")
-        if self.min_count < 0:
-            raise ValueError(f"min_count must be >= 0, got {self.min_count}")
-        checked_kinds(self.kinds, self.n_values)  # also the sizes of a kind that is off
-
 
 @dataclass(frozen=True)
 class FittedPipeline:

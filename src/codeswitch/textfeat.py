@@ -21,7 +21,8 @@ order.  A featurized matrix's columns are its keys sorted by kind, in
 KIND_ORDER, then payload, so ascending column ids keep that order.  Rows
 carry two special dimensions (indicative-score sum, negation count) after
 the vocabulary block and, when requested, the nine switching features last,
-so a row without them is the leading columns of one with.
+so a row without them is the leading columns of one with.  KIND_ORDER
+and checked_kinds, the check of kinds and sizes, live in codeswitch.config.
 """
 
 from __future__ import annotations
@@ -37,25 +38,18 @@ from typing import Iterable, Mapping, Sequence, Sized, Union
 
 import numpy as np
 
+from codeswitch.config import KIND_ORDER, checked_kinds
 from codeswitch.corpus import LabeledCorpus, POSITIVE, Token
 from codeswitch.switching import N_FEATURES, switching_features
 
-NGRAM_SEP = "§"  # reserved word-ngram joiner; never appears in surfaces
-
-KIND_ORDER = ("char_ngram", "word_ngram")
+# Word n-gram joiner.  A surface holding it could make a word n-gram's key
+# equal to one of another size, so featurize rejects such a surface when it
+# extracts word n-grams above size 1.
+NGRAM_SEP = "§"
 
 _surface = attrgetter("surface")
 
 FeatureKey = tuple[str, str]
-
-# Negation cues for English plus romanized Hindi; users may supply their
-# own list file instead.
-DEFAULT_NEGATION_WORDS = frozenset({
-    "no", "not", "never", "none", "nobody", "nothing", "nowhere",
-    "neither", "nor", "cannot", "can't", "won't", "don't", "doesn't",
-    "didn't", "isn't", "aren't", "wasn't", "weren't", "without",
-    "nahi", "nahin", "nhi", "na", "mat", "bina", "kabhi",
-})
 
 
 def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
@@ -78,23 +72,6 @@ def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
 
 def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:
     return (KIND_ORDER.index(key[0]), key[1])
-
-
-def checked_kinds(kinds: Iterable[str], n_values: Mapping[str, Sequence[int]]) -> frozenset[str]:
-    """The kinds as a frozenset.  A kind not in KIND_ORDER is a ValueError,
-    and so is a size of any kind of n_values that is below 1 or repeated
-    within its kind, which would count its n-grams twice."""
-    for kind, ns in n_values.items():
-        if min(ns, default=1) < 1:
-            raise ValueError(f"{kind} sizes must be >= 1, got {list(ns)}")
-        if len(set(ns)) < len(ns):
-            raise ValueError(f"{kind} sizes must not repeat, got {list(ns)}")
-    kinds = frozenset(kinds)
-    unknown = kinds - set(KIND_ORDER)
-    if unknown:
-        hint = "; bow was removed: use word_ngram with --word-n 1" if "bow" in unknown else ""
-        raise ValueError(f"unknown feature kinds: {sorted(unknown)}{hint}")
-    return kinds
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +155,9 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
     Row and column ids and counts are int32, and token values int8, which
     keeps the matrix small while a cross-validation holds it.  The switching
     block is built only with_switching, and is None otherwise.  checked_kinds
-    checks the kinds and sizes once per call."""
+    checks the kinds and sizes once per call and, when word n-grams above
+    size 1 are extracted, a lowercased surface holding NGRAM_SEP is a
+    ValueError naming it, checked once per call over the distinct words."""
     kinds = checked_kinds(kinds, n_values)
     ids: dict[FeatureKey, int] = (defaultdict(count().__next__) if vocab is None
                                   else {key: i for i, key in enumerate(vocab)})
@@ -196,6 +175,11 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
         labels.append(u.label)
         if with_switching:
             switching.append(switching_features(u.tokens).as_tuple())
+    if "word_ngram" in kinds and max(n_values["word_ngram"], default=0) > 1:
+        clash = next((w for w in word_ids if NGRAM_SEP in w), None)
+        if clash is not None:
+            raise ValueError(f"token surface {clash!r} holds {NGRAM_SEP!r}, which joins "
+                             "word n-grams, so its n-grams would share columns with others")
     key_cols = np.array(key_cols, dtype=np.int32)
     if vocab is None:
         vocab = sorted(ids, key=_feature_sort_key)

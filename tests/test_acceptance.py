@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from codeswitch.cli import _pipeline_config, build_parser, run
+from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
@@ -24,8 +25,6 @@ from codeswitch.corpus import (
     serialize_tagged_line,
 )
 from codeswitch.model import (
-    PipelineConfig,
-    TrainConfig,
     cross_validate,
     cross_validate_arms,
     loss_and_grad,

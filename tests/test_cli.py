@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 import codeswitch
 from codeswitch import textfeat
 from codeswitch.cli import _load_pipeline_bundle, _pipeline_config, build_parser, run
+from codeswitch.config import PipelineConfig
 from codeswitch.corpus import load_corpus, serialize_tagged_line
-from codeswitch.model import FittedPipeline, PipelineConfig, load_model, sigmoid
+from codeswitch.model import FittedPipeline, load_model, sigmoid
 from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
 
@@ -312,6 +313,42 @@ def test_outputs_ignore_the_hash_seed(tmp_path):
                         {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
     assert len(outputs[0][1]) == 2 + 7
     assert outputs[0] == outputs[1]
+
+
+# Runs the CLI in-process and reports, on the last stderr line, its exit
+# status and whether numpy was imported.
+_STATUS_AND_NUMPY = """
+import sys
+from codeswitch.cli import run
+try:
+    status = run(sys.argv[1:])
+except SystemExit as exc:  # --help
+    status = exc.code
+print(status, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, config, status", [
+    (["stats", "{corpus}", "{corpus}", "-o", "stats.tsv"], None, 0),
+    (["features", "{corpus}", "-o", "features.jsonl"], None, 0),
+    (["--help"], None, 0),
+    (["stats", "{corpus}", "-o", "stats.tsv"], {"chi2_k": 7, "word_n": [1, 3]}, 0),
+    (["stats", "{corpus}", "-o", "stats.tsv"], {"chi2_k": "seven"}, 1),
+], ids=["stats", "features", "help", "train-only config", "bad config value"])
+def test_stats_and_features_import_no_numpy(argv, config, status, synth_file, tmp_path):
+    """stats, features and the parser, with whatever CODESWITCH_CONFIG,
+    import neither model nor textfeat, so a process that runs them starts
+    without numpy."""
+    env = _cli_env()
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        env["CODESWITCH_CONFIG"] = str(tmp_path / "config.json")
+    result = subprocess.run([sys.executable, "-c", _STATUS_AND_NUMPY,
+                             *(a.format(corpus=synth_file) for a in argv)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    *err, last = result.stderr.splitlines()
+    assert last == f"{status} False"
+    assert bool(err) == (status == 1) and all(line.startswith("error: ") for line in err)
 
 
 class TestCV:
@@ -644,6 +681,28 @@ def test_corpus_without_features_exits_cleanly(command, synth_file, tmp_path, ca
                  "--pipeline-out", str(tmp_path / "pipeline.json")]
     assert run(args) == 1
     assert capsys.readouterr().err == "error: resulting vocabulary is empty\n"
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "eval", "subsample"])
+def test_surface_holding_the_ngram_joiner_exits_cleanly(command, synth_file, tmp_path, capsys):
+    """With word 2-grams, a token surface holding NGRAM_SEP would share a
+    column with a 2-gram of two other surfaces; every command that
+    featurizes it exits 1 naming it (subsample scores only negatives)."""
+    model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
+    assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+                "--chi2-k", "0"]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(Path(synth_file).read_text() + f"0\tkoi{textfeat.NGRAM_SEP}to_hi koi_hi to_hi\n",
+                   encoding="utf-8")
+    argv = {"train": ["--model-out", str(model), "--pipeline-out", str(bundle)],
+            "cv": [], "eval": ["--model", str(model), "--pipeline", str(bundle)],
+            "subsample": ["--model", str(model), "--pipeline", str(bundle)]}[command]
+    written = model.read_bytes(), bundle.read_bytes()
+    capsys.readouterr()
+    assert run([command, str(bad), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: token surface 'koi{textfeat.NGRAM_SEP}to' holds ")
+    assert (model.read_bytes(), bundle.read_bytes()) == written
 
 
 def test_cv_rejects_ngram_size_below_one(synth_file, tmp_path, capsys):

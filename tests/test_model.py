@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from codeswitch import model as model_module, textfeat
+from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, fold_indices
 from codeswitch.model import (
     FittedPipeline,
     LinearModel,
-    PipelineConfig,
-    TrainConfig,
     cross_validate,
     cross_validate_arms,
     evaluate,

@@ -1,14 +1,15 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from codeswitch.config import KIND_ORDER
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
 from codeswitch.textfeat import (
-    KIND_ORDER,
     NGRAM_SEP,
     FeatureMatrix,
     SparseMatrix,
@@ -210,6 +211,22 @@ class TestFeaturize:
             assert entries(taken) == entries(part)
             assert taken.switching.tobytes() == part.switching.tobytes() \
                 == matrix.switching[rows].tobytes()
+
+    def test_surface_holding_the_ngram_joiner_is_rejected(self):
+        """The word 1-gram of a§b is the word 2-gram of a b, so a surface
+        holding NGRAM_SEP is an error naming it whenever word n-grams above
+        size 1 are extracted, over a fitted vocabulary too."""
+        c = corpus(utterance([f"a{NGRAM_SEP}B", "a", "b"]), utterance(["c"], label=0, uid="1"))
+        message = re.escape(repr(f"a{NGRAM_SEP}b"))
+        for n_values in ({"word_ngram": (1, 2)}, {"word_ngram": (3,)}):
+            with pytest.raises(ValueError, match=message):
+                featurize(c, {"word_ngram"}, n_values)
+        with pytest.raises(ValueError, match=message):
+            featurize(c, {"word_ngram"}, {"word_ngram": (2,)}, [("word_ngram", "c")])
+        # no word n-gram joins two surfaces: nothing can collide
+        for kinds in ({"word_ngram"}, {"char_ngram"}):
+            matrix = featurize(c, kinds, {"char_ngram": (3,), "word_ngram": (1,)})
+            assert f"a{NGRAM_SEP}b" in matrix.words
 
     def test_switching_block_holds_each_rows_profile(self):
         tags = ["hi", "en", "hi", "rest", "en"]
