@@ -3,8 +3,10 @@
 Subcommands: stats, features, train, eval, cv, subsample.  All read
 corpora in the tagged-line format of codeswitch.corpus.  Outputs are
 written atomically (temp file + rename) so partial files are never left
-behind.  Identical arguments and inputs produce byte-identical outputs,
-whatever the BLAS thread count.
+behind, with the mode a plain file creation gives under the umask.
+Identical arguments and inputs produce byte-identical outputs, whatever
+the BLAS thread count.  Settings are checked before any file is read, and
+every warning reaches stderr as one "warning: <message>" line.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name, each value of the type its flag gives) to override the
@@ -25,11 +27,14 @@ import math
 import os
 import sys
 import tempfile
+import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from codeswitch import stats as stats_mod
-from codeswitch.config import DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig
+from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig,
+                               check_tau)
 from codeswitch.corpus import (
     CorpusFormatError,
     LabeledCorpus,
@@ -49,7 +54,8 @@ PIPELINE_FORMAT_VERSION = 1
 
 
 def _write_output(path: str | None, text: str) -> None:
-    """Write atomically to path, or to stdout when path is None."""
+    """Write atomically to path, or to stdout when path is None.  The file
+    gets the mode open() would give it, not mkstemp's 0600."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -59,6 +65,9 @@ def _write_output(path: str | None, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask sets it, so set it back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,18 +75,23 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
-def _preprocess_corpus(corpus: LabeledCorpus, args, path: str) -> LabeledCorpus:
-    """The corpus read from path, normalized once per distinct token;
-    utterances left empty are dropped with a warning, and the warning and
-    the error for a corpus left empty name the path."""
+def _preprocess_config(args) -> PreprocessConfig | None:
+    """The command's preprocessing settings, None under --no-preprocess."""
     if args.no_preprocess:
+        return None
+    punct = {} if args.punct is None else {"punctuation_set": frozenset(args.punct)}
+    return PreprocessConfig(keep_hashtag_placeholder=not args.no_hashtag_placeholder,
+                            segment_hashtags=not args.no_segment_hashtags, **punct)
+
+
+def _preprocess_corpus(corpus: LabeledCorpus, cfg: PreprocessConfig | None,
+                       path: str) -> LabeledCorpus:
+    """The corpus read from path, normalized under cfg once per distinct
+    token, or as read when cfg is None; utterances left empty are dropped
+    with a warning, and the warning and the error for a corpus left empty
+    name the path."""
+    if cfg is None:
         return corpus
-    cfg = PreprocessConfig(
-        keep_hashtag_placeholder=not args.no_hashtag_placeholder,
-        segment_hashtags=not args.no_segment_hashtags,
-        punctuation_set=PreprocessConfig().punctuation_set if args.punct is None
-        else frozenset(args.punct),
-    )
     normalized: dict[Token, tuple[Token, ...]] = {}
     kept = []
     for u in corpus:
@@ -227,10 +241,8 @@ def _cv_dict(result: CVResult) -> dict:
 # --------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    columns = []
-    for path in args.inputs:
-        corpus = _preprocess_corpus(load_corpus(path), args, path)
-        columns.append(stats_mod.summarize(corpus))
+    columns = [stats_mod.summarize(_preprocess_corpus(load_corpus(path), args.preprocess, path))
+               for path in args.inputs]
 
     def cell(value) -> str:
         return "NA" if value is None else repr(value)
@@ -250,7 +262,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_features(args) -> int:
-    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
     lines = []
     for u in corpus:
         record = {"id": u.id, "label": u.label, "q": has_embedding_property(u.tokens),
@@ -263,7 +275,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     from codeswitch.model import fit_pipeline, format_model
     cfg = _pipeline_config(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
     pipeline = fit_pipeline(corpus, cfg)
     _write_output(args.model_out, format_model(pipeline.model))
     _save_pipeline_bundle(pipeline, args.pipeline_out)
@@ -278,13 +290,14 @@ def _load_fitted(args):
     cfg, vocab, lexicon = _load_pipeline_bundle(args.pipeline)
     model = load_model(args.model,
                        expected_dim=vector_dim(vocab, cfg.with_switching))
-    return FittedPipeline(cfg, vocab, lexicon, model)
+    # the bundle holds no solver settings; the model file does
+    return FittedPipeline(replace(cfg, train_config=model.training_meta), vocab, lexicon, model)
 
 
 def cmd_eval(args) -> int:
     from codeswitch.model import evaluate
     pipeline = _load_fitted(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
     report = evaluate(pipeline.predict_proba(corpus), [u.label for u in corpus])
     _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
     return 0
@@ -293,7 +306,7 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     from codeswitch.model import cross_validate, cross_validate_arms
     cfg = _pipeline_config(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
 
     if args.ablate_switching:
         with_sw, without_sw = cross_validate_arms(corpus, cfg, (True, False), args.k, args.seed)
@@ -315,8 +328,9 @@ def cmd_cv(args) -> int:
 
 def cmd_subsample(args) -> int:
     from codeswitch.model import subsample_negatives
+    check_tau(args.tau)
     pipeline = _load_fitted(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args, args.input)
+    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
     negatives = corpus.subset(corpus.negatives)  # only they are scored
     proba = pipeline.predict_proba(negatives)
     by_id = dict(zip([u.id for u in negatives], proba.tolist()))
@@ -478,13 +492,22 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
     return None if ok(value) else what
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: the message alone, as the
+    dropped-utterance warning prints it, so stderr names no source path."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (CorpusFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores showwarning for library callers
+        warnings.showwarning = _print_warning
+        try:
+            args = build_parser().parse_args(argv)
+            args.preprocess = _preprocess_config(args)  # checked before any file is read
+            return args.func(args)
+        except (CorpusFormatError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

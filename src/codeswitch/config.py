@@ -1,5 +1,6 @@
 """Settings of feature fitting and training: the feature kinds, the default
-negation words, the kinds-and-sizes check, TrainConfig and PipelineConfig.
+negation words, the kinds-and-sizes check, subsample's tau check,
+TrainConfig and PipelineConfig.
 
 Only the standard library is imported here, so the CLI builds every
 subcommand's flags and checks CODESWITCH_CONFIG from these defaults without
@@ -39,6 +40,13 @@ def checked_kinds(kinds: Iterable[str], n_values: Mapping[str, Sequence[int]]) -
         hint = "; bow was removed: use word_ngram with --word-n 1" if "bow" in unknown else ""
         raise ValueError(f"unknown feature kinds: {sorted(unknown)}{hint}")
     return kinds
+
+
+def check_tau(tau: float) -> None:
+    """tau, the probability below which subsample drops a negative, must lie
+    in (0, 1); otherwise a ValueError."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from codeswitch.config import PipelineConfig, TrainConfig
+from codeswitch.config import PipelineConfig, TrainConfig, check_tau
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices
 from codeswitch.textfeat import (
     FeatureKey,
@@ -214,8 +214,7 @@ def subsample_negatives(corpus: LabeledCorpus,
     All positives are kept; order is preserved; idempotent for a fixed
     scorer.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
     kept = [u for u in corpus
             if u.label == POSITIVE or scorer(u) >= tau]
     return corpus.subset(kept)

@@ -7,11 +7,14 @@ token occurrences and, when asked for, switching features, its sparse
 blocks being SparseMatrix, the one sparse type, which the trainer multiplies
 too.  A fitted vocabulary is the ascending column ids of the matrix it
 keeps: build_vocabulary and chi2_select return them, and training_matrix
-takes them.  A cross-validation fold is matrix.take(rows), so it reads no
-token again, and a held-out corpus is featurized over the fitted
-vocabulary's keys, so no utterance is extracted twice.  training_matrix is
-the one row encoder: training and scoring read its rows, with the switching
-columns exactly when the FeatureMatrix carries its switching block.
+takes them.  SparseMatrix.take is the one selection: rows by a mask over
+the entries, with no sort, and columns by X.T.take(cols).T, which
+training_matrix and leading_columns use.  A cross-validation fold is
+matrix.take(rows), so it reads no token again, and a held-out corpus is
+featurized over the fitted vocabulary's keys, so no utterance is extracted
+twice.  training_matrix is the one row encoder: training and scoring read
+its rows, with the switching columns exactly when the FeatureMatrix carries
+its switching block.
 
 Feature keys are (kind, payload) pairs, kind being char_ngram or word_ngram
 (a token's unigram is its word 1-gram).  extract_features builds and counts
@@ -99,24 +102,20 @@ class SparseMatrix:
         return np.bincount(self.rows, terms, self.shape[0]).astype(np.float64, copy=False)
 
     def take(self, rows: Sequence[int]) -> "SparseMatrix":
-        """The given distinct rows, in the order given, over the same
-        columns; each row keeps its entries in their order."""
+        """The given distinct rows, renumbered 0.. in the order given, over
+        the same columns: a mask over the entries, with no sort, so every
+        kept entry stays where it was among the others and each row keeps
+        its entries in their order.  X.T.take(cols).T selects columns."""
         new_row = np.full(self.shape[0], -1, dtype=self.rows.dtype)  # keeps the row id type
         new_row[rows] = np.arange(len(rows))
         target = new_row[self.rows]
-        at = np.flatnonzero(target >= 0)
-        at = at[np.argsort(target[at], kind="stable")]
-        return SparseMatrix((len(rows), self.shape[1]), target[at], self.cols[at],
-                            self.values[at])
+        kept = target >= 0
+        return SparseMatrix((len(rows), self.shape[1]), target[kept], self.cols[kept],
+                            self.values[kept])
 
     def leading_columns(self, d: int) -> "SparseMatrix":
-        """The matrix of the first d columns, by a mask over the entries
-        (the matrix itself when it has d columns)."""
-        if d == self.shape[1]:
-            return self
-        kept = self.cols < d
-        return SparseMatrix((self.shape[0], d), self.rows[kept], self.cols[kept],
-                            self.values[kept])
+        """The matrix of the first d columns (itself when it has d)."""
+        return self if d == self.shape[1] else self.T.take(np.arange(d)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,15 +285,12 @@ def vector_dim(vocab: Sized, with_switching: bool) -> int:
 def training_matrix(matrix: FeatureMatrix, cols: np.ndarray,
                     lexicon: Mapping[str, float], negation_words: frozenset[str]) -> SparseMatrix:
     """Sparse matrix of one row per row of the matrix: the vocabulary block
-    is the matrix's columns cols, in that order, through one column remap;
+    is the matrix's columns cols, in that order (counts.T.take(cols).T);
     then the nonzeros of the indicative-score sum and the negation count of
     each row's tokens and, when the matrix carries its switching block, the
     nine switching columns."""
     with_switching = matrix.switching is not None
-    remap = np.full(len(matrix.keys), -1, dtype=np.intp)
-    remap[cols] = np.arange(len(cols))
-    target = remap[matrix.counts.cols]
-    hit = target >= 0
+    counts = matrix.counts.T.take(cols).T
     word_scores = np.array([lexicon.get(w, 0.0) for w in matrix.words], dtype=np.float64)
     negations = np.array([w in negation_words for w in matrix.words], dtype=np.float64)
     block = np.column_stack([matrix.tokens @ word_scores, matrix.tokens @ negations])
@@ -302,7 +298,6 @@ def training_matrix(matrix: FeatureMatrix, cols: np.ndarray,
         block = np.hstack([block, matrix.switching])
     s_rows, s_cols = np.nonzero(block)
     n, d = len(matrix.labels), vector_dim(cols, with_switching)
-    return SparseMatrix((n, d), np.concatenate([matrix.counts.rows[hit], s_rows]),
-                        np.concatenate([target[hit], len(cols) + s_cols]),
-                        np.concatenate([matrix.counts.values[hit].astype(np.float64),
-                                        block[s_rows, s_cols]]))
+    return SparseMatrix((n, d), np.concatenate([counts.rows, s_rows]),
+                        np.concatenate([counts.cols, len(cols) + s_cols]),
+                        np.concatenate([counts.values.astype(np.float64), block[s_rows, s_cols]]))

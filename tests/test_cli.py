@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -14,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import codeswitch
 from codeswitch import textfeat
-from codeswitch.cli import _load_pipeline_bundle, _pipeline_config, build_parser, run
-from codeswitch.config import PipelineConfig
-from codeswitch.corpus import load_corpus, serialize_tagged_line
+from codeswitch.cli import _load_fitted, _load_pipeline_bundle, _pipeline_config, build_parser, run
+from codeswitch.config import PipelineConfig, TrainConfig
+from codeswitch.corpus import fold_indices, load_corpus, serialize_tagged_line
 from codeswitch.model import FittedPipeline, load_model, sigmoid
 from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
@@ -261,6 +263,70 @@ def test_failed_model_write_keeps_the_earlier_model(synth_file, tmp_path):
     assert result.returncode == 1 and result.stderr.splitlines()[-1].startswith("error: ")
     assert model.read_bytes() == earlier
     assert sorted(tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_get_the_mode_open_gives(umask, synth_file, tmp_path):
+    """Every output file gets 0666 less the umask, as a file made by open()
+    or a shell redirect does, and not the 0600 of a bare temporary file."""
+    model, bundle, table = tmp_path / "model.txt", tmp_path / "pipeline.json", tmp_path / "s.tsv"
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+        assert run(["train", synth_file, "--model-out", str(model),
+                    "--pipeline-out", str(bundle), *UNIGRAMS]) == 0
+        assert run(["stats", synth_file, "-o", str(table)]) == 0
+    finally:
+        os.umask(old)
+    expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    assert expected == 0o666 & ~umask
+    for path in (model, bundle, table):
+        assert stat.S_IMODE(path.stat().st_mode) == expected
+
+
+def _run_cli(*argv):
+    """The CLI run in a subprocess, as a user runs it: its exit status and stderr."""
+    result = subprocess.run([sys.executable, "-m", "codeswitch.cli", *argv], env=_cli_env(),
+                            capture_output=True, text=True)
+    return result.returncode, result.stderr
+
+
+def test_warnings_reach_stderr_as_one_line_each(synth_file, tmp_path):
+    """A library warning prints as "warning: <message>", like the
+    dropped-utterance warning: no source path, category or source line."""
+    status, err = _run_cli("train", synth_file, "--max-iter", "1", *UNIGRAMS, "--chi2-k", "0",
+                           "--model-out", str(tmp_path / "model.txt"),
+                           "--pipeline-out", str(tmp_path / "pipeline.json"))
+    assert status == 0
+    assert re.fullmatch(r"warning: training did not converge: gradient norm \S+ after 1 "
+                        r"iterations, above tol 1e-06 x \S+\ntrained on 120 utterances; "
+                        r"feature dim \d+\n", err)
+    # fold 0's test rows are all negative, so cv skips that fold and warns once
+    n, k, seed = 12, 4, 13
+    folds = fold_indices(n, k, seed)
+    labels = {r: 0 if fold == 0 else i % 2 for fold, (_, test) in enumerate(folds)
+              for i, r in enumerate(test)}
+    corpus = tmp_path / "folds.txt"
+    corpus.write_text("".join(f"{labels[r]}\tw{r}_hi x{r % 3}_en koi_hi\n" for r in range(n)),
+                      encoding="utf-8")
+    status, err = _run_cli("cv", str(corpus), "--k", str(k), "--seed", str(seed),
+                           "--chi2-k", "0", "-o", str(tmp_path / "cv.json"))
+    assert (status, err) == (0, "warning: fold 0 has a single class; excluded\n")
+    assert json.loads((tmp_path / "cv.json").read_text())["skipped_folds"] == [0]
+
+
+def test_loaded_pipeline_holds_the_models_solver_settings(synth_file, tmp_path):
+    """The bundle stores no solver settings, so the loaded pipeline's config
+    takes them from the model file, where train wrote them."""
+    model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
+    assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
+                *UNIGRAMS, "--max-iter", "30", "--tol", "1e-05", "--l2", "0.01"]) == 0
+    args = build_parser().parse_args(["eval", synth_file, "--model", str(model),
+                                      "--pipeline", str(bundle)])
+    pipeline = _load_fitted(args)
+    assert pipeline.config.train_config == pipeline.model.training_meta \
+        == TrainConfig(max_iter=30, tol=1e-05, l2=0.01)
 
 
 def test_train_output_ignores_blas_threads(tmp_path):
@@ -740,6 +806,34 @@ def test_bad_setting_is_rejected_before_the_corpus_is_read(command, flags, messa
                else ["-o", str(tmp_path / "cv.json")])
     assert run([command, str(tmp_path / "missing.txt"), *outputs, *flags]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("stats", ["--punct", ""], PUNCT_ERROR),
+    ("features", ["--punct", ""], PUNCT_ERROR),
+    ("train", ["--punct", ""], PUNCT_ERROR),
+    ("eval", ["--punct", ""], PUNCT_ERROR),
+    ("cv", ["--punct", ""], PUNCT_ERROR),
+    ("subsample", ["--punct", ""], PUNCT_ERROR),
+    ("subsample", ["--tau", "0"], "tau must be in (0, 1), got 0.0"),
+    ("subsample", ["--tau", "1"], "tau must be in (0, 1), got 1.0")])
+def test_preprocessing_and_tau_are_rejected_before_any_file_is_read(command, flags, message,
+                                                                    tmp_path, capsys):
+    """No input exists, so only a check made before reading any file can
+    report the setting."""
+    missing = [str(tmp_path / name) for name in ("a.txt", "b.txt")]
+    argv = {"stats": [*missing, "-o", str(tmp_path / "out")],
+            "train": [missing[0], "--model-out", str(tmp_path / "model.txt"),
+                      "--pipeline-out", str(tmp_path / "pipeline.json")],
+            "eval": [missing[0], "--model", str(tmp_path / "model.txt"),
+                     "--pipeline", str(tmp_path / "pipeline.json")]}
+    argv["subsample"] = argv["eval"]
+    assert run([command, *argv.get(command, [missing[0]]), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,7 +4,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from codeswitch.cli import _preprocess_corpus
+from codeswitch.cli import _preprocess_config, _preprocess_corpus
 from codeswitch.corpus import CorpusFormatError, Token, load_corpus
 from codeswitch.preprocess import PreprocessConfig, normalize, segment_camel_case
 
@@ -133,11 +133,12 @@ def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, plac
                    for label, pairs in utterances)
     args = argparse.Namespace(no_preprocess=False, no_hashtag_placeholder=not placeholder,
                               no_segment_hashtags=not segment, punct=punct)
+    pre = _preprocess_config(args)
     corpus = load_corpus(io.StringIO(text))
     if not expected:
         with pytest.raises(CorpusFormatError,
                            match="^corpus.txt: empty corpus after preprocessing$"):
-            _preprocess_corpus(corpus, args, "corpus.txt")
+            _preprocess_corpus(corpus, pre, "corpus.txt")
         return
-    assert [(u.id, list(u.tokens)) for u in _preprocess_corpus(corpus, args, "corpus.txt")] \
+    assert [(u.id, list(u.tokens)) for u in _preprocess_corpus(corpus, pre, "corpus.txt")] \
         == expected

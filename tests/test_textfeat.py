@@ -82,6 +82,12 @@ def entries(matrix):
             for block, names in ((matrix.counts, matrix.keys), (matrix.tokens, matrix.words))]
 
 
+def row_entries(matrix, i):
+    """Row i's stored entries of the counts and tokens blocks, in order, as
+    (feature key, count) and (word, value) pairs."""
+    return [[(name, v) for r, name, v in block if r == i] for block in entries(matrix)]
+
+
 def chi2_by_key(matrix, cols):
     return dict(zip(keys_of(matrix, cols), chi2_scores(matrix, cols)))
 
@@ -191,6 +197,9 @@ class TestFeaturize:
             assert row.tokens.values.tolist() == [1] * len(u.tokens)
 
     def test_take_equals_featurize_of_the_rows(self):
+        """take's rows hold the entries of featurizing those rows alone:
+        row by row in any row order, and entry for entry when the rows
+        ascend, as fold_indices gives them."""
         c = corpus(utterance(["a", "b", "c", "d", "e", "f"], uid="0"),
                    utterance(["a", "B", "c", "d", "e"], label=0, uid="1"),
                    utterance(["koi"], label=0, uid="2"),  # no word 2- or 5-gram
@@ -198,7 +207,7 @@ class TestFeaturize:
                    utterance(["x", "b", "c", "d", "e"], label=0, uid="4"))
         n_values = {"word_ngram": (2, 5)}
         matrix = featurize(c, {"word_ngram"}, n_values)
-        for rows in ([4, 2, 0, 3], [4, 3, 2, 1, 0]):
+        for rows in ([4, 2, 0, 3], [4, 3, 2, 1, 0], [0, 2, 3, 4]):
             taken = matrix.take(rows)
             part = featurize(c.subset(c[r] for r in rows), {"word_ngram"}, n_values)
             assert taken.keys is matrix.keys and taken.words is matrix.words
@@ -208,7 +217,10 @@ class TestFeaturize:
             # the row of utterance 2 stores no count, and every other row does
             assert sorted(set(taken.counts.rows.tolist())) \
                 == [i for i, r in enumerate(rows) if r != 2]
-            assert entries(taken) == entries(part)
+            for i, r in enumerate(rows):
+                assert row_entries(taken, i) == row_entries(part, i) == row_entries(matrix, r)
+            if rows == sorted(rows):
+                assert entries(taken) == entries(part)
             assert taken.switching.tobytes() == part.switching.tobytes() \
                 == matrix.switching[rows].tobytes()
 
@@ -289,13 +301,21 @@ class TestFeaturize:
                 assert len(row) > 1
 
     def test_entries_follow_the_given_row_order(self):
+        """Row i of take(rows) is row rows[i]; the entries stay in their
+        stored order, so they are grouped by row when the rows ascend."""
         matrix = featurize(balanced_four_corpus(), *UNIGRAMS)
         taken = matrix.take([3, 0])
+        (counts, tokens), (counts_0, tokens_0) = row_entries(taken, 0), row_entries(taken, 1)
+        assert {key for key, _ in counts} == {("word_ngram", "plain"), ("word_ngram", "other")}
+        assert [word for word, _ in tokens] == ["plain", "other"]
+        assert {key for key, _ in counts_0} == {("word_ngram", "marker"), ("word_ngram", "shared")}
+        assert [word for word, _ in tokens_0] == ["marker", "shared"]
+        taken = matrix.take([0, 3])
         assert taken.counts.rows.tolist() == taken.tokens.rows.tolist() == [0, 0, 1, 1]
         assert {matrix.keys[i] for i in taken.counts.cols[:2].tolist()} \
-            == {("word_ngram", "plain"), ("word_ngram", "other")}
+            == {("word_ngram", "marker"), ("word_ngram", "shared")}
         assert [matrix.words[i] for i in taken.tokens.cols.tolist()] \
-            == ["plain", "other", "marker", "shared"]
+            == ["marker", "shared", "plain", "other"]
 
 
 class TestBuildVocabulary:
@@ -404,24 +424,31 @@ class TestFoldFit:
                                label=i % 2, uid=str(i)) for i in range(40)))
         kinds, n_values = frozenset({"word_ngram"}), {"word_ngram": (1, 2)}
         matrix = featurize(c, kinds, n_values)
-        rows = [r for r in range(len(c)) if r % 4 != 1][::-1]
-        part = matrix.take(rows)
-        alone = featurize(c.subset(c[r] for r in rows), kinds, n_values)
-        assert len(alone.keys) < len(matrix.keys)  # the fold misses some features
-        fits = []
-        for m in (part, alone):
-            vocab = build_vocabulary(m, min_count=2)
-            cols = chi2_select(m, vocab, k=15)
-            assert 15 == len(cols) < len(vocab) < len(m.keys)  # both cuts drop columns
-            assert cols.tolist() == sorted(cols.tolist())
-            fits.append((m, cols))
-        assert keys_of(*fits[0]) == keys_of(*fits[1])
-        lexicon = indicative_scores(part)
-        assert lexicon == indicative_scores(alone)
-        X, Y = (training_matrix(m, cols, lexicon, frozenset({"w3"})) for m, cols in fits)
-        assert X.shape == Y.shape == (len(rows), 15 + 2 + N_FEATURES)
-        for a, b in ((X.rows, Y.rows), (X.cols, Y.cols), (X.values, Y.values)):
-            assert a.tobytes() == b.tobytes()
+        ascending = [r for r in range(len(c)) if r % 4 != 1]
+        v = np.random.default_rng(12).normal(size=15 + 2 + N_FEATURES)
+        for rows in (ascending[::-1], ascending):  # fold_indices gives ascending rows
+            part = matrix.take(rows)
+            alone = featurize(c.subset(c[r] for r in rows), kinds, n_values)
+            assert len(alone.keys) < len(matrix.keys)  # the fold misses some features
+            fits = []
+            for m in (part, alone):
+                vocab = build_vocabulary(m, min_count=2)
+                cols = chi2_select(m, vocab, k=15)
+                assert 15 == len(cols) < len(vocab) < len(m.keys)  # both cuts drop columns
+                assert cols.tolist() == sorted(cols.tolist())
+                fits.append((m, cols))
+            assert keys_of(*fits[0]) == keys_of(*fits[1])
+            lexicon = indicative_scores(part)
+            assert lexicon == indicative_scores(alone)
+            X, Y = (training_matrix(m, cols, lexicon, frozenset({"w3"})) for m, cols in fits)
+            assert X.shape == Y.shape == (len(rows), 15 + 2 + N_FEATURES)
+            for i in range(len(rows)):
+                for a, b in ((X.cols, Y.cols), (X.values, Y.values)):
+                    assert a[X.rows == i].tobytes() == b[Y.rows == i].tobytes()
+            assert (X @ v).tobytes() == (Y @ v).tobytes()
+            if rows == ascending:
+                for a, b in ((X.rows, Y.rows), (X.cols, Y.cols), (X.values, Y.values)):
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestChi2Exact:
