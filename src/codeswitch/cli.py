@@ -6,7 +6,7 @@ written atomically (temp file + rename) so partial files are never left
 behind, with the mode a plain file creation gives under the umask.
 Identical arguments and inputs produce byte-identical outputs, whatever
 the BLAS thread count.  Settings are checked before any file is read, and
-every warning reaches stderr as one "warning: <message>" line.
+each warning, whatever PYTHONWARNINGS says, is one "warning: <message>" line.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name, each value of the type its flag gives) to override the
@@ -102,8 +102,7 @@ def _preprocess_corpus(corpus: LabeledCorpus, cfg: PreprocessConfig | None,
                 out = normalized[t] = normalize_token(t, cfg)
             tokens += out
         if not tokens:
-            print(f"warning: {path}: utterance {u.id} empty after preprocessing; dropped",
-                  file=sys.stderr)
+            warnings.warn(f"{path}: utterance {u.id} empty after preprocessing; dropped")
             continue
         kept.append(LabeledUtterance(tuple(tokens), u.label, u.id))
     if not kept:
@@ -493,19 +492,20 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """warnings.showwarning for the CLI: the message alone, as the
-    dropped-utterance warning prints it, so stderr names no source path."""
+    """warnings.showwarning for the CLI: the message alone, so stderr
+    names no source path."""
     print(f"warning: {message}", file=sys.stderr)
 
 
 def run(argv=None) -> int:
-    with warnings.catch_warnings():  # restores showwarning for library callers
+    with warnings.catch_warnings():  # restores the filters and showwarning for library callers
+        warnings.simplefilter("always")  # each fold's warning is its own line, whatever -W says
         warnings.showwarning = _print_warning
         try:
             args = build_parser().parse_args(argv)
             args.preprocess = _preprocess_config(args)  # checked before any file is read
             return args.func(args)
-        except (CorpusFormatError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # CorpusFormatError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -1,9 +1,12 @@
 """Switching-pattern features over hi/en tagged token sequences.
 
-For each position i, hi_en[i] counts the hi tokens occurring before the
-i-th token when that token is en (and 0 otherwise); en_hi is the mirror
-image.  Nine summary features are derived from these vectors and from the
-adjacent-transition counts of the hi/en-projected tag sequence.
+Each public function reads the tags once, as a string of one letter per
+token (h, e or r); the hi/en projection drops the r letters, and the
+switch counts and the embedding property Q are substring counts of it.
+For each position i, hi_en[i] counts the hi tokens before the i-th token
+when that token is en (and 0 otherwise); en_hi is the mirror image.  The
+nine features are the switch counts, the tag fractions and the
+population moments of these two vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class SwitchVectors:
 
 @dataclass(frozen=True)
 class SwitchProfile:
-    """The nine switching features, in canonical order (see as_tuple)."""
+    """The nine switching features, in canonical (field) order."""
 
     en_hi_switches: int
     hi_en_switches: int
@@ -36,36 +39,27 @@ class SwitchProfile:
     stddev_en_hi: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.en_hi_switches, self.hi_en_switches, self.v,
-                self.fraction_en, self.fraction_hi,
-                self.mean_hi_en, self.stddev_hi_en,
-                self.mean_en_hi, self.stddev_en_hi)
+        return tuple(vars(self).values())
 
 
 N_FEATURES = len(fields(SwitchProfile))
 
 
-def _require_tokens(tokens: Sequence[Token]) -> None:
+def _tag_letters(tokens: Sequence[Token]) -> str:
+    """Each tag's first letter, which tells hi, en and rest apart."""
     if len(tokens) == 0:
         raise ValueError("token sequence must be non-empty")
+    return "".join([t.tag[0] for t in tokens])
 
 
-def lang_run_vectors(tokens: Sequence[Token]) -> SwitchVectors:
-    """Cumulative opposite-language counts per position.
-
-    rest tokens get a 0 entry in both vectors and count in neither tally.
-    """
-    _require_tokens(tokens)
-    hi_en = []
-    en_hi = []
-    hi_seen = 0
-    en_seen = 0
-    for tok in tokens:
-        if tok.tag == "en":
+def _vectors(tags: str) -> SwitchVectors:
+    hi_en, en_hi, hi_seen, en_seen = [], [], 0, 0
+    for c in tags:
+        if c == "e":
             hi_en.append(hi_seen)
             en_hi.append(0)
             en_seen += 1
-        elif tok.tag == "hi":
+        elif c == "h":
             hi_en.append(0)
             en_hi.append(en_seen)
             hi_seen += 1
@@ -75,17 +69,24 @@ def lang_run_vectors(tokens: Sequence[Token]) -> SwitchVectors:
     return SwitchVectors(tuple(hi_en), tuple(en_hi))
 
 
-def _projected_tags(tokens: Sequence[Token]) -> list[str]:
-    return [t.tag for t in tokens if t.tag in ("hi", "en")]
+def _switches(tags: str) -> tuple[int, int, int]:
+    # neither "eh" nor "he" can overlap itself, so str.count is exact
+    projection = tags.replace("r", "")
+    en_hi, hi_en = projection.count("eh"), projection.count("he")
+    return en_hi, hi_en, en_hi + hi_en
+
+
+def lang_run_vectors(tokens: Sequence[Token]) -> SwitchVectors:
+    """Cumulative opposite-language counts per position.
+
+    rest tokens get a 0 entry in both vectors and count in neither tally.
+    """
+    return _vectors(_tag_letters(tokens))
 
 
 def switch_counts(tokens: Sequence[Token]) -> tuple[int, int, int]:
     """(en_hi_switches, hi_en_switches, V) over the hi/en projection."""
-    _require_tokens(tokens)
-    tags = _projected_tags(tokens)
-    en_hi = sum(1 for a, b in zip(tags, tags[1:]) if (a, b) == ("en", "hi"))
-    hi_en = sum(1 for a, b in zip(tags, tags[1:]) if (a, b) == ("hi", "en"))
-    return en_hi, hi_en, en_hi + hi_en
+    return _switches(_tag_letters(tokens))
 
 
 def _population_moments(values: Sequence[int]) -> tuple[float, float]:
@@ -101,12 +102,10 @@ def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
     Fractions use the full token count (rest included) in the denominator;
     vector moments are population statistics over the full-length vectors.
     """
-    _require_tokens(tokens)
-    vectors = lang_run_vectors(tokens)
-    n = len(tokens)
-    return SwitchProfile(*switch_counts(tokens),  # in as_tuple order
-                         sum(1 for t in tokens if t.tag == "en") / n,
-                         sum(1 for t in tokens if t.tag == "hi") / n,
+    tags = _tag_letters(tokens)
+    vectors = _vectors(tags)
+    n = len(tags)
+    return SwitchProfile(*_switches(tags), tags.count("e") / n, tags.count("h") / n,
                          *_population_moments(vectors.hi_en), *_population_moments(vectors.en_hi))
 
 
@@ -114,7 +113,4 @@ def has_embedding_property(tokens: Sequence[Token]) -> bool:
     """True when some en token sits in a hi context: in the hi/en
     projection, an en token has a hi token immediately before and
     immediately after it."""
-    _require_tokens(tokens)
-    tags = _projected_tags(tokens)
-    return any(tags[i - 1] == "hi" and tags[i] == "en" and tags[i + 1] == "hi"
-               for i in range(1, len(tags) - 1))
+    return "heh" in _tag_letters(tokens).replace("r", "")

@@ -61,8 +61,8 @@ def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
     of first occurrence, size by size: char_ngram payloads are n-character
     runs of the space-joined surfaces, lowercased after joining, word_ngram
     ones runs of n lowercased surfaces joined by NGRAM_SEP.  Sizes must be
-    >= 1.  C iterators build and count the keys, with no Python step per
-    n-gram."""
+    >= 1; a size longer than the run yields no grams and is skipped.  C
+    iterators build and count the keys, with no Python step per n-gram."""
     runs = []
     if "char_ngram" in kinds:
         runs.append(("char_ngram", " ".join(map(_surface, tokens)).lower(), "".join))
@@ -70,7 +70,7 @@ def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
         runs.append(("word_ngram", [*map(str.lower, map(_surface, tokens))], NGRAM_SEP.join))
     return Counter(chain.from_iterable(
         zip(repeat(kind), map(join, zip(*[items[i:] for i in range(n)])))
-        for kind, items, join in runs for n in n_values[kind]))
+        for kind, items, join in runs for n in n_values[kind] if n <= len(items)))
 
 
 def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:

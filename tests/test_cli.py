@@ -285,10 +285,10 @@ def test_output_files_get_the_mode_open_gives(umask, synth_file, tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == expected
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **variables):
     """The CLI run in a subprocess, as a user runs it: its exit status and stderr."""
-    result = subprocess.run([sys.executable, "-m", "codeswitch.cli", *argv], env=_cli_env(),
-                            capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-m", "codeswitch.cli", *argv],
+                            env=_cli_env(**variables), capture_output=True, text=True)
     return result.returncode, result.stderr
 
 
@@ -314,6 +314,22 @@ def test_warnings_reach_stderr_as_one_line_each(synth_file, tmp_path):
                            "--chi2-k", "0", "-o", str(tmp_path / "cv.json"))
     assert (status, err) == (0, "warning: fold 0 has a single class; excluded\n")
     assert json.loads((tmp_path / "cv.json").read_text())["skipped_folds"] == [0]
+
+
+@pytest.mark.parametrize("variables", [{}, {"PYTHONWARNINGS": "error"}],
+                         ids=["default", "PYTHONWARNINGS=error"])
+def test_a_repeated_warning_prints_once_per_occurrence(variables, tmp_path):
+    """Each of cv's four folds fits a vocabulary below --chi2-k and warns
+    the same words: four lines, and no traceback when warnings are errors."""
+    n, k, seed = 12, 4, 13
+    labels = {r: i % 2 for _, test in fold_indices(n, k, seed) for i, r in enumerate(test)}
+    corpus = tmp_path / "folds.txt"
+    corpus.write_text("".join(f"{labels[r]}\tw{r}_hi x{r % 3}_en koi_hi\n" for r in range(n)),
+                      encoding="utf-8")
+    status, err = _run_cli("cv", str(corpus), "--k", str(k), "--seed", str(seed), *UNIGRAMS,
+                           "-o", str(tmp_path / "cv.json"), **variables)
+    assert (status, err) == (0, "warning: k=500 exceeds vocabulary size 13; "
+                                "keeping the full vocabulary\n" * k)
 
 
 def test_loaded_pipeline_holds_the_models_solver_settings(synth_file, tmp_path):

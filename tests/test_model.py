@@ -4,6 +4,7 @@ import random
 import tracemalloc
 import warnings
 import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -356,14 +357,17 @@ class TestCrossValidate:
         single_class = [w for w in caught if "has a single class" in str(w.message)]
         assert len(single_class) == len(arms[0].skipped_folds)  # once per fold, not per arm
         assert bool(arms[0].skipped_folds) == (n == 12)
-        assert arms == tuple(cross_validate(corpus, replace(self.FULL, with_switching=sw),
-                                            k=k, seed=13) for sw in (True, False))
-        if n == 60:
-            assert arms[0].mean_macro_f1 != arms[1].mean_macro_f1
-        assert cross_validate_arms(corpus, self.FULL, (False, True), k=k, seed=13) == arms[::-1]
+        with (pytest.warns(UserWarning, match="single class") if n == 12 else nullcontext()):
+            assert arms == tuple(cross_validate(corpus, replace(self.FULL, with_switching=sw),
+                                                k=k, seed=13) for sw in (True, False))
+            if n == 60:
+                assert arms[0].mean_macro_f1 != arms[1].mean_macro_f1
+            assert cross_validate_arms(corpus, self.FULL, (False, True), k=k, seed=13) \
+                == arms[::-1]
 
     def test_every_fold_degenerate_is_an_error(self):
-        with pytest.raises(ValueError, match="every fold was degenerate"):
+        with pytest.raises(ValueError, match="every fold was degenerate"), \
+                pytest.warns(UserWarning, match="single class"):
             cross_validate_arms(word_pool_corpus(4, seed=1), self.CFG, (True, False), k=4, seed=13)
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):

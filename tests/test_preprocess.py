@@ -1,5 +1,6 @@
 import argparse
 import io
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -122,23 +123,30 @@ def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, plac
     cfg = PreprocessConfig(placeholder, segment,
                            PreprocessConfig().punctuation_set if punct is None
                            else frozenset(punct))
-    expected = []
+    expected, dropped = [], []
     for uid, (_, pairs) in enumerate(utterances):
         raw = [Token(*pair) for pair in pairs]
         normalized = normalize(raw, cfg)
         assert normalize(tuple(raw), cfg) == normalized
         if normalized:
             expected.append((str(uid), normalized))
+        else:
+            dropped.append((UserWarning,
+                            f"corpus.txt: utterance {uid} empty after preprocessing; dropped"))
     text = "".join(f"{label}\t{' '.join(f'{s}_{t}' for s, t in pairs)}\n"
                    for label, pairs in utterances)
     args = argparse.Namespace(no_preprocess=False, no_hashtag_placeholder=not placeholder,
                               no_segment_hashtags=not segment, punct=punct)
     pre = _preprocess_config(args)
     corpus = load_corpus(io.StringIO(text))
-    if not expected:
-        with pytest.raises(CorpusFormatError,
-                           match="^corpus.txt: empty corpus after preprocessing$"):
-            _preprocess_corpus(corpus, pre, "corpus.txt")
-        return
-    assert [(u.id, list(u.tokens)) for u in _preprocess_corpus(corpus, pre, "corpus.txt")] \
-        == expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if not expected:
+            with pytest.raises(CorpusFormatError,
+                               match="^corpus.txt: empty corpus after preprocessing$"):
+                _preprocess_corpus(corpus, pre, "corpus.txt")
+        else:
+            kept = _preprocess_corpus(corpus, pre, "corpus.txt")
+    assert [(w.category, str(w.message)) for w in caught] == dropped  # one per dropped utterance
+    if expected:
+        assert [(u.id, list(u.tokens)) for u in kept] == expected

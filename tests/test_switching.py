@@ -168,6 +168,24 @@ def test_v_is_sum_and_counts_balanced(tags):
     assert abs(en_hi - hi_en) <= 1
 
 
+@given(tags_strategy)
+def test_features_equal_the_oracle_formulas(tags):
+    """All nine features equal, by == on the floats, the package's formulas
+    over the oracles' vectors and counts: fractions are int/int, a mean is
+    sum/n and a stddev the square root of the two-pass population variance."""
+    tokens = toks(tags)
+    n = len(tokens)
+
+    def moments(xs):
+        mean = sum(xs) / n
+        return mean, math.sqrt(sum((x - mean) ** 2 for x in xs) / n)
+
+    hi_en, en_hi = oracle_vectors(tokens)
+    assert switching_features(tokens).as_tuple() == (
+        *oracle_counts(tokens), tags.count("en") / n, tags.count("hi") / n,
+        *moments(hi_en), *moments(en_hi))
+
+
 def swap(tag):
     return {"hi": "en", "en": "hi", "rest": "rest"}[tag]
 

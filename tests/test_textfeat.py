@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -177,6 +178,22 @@ class TestExtractExact:
         n_values = {"char_ngram": tuple(char_n), "word_ngram": tuple(word_n)}
         assert list(extract_features(tokens, frozenset(kinds), n_values).items()) \
             == list(reference_features(tokens, kinds, n_values).items())
+
+    def test_sizes_longer_than_the_utterance_cost_no_memory(self):
+        """A size longer than the utterance yields no grams, and extracting
+        it allocates nothing that grows with the size."""
+        tokens = [Token("koi", "hi"), Token("to", "en")]
+        kinds = frozenset(KIND_ORDER)
+        tracemalloc.start()
+        try:
+            feats = extract_features(tokens, kinds, {"char_ngram": (3, 10**6),
+                                                     "word_ngram": (1, 10**6)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(feats.items()) == list(extract_features(
+            tokens, kinds, {"char_ngram": (3,), "word_ngram": (1,)}).items())
+        assert peak < 2**20
 
 
 class TestFeaturize:
