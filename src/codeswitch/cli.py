@@ -44,7 +44,7 @@ from codeswitch.corpus import (
     serialize_tagged_line,
 )
 from codeswitch.preprocess import PreprocessConfig, normalize_token
-from codeswitch.switching import has_embedding_property, switching_features
+from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
 
 if TYPE_CHECKING:
     from codeswitch.model import CVResult, EvalReport
@@ -60,18 +60,20 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."),
-                               prefix=target.name + ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         umask = os.umask(0)  # reading the umask sets it, so set it back at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name path, not the random temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -303,19 +305,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    from codeswitch.model import cross_validate, cross_validate_arms
+    from codeswitch.model import cross_validate_arms
     cfg = _pipeline_config(args)
     corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
 
+    every = range(N_FEATURES)  # an arm is the switching columns its model sees
     if args.ablate_switching:
-        with_sw, without_sw = cross_validate_arms(corpus, cfg, (True, False), args.k, args.seed)
+        with_sw, without_sw = cross_validate_arms(corpus, cfg, (every, ()), args.k, args.seed)
         delta = with_sw.mean_macro_f1 - without_sw.mean_macro_f1
         doc = {"with_switching": _cv_dict(with_sw), "without_switching": _cv_dict(without_sw),
                "delta_macro_f1": delta}
         lines = ["variant\tmean_macro_f1", f"with_switching\t{with_sw.mean_macro_f1!r}",
                  f"without_switching\t{without_sw.mean_macro_f1!r}", f"delta\t{delta!r}"]
     else:
-        result = cross_validate(corpus, cfg, args.k, args.seed)
+        arm = every if cfg.with_switching else ()
+        result = cross_validate_arms(corpus, cfg, (arm,), args.k, args.seed)[0]
         doc = _cv_dict(result)
         lines = ["fold\tmacro_f1", *(f"{i}\t{r.macro_f1!r}" for i, r in enumerate(result.reports)),
                  f"mean\t{result.mean_macro_f1!r}"]

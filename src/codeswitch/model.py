@@ -1,6 +1,6 @@
 """Logistic classifier over sparse feature matrices, macro-F1 evaluation,
-cross-validation that scores every arm of the switching ablation from one
-feature fit per fold, and confidence-based negative sub-sampling.
+cross-validation that scores every arm of the switching ablation, a subset
+of its columns, from one feature fit per fold, and negative sub-sampling.
 
 Training minimizes the mean binary cross-entropy with an L2 penalty on the
 weights (bias unpenalized) by line-search Newton-CG from zero, so results
@@ -28,6 +28,7 @@ import numpy as np
 
 from codeswitch.config import PipelineConfig, TrainConfig, check_tau
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices
+from codeswitch.switching import N_FEATURES
 from codeswitch.textfeat import (
     FeatureKey,
     FeatureMatrix,
@@ -282,18 +283,21 @@ class CVResult:
     skipped_folds: tuple[int, ...]
 
 
-def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequence[bool],
+def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequence[Sequence[int]],
                         k: int = 10, seed: int = 13) -> tuple[CVResult, ...]:
     """k-fold cross-validation with all feature fitting on train folds, one
-    CVResult per arm (the with_switching value it scores).
+    CVResult per arm: the distinct switching-column indices, in SwitchProfile
+    order, that its model sees, () being none and range(N_FEATURES) all.
 
     The corpus is featurized once.  Each fold fits the features once from
     matrix.take of its train rows and builds one training matrix of its
-    train rows and one of its test rows; an arm without switching trains
-    and scores on their leading columns.  Folds whose train or test part
-    contains a single class are skipped with a warning and excluded from
-    the aggregate.
+    train rows and one of its test rows; an arm keeps their vocabulary,
+    special and arm columns (X.T.take(keep).T, or them whole if that is all
+    of them in order).  Folds whose train or test part contains a single
+    class are skipped with a warning and excluded from the aggregate.
     """
+    if any(len(set(arm)) < len(arm) or not set(arm) <= set(range(N_FEATURES)) for arm in arms):
+        raise ValueError(f"arms must be distinct indices in range({N_FEATURES}), got {arms}")
     folds = fold_indices(len(corpus), k, seed)
     matrix = featurize(corpus, cfg.kinds, cfg.n_values, with_switching=any(arms))
     reports: list[list[EvalReport]] = [[] for _ in arms]
@@ -307,21 +311,17 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
         cols, lexicon = _fit_features(train_part, cfg)
         X_train, X_test = (training_matrix(part, cols, lexicon, cfg.negation_words)
                            for part in (train_part, test_part))
-        for arm_reports, with_switching in zip(reports, arms):
-            d = vector_dim(cols, with_switching)
-            model = train(X_train.leading_columns(d), train_part.labels, cfg.train_config)
-            proba = predict_proba(model, X_test.leading_columns(d))
-            arm_reports.append(evaluate(proba, test_part.labels))
+        d = vector_dim(cols, False)
+        for arm_reports, arm in zip(reports, arms):
+            keep = np.append(np.arange(d), d + np.array(arm, dtype=np.intp))
+            whole = np.array_equal(keep, np.arange(X_train.shape[1]))
+            X_arm_train, X_arm_test = (X if whole else X.T.take(keep).T for X in (X_train, X_test))
+            model = train(X_arm_train, train_part.labels, cfg.train_config)
+            arm_reports.append(evaluate(predict_proba(model, X_arm_test), test_part.labels))
     if len(skipped) == len(folds):
         raise ValueError("every fold was degenerate; cannot aggregate")
     return tuple(CVResult(tuple(r), sum(x.macro_f1 for x in r) / len(r), tuple(skipped))
                  for r in reports)
-
-
-def cross_validate(corpus: LabeledCorpus, cfg: PipelineConfig,
-                   k: int = 10, seed: int = 13) -> CVResult:
-    """cross_validate_arms with the one arm cfg.with_switching."""
-    return cross_validate_arms(corpus, cfg, (cfg.with_switching,), k, seed)[0]
 
 
 # --------------------------------------------------------------------

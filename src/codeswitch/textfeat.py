@@ -8,13 +8,12 @@ blocks being SparseMatrix, the one sparse type, which the trainer multiplies
 too.  A fitted vocabulary is the ascending column ids of the matrix it
 keeps: build_vocabulary and chi2_select return them, and training_matrix
 takes them.  SparseMatrix.take is the one selection: rows by a mask over
-the entries, with no sort, and columns by X.T.take(cols).T, which
-training_matrix and leading_columns use.  A cross-validation fold is
-matrix.take(rows), so it reads no token again, and a held-out corpus is
-featurized over the fitted vocabulary's keys, so no utterance is extracted
-twice.  training_matrix is the one row encoder: training and scoring read
-its rows, with the switching columns exactly when the FeatureMatrix carries
-its switching block.
+the entries, with no sort, and columns by X.T.take(cols).T.  A
+cross-validation fold is matrix.take(rows), so it reads no token again,
+and a held-out corpus is featurized over the fitted vocabulary's keys, so
+no utterance is extracted twice.  training_matrix is the one row encoder:
+training and scoring read its rows, with the switching columns exactly
+when the FeatureMatrix carries its switching block.
 
 Feature keys are (kind, payload) pairs, kind being char_ngram or word_ngram
 (a token's unigram is its word 1-gram).  extract_features builds and counts
@@ -112,10 +111,6 @@ class SparseMatrix:
         kept = target >= 0
         return SparseMatrix((len(rows), self.shape[1]), target[kept], self.cols[kept],
                             self.values[kept])
-
-    def leading_columns(self, d: int) -> "SparseMatrix":
-        """The matrix of the first d columns (itself when it has d)."""
-        return self if d == self.shape[1] else self.T.take(np.arange(d)).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,6 @@ Each test prints a single PASS line on success (run with -s to see them);
 a failure surfaces as a normal pytest assertion error.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -25,7 +24,6 @@ from codeswitch.corpus import (
     serialize_tagged_line,
 )
 from codeswitch.model import (
-    cross_validate,
     cross_validate_arms,
     loss_and_grad,
     macro_f1,
@@ -33,7 +31,7 @@ from codeswitch.model import (
 )
 from codeswitch.preprocess import segment_camel_case
 from codeswitch.stats import ContingencyTable, phi_from_table
-from codeswitch.switching import lang_run_vectors, switch_counts, switching_features
+from codeswitch.switching import N_FEATURES, lang_run_vectors, switch_counts, switching_features
 from codeswitch.textfeat import build_vocabulary, chi2_scores, chi2_select, featurize
 from synth_corpus import switching_driven_corpus
 
@@ -128,10 +126,8 @@ def test_04_switching_features_improve_cv_macro_f1():
     cfg = PipelineConfig(kinds=frozenset({"word_ngram"}), n_values={"word_ngram": (1,)},
                          chi2_k=None, use_indicative=False,
                          train_config=TrainConfig())
-    without = cross_validate(corpus, cfg, k=10, seed=13)
-    with_sw = cross_validate(corpus,
-                             dataclasses.replace(cfg, with_switching=True),
-                             k=10, seed=13)
+    without = cross_validate_arms(corpus, cfg, ((),), k=10, seed=13)[0]
+    with_sw = cross_validate_arms(corpus, cfg, (range(N_FEATURES),), k=10, seed=13)[0]
     assert abs(without.mean_macro_f1 - 0.5) <= 0.07
     delta = with_sw.mean_macro_f1 - without.mean_macro_f1
     assert delta >= 0.10
@@ -151,7 +147,8 @@ def test_04c_ablation_at_cli_defaults(monkeypatch):
     corpus = switching_driven_corpus(2000, seed=42)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with_sw, without = cross_validate_arms(corpus, cfg, (True, False), k=10, seed=13)
+        with_sw, without = cross_validate_arms(corpus, cfg, (range(N_FEATURES), ()), k=10,
+                                               seed=13)
     assert not [w for w in caught if "did not converge" in str(w.message)]
     assert abs(without.mean_macro_f1 - 0.5) <= 0.07
     delta = with_sw.mean_macro_f1 - without.mean_macro_f1

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -283,6 +284,24 @@ def test_output_files_get_the_mode_open_gives(umask, synth_file, tmp_path):
     assert expected == 0o666 & ~umask
     for path in (model, bundle, table):
         assert stat.S_IMODE(path.stat().st_mode) == expected
+
+
+@pytest.mark.parametrize("target, code", [("nodir/out.tsv", errno.ENOENT), ("out", errno.EISDIR)],
+                         ids=["missing directory", "directory"])
+def test_write_error_names_the_target(target, code, tiny_corpus_file, tmp_path, monkeypatch,
+                                      capsys):
+    """An output that cannot be written exits 1 with one error line naming
+    the target, not the random temporary file, the same on every run, and
+    leaves no temporary file behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    files = sorted(tmp_path.rglob("*"))
+    errors = []
+    for _ in range(2):
+        assert run(["stats", tiny_corpus_file, "-o", target]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n"] * 2
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def _run_cli(*argv, **variables):

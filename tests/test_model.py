@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -16,7 +17,6 @@ from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, fold_indic
 from codeswitch.model import (
     FittedPipeline,
     LinearModel,
-    cross_validate,
     cross_validate_arms,
     evaluate,
     fit_pipeline,
@@ -30,6 +30,7 @@ from codeswitch.model import (
     to_dense,
     train,
 )
+from codeswitch.switching import N_FEATURES
 from reference_encoder import dense_row, pipeline_rows
 from synth_corpus import switching_driven_corpus
 
@@ -277,21 +278,21 @@ class TestCrossValidate:
 
     def test_reports_and_aggregate(self):
         corpus = word_pool_corpus(100, seed=0)
-        result = cross_validate(corpus, self.CFG, k=10, seed=13)
+        result = cross_validate_arms(corpus, self.CFG, ((),), k=10, seed=13)[0]
         assert len(result.reports) + len(result.skipped_folds) == 10
         expected = sum(r.macro_f1 for r in result.reports) / len(result.reports)
         assert result.mean_macro_f1 == expected
 
     def test_deterministic(self):
         corpus = word_pool_corpus(60, seed=1)
-        a = cross_validate(corpus, self.CFG, k=5, seed=13)
-        b = cross_validate(corpus, self.CFG, k=5, seed=13)
+        a = cross_validate_arms(corpus, self.CFG, ((),), k=5, seed=13)[0]
+        b = cross_validate_arms(corpus, self.CFG, ((),), k=5, seed=13)[0]
         assert a.mean_macro_f1 == b.mean_macro_f1
         assert [r.confusion for r in a.reports] == [r.confusion for r in b.reports]
 
     def test_random_features_near_chance(self):
         corpus = word_pool_corpus(300, seed=2)
-        result = cross_validate(corpus, self.CFG, k=10, seed=13)
+        result = cross_validate_arms(corpus, self.CFG, ((),), k=10, seed=13)[0]
         assert abs(result.mean_macro_f1 - 0.5) <= 0.07
 
     # both kinds, min_count and chi-squared both cut, lexicon, negations
@@ -305,7 +306,8 @@ class TestCrossValidate:
         cfg = replace(self.FULL, with_switching=with_switching)
         fits = [(fit_pipeline(train, cfg), test) for train, test in kfold(corpus, 4, seed=13)]
         assert all(len(pipeline.vocab) == 30 for pipeline, _ in fits)
-        result = cross_validate(corpus, cfg, k=4, seed=13)
+        arm = range(N_FEATURES) if with_switching else ()
+        result = cross_validate_arms(corpus, cfg, (arm,), k=4, seed=13)[0]
         assert result.skipped_folds == ()
         assert result.reports == tuple(held_out_report(pipeline, test) for pipeline, test in fits)
 
@@ -318,7 +320,7 @@ class TestCrossValidate:
             calls.append(args)
             return extract(*args)
         monkeypatch.setattr(textfeat, "extract_features", counted)
-        result = cross_validate(corpus, self.FULL, k=5, seed=13)
+        result = cross_validate_arms(corpus, self.FULL, ((),), k=5, seed=13)[0]
         assert result.skipped_folds == ()
         # once to featurize the corpus; test folds are rows of that matrix
         assert len(calls) == len(corpus)
@@ -338,7 +340,7 @@ class TestCrossValidate:
             return cols, lexicon
         monkeypatch.setattr(model_module, "_fit_features", recorded)
         cfg = PipelineConfig(**UNIGRAMS, min_count=min_count, chi2_k=None)
-        cross_validate(corpus, cfg, k=3, seed=13)
+        cross_validate_arms(corpus, cfg, ((),), k=3, seed=13)
         assert len(fitted) == 3
         for (vocab, words), (train_rows, _) in zip(fitted, fold_indices(len(corpus), 3, 13)):
             train_ids = {corpus[r].id for r in train_rows}
@@ -348,27 +350,60 @@ class TestCrossValidate:
             for u in corpus:
                 assert (("word_ngram", f"only{u.id}") in vocab) == (u.id in train_ids)
 
+    @staticmethod
+    def dense_fits(corpus, cfg, arm, k):
+        """The report of each fold with two classes on either side, fitted and
+        scored on its dense training matrices restricted to the vocabulary,
+        the two special columns and the switching columns of arm."""
+        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
+        reports = []
+        for rows in fold_indices(len(corpus), k, 13):
+            train_part, test_part = parts = [matrix.take(r) for r in rows]
+            if any(len(set(part.labels.tolist())) < 2 for part in parts):
+                continue
+            cols, lexicon = model_module._fit_features(train_part, cfg)
+            d = textfeat.vector_dim(cols, False)
+            X_train, X_test = (
+                as_dense(textfeat.training_matrix(part, cols, lexicon, cfg.negation_words))
+                [:, [*range(d), *(d + i for i in arm)]] for part in parts)
+            model = train(X_train, train_part.labels, cfg.train_config)
+            reports.append(evaluate(predict_proba(model, X_test), test_part.labels))
+        return tuple(reports)
+
     @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
     def test_arms_equal_one_run_per_arm(self, n, k, seed):
         corpus = word_pool_corpus(n, seed=seed)
+        given = (range(N_FEATURES), (), (0, 1, 2))  # all nine, none, the switch counts
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            arms = cross_validate_arms(corpus, self.FULL, (True, False), k=k, seed=13)
+            arms = cross_validate_arms(corpus, self.FULL, given, k=k, seed=13)
         single_class = [w for w in caught if "has a single class" in str(w.message)]
         assert len(single_class) == len(arms[0].skipped_folds)  # once per fold, not per arm
         assert bool(arms[0].skipped_folds) == (n == 12)
         with (pytest.warns(UserWarning, match="single class") if n == 12 else nullcontext()):
-            assert arms == tuple(cross_validate(corpus, replace(self.FULL, with_switching=sw),
-                                                k=k, seed=13) for sw in (True, False))
+            assert arms == tuple(cross_validate_arms(corpus, self.FULL, (arm,), k=k, seed=13)[0]
+                                 for arm in given)
             if n == 60:
-                assert arms[0].mean_macro_f1 != arms[1].mean_macro_f1
-            assert cross_validate_arms(corpus, self.FULL, (False, True), k=k, seed=13) \
+                assert len({result.mean_macro_f1 for result in arms}) == 3
+            assert cross_validate_arms(corpus, self.FULL, given[::-1], k=k, seed=13) \
                 == arms[::-1]
+        for arm, result in zip(given, arms):
+            assert result.reports == self.dense_fits(corpus, self.FULL, arm, k)
+
+    @pytest.mark.parametrize("arm", [(0, 0), (N_FEATURES,), (-1,), (2, 9, 3)])
+    def test_bad_arm_is_an_error_before_featurizing(self, arm, monkeypatch):
+        def featurized(*args, **kwargs):
+            raise AssertionError("featurized")
+        monkeypatch.setattr(model_module, "featurize", featurized)
+        with pytest.raises(ValueError, match=r"arms must be distinct indices in range\(9\), got "
+                                             + re.escape(str(((), arm)))):
+            cross_validate_arms(word_pool_corpus(12, seed=1), self.FULL, ((), arm), k=3, seed=13)
 
     def test_every_fold_degenerate_is_an_error(self):
         with pytest.raises(ValueError, match="every fold was degenerate"), \
                 pytest.warns(UserWarning, match="single class"):
-            cross_validate_arms(word_pool_corpus(4, seed=1), self.CFG, (True, False), k=4, seed=13)
+            cross_validate_arms(word_pool_corpus(4, seed=1), self.CFG, (range(N_FEATURES), ()),
+                                k=4, seed=13)
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
         """Whatever k is, each utterance is extracted and profiled once and
@@ -396,7 +431,7 @@ class TestCrossValidate:
         for k in (3, 5, 10):
             calls.update(dict.fromkeys(calls, 0))
             passes.append(0)
-            arms = cross_validate_arms(corpus, self.FULL, (True, False), k=k, seed=13)
+            arms = cross_validate_arms(corpus, self.FULL, (range(N_FEATURES), ()), k=k, seed=13)
             assert arms[0].skipped_folds == ()
             assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
         assert passes[0] == passes[1] == passes[2]
@@ -422,7 +457,7 @@ class TestCrossValidate:
         runs = []
         for c in (corpus, mutated):
             fits.clear()
-            assert cross_validate(c, self.FULL, k=4, seed=13).skipped_folds == ()
+            assert cross_validate_arms(c, self.FULL, ((),), k=4, seed=13)[0].skipped_folds == ()
             runs.append(fits[0])
         (keys, lexicon, _), (mutated_keys, mutated_lexicon, words) = runs
         assert "zzz" in words and lexicon
@@ -497,7 +532,7 @@ class TestMatrixScoring:
         for name in recorded:
             monkeypatch.setattr(model_module, name, recording(name))
         corpus = word_pool_corpus(60, seed=5)
-        arms = (True, False)
+        arms = (range(N_FEATURES), ())
         cross_validate_arms(corpus, self.CFG, arms, k=4, seed=13)
         assert [len(calls) for calls in recorded.values()] == [4, 8, 8]
         folds = fold_indices(len(corpus), 4, 13)
@@ -505,11 +540,11 @@ class TestMatrixScoring:
             (train_part, _), (cols, lexicon) = recorded["_fit_features"][i]
             vocab = tuple(train_part.keys[c] for c in cols.tolist())
             test = corpus.subset(corpus[r] for r in test_rows)
-            for j, with_switching in enumerate(arms):
+            for j, arm in enumerate(arms):
                 model = recorded["train"][2 * i + j][1]
                 (probs, labels), _ = recorded["evaluate"][2 * i + j]
                 assert labels.tolist() == [u.label for u in test]
-                pipeline = FittedPipeline(replace(self.CFG, with_switching=with_switching),
+                pipeline = FittedPipeline(replace(self.CFG, with_switching=bool(arm)),
                                           vocab, lexicon, model)
                 self.assert_matches_reference(pipeline, test, probs)
 
@@ -633,7 +668,7 @@ class TestSparseTraining:
         plain, _, _ = self.matrices()
         d = plain.shape[1]
         assert X.shape[1] == d + 9 and dense[:, d:].any(axis=1).all()
-        lead = X.leading_columns(d)
+        lead = X.T.take(np.arange(d)).T
         assert lead.shape == (len(dense), d) and lead.T.shape == (d, len(dense))
         assert np.array_equal(as_dense(lead), dense[:, :d])
         assert np.array_equal(as_dense(lead), as_dense(plain))

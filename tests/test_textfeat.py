@@ -278,7 +278,7 @@ class TestFeaturize:
         assert with_block.keys == matrix.keys
         Y = training_matrix(with_block, cols, {}, frozenset())
         assert Y.shape == (4, vector_dim(cols, True))
-        Y = Y.leading_columns(X.shape[1])
+        Y = Y.T.take(np.arange(X.shape[1])).T
         assert X.shape == (4, vector_dim(cols, False))
         assert [X.rows.tolist(), X.cols.tolist(), X.values.tolist()] == \
             [Y.rows.tolist(), Y.cols.tolist(), Y.values.tolist()]
