@@ -1,9 +1,11 @@
 """Command-line frontend for the code-switching toolkit.
 
-Subcommands: stats, features, train, eval, cv, subsample.  All read
-corpora in the tagged-line format of codeswitch.corpus.  Outputs are
-written atomically (temp file + rename) so partial files are never left
-behind, with the mode a plain file creation gives under the umask.
+Subcommands: stats, features, train, eval, cv, subsample.  Each reads
+each of its corpora, in the tagged-line format of codeswitch.corpus, with
+one load_corpus call that also applies the preprocessing flags.  Outputs
+are written atomically (temp file + rename) so partial files are never
+left behind, and train writes its model and bundle together, both or
+neither, with the mode a plain file creation gives under the umask.
 Identical arguments and inputs produce byte-identical outputs, whatever
 the BLAS thread count.  Settings are checked before any file is read, and
 each warning, whatever PYTHONWARNINGS says, is one "warning: <message>" line.
@@ -22,6 +24,7 @@ start without numpy.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -35,15 +38,8 @@ from typing import TYPE_CHECKING
 from codeswitch import stats as stats_mod
 from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig,
                                check_tau)
-from codeswitch.corpus import (
-    CorpusFormatError,
-    LabeledCorpus,
-    LabeledUtterance,
-    Token,
-    load_corpus,
-    serialize_tagged_line,
-)
-from codeswitch.preprocess import PreprocessConfig, normalize_token
+from codeswitch.corpus import load_corpus, serialize_tagged_line
+from codeswitch.preprocess import PreprocessConfig
 from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
 
 if TYPE_CHECKING:
@@ -53,25 +49,34 @@ if TYPE_CHECKING:
 PIPELINE_FORMAT_VERSION = 1
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write atomically to path, or to stdout when path is None.  The file
-    gets the mode open() would give it, not mkstemp's 0600."""
+def _write_output(path: str | None, text: str, *more: tuple[str, str]) -> None:
+    """Write text to path, or to stdout when path is None, and each
+    (path, text) of more to its path.  Every text goes to a temporary file
+    beside its target first, and the files are renamed only once all are
+    written, so an error leaves every target as it was.  Each file gets the
+    mode open() would give it, not mkstemp's 0600."""
     if path is None:
         sys.stdout.write(text)
         return
-    target = Path(path)
-    tmp = None
+    umask = os.umask(0)  # reading the umask sets it, so set it back at once
+    os.umask(umask)
+    staged: list[tuple[str, str]] = []  # (temporary file, target)
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        umask = os.umask(0)  # reading the umask sets it, so set it back at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
+        for path, text in ((path, text), *more):
+            if os.path.isdir(path):  # caught here, not by a rename after others are done
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            target = Path(path)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):  # name path, not the random temporary file
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
@@ -84,32 +89,6 @@ def _preprocess_config(args) -> PreprocessConfig | None:
     punct = {} if args.punct is None else {"punctuation_set": frozenset(args.punct)}
     return PreprocessConfig(keep_hashtag_placeholder=not args.no_hashtag_placeholder,
                             segment_hashtags=not args.no_segment_hashtags, **punct)
-
-
-def _preprocess_corpus(corpus: LabeledCorpus, cfg: PreprocessConfig | None,
-                       path: str) -> LabeledCorpus:
-    """The corpus read from path, normalized under cfg once per distinct
-    token, or as read when cfg is None; utterances left empty are dropped
-    with a warning, and the warning and the error for a corpus left empty
-    name the path."""
-    if cfg is None:
-        return corpus
-    normalized: dict[Token, tuple[Token, ...]] = {}
-    kept = []
-    for u in corpus:
-        tokens: list[Token] = []
-        for t in u.tokens:
-            out = normalized.get(t)
-            if out is None:
-                out = normalized[t] = normalize_token(t, cfg)
-            tokens += out
-        if not tokens:
-            warnings.warn(f"{path}: utterance {u.id} empty after preprocessing; dropped")
-            continue
-        kept.append(LabeledUtterance(tuple(tokens), u.label, u.id))
-    if not kept:
-        raise CorpusFormatError(f"{path}: empty corpus after preprocessing")
-    return corpus.subset(kept)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -129,7 +108,7 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _save_pipeline_bundle(pipeline, path: str) -> None:
+def _pipeline_bundle_text(pipeline) -> str:
     cfg = pipeline.config
     # class_name is read by no one; format v1 keeps it, so bundles stay the same bytes
     lexicon = {"class_name": "", "scores": dict(sorted(pipeline.lexicon.items()))}
@@ -148,7 +127,7 @@ def _save_pipeline_bundle(pipeline, path: str) -> None:
         "vocab": [list(key) for key in pipeline.vocab],
         "lexicons": [lexicon] if cfg.use_indicative else [],
     }
-    _write_output(path, json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n"
 
 
 def _is_number(value) -> bool:
@@ -242,8 +221,7 @@ def _cv_dict(result: CVResult) -> dict:
 # --------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    columns = [stats_mod.summarize(_preprocess_corpus(load_corpus(path), args.preprocess, path))
-               for path in args.inputs]
+    columns = [stats_mod.summarize(load_corpus(path, args.preprocess)) for path in args.inputs]
 
     def cell(value) -> str:
         return "NA" if value is None else repr(value)
@@ -263,7 +241,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_features(args) -> int:
-    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
+    corpus = load_corpus(args.input, args.preprocess)
     lines = []
     for u in corpus:
         record = {"id": u.id, "label": u.label, "q": has_embedding_property(u.tokens),
@@ -276,10 +254,10 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     from codeswitch.model import fit_pipeline, format_model
     cfg = _pipeline_config(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
+    corpus = load_corpus(args.input, args.preprocess)
     pipeline = fit_pipeline(corpus, cfg)
-    _write_output(args.model_out, format_model(pipeline.model))
-    _save_pipeline_bundle(pipeline, args.pipeline_out)
+    _write_output(args.model_out, format_model(pipeline.model),
+                  (args.pipeline_out, _pipeline_bundle_text(pipeline)))
     print(f"trained on {len(corpus)} utterances; "
           f"feature dim {pipeline.model.dim}", file=sys.stderr)
     return 0
@@ -298,7 +276,7 @@ def _load_fitted(args):
 def cmd_eval(args) -> int:
     from codeswitch.model import evaluate
     pipeline = _load_fitted(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
+    corpus = load_corpus(args.input, args.preprocess)
     report = evaluate(pipeline.predict_proba(corpus), [u.label for u in corpus])
     _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
     return 0
@@ -307,7 +285,7 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     from codeswitch.model import cross_validate_arms
     cfg = _pipeline_config(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
+    corpus = load_corpus(args.input, args.preprocess)
 
     every = range(N_FEATURES)  # an arm is the switching columns its model sees
     if args.ablate_switching:
@@ -333,7 +311,7 @@ def cmd_subsample(args) -> int:
     from codeswitch.model import subsample_negatives
     check_tau(args.tau)
     pipeline = _load_fitted(args)
-    corpus = _preprocess_corpus(load_corpus(args.input), args.preprocess, args.input)
+    corpus = load_corpus(args.input, args.preprocess)
     negatives = corpus.subset(corpus.negatives)  # only they are scored
     proba = pipeline.predict_proba(negatives)
     by_id = dict(zip([u.id for u in negatives], proba.tolist()))

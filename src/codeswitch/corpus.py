@@ -7,15 +7,24 @@ File format (one utterance per line, UTF-8, LF):
 where label is 0 or 1 and tag is one of hi / en / rest.  The *last*
 underscore in each token delimits the tag, so surfaces may themselves
 contain underscores.  Blank lines are skipped.  load_corpus reads a
-corpus; serialize_tagged_line writes one utterance as a line.
+corpus, normalizing it under a codeswitch.preprocess.PreprocessConfig
+when given one, in one pass that parses, checks and normalizes each
+distinct raw token once; serialize_tagged_line writes one utterance as a
+line.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Union
+
+if TYPE_CHECKING:
+    from codeswitch.preprocess import PreprocessConfig
 
 LANG_TAGS = frozenset({"hi", "en", "rest"})
 
@@ -100,41 +109,37 @@ def parse_tagged_line(line: str, line_number: int | None = None,
     Raises CorpusFormatError naming the line number (when given) and the
     offending token on malformed input.
     """
-    return _parse_tagged_line(line, line_number, uid, {})
-
-
-def _parse_tagged_line(line: str, line_number: int | None, uid: str | None,
-                       interned: dict[str, Token]) -> LabeledUtterance:
-    """parse_tagged_line, taking each token from interned, a map from raw
-    `surface_tag` strings to their Tokens: a raw token seen before is that
-    same (frozen) object, and a new one is checked, built and added."""
     where = f"line {line_number}: " if line_number is not None else ""
+    label, raw_tokens = _split_line(line, where)
+    if uid is None:
+        uid = "0" if line_number is None else str(line_number)
+    return LabeledUtterance(tuple(_parse_token(raw, where) for raw in raw_tokens), label, uid)
+
+
+def _split_line(line: str, where: str) -> tuple[int, list[str]]:
+    """The label and the raw tokens of a line; where prefixes its errors."""
     if "\t" not in line:
         raise CorpusFormatError(f"{where}expected '<label> TAB <tokens>', got {line!r}")
     label_part, _, token_part = line.rstrip("\n").partition("\t")
     label = {"1": POSITIVE, "0": NEGATIVE}.get(label_part)
     if label is None:
         raise CorpusFormatError(f"{where}malformed label {label_part!r} (must be 0 or 1)")
-
     raw_tokens = token_part.split()
     if not raw_tokens:
         raise CorpusFormatError(f"{where}empty token list")
+    return label, raw_tokens
 
-    for raw in raw_tokens:
-        if raw in interned:
-            continue
-        surface, sep, tag = raw.rpartition("_")
-        if not sep:
-            raise CorpusFormatError(f"{where}token without underscore tag: {raw!r}")
-        if tag not in LANG_TAGS:
-            raise CorpusFormatError(f"{where}unknown tag {tag!r} in token {raw!r}")
-        if not surface:
-            raise CorpusFormatError(f"{where}empty surface in token {raw!r}")
-        interned[raw] = Token(surface, tag)
 
-    if uid is None:
-        uid = "0" if line_number is None else str(line_number)
-    return LabeledUtterance(tuple(map(interned.__getitem__, raw_tokens)), label, uid)
+def _parse_token(raw: str, where: str) -> Token:
+    """The Token of one raw `surface_tag` token; where prefixes its errors."""
+    surface, sep, tag = raw.rpartition("_")
+    if not sep:
+        raise CorpusFormatError(f"{where}token without underscore tag: {raw!r}")
+    if tag not in LANG_TAGS:
+        raise CorpusFormatError(f"{where}unknown tag {tag!r} in token {raw!r}")
+    if not surface:
+        raise CorpusFormatError(f"{where}empty surface in token {raw!r}")
+    return Token(surface, tag)
 
 
 def serialize_tagged_line(utterance: LabeledUtterance) -> str:
@@ -143,33 +148,49 @@ def serialize_tagged_line(utterance: LabeledUtterance) -> str:
     return f"{utterance.label}\t{body}"
 
 
-def load_corpus(source: Union[str, Path, IO[str]]) -> LabeledCorpus:
-    """Load a tagged-line corpus from a path or open text stream.
+def load_corpus(source: Union[str, Path, IO[str]],
+                preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
+    """Load a tagged-line corpus from a path or open text stream, each
+    token normalized under preprocess unless it is None.
 
     Ids are assigned as 0-based ordinals over non-blank lines; blank lines
-    are skipped.  An empty corpus is an error, and so, read from a path,
-    are bytes that are not UTF-8; every error of a path names it.  Tokens
-    are interned per call: every occurrence of one raw token is the same
-    Token object.
+    are skipped.  An empty corpus is an error, and so are bytes that are
+    not UTF-8; every error of a path names it.  Each distinct raw token is
+    parsed, checked and normalized once per call, so every occurrence of it
+    becomes the same Token objects.  An utterance that preprocessing leaves
+    empty keeps its id unused and is dropped with a warning once the whole
+    source has parsed; a corpus left with no utterance is an error.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return load_corpus(fh)
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{source}: not valid UTF-8: {exc.reason}") from None
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{source}: {exc}") from None
-
-    utterances = []
-    interned: dict[str, Token] = {}
-    for line_number, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        utterances.append(_parse_tagged_line(line, line_number, str(len(utterances)), interned))
-    if not utterances:
-        raise CorpusFormatError("empty corpus")
-    return LabeledCorpus(tuple(utterances))
+    named = f"{source}: " if isinstance(source, (str, Path)) else ""
+    if preprocess is not None:
+        from codeswitch.preprocess import normalize_token  # preprocess imports this module
+    kept, dropped = [], []
+    interned: dict[str, tuple[Token, ...]] = {}  # raw token -> the tokens it becomes
+    try:
+        with open(source, "r", encoding="utf-8") if named else nullcontext(source) as fh:
+            lines = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+            for uid, (line_number, line) in enumerate(lines):
+                where = f"line {line_number}: "
+                label, raw_tokens = _split_line(line, where)
+                for raw in raw_tokens:
+                    if raw not in interned:
+                        token = _parse_token(raw, where)
+                        interned[raw] = (normalize_token(token, preprocess) if preprocess
+                                         else (token,))
+                tokens = tuple(chain.from_iterable(map(interned.__getitem__, raw_tokens)))
+                if tokens:
+                    kept.append(LabeledUtterance(tokens, label, str(uid)))
+                else:
+                    dropped.append(uid)
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{named}not valid UTF-8: {exc.reason}") from None
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{named}{exc}") from None
+    for uid in dropped:
+        warnings.warn(f"{named}utterance {uid} empty after preprocessing; dropped")
+    if not kept:
+        raise CorpusFormatError(f"{named}empty corpus{' after preprocessing' if dropped else ''}")
+    return LabeledCorpus(tuple(kept))
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

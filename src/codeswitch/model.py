@@ -292,9 +292,9 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
     The corpus is featurized once.  Each fold fits the features once from
     matrix.take of its train rows and builds one training matrix of its
     train rows and one of its test rows; an arm keeps their vocabulary,
-    special and arm columns (X.T.take(keep).T, or them whole if that is all
-    of them in order).  Folds whose train or test part contains a single
-    class are skipped with a warning and excluded from the aggregate.
+    special and arm columns (X.T.take(keep).T).  Folds whose train or test
+    part contains a single class are skipped with a warning and excluded
+    from the aggregate.
     """
     if any(len(set(arm)) < len(arm) or not set(arm) <= set(range(N_FEATURES)) for arm in arms):
         raise ValueError(f"arms must be distinct indices in range({N_FEATURES}), got {arms}")
@@ -314,8 +314,7 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
         d = vector_dim(cols, False)
         for arm_reports, arm in zip(reports, arms):
             keep = np.append(np.arange(d), d + np.array(arm, dtype=np.intp))
-            whole = np.array_equal(keep, np.arange(X_train.shape[1]))
-            X_arm_train, X_arm_test = (X if whole else X.T.take(keep).T for X in (X_train, X_test))
+            X_arm_train, X_arm_test = (X.T.take(keep).T for X in (X_train, X_test))
             model = train(X_arm_train, train_part.labels, cfg.train_config)
             arm_reports.append(evaluate(predict_proba(model, X_arm_test), test_part.labels))
     if len(skipped) == len(folds):

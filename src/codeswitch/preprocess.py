@@ -8,9 +8,9 @@ is stripped from the edges of hi/en words; rest-tagged tokens that are not
 pure punctuation (emoticons like ":P") pass through untouched.
 
 A token's output does not depend on its position, so normalize_token
-decides it alone, normalize maps it over a sequence of Tokens, and a
-corpus is normalized once per distinct token (the CLI memoizes
-normalize_token over the tokens load_corpus interned).
+decides it alone, normalize maps it over a sequence of Tokens, and
+codeswitch.corpus.load_corpus, given a PreprocessConfig, calls
+normalize_token once per distinct raw token of the corpus it reads.
 """
 
 from __future__ import annotations

@@ -118,6 +118,14 @@ class TestStats:
             f"warning: {punct}: utterance 1 empty after preprocessing; dropped\n"
             f"error: {punct}: empty corpus after preprocessing\n")
 
+    def test_malformed_line_after_a_dropped_utterance_prints_only_the_error(self, tmp_path,
+                                                                             capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(PAPER_LINE + "\n0\t!!_rest\n1\tkoi_hi x_fr\n")  # line 2 is dropped
+        assert run(["stats", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: unknown tag 'fr' in token 'x_fr'\n")
+
     def test_non_utf8_corpus_is_named(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes((PAPER_LINE + "\n0\tcaf\xe9_en\n").encode("latin-1"))
@@ -302,6 +310,27 @@ def test_write_error_names_the_target(target, code, tiny_corpus_file, tmp_path, 
         errors.append(capsys.readouterr().err)
     assert errors == [f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n"] * 2
     assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier model\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("bundle, code", [("nodir/p.json", errno.ENOENT), ("out", errno.EISDIR)],
+                         ids=["missing directory", "directory"])
+def test_train_writes_both_outputs_or_neither(bundle, code, earlier, synth_file, tmp_path,
+                                              monkeypatch, capsys):
+    """A bundle that cannot be written fails train before the model is
+    written: no new --model-out file, an existing one keeps its bytes, and
+    no temporary file is left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    if earlier is not None:
+        (tmp_path / "m.txt").write_text(earlier)
+    files = sorted(tmp_path.rglob("*"))
+    assert run(["train", synth_file, "--model-out", "m.txt", "--pipeline-out", bundle,
+                *UNIGRAMS, "--chi2-k", "0"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{bundle}'\n"
+    assert sorted(tmp_path.rglob("*")) == files
+    if earlier is not None:
+        assert (tmp_path / "m.txt").read_text() == earlier
 
 
 def _run_cli(*argv, **variables):

@@ -1,11 +1,11 @@
 import argparse
-import io
 import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
-from codeswitch.cli import _preprocess_config, _preprocess_corpus
+from codeswitch import preprocess
+from codeswitch.cli import _preprocess_config
 from codeswitch.corpus import CorpusFormatError, Token, load_corpus
 from codeswitch.preprocess import PreprocessConfig, normalize, segment_camel_case
 
@@ -116,10 +116,15 @@ def tagged_corpora(draw):
     return draw(st.lists(st.tuples(st.sampled_from([0, 1]), utterance), min_size=1, max_size=8))
 
 
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("preprocess") / "corpus.txt")
+
+
 @given(tagged_corpora(), st.none() | st.text(alphabet=PUNCT + "ab", min_size=1, max_size=5),
        st.booleans(), st.booleans())
-def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, placeholder,
-                                                         segment):
+def test_corpus_preprocessing_is_normalize_per_utterance(corpus_path, utterances, punct,
+                                                         placeholder, segment):
     cfg = PreprocessConfig(placeholder, segment,
                            PreprocessConfig().punctuation_set if punct is None
                            else frozenset(punct))
@@ -132,21 +137,39 @@ def test_corpus_preprocessing_is_normalize_per_utterance(utterances, punct, plac
             expected.append((str(uid), normalized))
         else:
             dropped.append((UserWarning,
-                            f"corpus.txt: utterance {uid} empty after preprocessing; dropped"))
-    text = "".join(f"{label}\t{' '.join(f'{s}_{t}' for s, t in pairs)}\n"
-                   for label, pairs in utterances)
+                            f"{corpus_path}: utterance {uid} empty after preprocessing; dropped"))
+    with open(corpus_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{label}\t{' '.join(f'{s}_{t}' for s, t in pairs)}\n"
+                      for label, pairs in utterances)
     args = argparse.Namespace(no_preprocess=False, no_hashtag_placeholder=not placeholder,
                               no_segment_hashtags=not segment, punct=punct)
     pre = _preprocess_config(args)
-    corpus = load_corpus(io.StringIO(text))
+    assert pre == cfg
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if not expected:
-            with pytest.raises(CorpusFormatError,
-                               match="^corpus.txt: empty corpus after preprocessing$"):
-                _preprocess_corpus(corpus, pre, "corpus.txt")
+            with pytest.raises(CorpusFormatError) as info:
+                load_corpus(corpus_path, pre)
+            assert str(info.value) == f"{corpus_path}: empty corpus after preprocessing"
         else:
-            kept = _preprocess_corpus(corpus, pre, "corpus.txt")
+            kept = load_corpus(corpus_path, pre)
     assert [(w.category, str(w.message)) for w in caught] == dropped  # one per dropped utterance
     if expected:
         assert [(u.id, list(u.tokens)) for u in kept] == expected
+
+
+def test_load_normalizes_each_distinct_raw_token_once(tmp_path, monkeypatch):
+    calls = []
+    one_token = preprocess.normalize_token
+    monkeypatch.setattr(preprocess, "normalize_token",
+                        lambda token, cfg: (calls.append(token), one_token(token, cfg))[1])
+    lines = ["1\t#AadabArzHai_hi koi_hi karo!_hi @user_rest", "0\t!!_rest koi_hi koi_en :P_rest",
+             "1\tkaro!_hi karo_hi https://t.co/x_rest"] * 30
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    corpus = load_corpus(path, PreprocessConfig())
+    raw = [r for line in lines for r in line.partition("\t")[2].split()]
+    assert [f"{t.surface}_{t.tag}" for t in calls] == list(dict.fromkeys(raw))
+    assert [list(u.tokens) for u in corpus] == \
+        [normalize(Token(*r.rsplit("_", 1)) for r in line.partition("\t")[2].split())
+         for line in lines]
