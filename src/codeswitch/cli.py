@@ -149,15 +149,14 @@ def _read_json(path: str):
 
 def _load_pipeline_bundle(path: str
                           ) -> tuple[PipelineConfig, tuple[FeatureKey, ...], dict[str, float]]:
-    from codeswitch.textfeat import _feature_sort_key
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != PIPELINE_FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline bundle version in {path}")
     c = doc["config"] if isinstance(doc.get("config"), dict) else {}
     valid = {
-        "kinds": _is_strs(c.get("kinds")) and set(c["kinds"]) <= set(KIND_ORDER),
+        "kinds": _is_strs(c.get("kinds")),
         "n_values": isinstance(c.get("n_values"), dict)
-        and c["n_values"].keys() == {"char_ngram", "word_ngram"} and all(
+        and c["n_values"].keys() == set(KIND_ORDER) and all(
             isinstance(ns, list) and all(type(n) is int for n in ns)
             for ns in c["n_values"].values()),
         "min_count": type(c.get("min_count")) is int,
@@ -178,11 +177,6 @@ def _load_pipeline_bundle(path: str
     if len(doc["lexicons"]) != int(c["use_indicative"]):
         raise ValueError(f"pipeline bundle {path}: lexicons must hold one entry when "
                          "use_indicative is true and none when it is false")
-    vocab = tuple((kind, payload) for kind, payload in doc["vocab"])
-    if not {kind for kind, _ in vocab} <= set(c["kinds"]):
-        raise ValueError(f"pipeline bundle {path}: a vocab kind is not in config.kinds")
-    if vocab != tuple(sorted(set(vocab), key=_feature_sort_key)):
-        raise ValueError(f"pipeline bundle {path}: vocab is not strictly increasing")
     try:
         cfg = PipelineConfig(
             kinds=frozenset(c["kinds"]),
@@ -196,6 +190,11 @@ def _load_pipeline_bundle(path: str
         )
     except ValueError as exc:
         raise ValueError(f"pipeline bundle {path}: {exc}") from None
+    vocab = tuple((kind, payload) for kind, payload in doc["vocab"])
+    if not {kind for kind, _ in vocab} <= cfg.kinds:
+        raise ValueError(f"pipeline bundle {path}: a vocab kind is not in config.kinds")
+    if vocab != tuple(sorted(set(vocab))):
+        raise ValueError(f"pipeline bundle {path}: vocab is not strictly increasing")
     return cfg, vocab, doc["lexicons"][0]["scores"] if cfg.use_indicative else {}
 
 

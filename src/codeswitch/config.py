@@ -1,6 +1,7 @@
-"""Settings of feature fitting and training: the feature kinds, the default
-negation words, the kinds-and-sizes check, subsample's tau check,
-TrainConfig and PipelineConfig.
+"""Settings of feature fitting and training: the feature kinds, sorted, the
+order of their column blocks since columns follow the (kind, payload) keys'
+own order; the default negation words, the kinds-and-sizes check,
+subsample's tau check, TrainConfig and PipelineConfig.
 
 Only the standard library is imported here, so the CLI builds every
 subcommand's flags and checks CODESWITCH_CONFIG from these defaults without

@@ -102,17 +102,16 @@ class LabeledCorpus:
         return LabeledCorpus(tuple(utterances))
 
 
-def parse_tagged_line(line: str, line_number: int | None = None,
-                      uid: str | None = None) -> LabeledUtterance:
+def parse_tagged_line(line: str, line_number: int | None = None) -> LabeledUtterance:
     """Parse one `<label> TAB <token>_<tag> ...` line into an utterance.
 
-    Raises CorpusFormatError naming the line number (when given) and the
-    offending token on malformed input.
+    Its id is the line number, or "0" without one.  Raises
+    CorpusFormatError naming the line number (when given) and the offending
+    token on malformed input.
     """
     where = f"line {line_number}: " if line_number is not None else ""
     label, raw_tokens = _split_line(line, where)
-    if uid is None:
-        uid = "0" if line_number is None else str(line_number)
+    uid = "0" if line_number is None else str(line_number)
     return LabeledUtterance(tuple(_parse_token(raw, where) for raw in raw_tokens), label, uid)
 
 

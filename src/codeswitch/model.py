@@ -7,11 +7,13 @@ weights (bias unpenalized) by line-search Newton-CG from zero, so results
 are exactly reproducible, and stops on a relative gradient-norm tolerance.
 Training and scoring (sigmoid of X @ w + b) both use textfeat.SparseMatrix,
 whose time and memory grow with the stored entries; train and loss_and_grad
-use only X.shape, X @ v and X.T @ v, so a dense ndarray works as well.  A
-fold's feature fit keeps column ids and words of the one featurized matrix,
-so no fold reads an utterance again; a FittedPipeline holds the keys of its
-fitted columns and scores a corpus by featurizing it over them into one
-training matrix, whose rows its vectorize views densely.  The settings,
+use only X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
+_fit, the one feature fit, fits the columns and lexicon on a featurized
+matrix's rows and encodes those rows; fit_pipeline calls it, and so does
+each cross-validation fold, on matrix.take of its train rows, so no fold
+reads an utterance again.  A FittedPipeline holds the keys of its fitted
+columns and scores a corpus by featurizing it over them into one training
+matrix, whose rows its vectorize views densely.  The settings,
 TrainConfig and PipelineConfig, live in codeswitch.config.
 """
 
@@ -251,22 +253,22 @@ class FittedPipeline:
         return predict_proba(self.model, self._training_matrix(corpus))
 
 
-def _fit_features(matrix: FeatureMatrix, cfg: PipelineConfig
-                  ) -> tuple[np.ndarray, dict[str, float]]:
+def _fit(matrix: FeatureMatrix, cfg: PipelineConfig
+         ) -> tuple[np.ndarray, dict[str, float], SparseMatrix]:
     """The kept column ids (vocabulary, then chi-squared selection) and the
-    lexicon, fitted on the matrix rows only."""
+    lexicon, fitted on the matrix rows only, and the training matrix of
+    those rows."""
     cols = build_vocabulary(matrix, cfg.min_count)
     if cfg.chi2_k is not None:
         cols = chi2_select(matrix, cols, cfg.chi2_k)
     lexicon = indicative_scores(matrix, cfg.lexicon_floor) if cfg.use_indicative else {}
-    return cols, lexicon
+    return cols, lexicon, training_matrix(matrix, cols, lexicon, cfg.negation_words)
 
 
 def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
     matrix = featurize(train_corpus, cfg.kinds, cfg.n_values, with_switching=cfg.with_switching)
-    cols, lexicon = _fit_features(matrix, cfg)
-    X = training_matrix(matrix, cols, lexicon, cfg.negation_words)
+    cols, lexicon, X = _fit(matrix, cfg)
     vocab = tuple(matrix.keys[c] for c in cols.tolist())
     return FittedPipeline(cfg, vocab, lexicon, train(X, matrix.labels, cfg.train_config))
 
@@ -289,12 +291,11 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
     CVResult per arm: the distinct switching-column indices, in SwitchProfile
     order, that its model sees, () being none and range(N_FEATURES) all.
 
-    The corpus is featurized once.  Each fold fits the features once from
-    matrix.take of its train rows and builds one training matrix of its
-    train rows and one of its test rows; an arm keeps their vocabulary,
-    special and arm columns (X.T.take(keep).T).  Folds whose train or test
-    part contains a single class are skipped with a warning and excluded
-    from the aggregate.
+    The corpus is featurized once.  Each fold runs _fit once on matrix.take
+    of its train rows and builds one training matrix of its test rows; an
+    arm keeps their vocabulary, special and arm columns (X.T.take(keep).T).
+    Folds whose train or test part contains a single class are skipped with
+    a warning and excluded from the aggregate.
     """
     if any(len(set(arm)) < len(arm) or not set(arm) <= set(range(N_FEATURES)) for arm in arms):
         raise ValueError(f"arms must be distinct indices in range({N_FEATURES}), got {arms}")
@@ -307,16 +308,14 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
             warnings.warn(f"fold {fold_index} has a single class; excluded")
             skipped.append(fold_index)
             continue
-        train_part, test_part = matrix.take(train_rows), matrix.take(test_rows)
-        cols, lexicon = _fit_features(train_part, cfg)
-        X_train, X_test = (training_matrix(part, cols, lexicon, cfg.negation_words)
-                           for part in (train_part, test_part))
+        cols, lexicon, X_train = _fit(matrix.take(train_rows), cfg)
+        X_test = training_matrix(matrix.take(test_rows), cols, lexicon, cfg.negation_words)
         d = vector_dim(cols, False)
         for arm_reports, arm in zip(reports, arms):
             keep = np.append(np.arange(d), d + np.array(arm, dtype=np.intp))
             X_arm_train, X_arm_test = (X.T.take(keep).T for X in (X_train, X_test))
-            model = train(X_arm_train, train_part.labels, cfg.train_config)
-            arm_reports.append(evaluate(predict_proba(model, X_arm_test), test_part.labels))
+            model = train(X_arm_train, matrix.labels[train_rows], cfg.train_config)
+            arm_reports.append(evaluate(predict_proba(model, X_arm_test), matrix.labels[test_rows]))
     if len(skipped) == len(folds):
         raise ValueError("every fold was degenerate; cannot aggregate")
     return tuple(CVResult(tuple(r), sum(x.macro_f1 for x in r) / len(r), tuple(skipped))

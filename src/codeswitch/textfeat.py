@@ -19,12 +19,13 @@ Feature keys are (kind, payload) pairs, kind being char_ngram or word_ngram
 (a token's unigram is its word 1-gram).  extract_features builds and counts
 an utterance's keys, and featurize interns them, through C iterators, with
 no Python step per n-gram; a row's entries keep extract_features' key
-order.  A featurized matrix's columns are its keys sorted by kind, in
-KIND_ORDER, then payload, so ascending column ids keep that order.  Rows
-carry two special dimensions (indicative-score sum, negation count) after
-the vocabulary block and, when requested, the nine switching features last,
-so a row without them is the leading columns of one with.  KIND_ORDER
-and checked_kinds, the check of kinds and sizes, live in codeswitch.config.
+order.  A featurized matrix's columns are its keys in their own tuple
+order, kind then payload, so ascending column ids keep that order; the
+kinds of KIND_ORDER are in alphabetical order too.  Rows carry two special
+dimensions (indicative-score sum, negation count) after the vocabulary
+block and, when requested, the nine switching features last, so a row
+without them is the leading columns of one with.  KIND_ORDER and
+checked_kinds, the check of kinds and sizes, live in codeswitch.config.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterable, Mapping, Sequence, Sized, Union
 
 import numpy as np
 
-from codeswitch.config import KIND_ORDER, checked_kinds
+from codeswitch.config import checked_kinds
 from codeswitch.corpus import LabeledCorpus, POSITIVE, Token
 from codeswitch.switching import N_FEATURES, switching_features
 
@@ -70,10 +71,6 @@ def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
     return Counter(chain.from_iterable(
         zip(repeat(kind), map(join, zip(*[items[i:] for i in range(n)])))
         for kind, items, join in runs for n in n_values[kind] if n <= len(items)))
-
-
-def _feature_sort_key(key: FeatureKey) -> tuple[int, str]:
-    return (KIND_ORDER.index(key[0]), key[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +173,7 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
                              "word n-grams, so its n-grams would share columns with others")
     key_cols = np.array(key_cols, dtype=np.int32)
     if vocab is None:
-        vocab = sorted(ids, key=_feature_sort_key)
+        vocab = sorted(ids)
         rank = np.empty(len(vocab), dtype=np.int32)
         rank[[ids[key] for key in vocab]] = np.arange(len(vocab))
         key_cols = rank[key_cols]

@@ -45,7 +45,11 @@ CASES = {
     "stats no hashtags": ["stats", "a.txt", "--no-segment-hashtags",
                           "--no-hashtag-placeholder", "--punct", "!.,"],
     "features": ["features", "a.txt"],
+    "stats no preprocess": ["stats", "a.txt", "b.txt", "--no-preprocess"],
+    "features no preprocess": ["features", "a.txt", "--no-preprocess", "-o", "features_raw.jsonl"],
     "train": ["train", "a.txt", "--model-out", "model.txt", "--pipeline-out", "bundle.json"],
+    "train every feature": ["train", "a.txt", "--chi2-k", "0", "--model-out", "model_all.txt",
+                            "--pipeline-out", "bundle_all.json"],
     "train switching": ["train", "a.txt", "--with-switching",
                         "--model-out", "model_sw.txt", "--pipeline-out", "bundle_sw.json"],
     "eval": ["eval", "heldout.txt", *MODEL, "-o", "eval.json"],

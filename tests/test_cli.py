@@ -729,8 +729,8 @@ BUNDLE_ERRORS = {
     "bundle vocab repeats a key": "vocab is not strictly increasing",
     "bundle vocab out of order": "vocab is not strictly increasing",
     "bundle vocab kind not in config kinds": "a vocab kind is not in config.kinds",
-    "bundle config kind unknown": "missing or mistyped kinds",
-    "bundle of the removed bow kind": "missing or mistyped kinds",
+    "bundle config kind unknown": "unknown feature kinds: ['nope']",
+    "bundle of the removed bow kind": BOW_ERROR,
     "bundle n-gram size repeated": "char_ngram sizes must not repeat, got [3, 3]",
     "bundle chi2_k negative": "chi2_k must be >= 1 (None keeps every feature), got -7",
     "bundle chi2_k zero": "chi2_k must be >= 1 (None keeps every feature), got 0",

@@ -331,14 +331,14 @@ class TestCrossValidate:
         corpus = corpus.subset(LabeledUtterance(u.tokens + (Token(f"only{u.id}", "en"),),
                                                 u.label, u.id) for u in corpus)
         fitted = []
-        fit_features = model_module._fit_features
+        fit = model_module._fit
 
         def recorded(train_part, cfg):
-            cols, lexicon = fit_features(train_part, cfg)
+            cols, lexicon, X = fit(train_part, cfg)
             fitted.append(({train_part.keys[c] for c in cols.tolist()},
                            {train_part.words[c] for c in train_part.tokens.cols.tolist()}))
-            return cols, lexicon
-        monkeypatch.setattr(model_module, "_fit_features", recorded)
+            return cols, lexicon, X
+        monkeypatch.setattr(model_module, "_fit", recorded)
         cfg = PipelineConfig(**UNIGRAMS, min_count=min_count, chi2_k=None)
         cross_validate_arms(corpus, cfg, ((),), k=3, seed=13)
         assert len(fitted) == 3
@@ -361,11 +361,11 @@ class TestCrossValidate:
             train_part, test_part = parts = [matrix.take(r) for r in rows]
             if any(len(set(part.labels.tolist())) < 2 for part in parts):
                 continue
-            cols, lexicon = model_module._fit_features(train_part, cfg)
+            cols, lexicon, X_train = model_module._fit(train_part, cfg)
+            X_test = textfeat.training_matrix(test_part, cols, lexicon, cfg.negation_words)
             d = textfeat.vector_dim(cols, False)
-            X_train, X_test = (
-                as_dense(textfeat.training_matrix(part, cols, lexicon, cfg.negation_words))
-                [:, [*range(d), *(d + i for i in arm)]] for part in parts)
+            X_train, X_test = (as_dense(X)[:, [*range(d), *(d + i for i in arm)]]
+                               for X in (X_train, X_test))
             model = train(X_train, train_part.labels, cfg.train_config)
             reports.append(evaluate(predict_proba(model, X_test), test_part.labels))
         return tuple(reports)
@@ -446,14 +446,14 @@ class TestCrossValidate:
         mutated = corpus.subset(LabeledUtterance((Token("zzz", "hi"),), u.label, u.id)
                                 if r in replaced else u for r, u in enumerate(corpus))
         fits = []
-        fit_features = model_module._fit_features
+        fit = model_module._fit
 
         def recorded(train_part, cfg):
-            cols, lexicon = fit_features(train_part, cfg)
+            cols, lexicon, X = fit(train_part, cfg)
             fits.append((tuple(train_part.keys[c] for c in cols.tolist()), lexicon,
                          train_part.words))
-            return cols, lexicon
-        monkeypatch.setattr(model_module, "_fit_features", recorded)
+            return cols, lexicon, X
+        monkeypatch.setattr(model_module, "_fit", recorded)
         runs = []
         for c in (corpus, mutated):
             fits.clear()
@@ -520,7 +520,7 @@ class TestMatrixScoring:
     def test_cv_test_folds(self, monkeypatch):
         """Both ablation arms score each test fold as the reference encoder
         does with that arm's with_switching."""
-        recorded = {"_fit_features": [], "train": [], "evaluate": []}
+        recorded = {"_fit": [], "train": [], "evaluate": []}
 
         def recording(name):
             original = getattr(model_module, name)
@@ -537,7 +537,7 @@ class TestMatrixScoring:
         assert [len(calls) for calls in recorded.values()] == [4, 8, 8]
         folds = fold_indices(len(corpus), 4, 13)
         for i, (_, test_rows) in enumerate(folds):
-            (train_part, _), (cols, lexicon) = recorded["_fit_features"][i]
+            (train_part, _), (cols, lexicon, _) = recorded["_fit"][i]
             vocab = tuple(train_part.keys[c] for c in cols.tolist())
             test = corpus.subset(corpus[r] for r in test_rows)
             for j, arm in enumerate(arms):

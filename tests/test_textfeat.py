@@ -16,7 +16,6 @@ from codeswitch.textfeat import (
     SparseMatrix,
     build_vocabulary,
     _chi2,
-    _feature_sort_key,
     chi2_scores,
     chi2_select,
     extract_features,
@@ -197,12 +196,19 @@ class TestExtractExact:
 
 
 class TestFeaturize:
+    def test_kind_order_is_sorted(self):
+        # Columns are the keys in their own sorted order.  Bundles written
+        # when columns were sorted by the index of their kind in KIND_ORDER
+        # still load and give the same columns because that index order is
+        # the sorted order.
+        assert list(KIND_ORDER) == sorted(KIND_ORDER)
+
     def test_rows_hold_the_extracted_counts(self):
         c = balanced_four_corpus()
         kinds = frozenset({"char_ngram", "word_ngram"})
         matrix = featurize(c, kinds, NGRAM_SIZES)
         keys = matrix.keys
-        assert list(keys) == sorted(keys, key=_feature_sort_key)
+        assert list(keys) == sorted(keys)
         assert matrix.labels.tolist() == [u.label for u in c]
         for r, u in enumerate(c):
             row = matrix.take([r])
@@ -409,11 +415,11 @@ class TestChi2:
                                label=i % 2, uid=str(i)) for i in range(30)))
         matrix, cols = unigram_fit(c)
         scores = chi2_by_key(matrix, cols)
-        ranked = sorted(keys_of(matrix, cols), key=lambda f: (-scores[f], _feature_sort_key(f)))
+        ranked = sorted(keys_of(matrix, cols), key=lambda f: (-scores[f], f))
         assert len(set(scores.values())) < len(cols) // 2  # many ties
         for k in (1, 7, 20):
             assert keys_of(matrix, chi2_select(matrix, cols, k=k)) == \
-                tuple(sorted(ranked[:k], key=_feature_sort_key))
+                tuple(sorted(ranked[:k]))
 
     def test_k_larger_than_vocab_warns(self):
         matrix, cols = unigram_fit(balanced_four_corpus())
