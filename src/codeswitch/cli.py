@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 from codeswitch import stats as stats_mod
 from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig,
                                check_tau)
-from codeswitch.corpus import load_corpus, serialize_tagged_line
+from codeswitch.corpus import load_corpus, read_lines, serialize_tagged_line
 from codeswitch.preprocess import PreprocessConfig
 from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
 
@@ -53,16 +53,22 @@ def _write_output(path: str | None, text: str, *more: tuple[str, str]) -> None:
     """Write text to path, or to stdout when path is None, and each
     (path, text) of more to its path.  Every text goes to a temporary file
     beside its target first, and the files are renamed only once all are
-    written, so an error leaves every target as it was.  Each file gets the
-    mode open() would give it, not mkstemp's 0600."""
+    written, so an error leaves every target as it was.  Targets that
+    resolve to one file are an error raised before any is written.  Each
+    file gets the mode open() would give it, not mkstemp's 0600."""
     if path is None:
         sys.stdout.write(text)
         return
+    outputs = ((path, text), *more)
+    real = [os.path.realpath(target) for target, _ in outputs]
+    for (target, _), resolved in zip(outputs, real):
+        if real.count(resolved) > 1:
+            raise ValueError(f"{target}: one file named for two outputs")
     umask = os.umask(0)  # reading the umask sets it, so set it back at once
     os.umask(umask)
     staged: list[tuple[str, str]] = []  # (temporary file, target)
     try:
-        for path, text in ((path, text), *more):
+        for path, text in outputs:
             if os.path.isdir(path):  # caught here, not by a rename after others are done
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             target = Path(path)
@@ -139,12 +145,12 @@ def _is_strs(value) -> bool:
 
 
 def _read_json(path: str):
-    """The JSON document in the file; an error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    """The JSON document in the file, read by read_lines; an error names it."""
+    text = "".join(read_lines(path))
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a too-long integer is a plain ValueError
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _load_pipeline_bundle(path: str

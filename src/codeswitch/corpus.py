@@ -6,11 +6,11 @@ File format (one utterance per line, UTF-8, LF):
 
 where label is 0 or 1 and tag is one of hi / en / rest.  The *last*
 underscore in each token delimits the tag, so surfaces may themselves
-contain underscores.  Blank lines are skipped.  load_corpus reads a
-corpus, normalizing it under a codeswitch.preprocess.PreprocessConfig
-when given one, in one pass that parses, checks and normalizes each
-distinct raw token once; serialize_tagged_line writes one utterance as a
-line.
+contain underscores.  Blank lines are skipped.  read_lines reads every
+input file of the package.  load_corpus reads a corpus, normalizing it
+under a codeswitch.preprocess.PreprocessConfig when given one, in one
+pass that parses, checks and normalizes each distinct raw token once;
+serialize_tagged_line writes one utterance as a line.
 """
 
 from __future__ import annotations
@@ -147,14 +147,25 @@ def serialize_tagged_line(utterance: LabeledUtterance) -> str:
     return f"{utterance.label}\t{body}"
 
 
+def read_lines(source: Union[str, Path, IO[str]]) -> Iterator[str]:
+    """The lines of an open text stream, or of a path read as UTF-8 less a
+    leading byte-order mark; bytes not UTF-8 raise ValueError naming it."""
+    named = f"{source}: " if isinstance(source, (str, Path)) else ""
+    try:
+        with open(source, "r", encoding="utf-8-sig") if named else nullcontext(source) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{named}not valid UTF-8: {exc.reason}") from None
+
+
 def load_corpus(source: Union[str, Path, IO[str]],
                 preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
     """Load a tagged-line corpus from a path or open text stream, each
     token normalized under preprocess unless it is None.
 
-    Ids are assigned as 0-based ordinals over non-blank lines; blank lines
-    are skipped.  An empty corpus is an error, and so are bytes that are
-    not UTF-8; every error of a path names it.  Each distinct raw token is
+    The lines come from read_lines.  Ids are assigned as 0-based ordinals
+    over non-blank lines; blank lines are skipped.  An empty corpus is an
+    error; every error of a path names it.  Each distinct raw token is
     parsed, checked and normalized once per call, so every occurrence of it
     becomes the same Token objects.  An utterance that preprocessing leaves
     empty keeps its id unused and is dropped with a warning once the whole
@@ -165,24 +176,21 @@ def load_corpus(source: Union[str, Path, IO[str]],
         from codeswitch.preprocess import normalize_token  # preprocess imports this module
     kept, dropped = [], []
     interned: dict[str, tuple[Token, ...]] = {}  # raw token -> the tokens it becomes
+    lines = ((n, line) for n, line in enumerate(read_lines(source), start=1) if line.strip())
     try:
-        with open(source, "r", encoding="utf-8") if named else nullcontext(source) as fh:
-            lines = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
-            for uid, (line_number, line) in enumerate(lines):
-                where = f"line {line_number}: "
-                label, raw_tokens = _split_line(line, where)
-                for raw in raw_tokens:
-                    if raw not in interned:
-                        token = _parse_token(raw, where)
-                        interned[raw] = (normalize_token(token, preprocess) if preprocess
-                                         else (token,))
-                tokens = tuple(chain.from_iterable(map(interned.__getitem__, raw_tokens)))
-                if tokens:
-                    kept.append(LabeledUtterance(tokens, label, str(uid)))
-                else:
-                    dropped.append(uid)
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{named}not valid UTF-8: {exc.reason}") from None
+        for uid, (line_number, line) in enumerate(lines):
+            where = f"line {line_number}: "
+            label, raw_tokens = _split_line(line, where)
+            for raw in raw_tokens:
+                if raw not in interned:
+                    token = _parse_token(raw, where)
+                    interned[raw] = (normalize_token(token, preprocess) if preprocess
+                                     else (token,))
+            tokens = tuple(chain.from_iterable(map(interned.__getitem__, raw_tokens)))
+            if tokens:
+                kept.append(LabeledUtterance(tokens, label, str(uid)))
+            else:
+                dropped.append(uid)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{named}{exc}") from None
     for uid in dropped:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from codeswitch.config import PipelineConfig, TrainConfig, check_tau
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices
+from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices, read_lines
 from codeswitch.switching import N_FEATURES
 from codeswitch.textfeat import (
     FeatureKey,
@@ -211,7 +211,7 @@ def macro_f1(predictions: Sequence[int], gold: Sequence[int]) -> EvalReport:
 
 def subsample_negatives(corpus: LabeledCorpus,
                         scorer: Callable[[LabeledUtterance], float],
-                        tau: float = 0.001) -> LabeledCorpus:
+                        tau: float) -> LabeledCorpus:
     """Drop negatives the scorer finds easy (probability < tau).
 
     All positives are kept; order is preserved; idempotent for a fixed
@@ -286,7 +286,7 @@ class CVResult:
 
 
 def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequence[Sequence[int]],
-                        k: int = 10, seed: int = 13) -> tuple[CVResult, ...]:
+                        k: int, seed: int) -> tuple[CVResult, ...]:
     """k-fold cross-validation with all feature fitting on train folds, one
     CVResult per arm: the distinct switching-column indices, in SwitchProfile
     order, that its model sees, () being none and range(N_FEATURES) all.
@@ -338,10 +338,9 @@ def format_model(model: LinearModel) -> str:
 
 def load_model(path: Union[str, Path],
                expected_dim: int | None = None) -> LinearModel:
-    """Read a format_model file; every error names the file, and the line
-    where one line is at fault."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a format_model file through codeswitch.corpus.read_lines; every
+    error names the file, and the line where one line is at fault."""
+    lines = "".join(read_lines(path)).splitlines()
     if not lines or not lines[0].startswith(MODEL_MAGIC):
         raise ValueError(f"not a model file: {path}")
     version = lines[0].split()[-1]

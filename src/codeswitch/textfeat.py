@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence, Sized, Union
 import numpy as np
 
 from codeswitch.config import checked_kinds
-from codeswitch.corpus import LabeledCorpus, POSITIVE, Token
+from codeswitch.corpus import LabeledCorpus, POSITIVE, Token, read_lines
 from codeswitch.switching import N_FEATURES, switching_features
 
 # Word n-gram joiner.  A surface holding it could make a word n-gram's key
@@ -223,7 +223,7 @@ def chi2_scores(matrix: FeatureMatrix, cols: np.ndarray) -> np.ndarray:
     return np.array(scores, dtype=np.float64)[inverse]
 
 
-def chi2_select(matrix: FeatureMatrix, cols: np.ndarray, k: int = 500) -> np.ndarray:
+def chi2_select(matrix: FeatureMatrix, cols: np.ndarray, k: int) -> np.ndarray:
     """The k of the ascending column ids cols whose features score highest
     over the rows of the matrix (ties by key order), in ascending order."""
     if k < 1:
@@ -256,18 +256,10 @@ def indicative_scores(matrix: FeatureMatrix, floor: float = 0.0) -> dict[str, fl
 
 
 def load_wordlist(path: Union[str, Path]) -> frozenset[str]:
-    """One bare token per line; blank lines and '#' comments skipped.
-    Bytes that are not UTF-8 are an error naming the file."""
-    words = set()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                word = line.split("\t")[0].strip()
-                if word and not word.startswith("#"):
-                    words.add(word.lower())
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from None
-    return frozenset(words)
+    """The words of a file read by read_lines, one per line, lowercased;
+    blank lines and '#' comments skipped."""
+    words = (line.split("\t")[0].strip() for line in read_lines(path))
+    return frozenset(w.lower() for w in words if w and not w.startswith("#"))
 
 
 def vector_dim(vocab: Sized, with_switching: bool) -> int:

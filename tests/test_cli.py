@@ -140,6 +140,21 @@ class TestStats:
         assert capsys.readouterr().err == (
             f"error: {words}: not valid UTF-8: invalid start byte\n")
 
+    def test_byte_order_mark_of_a_corpus_is_dropped(self, tiny_corpus_file, tmp_path):
+        bom = tmp_path / "bom" / "tiny.txt"  # the same stem, so the same header
+        bom.parent.mkdir()
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(tiny_corpus_file).read_bytes())
+        outputs = []
+        for path in (tiny_corpus_file, str(bom)):
+            assert run(["stats", path, "-o", path + ".tsv"]) == 0
+            outputs.append(Path(path + ".tsv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_byte_order_mark_of_a_word_list_is_dropped(self, tmp_path):
+        words = tmp_path / "negation.txt"
+        words.write_bytes(b"\xef\xbb\xbfno\nnahi\n")
+        assert textfeat.load_wordlist(words) == {"no", "nahi"}
+
 
 @pytest.mark.parametrize("lines", [None, [PAPER_LINE, ALL_HI_LINE], [PAPER_LINE]],
                          ids=["synthetic", "paper", "positive-only"])
@@ -331,6 +346,24 @@ def test_train_writes_both_outputs_or_neither(bundle, code, earlier, synth_file,
     assert sorted(tmp_path.rglob("*")) == files
     if earlier is not None:
         assert (tmp_path / "m.txt").read_text() == earlier
+
+
+@pytest.mark.parametrize("bundle", ["m.txt", "./m.txt", "out/../m.txt", "link.txt"])
+def test_train_rejects_one_file_for_both_outputs(bundle, synth_file, tmp_path, monkeypatch,
+                                                 capsys):
+    """Two output paths that resolve to one file fail train before any file
+    is written, naming the path: the model would otherwise be overwritten
+    by the bundle."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "m.txt").write_text("an earlier model\n")
+    (tmp_path / "link.txt").symlink_to("m.txt")
+    files = sorted(tmp_path.rglob("*"))
+    assert run(["train", synth_file, "--model-out", "m.txt", "--pipeline-out", bundle,
+                *UNIGRAMS, "--chi2-k", "0"]) == 1
+    assert capsys.readouterr().err == "error: m.txt: one file named for two outputs\n"
+    assert sorted(tmp_path.rglob("*")) == files
+    assert (tmp_path / "m.txt").read_text() == "an earlier model\n"
 
 
 def _run_cli(*argv, **variables):
@@ -680,6 +713,13 @@ BAD_INPUTS = {
     "config string for an integer": ("config.json", lambda text: '{"seed": "x"}'),
     "config string for a switch": ("config.json", lambda text: '{"with_switching": "no"}'),
     "config NaN for a float": ("config.json", lambda text: '{"tol": NaN}'),
+    # json raises a plain ValueError, not a JSONDecodeError, for too long an integer
+    "config holding a 5,000-digit integer": ("config.json",
+                                            lambda text: '{"seed": ' + "9" * 5000 + "}"),
+    # a bytes result is written as it is, a str one as UTF-8
+    "model not UTF-8": ("model.txt", lambda text: text.encode() + b"\xff\n"),
+    "bundle not UTF-8": ("pipeline.json", lambda text: text.encode().replace(b"version", b"\xff")),
+    "config not UTF-8": ("config.json", lambda text: b'{"seed": "\xff"}'),
 }
 
 
@@ -766,9 +806,10 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
         if corrupt is None:
             target.unlink()
         else:
-            good = target.read_text()
-            target.write_text(corrupt(good))
-            assert target.read_text() != good
+            good = target.read_bytes()
+            bad = corrupt(good.decode())
+            target.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
+            assert target.read_bytes() != good
     capsys.readouterr()
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -798,8 +839,10 @@ def test_bad_input_exits_cleanly(case, synth_file, tmp_path, monkeypatch, capsys
                            "expected 'max_iter M tol T l2 L'\n")
         if case == "model format v1":
             assert err == f"error: {model}: unsupported model format version v1\n"
-    if "not JSON" in case or "nested" in case:
+    if "not JSON" in case or "nested" in case or "digit" in case:
         assert err.startswith(f"error: {target}: not valid JSON")
+    if "not UTF-8" in case:
+        assert err == f"error: {target}: not valid UTF-8: invalid start byte\n"
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])

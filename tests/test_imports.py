@@ -5,7 +5,9 @@ A name counts as used when the module reads it anywhere, in code or in a
 string annotation, or lists it in __all__.  A definition counts as named
 when a package or bench/ module reads it, as a name, an attribute or an
 imported name, outside the definition itself, or an __all__ lists it.
-Only the standard library's ast is used, so the checks need no linter."""
+The package calls the builtin open in one place, corpus.read_lines, so
+every input file is decoded the same way.  Only the standard library's
+ast is used, so the checks need no linter."""
 
 import ast
 from pathlib import Path
@@ -107,3 +109,30 @@ def test_every_package_definition_is_named(path):
     others = [p.read_text(encoding="utf-8")
               for p in [*PACKAGE, *sorted((ROOT / "bench").glob("*.py"))] if p != path]
     assert unnamed_definitions(path.read_text(encoding="utf-8"), others) == []
+
+
+def open_calls(source: str) -> list[str]:
+    """The top-level definition around each call of the builtin open in
+    source, "<module>" for a call outside any, in the order of the
+    definitions."""
+    return [getattr(node, "name", "<module>") for node in ast.parse(source).body
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "open"]
+
+
+def test_the_check_finds_open_calls():
+    source = '''
+open("a")
+def reader(p):
+    with open(p) as fh, io.open(p) as other:
+        return [open(q) for q in fh]
+class Writer:
+    def write(self): os.fdopen(3, "w"); open("b", "w")
+'''
+    assert open_calls(source) == ["<module>", "reader", "reader", "Writer"]
+
+
+def test_the_package_opens_files_only_in_read_lines():
+    calls = [f"{path.stem}.{name}" for path in PACKAGE
+             for name in open_calls(path.read_text(encoding="utf-8"))]
+    assert calls == ["corpus.read_lines"]
