@@ -53,17 +53,12 @@ def _write_output(path: str | None, text: str, *more: tuple[str, str]) -> None:
     """Write text to path, or to stdout when path is None, and each
     (path, text) of more to its path.  Every text goes to a temporary file
     beside its target first, and the files are renamed only once all are
-    written, so an error leaves every target as it was.  Targets that
-    resolve to one file are an error raised before any is written.  Each
-    file gets the mode open() would give it, not mkstemp's 0600."""
+    written, so an error leaves every target as it was.  Each file gets
+    the mode open() would give it, not mkstemp's 0600."""
     if path is None:
         sys.stdout.write(text)
         return
     outputs = ((path, text), *more)
-    real = [os.path.realpath(target) for target, _ in outputs]
-    for (target, _), resolved in zip(outputs, real):
-        if real.count(resolved) > 1:
-            raise ValueError(f"{target}: one file named for two outputs")
     umask = os.umask(0)  # reading the umask sets it, so set it back at once
     os.umask(umask)
     staged: list[tuple[str, str]] = []  # (temporary file, target)
@@ -258,6 +253,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     from codeswitch.model import fit_pipeline, format_model
+    if os.path.realpath(args.model_out) == os.path.realpath(args.pipeline_out):
+        raise ValueError(f"{args.model_out}: one file named for two outputs")
     cfg = _pipeline_config(args)
     corpus = load_corpus(args.input, args.preprocess)
     pipeline = fit_pipeline(corpus, cfg)
@@ -304,7 +301,8 @@ def cmd_cv(args) -> int:
         arm = every if cfg.with_switching else ()
         result = cross_validate_arms(corpus, cfg, (arm,), args.k, args.seed)[0]
         doc = _cv_dict(result)
-        lines = ["fold\tmacro_f1", *(f"{i}\t{r.macro_f1!r}" for i, r in enumerate(result.reports)),
+        kept = [i for i in range(args.k) if i not in result.skipped_folds]  # each report's fold
+        lines = ["fold\tmacro_f1", *(f"{i}\t{r.macro_f1!r}" for i, r in zip(kept, result.reports)),
                  f"mean\t{result.mean_macro_f1!r}"]
 
     text = "\n".join(lines) if args.format == "tsv" else json.dumps(doc, sort_keys=True)

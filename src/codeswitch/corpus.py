@@ -6,10 +6,13 @@ File format (one utterance per line, UTF-8, LF):
 
 where label is 0 or 1 and tag is one of hi / en / rest.  The *last*
 underscore in each token delimits the tag, so surfaces may themselves
-contain underscores.  Blank lines are skipped.  read_lines reads every
-input file of the package.  load_corpus reads a corpus, normalizing it
-under a codeswitch.preprocess.PreprocessConfig when given one, in one
-pass that parses, checks and normalizes each distinct raw token once;
+contain underscores.  A line ends at its LF alone, so a CR, such as a
+CRLF file's, is whitespace within the line.  Blank lines are skipped.
+
+read_lines reads every input file of the package.  load_corpus, the one
+parser of the format, reads a corpus file, normalizing it under a
+codeswitch.preprocess.PreprocessConfig when given one, in one pass that
+parses, checks and normalizes each distinct raw token once;
 serialize_tagged_line writes one utterance as a line.
 """
 
@@ -17,11 +20,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from codeswitch.preprocess import PreprocessConfig
@@ -33,7 +35,7 @@ NEGATIVE = 0
 
 
 class CorpusFormatError(ValueError):
-    """Raised when a tagged-corpus line or stream cannot be parsed."""
+    """Raised when a tagged-corpus file, or a line of it, cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -102,19 +104,6 @@ class LabeledCorpus:
         return LabeledCorpus(tuple(utterances))
 
 
-def parse_tagged_line(line: str, line_number: int | None = None) -> LabeledUtterance:
-    """Parse one `<label> TAB <token>_<tag> ...` line into an utterance.
-
-    Its id is the line number, or "0" without one.  Raises
-    CorpusFormatError naming the line number (when given) and the offending
-    token on malformed input.
-    """
-    where = f"line {line_number}: " if line_number is not None else ""
-    label, raw_tokens = _split_line(line, where)
-    uid = "0" if line_number is None else str(line_number)
-    return LabeledUtterance(tuple(_parse_token(raw, where) for raw in raw_tokens), label, uid)
-
-
 def _split_line(line: str, where: str) -> tuple[int, list[str]]:
     """The label and the raw tokens of a line; where prefixes its errors."""
     if "\t" not in line:
@@ -142,41 +131,40 @@ def _parse_token(raw: str, where: str) -> Token:
 
 
 def serialize_tagged_line(utterance: LabeledUtterance) -> str:
-    """Inverse of parse_tagged_line (modulo the id)."""
+    """The tagged line of an utterance, without its id or a newline:
+    load_corpus reads it back as the same tokens and label."""
     body = " ".join(f"{t.surface}_{t.tag}" for t in utterance.tokens)
     return f"{utterance.label}\t{body}"
 
 
-def read_lines(source: Union[str, Path, IO[str]]) -> Iterator[str]:
-    """The lines of an open text stream, or of a path read as UTF-8 less a
-    leading byte-order mark; bytes not UTF-8 raise ValueError naming it."""
-    named = f"{source}: " if isinstance(source, (str, Path)) else ""
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of the file at path, read as UTF-8 less a leading
+    byte-order mark, each ending at an LF, which it keeps; a CR is left in
+    its line.  Bytes not UTF-8 raise ValueError naming the file."""
     try:
-        with open(source, "r", encoding="utf-8-sig") if named else nullcontext(source) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
             yield from fh
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{named}not valid UTF-8: {exc.reason}") from None
+        raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
-def load_corpus(source: Union[str, Path, IO[str]],
-                preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
-    """Load a tagged-line corpus from a path or open text stream, each
-    token normalized under preprocess unless it is None.
+def load_corpus(path: str | Path, preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
+    """Load the tagged-line corpus file at path, each token normalized
+    under preprocess unless it is None.
 
     The lines come from read_lines.  Ids are assigned as 0-based ordinals
     over non-blank lines; blank lines are skipped.  An empty corpus is an
-    error; every error of a path names it.  Each distinct raw token is
-    parsed, checked and normalized once per call, so every occurrence of it
+    error; every error names the file.  Each distinct raw token is parsed,
+    checked and normalized once per call, so every occurrence of it
     becomes the same Token objects.  An utterance that preprocessing leaves
     empty keeps its id unused and is dropped with a warning once the whole
-    source has parsed; a corpus left with no utterance is an error.
+    file has parsed; a corpus left with no utterance is an error.
     """
-    named = f"{source}: " if isinstance(source, (str, Path)) else ""
     if preprocess is not None:
         from codeswitch.preprocess import normalize_token  # preprocess imports this module
     kept, dropped = [], []
     interned: dict[str, tuple[Token, ...]] = {}  # raw token -> the tokens it becomes
-    lines = ((n, line) for n, line in enumerate(read_lines(source), start=1) if line.strip())
+    lines = ((n, line) for n, line in enumerate(read_lines(path), start=1) if line.strip())
     try:
         for uid, (line_number, line) in enumerate(lines):
             where = f"line {line_number}: "
@@ -192,11 +180,11 @@ def load_corpus(source: Union[str, Path, IO[str]],
             else:
                 dropped.append(uid)
     except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{named}{exc}") from None
+        raise CorpusFormatError(f"{path}: {exc}") from None
     for uid in dropped:
-        warnings.warn(f"{named}utterance {uid} empty after preprocessing; dropped")
+        warnings.warn(f"{path}: utterance {uid} empty after preprocessing; dropped")
     if not kept:
-        raise CorpusFormatError(f"{named}empty corpus{' after preprocessing' if dropped else ''}")
+        raise CorpusFormatError(f"{path}: empty corpus{' after preprocessing' if dropped else ''}")
     return LabeledCorpus(tuple(kept))
 
 

@@ -17,6 +17,9 @@ from typing import Sequence
 
 from codeswitch.corpus import Token
 
+__all__ = ["N_FEATURES", "SwitchProfile", "SwitchVectors", "has_embedding_property",
+           "lang_run_vectors", "switch_counts", "switching_features"]
+
 
 @dataclass(frozen=True)
 class SwitchVectors:

@@ -20,7 +20,7 @@ from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
     Token,
-    parse_tagged_line,
+    load_corpus,
     serialize_tagged_line,
 )
 from codeswitch.model import (
@@ -42,9 +42,11 @@ def ok(n, message):
     print(f"ACCEPTANCE {n}: PASS ({message})")
 
 
-def test_01_golden_worked_example():
+def test_01_golden_worked_example(tmp_path):
     start = time.monotonic()
-    tokens = parse_tagged_line(PAPER_LINE).tokens
+    path = tmp_path / "paper.txt"
+    path.write_text(PAPER_LINE + "\n", encoding="utf-8")
+    tokens = load_corpus(path)[0].tokens
     features = switching_features(tokens).as_tuple()
     expected = (1, 1, 2, 0.142857, 0.857143, 0.285714, 0.699854, 0.571429, 0.494872)
     assert features == pytest.approx(expected, abs=1e-6)

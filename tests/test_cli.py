@@ -366,6 +366,33 @@ def test_train_rejects_one_file_for_both_outputs(bundle, synth_file, tmp_path, m
     assert (tmp_path / "m.txt").read_text() == "an earlier model\n"
 
 
+def test_train_checks_its_outputs_before_reading_any_input(synth_file, tmp_path, monkeypatch,
+                                                           capsys):
+    """One file named for both outputs fails train before the corpus or
+    the negation file is read, with the one error line."""
+    def unread(*args):
+        raise AssertionError("load_corpus was called")
+
+    monkeypatch.setattr("codeswitch.cli.load_corpus", unread)
+    monkeypatch.chdir(tmp_path)
+    assert run(["train", synth_file, "--model-out", "same", "--pipeline-out", "./same",
+                "--negation-file", "missing.txt"]) == 1
+    assert capsys.readouterr().err == "error: same: one file named for two outputs\n"
+    assert not (tmp_path / "same").exists()
+
+
+def _single_class_folds_corpus(path, n, k, seed, single):
+    """path, written with an n-utterance corpus whose k-fold split under
+    seed has the test rows of each fold in single all negative, and of
+    every other fold both classes."""
+    labels = {r: 0 if fold in single else i % 2
+              for fold, (_, test) in enumerate(fold_indices(n, k, seed))
+              for i, r in enumerate(test)}
+    path.write_text("".join(f"{labels[r]}\tw{r}_hi x{r % 3}_en koi_hi\n" for r in range(n)),
+                    encoding="utf-8")
+    return path
+
+
 def _run_cli(*argv, **variables):
     """The CLI run in a subprocess, as a user runs it: its exit status and stderr."""
     result = subprocess.run([sys.executable, "-m", "codeswitch.cli", *argv],
@@ -385,12 +412,7 @@ def test_warnings_reach_stderr_as_one_line_each(synth_file, tmp_path):
                         r"feature dim \d+\n", err)
     # fold 0's test rows are all negative, so cv skips that fold and warns once
     n, k, seed = 12, 4, 13
-    folds = fold_indices(n, k, seed)
-    labels = {r: 0 if fold == 0 else i % 2 for fold, (_, test) in enumerate(folds)
-              for i, r in enumerate(test)}
-    corpus = tmp_path / "folds.txt"
-    corpus.write_text("".join(f"{labels[r]}\tw{r}_hi x{r % 3}_en koi_hi\n" for r in range(n)),
-                      encoding="utf-8")
+    corpus = _single_class_folds_corpus(tmp_path / "folds.txt", n, k, seed, {0})
     status, err = _run_cli("cv", str(corpus), "--k", str(k), "--seed", str(seed),
                            "--chi2-k", "0", "-o", str(tmp_path / "cv.json"))
     assert (status, err) == (0, "warning: fold 0 has a single class; excluded\n")
@@ -548,6 +570,22 @@ class TestCV:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "fold\tmacro_f1"
         assert lines[-1].startswith("mean\t")
+
+    def test_tsv_rows_carry_their_own_fold_index(self, tmp_path, capsys):
+        """Folds 0 and 2 hold one class each, so the TSV rows are folds 1,
+        3 and 4, the folds the warnings and the JSON skipped_folds leave."""
+        n, k, seed = 15, 5, 13
+        corpus = _single_class_folds_corpus(tmp_path / "folds.txt", n, k, seed, {0, 2})
+        args = ["cv", str(corpus), "--k", str(k), "--seed", str(seed), "--chi2-k", "0"]
+        assert run([*args, "--format", "tsv"]) == 0
+        tsv = capsys.readouterr()
+        assert tsv.err == ("warning: fold 0 has a single class; excluded\n"
+                           "warning: fold 2 has a single class; excluded\n")
+        assert run(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["skipped_folds"] == [0, 2]
+        rows = [line.split("\t") for line in tsv.out.splitlines()[1:-1]]
+        assert rows == [[str(i), repr(f["macro_f1"])] for i, f in zip([1, 3, 4], doc["folds"])]
 
 
 @pytest.mark.parametrize("flag, value", [("--max-iter", "x"), ("--tol", "nan"),

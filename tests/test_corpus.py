@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +8,22 @@ from codeswitch.corpus import (
     Token,
     fold_indices,
     load_corpus,
-    parse_tagged_line,
     serialize_tagged_line,
 )
 
 LINE_POS = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
 LINE_NEG = "0\tbumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi"
+
+
+def load_text(path, text):
+    """The corpus load_corpus reads from a file at path holding text."""
+    path.write_text(text, encoding="utf-8")
+    return load_corpus(path)
+
+
+def load_line(tmp_path, line):
+    """The one utterance of a corpus file holding line."""
+    return load_text(tmp_path / "line.txt", line + "\n")[0]
 
 
 def make_corpus(n):
@@ -25,41 +33,41 @@ def make_corpus(n):
 
 
 class TestParseTaggedLine:
-    def test_positive_example(self):
-        u = parse_tagged_line(LINE_POS)
+    def test_positive_example(self, tmp_path):
+        u = load_line(tmp_path, LINE_POS)
         assert len(u.tokens) == 7
         assert [t.tag for t in u.tokens] == ["hi", "hi", "en", "hi", "hi", "hi", "hi"]
         assert u.label == 1
 
-    def test_negative_example(self):
-        u = parse_tagged_line(LINE_NEG)
+    def test_negative_example(self, tmp_path):
+        u = load_line(tmp_path, LINE_NEG)
         assert len(u.tokens) == 8
         assert all(t.tag == "hi" for t in u.tokens)
         assert u.label == 0
 
-    def test_empty_token_list(self):
+    def test_empty_token_list(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="empty token list"):
-            parse_tagged_line("1\t")
+            load_line(tmp_path, "1\t")
 
-    def test_bad_label(self):
+    def test_bad_label(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="label"):
-            parse_tagged_line("2\ta_hi")
+            load_line(tmp_path, "2\ta_hi")
 
-    def test_unknown_tag(self):
+    def test_unknown_tag(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="unknown tag"):
-            parse_tagged_line("1\ta_fr")
+            load_line(tmp_path, "1\ta_fr")
 
-    def test_missing_underscore(self):
+    def test_missing_underscore(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="underscore"):
-            parse_tagged_line("1\tplaintoken")
+            load_line(tmp_path, "1\tplaintoken")
 
-    def test_last_underscore_splits_tag(self):
-        u = parse_tagged_line("1\ta_b_hi")
+    def test_last_underscore_splits_tag(self, tmp_path):
+        u = load_line(tmp_path, "1\ta_b_hi")
         assert u.tokens[0] == Token("a_b", "hi")
 
-    def test_error_names_line_number(self):
+    def test_error_names_line_number(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="line 7"):
-            parse_tagged_line("1\tx_fr", line_number=7)
+            load_line(tmp_path, "\n" * 6 + "1\tx_fr")  # blank lines count
 
 
 class TestToken:
@@ -74,31 +82,42 @@ class TestToken:
 
 
 class TestLoadCorpus:
-    def test_two_lines(self):
-        corpus = load_corpus(io.StringIO(LINE_POS + "\n" + LINE_NEG + "\n"))
+    def test_two_lines(self, tmp_path):
+        corpus = load_text(tmp_path / "c.txt", LINE_POS + "\n" + LINE_NEG + "\n")
         assert len(corpus) == 2
         assert corpus[0].label == 1 and corpus[1].label == 0
 
-    def test_blank_line_skipped_ids_dense(self):
-        corpus = load_corpus(io.StringIO(LINE_POS + "\n\n" + LINE_NEG + "\n"))
+    def test_blank_line_skipped_ids_dense(self, tmp_path):
+        corpus = load_text(tmp_path / "c.txt", LINE_POS + "\n\n" + LINE_NEG + "\n")
         assert len(corpus) == 2
         assert [u.id for u in corpus] == ["0", "1"]
 
-    def test_malformed_line_cites_line_number(self):
-        stream = io.StringIO(LINE_POS + "\n" + LINE_NEG + "\nbroken\n")
+    def test_malformed_line_cites_line_number(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="line 3"):
-            load_corpus(stream)
+            load_text(tmp_path / "c.txt", LINE_POS + "\n" + LINE_NEG + "\nbroken\n")
 
-    def test_empty_corpus_is_error(self):
+    def test_empty_corpus_is_error(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="empty corpus"):
-            load_corpus(io.StringIO("\n\n"))
+            load_text(tmp_path / "c.txt", "\n\n")
 
-    def test_one_token_per_distinct_raw_token(self, monkeypatch):
+    def test_lines_end_at_lf_only(self, tmp_path):
+        """A carriage return inside a line is whitespace between tokens,
+        not the end of the line, and a CRLF file reads as its LF copy."""
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"1\tfoo_en\rbar_hi baz_hi\n0\tqux_hi\n")
+        corpus = load_corpus(path)
+        assert [u.label for u in corpus] == [1, 0]
+        assert corpus[0].tokens == (Token("foo", "en"), Token("bar", "hi"), Token("baz", "hi"))
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_corpus(crlf) == corpus
+
+    def test_one_token_per_distinct_raw_token(self, monkeypatch, tmp_path):
         built = []
         check = Token.__post_init__
         monkeypatch.setattr(Token, "__post_init__", lambda t: (built.append(t), check(t))[1])
         lines = [LINE_POS, LINE_NEG, "0\tkoi_hi koi_en koi_hi bhi_hi"] * 40
-        corpus = load_corpus(io.StringIO("\n".join(lines) + "\n"))
+        corpus = load_text(tmp_path / "c.txt", "\n".join(lines) + "\n")
         raw = [r for line in lines for r in line.partition("\t")[2].split()]
         tokens = [t for u in corpus for t in u.tokens]
         assert [f"{t.surface}_{t.tag}" for t in tokens] == raw
@@ -111,11 +130,12 @@ class TestLoadCorpus:
         ("koi", "token without underscore tag: 'koi'"),
         ("_hi", "empty surface in token '_hi'"),
     ])
-    def test_malformed_token_after_many_lines(self, bad, message):
+    def test_malformed_token_after_many_lines(self, bad, message, tmp_path):
         lines = [LINE_POS, LINE_NEG] * 100 + [f"1\tkoi_hi {bad} to_hi"]
+        path = tmp_path / "c.txt"
         with pytest.raises(CorpusFormatError) as info:
-            load_corpus(io.StringIO("\n".join(lines) + "\n"))
-        assert str(info.value) == f"line 201: {message}"
+            load_text(path, "\n".join(lines) + "\n")
+        assert str(info.value) == f"{path}: line 201: {message}"
 
 
 class TestKFold:
@@ -160,8 +180,9 @@ token = st.builds(Token, surface=surface,
 
 @given(tokens=st.lists(token, min_size=1, max_size=20),
        label=st.sampled_from([0, 1]))
-def test_roundtrip_tagged_line(tokens, label):
+def test_roundtrip_tagged_line(tmp_path_factory, tokens, label):
     u = LabeledUtterance(tuple(tokens), label, "0")
-    parsed = parse_tagged_line(serialize_tagged_line(u))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
+    parsed = load_text(path, serialize_tagged_line(u) + "\n")[0]
     assert parsed.tokens == u.tokens
     assert parsed.label == u.label

@@ -6,10 +6,14 @@ string annotation, or lists it in __all__.  A definition counts as named
 when a package or bench/ module reads it, as a name, an attribute or an
 imported name, outside the definition itself, or an __all__ lists it.
 The package calls the builtin open in one place, corpus.read_lines, so
-every input file is decoded the same way.  Only the standard library's
-ast is used, so the checks need no linter."""
+every input file is decoded the same way, and its root imports none of
+its modules.  Only the standard library's ast and a subprocess are used,
+so the checks need no linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +140,13 @@ def test_the_package_opens_files_only_in_read_lines():
     calls = [f"{path.stem}.{name}" for path in PACKAGE
              for name in open_calls(path.read_text(encoding="utf-8"))]
     assert calls == ["corpus.read_lines"]
+
+
+def test_the_package_root_loads_no_module():
+    """import codeswitch loads no codeswitch.* module: every name is
+    imported from the module that defines it."""
+    code = "import sys, codeswitch; print([m for m in sys.modules if m.startswith('codeswitch.')])"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from codeswitch.corpus import Token, parse_tagged_line
+from codeswitch.corpus import Token
 from codeswitch.switching import (
     N_FEATURES,
     has_embedding_property,
@@ -12,10 +12,10 @@ from codeswitch.switching import (
     switching_features,
 )
 
-PAPER_SENTENCE = parse_tagged_line(
-    "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi").tokens
-ALL_HI = parse_tagged_line(
-    "0\tbumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi").tokens
+PAPER_SENTENCE = tuple(Token(*raw.rsplit("_", 1)) for raw in
+                       "koi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi".split())
+ALL_HI = tuple(Token(*raw.rsplit("_", 1)) for raw in
+               "bumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi".split())
 
 
 def toks(tags):
