@@ -61,6 +61,8 @@ CASES = {
     "cv switching tsv": ["cv", "b.txt", "--k", "5", "--with-switching", "--format", "tsv"],
     "cv ablate": ["cv", "a.txt", "--ablate-switching", "-o", "ablate.json"],
     "cv ablate tsv": ["cv", "b.txt", "--k", "5", "--ablate-switching", "--format", "tsv"],
+    "cv ablate skipped folds": ["cv", "b.txt", "--k", "60", "--ablate-switching",
+                                "-o", "ablate_k60.json"],
 }
 
 
