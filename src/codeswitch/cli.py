@@ -38,12 +38,12 @@ from typing import TYPE_CHECKING
 from codeswitch import stats as stats_mod
 from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig,
                                check_tau)
-from codeswitch.corpus import load_corpus, read_lines, serialize_tagged_line
+from codeswitch.corpus import fold_indices, load_corpus, read_lines, serialize_tagged_line
 from codeswitch.preprocess import PreprocessConfig
 from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
 
 if TYPE_CHECKING:
-    from codeswitch.model import CVResult, EvalReport
+    from codeswitch.model import EvalReport
     from codeswitch.textfeat import FeatureKey
 
 PIPELINE_FORMAT_VERSION = 1
@@ -208,14 +208,6 @@ def _report_dict(report: EvalReport) -> dict:
     }
 
 
-def _cv_dict(result: CVResult) -> dict:
-    return {
-        "folds": [_report_dict(r) for r in result.reports],
-        "mean_macro_f1": result.mean_macro_f1,
-        "skipped_folds": list(result.skipped_folds),
-    }
-
-
 # --------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------
@@ -285,25 +277,33 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    from codeswitch.model import cross_validate_arms
+    """Split the corpus into folds, featurize it once, score every row out
+    of fold under each arm (with and without switching when ablating, else
+    the one --with-switching gives), and report each kept fold by index."""
+    from codeswitch.model import cross_validate_arms, fold_reports
+    from codeswitch.textfeat import featurize
+    if args.k < 2:
+        raise ValueError(f"k must be at least 2, got {args.k}")
     cfg = _pipeline_config(args)
     corpus = load_corpus(args.input, args.preprocess)
-
+    folds = fold_indices(len(corpus), args.k, args.seed)
     every = range(N_FEATURES)  # an arm is the switching columns its model sees
+    arms = (every, ()) if args.ablate_switching else (every if cfg.with_switching else (),)
+    matrix = featurize(corpus, cfg.kinds, cfg.n_values, with_switching=any(arms))
+    scores, skipped = cross_validate_arms(matrix, folds, cfg, arms)
+    results = [fold_reports(matrix.labels, folds, z, skipped) for z in scores]
+    docs = [{"folds": [_report_dict(r) for _, r in reports], "mean_macro_f1": mean,
+             "skipped_folds": list(skipped)} for reports, mean in results]
+    means = [mean for _, mean in results]
     if args.ablate_switching:
-        with_sw, without_sw = cross_validate_arms(corpus, cfg, (every, ()), args.k, args.seed)
-        delta = with_sw.mean_macro_f1 - without_sw.mean_macro_f1
-        doc = {"with_switching": _cv_dict(with_sw), "without_switching": _cv_dict(without_sw),
-               "delta_macro_f1": delta}
-        lines = ["variant\tmean_macro_f1", f"with_switching\t{with_sw.mean_macro_f1!r}",
-                 f"without_switching\t{without_sw.mean_macro_f1!r}", f"delta\t{delta!r}"]
+        delta = means[0] - means[1]
+        doc = {"with_switching": docs[0], "without_switching": docs[1], "delta_macro_f1": delta}
+        lines = ["variant\tmean_macro_f1", f"with_switching\t{means[0]!r}",
+                 f"without_switching\t{means[1]!r}", f"delta\t{delta!r}"]
     else:
-        arm = every if cfg.with_switching else ()
-        result = cross_validate_arms(corpus, cfg, (arm,), args.k, args.seed)[0]
-        doc = _cv_dict(result)
-        kept = [i for i in range(args.k) if i not in result.skipped_folds]  # each report's fold
-        lines = ["fold\tmacro_f1", *(f"{i}\t{r.macro_f1!r}" for i, r in zip(kept, result.reports)),
-                 f"mean\t{result.mean_macro_f1!r}"]
+        doc = docs[0]
+        lines = ["fold\tmacro_f1", *(f"{i}\t{r.macro_f1!r}" for i, r in results[0][0]),
+                 f"mean\t{means[0]!r}"]
 
     text = "\n".join(lines) if args.format == "tsv" else json.dumps(doc, sort_keys=True)
     _write_output(args.output, text + "\n")

@@ -1,6 +1,7 @@
 """Logistic classifier over sparse feature matrices, macro-F1 evaluation,
-cross-validation that scores every arm of the switching ablation, a subset
-of its columns, from one feature fit per fold, and negative sub-sampling.
+cross-validation over a featurized matrix and given folds that scores each
+row out of fold under every arm of the switching ablation, a subset of its
+columns, fold_reports of those scores, and negative sub-sampling.
 
 Training minimizes the mean binary cross-entropy with an L2 penalty on the
 weights (bias unpenalized) by line-search Newton-CG from zero, so results
@@ -29,7 +30,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from codeswitch.config import PipelineConfig, TrainConfig, check_tau
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, fold_indices, read_lines
+from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, read_lines
 from codeswitch.switching import N_FEATURES
 from codeswitch.textfeat import (
     FeatureKey,
@@ -278,30 +279,25 @@ def evaluate(proba: np.ndarray, labels: Sequence[int] | np.ndarray) -> EvalRepor
     return macro_f1((proba >= 0.5).astype(int).tolist(), np.asarray(labels).tolist())
 
 
-@dataclass(frozen=True)
-class CVResult:
-    reports: tuple[EvalReport, ...]
-    mean_macro_f1: float
-    skipped_folds: tuple[int, ...]
-
-
-def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequence[Sequence[int]],
-                        k: int, seed: int) -> tuple[CVResult, ...]:
-    """k-fold cross-validation with all feature fitting on train folds, one
-    CVResult per arm: the distinct switching-column indices, in SwitchProfile
-    order, that its model sees, () being none and range(N_FEATURES) all.
-
-    The corpus is featurized once.  Each fold runs _fit once on matrix.take
-    of its train rows and builds one training matrix of its test rows; an
-    arm keeps their vocabulary, special and arm columns (X.T.take(keep).T).
-    Folds whose train or test part contains a single class are skipped with
-    a warning and excluded from the aggregate.
+def cross_validate_arms(matrix: FeatureMatrix, folds: Sequence[tuple[Sequence[int], Sequence[int]]],
+                        cfg: PipelineConfig, arms: Sequence[Sequence[int]]
+                        ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Cross-validation over the matrix rows and the (train, test) folds,
+    with all feature fitting on train rows, for each arm: the distinct
+    switching-column indices, in SwitchProfile order, that its model sees,
+    () being none and range(N_FEATURES) all; a matrix featurized without
+    its switching block takes only ().  Each fold runs _fit once on
+    matrix.take of its train rows and builds one training matrix of its
+    test rows; an arm keeps their vocabulary, special and arm columns
+    (X.T.take(keep).T).  Folds whose train or test part has a single class
+    are skipped with a warning.  Returns the scores X @ w + b, a row per
+    arm and a column per matrix row, each from the fold testing that row
+    and NaN in a skipped fold, and the tuple of skipped folds.
     """
-    if any(len(set(arm)) < len(arm) or not set(arm) <= set(range(N_FEATURES)) for arm in arms):
-        raise ValueError(f"arms must be distinct indices in range({N_FEATURES}), got {arms}")
-    folds = fold_indices(len(corpus), k, seed)
-    matrix = featurize(corpus, cfg.kinds, cfg.n_values, with_switching=any(arms))
-    reports: list[list[EvalReport]] = [[] for _ in arms]
+    width = 0 if matrix.switching is None else N_FEATURES
+    if any(len(set(arm)) < len(arm) or not set(arm) <= set(range(width)) for arm in arms):
+        raise ValueError(f"arms must be distinct indices in range({width}), got {arms}")
+    scores = np.full((len(arms), len(matrix.labels)), np.nan)
     skipped: list[int] = []
     for fold_index, (train_rows, test_rows) in enumerate(folds):
         if any(len(set(matrix.labels[rows].tolist())) < 2 for rows in (train_rows, test_rows)):
@@ -311,15 +307,25 @@ def cross_validate_arms(corpus: LabeledCorpus, cfg: PipelineConfig, arms: Sequen
         cols, lexicon, X_train = _fit(matrix.take(train_rows), cfg)
         X_test = training_matrix(matrix.take(test_rows), cols, lexicon, cfg.negation_words)
         d = vector_dim(cols, False)
-        for arm_reports, arm in zip(reports, arms):
+        for arm_scores, arm in zip(scores, arms):
             keep = np.append(np.arange(d), d + np.array(arm, dtype=np.intp))
             X_arm_train, X_arm_test = (X.T.take(keep).T for X in (X_train, X_test))
             model = train(X_arm_train, matrix.labels[train_rows], cfg.train_config)
-            arm_reports.append(evaluate(predict_proba(model, X_arm_test), matrix.labels[test_rows]))
+            arm_scores[test_rows] = X_arm_test @ model.weights + model.bias
     if len(skipped) == len(folds):
         raise ValueError("every fold was degenerate; cannot aggregate")
-    return tuple(CVResult(tuple(r), sum(x.macro_f1 for x in r) / len(r), tuple(skipped))
-                 for r in reports)
+    return scores, tuple(skipped)
+
+
+def fold_reports(labels: np.ndarray, folds: Sequence[tuple[Sequence[int], Sequence[int]]],
+                 scores: np.ndarray, skipped: Sequence[int]
+                 ) -> tuple[tuple[tuple[int, EvalReport], ...], float]:
+    """Each fold not skipped, by its index, with the evaluate report of
+    sigmoid of its test rows' scores, one arm's row of cross_validate_arms,
+    and the mean macro-F1 of those reports, summed in fold order."""
+    reports = tuple((i, evaluate(sigmoid(scores[test]), labels[test]))
+                    for i, (_, test) in enumerate(folds) if i not in skipped)
+    return reports, sum(report.macro_f1 for _, report in reports) / len(reports)
 
 
 # --------------------------------------------------------------------

@@ -20,11 +20,13 @@ from codeswitch.corpus import (
     LabeledCorpus,
     LabeledUtterance,
     Token,
+    fold_indices,
     load_corpus,
     serialize_tagged_line,
 )
 from codeswitch.model import (
     cross_validate_arms,
+    fold_reports,
     loss_and_grad,
     macro_f1,
     subsample_negatives,
@@ -122,20 +124,27 @@ def test_03_phi_correctness():
     ok(3, f"phi matched Pearson within 1e-12 on {checked} random tables")
 
 
+def ablation_means(corpus, cfg):
+    """Mean 10-fold macro-F1 with and without the switching features, from
+    one two-arm cross_validate_arms over the corpus featurized once."""
+    folds = fold_indices(len(corpus), 10, 13)
+    matrix = featurize(corpus, cfg.kinds, cfg.n_values, with_switching=True)
+    scores, skipped = cross_validate_arms(matrix, folds, cfg, (range(N_FEATURES), ()))
+    return tuple(fold_reports(matrix.labels, folds, z, skipped)[1] for z in scores)
+
+
 def test_04_switching_features_improve_cv_macro_f1():
     start = time.monotonic()
     corpus = switching_driven_corpus(2000, seed=42)
     cfg = PipelineConfig(kinds=frozenset({"word_ngram"}), n_values={"word_ngram": (1,)},
                          chi2_k=None, use_indicative=False,
                          train_config=TrainConfig())
-    without = cross_validate_arms(corpus, cfg, ((),), k=10, seed=13)[0]
-    with_sw = cross_validate_arms(corpus, cfg, (range(N_FEATURES),), k=10, seed=13)[0]
-    assert abs(without.mean_macro_f1 - 0.5) <= 0.07
-    delta = with_sw.mean_macro_f1 - without.mean_macro_f1
+    with_sw, without = ablation_means(corpus, cfg)
+    assert abs(without - 0.5) <= 0.07
+    delta = with_sw - without
     assert delta >= 0.10
     assert time.monotonic() - start < 60.0
-    ok(4, f"ablation delta {delta:.3f} >= 0.10; baseline "
-          f"{without.mean_macro_f1:.3f} within 0.5 +/- 0.07")
+    ok(4, f"ablation delta {delta:.3f} >= 0.10; baseline {without:.3f} within 0.5 +/- 0.07")
 
 
 def test_04c_ablation_at_cli_defaults(monkeypatch):
@@ -149,15 +158,14 @@ def test_04c_ablation_at_cli_defaults(monkeypatch):
     corpus = switching_driven_corpus(2000, seed=42)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with_sw, without = cross_validate_arms(corpus, cfg, (range(N_FEATURES), ()), k=10,
-                                               seed=13)
+        with_sw, without = ablation_means(corpus, cfg)
     assert not [w for w in caught if "did not converge" in str(w.message)]
-    assert abs(without.mean_macro_f1 - 0.5) <= 0.07
-    delta = with_sw.mean_macro_f1 - without.mean_macro_f1
+    assert abs(without - 0.5) <= 0.07
+    delta = with_sw - without
     assert delta > 0
     assert time.monotonic() - start < 60.0
     ok("4c", f"CLI-default ablation delta {delta:.3f} > 0; baseline "
-             f"{without.mean_macro_f1:.3f} within 0.5 +/- 0.07")
+             f"{without:.3f} within 0.5 +/- 0.07")
 
 
 def test_04b_user_supplied_datasets_if_present(tmp_path):

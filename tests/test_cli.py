@@ -965,7 +965,8 @@ PUNCT_ERROR = "punctuation_set must be a non-empty set of single characters"
     ("cv", ["--punct", ""], PUNCT_ERROR),
     ("subsample", ["--punct", ""], PUNCT_ERROR),
     ("subsample", ["--tau", "0"], "tau must be in (0, 1), got 0.0"),
-    ("subsample", ["--tau", "1"], "tau must be in (0, 1), got 1.0")])
+    ("subsample", ["--tau", "1"], "tau must be in (0, 1), got 1.0"),
+    ("cv", ["--k", "1"], "k must be at least 2, got 1")])
 def test_preprocessing_and_tau_are_rejected_before_any_file_is_read(command, flags, message,
                                                                     tmp_path, capsys):
     """No input exists, so only a check made before reading any file can

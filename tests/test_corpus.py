@@ -170,8 +170,9 @@ class TestKFold:
             fold_indices(5, 1, seed=0)
 
 
+# no lone surrogates (Cs): UTF-8 cannot encode them, so no corpus file holds one
 surface = st.text(
-    alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cf")),
+    alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cf", "Cs")),
     min_size=1, max_size=8,
 )
 token = st.builds(Token, surface=surface,

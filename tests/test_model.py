@@ -15,11 +15,13 @@ from codeswitch import model as model_module, textfeat
 from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, fold_indices
 from codeswitch.model import (
+    EvalReport,
     FittedPipeline,
     LinearModel,
     cross_validate_arms,
     evaluate,
     fit_pipeline,
+    fold_reports,
     format_model,
     load_model,
     loss_and_grad,
@@ -271,6 +273,16 @@ def word_pool_corpus(n, seed, informative=False):
     return LabeledCorpus(tuple(utts))
 
 
+def cross_validate(corpus, cfg, arms, k, seed=13):
+    """cross_validate_arms as cmd_cv runs it, over fold_indices' folds and
+    the corpus featurized once, with the switching block when an arm takes
+    it: each arm's fold_reports, the skipped folds and the scores."""
+    folds = fold_indices(len(corpus), k, seed)
+    matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, with_switching=any(arms))
+    scores, skipped = cross_validate_arms(matrix, folds, cfg, arms)
+    return [fold_reports(matrix.labels, folds, z, skipped) for z in scores], skipped, scores
+
+
 class TestCrossValidate:
     CFG = PipelineConfig(**UNIGRAMS, chi2_k=None,
                          use_indicative=False,
@@ -278,22 +290,24 @@ class TestCrossValidate:
 
     def test_reports_and_aggregate(self):
         corpus = word_pool_corpus(100, seed=0)
-        result = cross_validate_arms(corpus, self.CFG, ((),), k=10, seed=13)[0]
-        assert len(result.reports) + len(result.skipped_folds) == 10
-        expected = sum(r.macro_f1 for r in result.reports) / len(result.reports)
-        assert result.mean_macro_f1 == expected
+        [(reports, mean)], skipped, _ = cross_validate(corpus, self.CFG, ((),), k=10)
+        assert len(reports) + len(skipped) == 10
+        assert [i for i, _ in reports] == [i for i in range(10) if i not in skipped]
+        expected = sum(r.macro_f1 for _, r in reports) / len(reports)
+        assert mean == expected
 
     def test_deterministic(self):
         corpus = word_pool_corpus(60, seed=1)
-        a = cross_validate_arms(corpus, self.CFG, ((),), k=5, seed=13)[0]
-        b = cross_validate_arms(corpus, self.CFG, ((),), k=5, seed=13)[0]
-        assert a.mean_macro_f1 == b.mean_macro_f1
-        assert [r.confusion for r in a.reports] == [r.confusion for r in b.reports]
+        [(a, a_mean)], _, a_scores = cross_validate(corpus, self.CFG, ((),), k=5)
+        [(b, b_mean)], _, b_scores = cross_validate(corpus, self.CFG, ((),), k=5)
+        assert a_mean == b_mean
+        assert [r.confusion for _, r in a] == [r.confusion for _, r in b]
+        assert np.array_equal(a_scores, b_scores, equal_nan=True)
 
     def test_random_features_near_chance(self):
         corpus = word_pool_corpus(300, seed=2)
-        result = cross_validate_arms(corpus, self.CFG, ((),), k=10, seed=13)[0]
-        assert abs(result.mean_macro_f1 - 0.5) <= 0.07
+        [(_, mean)], _, _ = cross_validate(corpus, self.CFG, ((),), k=10)
+        assert abs(mean - 0.5) <= 0.07
 
     # both kinds, min_count and chi-squared both cut, lexicon, negations
     FULL = PipelineConfig(kinds=frozenset({"char_ngram", "word_ngram"}),
@@ -307,9 +321,34 @@ class TestCrossValidate:
         fits = [(fit_pipeline(train, cfg), test) for train, test in kfold(corpus, 4, seed=13)]
         assert all(len(pipeline.vocab) == 30 for pipeline, _ in fits)
         arm = range(N_FEATURES) if with_switching else ()
-        result = cross_validate_arms(corpus, cfg, (arm,), k=4, seed=13)[0]
-        assert result.skipped_folds == ()
-        assert result.reports == tuple(held_out_report(pipeline, test) for pipeline, test in fits)
+        [(reports, _)], skipped, _ = cross_validate(corpus, cfg, (arm,), k=4)
+        assert skipped == ()
+        assert reports == tuple((i, held_out_report(pipeline, test))
+                                for i, (pipeline, test) in enumerate(fits))
+
+    @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
+    def test_scores_equal_direct_fold_fits(self, n, k, seed):
+        """Each row's score under an arm is, bit for bit, X @ w + b of its
+        fold's _fit and train on the corpus featurized with that arm's
+        switching block, and NaN in a fold skipped for a single class."""
+        corpus = word_pool_corpus(n, seed=seed)
+        arms = (range(N_FEATURES), ())
+        with (pytest.warns(UserWarning, match="single class") if n == 12 else nullcontext()):
+            _, skipped, scores = cross_validate(corpus, self.FULL, arms, k=k)
+        assert bool(skipped) == (n == 12)
+        folds = fold_indices(n, k, 13)
+        for arm_scores, arm in zip(scores, arms):
+            direct = textfeat.featurize(corpus, self.FULL.kinds, self.FULL.n_values,
+                                        with_switching=bool(arm))
+            for i, (train_rows, test_rows) in enumerate(folds):
+                if i in skipped:
+                    assert np.isnan(arm_scores[test_rows]).all()
+                    continue
+                cols, lexicon, X = model_module._fit(direct.take(train_rows), self.FULL)
+                model = train(X, direct.labels[train_rows], self.FULL.train_config)
+                X_test = textfeat.training_matrix(direct.take(test_rows), cols, lexicon,
+                                                  self.FULL.negation_words)
+                assert np.array_equal(arm_scores[test_rows], X_test @ model.weights + model.bias)
 
     def test_extracts_each_utterance_once(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)
@@ -320,8 +359,8 @@ class TestCrossValidate:
             calls.append(args)
             return extract(*args)
         monkeypatch.setattr(textfeat, "extract_features", counted)
-        result = cross_validate_arms(corpus, self.FULL, ((),), k=5, seed=13)[0]
-        assert result.skipped_folds == ()
+        _, skipped, _ = cross_validate(corpus, self.FULL, ((),), k=5)
+        assert skipped == ()
         # once to featurize the corpus; test folds are rows of that matrix
         assert len(calls) == len(corpus)
 
@@ -340,7 +379,7 @@ class TestCrossValidate:
             return cols, lexicon, X
         monkeypatch.setattr(model_module, "_fit", recorded)
         cfg = PipelineConfig(**UNIGRAMS, min_count=min_count, chi2_k=None)
-        cross_validate_arms(corpus, cfg, ((),), k=3, seed=13)
+        cross_validate(corpus, cfg, ((),), k=3)
         assert len(fitted) == 3
         for (vocab, words), (train_rows, _) in zip(fitted, fold_indices(len(corpus), 3, 13)):
             train_ids = {corpus[r].id for r in train_rows}
@@ -352,12 +391,13 @@ class TestCrossValidate:
 
     @staticmethod
     def dense_fits(corpus, cfg, arm, k):
-        """The report of each fold with two classes on either side, fitted and
-        scored on its dense training matrices restricted to the vocabulary,
-        the two special columns and the switching columns of arm."""
+        """Each fold with two classes on either side, by index, with its
+        report, fitted and scored on its dense training matrices restricted
+        to the vocabulary, the two special columns and the switching columns
+        of arm."""
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
         reports = []
-        for rows in fold_indices(len(corpus), k, 13):
+        for fold, rows in enumerate(fold_indices(len(corpus), k, 13)):
             train_part, test_part = parts = [matrix.take(r) for r in rows]
             if any(len(set(part.labels.tolist())) < 2 for part in parts):
                 continue
@@ -367,7 +407,7 @@ class TestCrossValidate:
             X_train, X_test = (as_dense(X)[:, [*range(d), *(d + i for i in arm)]]
                                for X in (X_train, X_test))
             model = train(X_train, train_part.labels, cfg.train_config)
-            reports.append(evaluate(predict_proba(model, X_test), test_part.labels))
+            reports.append((fold, evaluate(predict_proba(model, X_test), test_part.labels)))
         return tuple(reports)
 
     @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
@@ -376,34 +416,44 @@ class TestCrossValidate:
         given = (range(N_FEATURES), (), (0, 1, 2))  # all nine, none, the switch counts
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            arms = cross_validate_arms(corpus, self.FULL, given, k=k, seed=13)
+            arms, skipped, scores = cross_validate(corpus, self.FULL, given, k=k)
         single_class = [w for w in caught if "has a single class" in str(w.message)]
-        assert len(single_class) == len(arms[0].skipped_folds)  # once per fold, not per arm
-        assert bool(arms[0].skipped_folds) == (n == 12)
+        assert len(single_class) == len(skipped)  # once per fold, not per arm
+        assert bool(skipped) == (n == 12)
         with (pytest.warns(UserWarning, match="single class") if n == 12 else nullcontext()):
-            assert arms == tuple(cross_validate_arms(corpus, self.FULL, (arm,), k=k, seed=13)[0]
-                                 for arm in given)
+            for arm, arm_scores in zip(given, scores):
+                assert np.array_equal(cross_validate(corpus, self.FULL, (arm,), k=k)[2][0],
+                                      arm_scores, equal_nan=True)
             if n == 60:
-                assert len({result.mean_macro_f1 for result in arms}) == 3
-            assert cross_validate_arms(corpus, self.FULL, given[::-1], k=k, seed=13) \
-                == arms[::-1]
-        for arm, result in zip(given, arms):
-            assert result.reports == self.dense_fits(corpus, self.FULL, arm, k)
+                assert len({mean for _, mean in arms}) == 3
+            assert np.array_equal(cross_validate(corpus, self.FULL, given[::-1], k=k)[2],
+                                  scores[::-1], equal_nan=True)
+        for arm, (reports, _) in zip(given, arms):
+            assert reports == self.dense_fits(corpus, self.FULL, arm, k)
 
-    @pytest.mark.parametrize("arm", [(0, 0), (N_FEATURES,), (-1,), (2, 9, 3)])
-    def test_bad_arm_is_an_error_before_featurizing(self, arm, monkeypatch):
-        def featurized(*args, **kwargs):
-            raise AssertionError("featurized")
-        monkeypatch.setattr(model_module, "featurize", featurized)
-        with pytest.raises(ValueError, match=r"arms must be distinct indices in range\(9\), got "
-                                             + re.escape(str(((), arm)))):
-            cross_validate_arms(word_pool_corpus(12, seed=1), self.FULL, ((), arm), k=3, seed=13)
+    @pytest.mark.parametrize("arm, with_switching", [
+        ((0, 0), True), ((N_FEATURES,), True), ((-1,), True), ((2, 9, 3), True), ((0,), False)],
+        ids=[f"arm{i}" for i in range(5)])
+    def test_bad_arm_is_an_error_before_featurizing(self, arm, with_switching, monkeypatch):
+        """A repeated index, one outside range(9), or any index on a matrix
+        featurized without its switching block is an error before any fold
+        is fitted."""
+        corpus = word_pool_corpus(12, seed=1)
+        matrix = textfeat.featurize(corpus, self.FULL.kinds, self.FULL.n_values,
+                                    with_switching=with_switching)
+
+        def fitted(*args):
+            raise AssertionError("fitted")
+        monkeypatch.setattr(model_module, "_fit", fitted)
+        width = N_FEATURES if with_switching else 0
+        with pytest.raises(ValueError, match=rf"arms must be distinct indices in range\({width}\), "
+                                             "got " + re.escape(str(((), arm)))):
+            cross_validate_arms(matrix, fold_indices(len(corpus), 3, 13), self.FULL, ((), arm))
 
     def test_every_fold_degenerate_is_an_error(self):
         with pytest.raises(ValueError, match="every fold was degenerate"), \
                 pytest.warns(UserWarning, match="single class"):
-            cross_validate_arms(word_pool_corpus(4, seed=1), self.CFG, (range(N_FEATURES), ()),
-                                k=4, seed=13)
+            cross_validate(word_pool_corpus(4, seed=1), self.CFG, (range(N_FEATURES), ()), k=4)
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
         """Whatever k is, each utterance is extracted and profiled once and
@@ -431,8 +481,8 @@ class TestCrossValidate:
         for k in (3, 5, 10):
             calls.update(dict.fromkeys(calls, 0))
             passes.append(0)
-            arms = cross_validate_arms(corpus, self.FULL, (range(N_FEATURES), ()), k=k, seed=13)
-            assert arms[0].skipped_folds == ()
+            _, skipped, _ = cross_validate(corpus, self.FULL, (range(N_FEATURES), ()), k=k)
+            assert skipped == ()
             assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
         assert passes[0] == passes[1] == passes[2]
 
@@ -457,12 +507,27 @@ class TestCrossValidate:
         runs = []
         for c in (corpus, mutated):
             fits.clear()
-            assert cross_validate_arms(c, self.FULL, ((),), k=4, seed=13)[0].skipped_folds == ()
+            assert cross_validate(c, self.FULL, ((),), k=4)[1] == ()
             runs.append(fits[0])
         (keys, lexicon, _), (mutated_keys, mutated_lexicon, words) = runs
         assert "zzz" in words and lexicon
         assert (mutated_keys, mutated_lexicon) == (keys, lexicon)
         assert ("word_ngram", "zzz") not in mutated_keys and "zzz" not in mutated_lexicon
+
+
+class TestFoldReports:
+    def test_hand_computed(self):
+        """Fold 0 scores -1e-17, whose sigmoid is exactly 0.5, so it counts
+        as positive though z >= 0 would call it negative; fold 2 is skipped,
+        so its NaN scores are never read."""
+        labels = np.array([1, 0, 1, 0, 1, 0])
+        folds = [([2, 3, 4, 5], [0, 1]), ([0, 1, 4, 5], [2, 3]), ([0, 1, 2, 3], [4, 5])]
+        scores = np.array([-1e-17, -3.0, 2.0, 0.5, np.nan, np.nan])
+        assert sigmoid(-1e-17) == 0.5 and not -1e-17 >= 0
+        reports, mean = fold_reports(labels, folds, scores, (2,))
+        assert reports == ((0, EvalReport(1.0, (1.0, 1.0), (1, 0, 0, 1))),
+                           (1, EvalReport(1 / 3, (2 / 3, 0.0), (1, 1, 0, 0))))
+        assert mean == (1.0 + 1 / 3) / 2
 
 
 class TestFitPipeline:
@@ -533,7 +598,7 @@ class TestMatrixScoring:
             monkeypatch.setattr(model_module, name, recording(name))
         corpus = word_pool_corpus(60, seed=5)
         arms = (range(N_FEATURES), ())
-        cross_validate_arms(corpus, self.CFG, arms, k=4, seed=13)
+        _, _, scores = cross_validate(corpus, self.CFG, arms, k=4)
         assert [len(calls) for calls in recorded.values()] == [4, 8, 8]
         folds = fold_indices(len(corpus), 4, 13)
         for i, (_, test_rows) in enumerate(folds):
@@ -542,8 +607,9 @@ class TestMatrixScoring:
             test = corpus.subset(corpus[r] for r in test_rows)
             for j, arm in enumerate(arms):
                 model = recorded["train"][2 * i + j][1]
-                (probs, labels), _ = recorded["evaluate"][2 * i + j]
+                (probs, labels), _ = recorded["evaluate"][len(folds) * j + i]  # by arm, then fold
                 assert labels.tolist() == [u.label for u in test]
+                assert np.array_equal(probs, sigmoid(scores[j][test_rows]))
                 pipeline = FittedPipeline(replace(self.CFG, with_switching=bool(arm)),
                                           vocab, lexicon, model)
                 self.assert_matches_reference(pipeline, test, probs)
