@@ -37,7 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("byte_identity.json")
 
 # file name -> (utterances, stream) of a bench/corpus_gen.py corpus of seed 1
-CORPORA = {"a.txt": (300, "a"), "b.txt": (300, "b"), "heldout.txt": (300, "heldout")}
+CORPORA = {"a.txt": (300, "a"), "b.txt": (300, "b"), "heldout.txt": (300, "heldout"),
+           "heldout_1300.txt": (1300, "heldout")}
 MODEL = ["--model", "model.txt", "--pipeline", "bundle.json"]
 MODEL_SW = ["--model", "model_sw.txt", "--pipeline", "bundle_sw.json"]
 CASES = {
@@ -63,6 +64,9 @@ CASES = {
     "cv ablate tsv": ["cv", "b.txt", "--k", "5", "--ablate-switching", "--format", "tsv"],
     "cv ablate skipped folds": ["cv", "b.txt", "--k", "60", "--ablate-switching",
                                 "-o", "ablate_k60.json"],
+    "eval blocks": ["eval", "heldout_1300.txt", *MODEL, "-o", "eval_blocks.json"],
+    "subsample switching blocks": ["subsample", "heldout_1300.txt", *MODEL_SW,
+                                   "-o", "kept_sw_blocks.txt"],
 }
 
 
