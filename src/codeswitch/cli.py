@@ -2,7 +2,12 @@
 
 Subcommands: stats, features, train, eval, cv, subsample.  Each reads
 each of its corpora, in the tagged-line format of codeswitch.corpus, with
-one load_corpus call that also applies the preprocessing flags.  Outputs
+one parse_corpus generator that also applies the preprocessing flags:
+stats, features, train and cv hold the whole corpus, through load_corpus,
+while eval and subsample featurize and score it BLOCK_SIZE utterances at
+a time, so their memory does not grow with the corpus beyond the parser's
+memo of distinct raw tokens and what they write.  A featurizing error in
+one block therefore comes before a parse error further down.  Outputs
 are written atomically (temp file + rename) so partial files are never
 left behind, and train writes its model and bundle together, both or
 neither, with the mode a plain file creation gives under the umask.
@@ -31,14 +36,18 @@ import os
 import sys
 import tempfile
 import warnings
+from collections import Counter
+from contextlib import closing
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from codeswitch import stats as stats_mod
 from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig,
                                check_tau)
-from codeswitch.corpus import fold_indices, load_corpus, read_lines, serialize_tagged_line
+from codeswitch.corpus import (LabeledCorpus, LabeledUtterance, fold_indices, load_corpus,
+                               parse_corpus, read_lines, serialize_tagged_line)
 from codeswitch.preprocess import PreprocessConfig
 from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
 
@@ -48,13 +57,16 @@ if TYPE_CHECKING:
 
 PIPELINE_FORMAT_VERSION = 1
 
+BLOCK_SIZE = 512  # utterances that eval and subsample featurize and score at a time
+
 
 def _write_output(path: str | None, text: str, *more: tuple[str, str]) -> None:
     """Write text to path, or to stdout when path is None, and each
     (path, text) of more to its path.  Every text goes to a temporary file
     beside its target first, and the files are renamed only once all are
     written, so an error leaves every target as it was.  Each file gets
-    the mode open() would give it, not mkstemp's 0600."""
+    the mode open() would give it, not mkstemp's 0600, and its text is
+    encoded 64 Ki characters at a time, never as one whole copy."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -70,7 +82,8 @@ def _write_output(path: str | None, text: str, *more: tuple[str, str]) -> None:
             fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                for start in range(0, len(text), 1 << 16):
+                    fh.write(text[start:start + (1 << 16)])
             os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -234,11 +247,12 @@ def cmd_stats(args) -> int:
 
 def cmd_features(args) -> int:
     corpus = load_corpus(args.input, args.preprocess)
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps makes one per call
     lines = []
     for u in corpus:
         record = {"id": u.id, "label": u.label, "q": has_embedding_property(u.tokens),
                   **vars(switching_features(u.tokens))}
-        lines.append(json.dumps(record, ensure_ascii=False))
+        lines.append(encode(record))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -267,12 +281,24 @@ def _load_fitted(args):
     return FittedPipeline(replace(cfg, train_config=model.training_meta), vocab, lexicon, model)
 
 
+def _blocks(utterances: Iterator[LabeledUtterance]) -> Iterator[LabeledCorpus]:
+    """The utterances, in order, as corpora of BLOCK_SIZE, the last one
+    shorter."""
+    while block := tuple(islice(utterances, BLOCK_SIZE)):
+        yield LabeledCorpus(block)
+
+
 def cmd_eval(args) -> int:
-    from codeswitch.model import evaluate
+    """Score the corpus block by block, parsing it as it goes, and report
+    the macro-F1 of the (prediction, gold) counts summed over the blocks."""
+    from codeswitch.model import confusion, confusion_report
     pipeline = _load_fitted(args)
-    corpus = load_corpus(args.input, args.preprocess)
-    report = evaluate(pipeline.predict_proba(corpus), [u.label for u in corpus])
-    _write_output(args.output, json.dumps(_report_dict(report), sort_keys=True) + "\n")
+    pairs = Counter()
+    with closing(parse_corpus(args.input, args.preprocess)) as utterances:
+        for block in _blocks(utterances):
+            pairs.update(confusion(pipeline.predict_proba(block), [u.label for u in block]))
+    _write_output(args.output, json.dumps(_report_dict(confusion_report(pairs)),
+                                          sort_keys=True) + "\n")
     return 0
 
 
@@ -311,16 +337,21 @@ def cmd_cv(args) -> int:
 
 
 def cmd_subsample(args) -> int:
+    """Score the negatives of the corpus block by block, parsing it as it
+    goes, and write the lines of the utterances each block keeps."""
     from codeswitch.model import subsample_negatives
     check_tau(args.tau)
     pipeline = _load_fitted(args)
-    corpus = load_corpus(args.input, args.preprocess)
-    negatives = corpus.subset(corpus.negatives)  # only they are scored
-    proba = pipeline.predict_proba(negatives)
-    by_id = dict(zip([u.id for u in negatives], proba.tolist()))
-    filtered = subsample_negatives(corpus, lambda u: by_id[u.id], args.tau)
-    _write_output(args.output, "".join(serialize_tagged_line(u) + "\n" for u in filtered))
-    print(f"kept {len(filtered)} of {len(corpus)} utterances", file=sys.stderr)
+    parts, n_kept, n_read = [], 0, 0
+    with closing(parse_corpus(args.input, args.preprocess)) as utterances:
+        for block in _blocks(utterances):
+            negatives = block.subset(block.negatives)  # only they are scored
+            by_id = dict(zip([u.id for u in negatives], pipeline.predict_proba(negatives).tolist()))
+            kept = subsample_negatives(block, lambda u: by_id[u.id], args.tau)
+            parts.append("".join(serialize_tagged_line(u) + "\n" for u in kept))
+            n_kept, n_read = n_kept + len(kept), n_read + len(block)
+    _write_output(args.output, "".join(parts))
+    print(f"kept {n_kept} of {n_read} utterances", file=sys.stderr)
     return 0
 
 

@@ -9,16 +9,19 @@ underscore in each token delimits the tag, so surfaces may themselves
 contain underscores.  A line ends at its LF alone, so a CR, such as a
 CRLF file's, is whitespace within the line.  Blank lines are skipped.
 
-read_lines reads every input file of the package.  load_corpus, the one
-parser of the format, reads a corpus file, normalizing it under a
-codeswitch.preprocess.PreprocessConfig when given one, in one pass that
-parses, checks and normalizes each distinct raw token once;
+read_lines reads every input file of the package.  parse_corpus, the one
+parser of the format, yields a corpus file's utterances one at a time,
+normalizing them under a codeswitch.preprocess.PreprocessConfig when given
+one, in one pass that parses, checks and normalizes each distinct raw
+token once; load_corpus collects them into a LabeledCorpus, and a caller
+that scores a corpus block by block reads the generator itself.
 serialize_tagged_line writes one utterance as a line.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -38,9 +41,10 @@ class CorpusFormatError(ValueError):
     """Raised when a tagged-corpus file, or a line of it, cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
-    """A surface word plus its language tag (hi / en / rest)."""
+    """A surface word plus its language tag (hi / en / rest).  Slotted,
+    like LabeledUtterance, as a parse holds one per distinct raw token."""
 
     surface: str
     tag: str
@@ -53,7 +57,7 @@ class Token:
             raise ValueError(f"unknown language tag: {self.tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledUtterance:
     """An ordered token sequence with a binary task label.
 
@@ -127,7 +131,7 @@ def _parse_token(raw: str, where: str) -> Token:
         raise CorpusFormatError(f"{where}unknown tag {tag!r} in token {raw!r}")
     if not surface:
         raise CorpusFormatError(f"{where}empty surface in token {raw!r}")
-    return Token(surface, tag)
+    return Token(surface, sys.intern(tag))  # one str per tag, not one per raw token
 
 
 def serialize_tagged_line(utterance: LabeledUtterance) -> str:
@@ -148,21 +152,24 @@ def read_lines(path: str | Path) -> Iterator[str]:
         raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
-def load_corpus(path: str | Path, preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
-    """Load the tagged-line corpus file at path, each token normalized
-    under preprocess unless it is None.
+def parse_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
+                 ) -> Iterator[LabeledUtterance]:
+    """The utterances of the tagged-line corpus file at path, one at a
+    time, each token normalized under preprocess unless it is None: the
+    one parser of the format.
 
-    The lines come from read_lines.  Ids are assigned as 0-based ordinals
-    over non-blank lines; blank lines are skipped.  An empty corpus is an
-    error; every error names the file.  Each distinct raw token is parsed,
-    checked and normalized once per call, so every occurrence of it
-    becomes the same Token objects.  An utterance that preprocessing leaves
-    empty keeps its id unused and is dropped with a warning once the whole
-    file has parsed; a corpus left with no utterance is an error.
+    The lines come from read_lines, whose file stays open until the
+    generator is exhausted or closed.  Ids are assigned as 0-based
+    ordinals over non-blank lines; blank lines are skipped.  Every error
+    names the file.  Each distinct raw token is parsed, checked and
+    normalized once per generator, so every occurrence of it becomes the
+    same Token objects.  An utterance that preprocessing leaves empty keeps
+    its id unused and is dropped with a warning once the whole file has
+    parsed; a corpus with no utterance left is then an error.
     """
     if preprocess is not None:
         from codeswitch.preprocess import normalize_token  # preprocess imports this module
-    kept, dropped = [], []
+    n_kept, dropped = 0, []
     interned: dict[str, tuple[Token, ...]] = {}  # raw token -> the tokens it becomes
     lines = ((n, line) for n, line in enumerate(read_lines(path), start=1) if line.strip())
     try:
@@ -176,16 +183,21 @@ def load_corpus(path: str | Path, preprocess: PreprocessConfig | None = None) ->
                                      else (token,))
             tokens = tuple(chain.from_iterable(map(interned.__getitem__, raw_tokens)))
             if tokens:
-                kept.append(LabeledUtterance(tokens, label, str(uid)))
+                n_kept += 1
+                yield LabeledUtterance(tokens, label, str(uid))
             else:
                 dropped.append(uid)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from None
     for uid in dropped:
         warnings.warn(f"{path}: utterance {uid} empty after preprocessing; dropped")
-    if not kept:
+    if not n_kept:
         raise CorpusFormatError(f"{path}: empty corpus{' after preprocessing' if dropped else ''}")
-    return LabeledCorpus(tuple(kept))
+
+
+def load_corpus(path: str | Path, preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
+    """The whole corpus file at path, as parse_corpus reads it."""
+    return LabeledCorpus(tuple(parse_corpus(path, preprocess)))
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

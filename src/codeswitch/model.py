@@ -1,4 +1,5 @@
-"""Logistic classifier over sparse feature matrices, macro-F1 evaluation,
+"""Logistic classifier over sparse feature matrices, macro-F1 evaluation
+from (prediction, gold) pair counts, which add up across blocks of a corpus,
 cross-validation over a featurized matrix and given folds that scores each
 row out of fold under every arm of the switching ablation, a subset of its
 columns, fold_reports of those scores, and negative sub-sampling.
@@ -184,18 +185,23 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 
 
 def macro_f1(predictions: Sequence[int], gold: Sequence[int]) -> EvalReport:
-    """Unweighted mean of per-class F1 scores.
+    """The confusion_report of the (prediction, gold) pairs."""
+    if len(predictions) != len(gold):
+        raise ValueError("predictions and gold must have equal length")
+    return confusion_report(Counter(zip(predictions, gold)))
+
+
+def confusion_report(pairs: Counter) -> EvalReport:
+    """Unweighted mean of per-class F1 scores, from the counts of
+    (prediction, gold) pairs, so counts summed over parts of a corpus
+    give the report of the whole.
 
     A class with zero predicted and zero actual instances contributes
     F1 = 0 and is flagged in degenerate_classes.
     """
-    if len(predictions) != len(gold):
-        raise ValueError("predictions and gold must have equal length")
-    if not predictions:
+    tp, fp, fn, tn = pairs[1, 1], pairs[1, 0], pairs[0, 1], pairs[0, 0]
+    if not tp + fp + fn + tn:
         raise ValueError("empty prediction sequence")
-
-    n = Counter(zip(predictions, gold))
-    tp, fp, fn, tn = n[1, 1], n[1, 0], n[0, 1], n[0, 0]
 
     f1_pos = _f1(tp, fp, fn)
     f1_neg = _f1(tn, fn, fp)
@@ -274,9 +280,18 @@ def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipe
     return FittedPipeline(cfg, vocab, lexicon, train(X, matrix.labels, cfg.train_config))
 
 
+def confusion(proba: np.ndarray, labels: Sequence[int] | np.ndarray) -> Counter:
+    """Counts of the (prediction, gold) pairs of the labels, each predicted
+    positive at probability >= 0.5."""
+    predictions, gold = (proba >= 0.5).astype(int).tolist(), np.asarray(labels).tolist()
+    if len(predictions) != len(gold):
+        raise ValueError("predictions and gold must have equal length")
+    return Counter(zip(predictions, gold))
+
+
 def evaluate(proba: np.ndarray, labels: Sequence[int] | np.ndarray) -> EvalReport:
     """Macro-F1 of the labels, each predicted positive at probability >= 0.5."""
-    return macro_f1((proba >= 0.5).astype(int).tolist(), np.asarray(labels).tolist())
+    return confusion_report(confusion(proba, labels))
 
 
 def cross_validate_arms(matrix: FeatureMatrix, folds: Sequence[tuple[Sequence[int], Sequence[int]]],

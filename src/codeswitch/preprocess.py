@@ -9,7 +9,7 @@ pure punctuation (emoticons like ":P") pass through untouched.
 
 A token's output does not depend on its position, so normalize_token
 decides it alone, normalize maps it over a sequence of Tokens, and
-codeswitch.corpus.load_corpus, given a PreprocessConfig, calls
+codeswitch.corpus.parse_corpus, given a PreprocessConfig, calls
 normalize_token once per distinct raw token of the corpus it reads.
 """
 

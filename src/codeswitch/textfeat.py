@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Sized, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Sized, Union
 
 import numpy as np
 
@@ -55,6 +55,20 @@ _surface = attrgetter("surface")
 FeatureKey = tuple[str, str]
 
 
+def _feature_keys(tokens: Sequence[Token], kinds: frozenset[str],
+                  n_values: Mapping[str, tuple[int, ...]]) -> Iterator[FeatureKey]:
+    """The (kind, payload) feature keys of one utterance, each occurrence,
+    size by size, as extract_features describes, from C iterators."""
+    runs = []
+    if "char_ngram" in kinds:
+        runs.append(("char_ngram", " ".join(map(_surface, tokens)).lower(), "".join))
+    if "word_ngram" in kinds:
+        runs.append(("word_ngram", [*map(str.lower, map(_surface, tokens))], NGRAM_SEP.join))
+    return chain.from_iterable(
+        zip(repeat(kind), map(join, zip(*[items[i:] for i in range(n)])))
+        for kind, items, join in runs for n in n_values[kind] if n <= len(items))
+
+
 def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
                      n_values: Mapping[str, tuple[int, ...]]) -> Counter:
     """Multiset of (kind, payload) feature keys for one utterance, in order
@@ -63,14 +77,7 @@ def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
     ones runs of n lowercased surfaces joined by NGRAM_SEP.  Sizes must be
     >= 1; a size longer than the run yields no grams and is skipped.  C
     iterators build and count the keys, with no Python step per n-gram."""
-    runs = []
-    if "char_ngram" in kinds:
-        runs.append(("char_ngram", " ".join(map(_surface, tokens)).lower(), "".join))
-    if "word_ngram" in kinds:
-        runs.append(("word_ngram", [*map(str.lower, map(_surface, tokens))], NGRAM_SEP.join))
-    return Counter(chain.from_iterable(
-        zip(repeat(kind), map(join, zip(*[items[i:] for i in range(n)])))
-        for kind, items, join in runs for n in n_values[kind] if n <= len(items)))
+    return Counter(_feature_keys(tokens, kinds, n_values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +145,11 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
               vocab: Sequence[FeatureKey] | None = None,
               with_switching: bool = True) -> FeatureMatrix:
     """Feature matrix of the corpus, built in one streaming pass: each
-    utterance is extracted once, its keys (given a fitted vocab, only its
-    keys) and lowercased surfaces are interned into column ids by C
-    iterators, in extract_features' key order, the order in which X @ w adds
-    a row's terms, and its Counter is dropped.  The key ids are then
+    utterance is extracted once (given a fitted vocab, only the keys in it
+    are counted, with the counts and key order extract_features gives them),
+    its keys and lowercased surfaces are interned into column ids by C
+    iterators, in that key order, the order in which X @ w adds a row's
+    terms, and its Counter is dropped.  The key ids are then
     remapped to the rank of their key, or, given vocab, are its columns.
     Row and column ids and counts are int32, and token values int8, which
     keeps the matrix small while a cross-validation holds it.  The switching
@@ -156,11 +164,11 @@ def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
     labels, switching = [], []
     n_keys, key_cols, key_counts, n_tokens, token_cols = [], [], [], [], []
     for u in corpus:
-        feats = extract_features(u.tokens, kinds, n_values)
-        kept = feats if vocab is None else [*filter(ids.__contains__, feats)]
-        n_keys.append(len(kept))
-        key_cols += map(ids.__getitem__, kept)  # a new key's id is the count of keys before it
-        key_counts += map(feats.__getitem__, kept)
+        feats = (extract_features(u.tokens, kinds, n_values) if vocab is None
+                 else Counter(filter(ids.__contains__, _feature_keys(u.tokens, kinds, n_values))))
+        n_keys.append(len(feats))
+        key_cols += map(ids.__getitem__, feats)  # a new key's id is the count of keys before it
+        key_counts += feats.values()
         n_tokens.append(len(u.tokens))
         token_cols += map(word_ids.__getitem__, map(str.lower, map(_surface, u.tokens)))
         labels.append(u.label)

@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import codeswitch
-from codeswitch import textfeat
+from codeswitch import cli, textfeat
 from codeswitch.cli import _load_fitted, _load_pipeline_bundle, _pipeline_config, build_parser, run
 from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import fold_indices, load_corpus, serialize_tagged_line
@@ -255,6 +256,154 @@ class TestTrainEvalSubsample:
         # train and eval profile every utterance, subsample the negatives it scores
         n = 2 * len(corpus) + len(corpus.negatives)
         assert len(profiled) == (n if with_switching else 0)
+
+
+# eval and subsample read the corpus in blocks of cli.BLOCK_SIZE utterances
+
+PUNCT_ONLY = "0\t!!_rest ..._rest"
+
+
+@pytest.fixture(scope="module")
+def block_served(tmp_path_factory):
+    """A held-out corpus of 30 utterances whose blank lines and
+    punctuation-only utterances fall on the edges of blocks of 1 and of 7,
+    and the --model/--pipeline flags of a model trained without and with
+    switching, keyed by with_switching."""
+    root = tmp_path_factory.mktemp("blocks")
+    train = root / "train.txt"
+    write_corpus(switching_driven_corpus(120, seed=7), train)
+    served = {}
+    for with_switching in (False, True):
+        model, bundle = root / f"model{with_switching}.txt", root / f"pipeline{with_switching}.json"
+        assert run(["train", str(train), "--model-out", str(model), "--pipeline-out", str(bundle),
+                    *["--with-switching"] * with_switching]) == 0
+        served[with_switching] = ["--model", str(model), "--pipeline", str(bundle)]
+    lines = []
+    for i, u in enumerate(switching_driven_corpus(30, seed=8)):
+        if i % 7 == 0:
+            lines += ["", PUNCT_ONLY]
+        lines.append(serialize_tagged_line(u))
+    heldout = root / "heldout.txt"
+    heldout.write_text("\n".join([*lines, PUNCT_ONLY, ""]) + "\n", encoding="utf-8")
+    return heldout, served
+
+
+def _block_argv(command, heldout, flags):
+    # tau 0.5 drops some negatives, so the kept lines depend on the scores
+    return [command, str(heldout), *flags, *(["--tau", "0.5"] if command == "subsample" else [])]
+
+
+@pytest.mark.parametrize("with_switching", [False, True])
+@pytest.mark.parametrize("command", ["eval", "subsample"])
+def test_blocks_write_the_bytes_of_one_block(command, with_switching, block_served, tmp_path,
+                                             monkeypatch, capsys):
+    heldout, served = block_served
+    written = {}
+    for size in (10**6, 1, 7):
+        monkeypatch.setattr(cli, "BLOCK_SIZE", size)
+        out = tmp_path / f"out{size}"
+        assert run([*_block_argv(command, heldout, served[with_switching]), "-o", str(out)]) == 0
+        written[size] = out.read_bytes(), capsys.readouterr()
+    assert written[1] == written[7] == written[10**6]
+
+
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("command", ["eval", "subsample"])
+def test_dropped_utterance_warnings_follow_the_whole_parse(command, size, block_served, tmp_path,
+                                                           monkeypatch, capsys):
+    """Every utterance is parsed before the first dropped-utterance warning,
+    and subsample's kept line comes after the last."""
+    heldout, served = block_served
+    parse = cli.parse_corpus
+
+    def reporting(*args):
+        for u in parse(*args):
+            print(f"parsed {u.id}", file=sys.stderr)
+            yield u
+    monkeypatch.setattr(cli, "parse_corpus", reporting)
+    monkeypatch.setattr(cli, "BLOCK_SIZE", size)
+    out = tmp_path / "out"
+    assert run([*_block_argv(command, heldout, served[True]), "-o", str(out)]) == 0
+    lines = [line for line in heldout.read_text().splitlines() if line]  # one per id
+    dropped = [uid for uid, line in enumerate(lines) if line == PUNCT_ONLY]
+    kept = [uid for uid, line in enumerate(lines) if line != PUNCT_ONLY]
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"parsed {uid}" for uid in kept),
+        *(f"warning: {heldout}: utterance {uid} empty after preprocessing; dropped"
+          for uid in dropped),
+        *([f"kept {len(out.read_text().splitlines())} of {len(kept)} utterances"]
+          if command == "subsample" else [])]
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+@pytest.mark.parametrize("command", ["eval", "subsample"])
+def test_malformed_line_in_a_later_block_exits_without_output(command, to_file, block_served,
+                                                               tmp_path, monkeypatch, capsys):
+    heldout, served = block_served
+    lines = heldout.read_text().splitlines()
+    lines.insert(25, "1\tkoi_hi x_fr")  # after 19 utterances: in the third block of 7
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "BLOCK_SIZE", 7)
+    out = ["-o", str(tmp_path / "out")] if to_file else []
+    assert run([*_block_argv(command, bad, served[False]), *out]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: line 26: unknown tag 'fr' in token "
+                                       "'x_fr'\n")
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command", ["eval", "subsample"])
+def test_featurize_error_in_an_early_block_comes_before_a_later_parse_error(
+        command, block_served, tmp_path, monkeypatch, capsys):
+    """eval and subsample featurize each block as soon as it is parsed: a
+    surface holding NGRAM_SEP in the first block stops them before the
+    parser reaches a malformed line further down, with no dropped-utterance
+    warning, since the parse never finished, and with the corpus file
+    closed.  train, which parses the whole corpus first, reports the
+    malformed line."""
+    heldout, served = block_served
+    lines = heldout.read_text().splitlines()
+    lines.insert(3, f"0\tkoi{textfeat.NGRAM_SEP}to_hi koi_hi")  # a negative, which subsample scores
+    lines.append("2\tkoi_hi")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parsers = []
+    parse = cli.parse_corpus
+    monkeypatch.setattr(cli, "parse_corpus",
+                        lambda *args: parsers.append(parse(*args)) or parsers[-1])
+    monkeypatch.setattr(cli, "BLOCK_SIZE", 7)
+    assert run(_block_argv(command, bad, served[False])) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: token surface 'koi{textfeat.NGRAM_SEP}to' holds ")
+    assert err.count("\n") == 1
+    assert parsers[0].gi_frame is None  # closed, so its file is too
+    assert run(["train", str(bad), "--model-out", str(tmp_path / "model.txt"),
+                "--pipeline-out", str(tmp_path / "pipeline.json")]) == 1
+    assert capsys.readouterr().err == (f"error: {bad}: line {len(lines)}: malformed label '2' "
+                                       "(must be 0 or 1)\n")
+
+
+def test_eval_memory_does_not_grow_with_the_corpus(block_served, tmp_path):
+    """Scoring four copies of two blocks' lines peaks at most 1.25 times as
+    high as scoring them once: a repeated line adds nothing to the parser's
+    memo of raw tokens, and only one block is featurized at a time."""
+    _, served = block_served
+    lines = "".join(serialize_tagged_line(u) + "\n"
+                    for u in switching_driven_corpus(2 * cli.BLOCK_SIZE, seed=9))
+    once, four = tmp_path / "once.txt", tmp_path / "four.txt"
+    once.write_text(lines, encoding="utf-8")
+    four.write_text(lines * 4, encoding="utf-8")
+
+    def peak(corpus):
+        tracemalloc.start()
+        try:
+            assert run(["eval", str(corpus), *served[True], "-o", str(tmp_path / "eval.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(once)  # a first run, so that lazy imports and caches count in neither peak
+    assert peak(four) <= 1.25 * peak(once)
 
 
 def _cli_env(**variables):
