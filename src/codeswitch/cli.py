@@ -3,14 +3,15 @@
 Subcommands: stats, features, train, eval, cv, subsample.  Each reads
 each of its corpora, in the tagged-line format of codeswitch.corpus, with
 one parse_corpus generator that also applies the preprocessing flags:
-stats, features, train and cv hold the whole corpus, through load_corpus,
-while eval and subsample featurize and score it BLOCK_SIZE utterances at
-a time, so their memory does not grow with the corpus beyond the parser's
-memo of distinct raw tokens and what they write.  A featurizing error in
-one block therefore comes before a parse error further down.  Outputs
-are written atomically (temp file + rename) so partial files are never
-left behind, and train writes its model and bundle together, both or
-neither, with the mode a plain file creation gives under the umask.
+stats, features, train and cv hold the whole corpus, the tuple load_corpus
+returns, while eval and subsample featurize and score it BLOCK_SIZE
+utterances at a time, so their memory does not grow with the corpus
+beyond the parser's memo of distinct raw tokens and what they write.  A
+featurizing error in one block therefore comes before a parse error
+further down.  Outputs are written atomically (temp file + rename) so
+partial files are never left behind, and train writes its model and
+bundle together, both or neither, with the mode a plain file creation
+gives under the umask.
 Identical arguments and inputs produce byte-identical outputs, whatever
 the BLAS thread count.  Settings are checked before any file is read, and
 each warning, whatever PYTHONWARNINGS says, is one "warning: <message>" line.
@@ -38,7 +39,6 @@ import tempfile
 import warnings
 from collections import Counter
 from contextlib import closing
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Iterator
 from codeswitch import stats as stats_mod
 from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfig, TrainConfig,
                                check_tau)
-from codeswitch.corpus import (LabeledCorpus, LabeledUtterance, fold_indices, load_corpus,
+from codeswitch.corpus import (NEGATIVE, LabeledUtterance, fold_indices, load_corpus,
                                parse_corpus, read_lines, serialize_tagged_line)
 from codeswitch.preprocess import PreprocessConfig
 from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
@@ -277,15 +277,14 @@ def _load_fitted(args):
     cfg, vocab, lexicon = _load_pipeline_bundle(args.pipeline)
     model = load_model(args.model,
                        expected_dim=vector_dim(vocab, cfg.with_switching))
-    # the bundle holds no solver settings; the model file does
-    return FittedPipeline(replace(cfg, train_config=model.training_meta), vocab, lexicon, model)
+    return FittedPipeline(cfg, vocab, lexicon, model)
 
 
-def _blocks(utterances: Iterator[LabeledUtterance]) -> Iterator[LabeledCorpus]:
-    """The utterances, in order, as corpora of BLOCK_SIZE, the last one
+def _blocks(utterances: Iterator[LabeledUtterance]) -> Iterator[tuple[LabeledUtterance, ...]]:
+    """The utterances, in order, as tuples of BLOCK_SIZE, the last one
     shorter."""
     while block := tuple(islice(utterances, BLOCK_SIZE)):
-        yield LabeledCorpus(block)
+        yield block
 
 
 def cmd_eval(args) -> int:
@@ -338,16 +337,17 @@ def cmd_cv(args) -> int:
 
 def cmd_subsample(args) -> int:
     """Score the negatives of the corpus block by block, parsing it as it
-    goes, and write the lines of the utterances each block keeps."""
+    goes, and write the lines of the utterances each block keeps: its
+    positives, and each negative whose probability, paired with it by its
+    position among the block's negatives, is at least tau."""
     from codeswitch.model import subsample_negatives
     check_tau(args.tau)
     pipeline = _load_fitted(args)
     parts, n_kept, n_read = [], 0, 0
     with closing(parse_corpus(args.input, args.preprocess)) as utterances:
         for block in _blocks(utterances):
-            negatives = block.subset(block.negatives)  # only they are scored
-            by_id = dict(zip([u.id for u in negatives], pipeline.predict_proba(negatives).tolist()))
-            kept = subsample_negatives(block, lambda u: by_id[u.id], args.tau)
+            negatives = [u for u in block if u.label == NEGATIVE]  # only they are scored
+            kept = subsample_negatives(block, pipeline.predict_proba(negatives), args.tau)
             parts.append("".join(serialize_tagged_line(u) + "\n" for u in kept))
             n_kept, n_read = n_kept + len(kept), n_read + len(block)
     _write_output(args.output, "".join(parts))

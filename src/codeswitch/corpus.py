@@ -9,13 +9,15 @@ underscore in each token delimits the tag, so surfaces may themselves
 contain underscores.  A line ends at its LF alone, so a CR, such as a
 CRLF file's, is whitespace within the line.  Blank lines are skipped.
 
-read_lines reads every input file of the package.  parse_corpus, the one
-parser of the format, yields a corpus file's utterances one at a time,
-normalizing them under a codeswitch.preprocess.PreprocessConfig when given
-one, in one pass that parses, checks and normalizes each distinct raw
-token once; load_corpus collects them into a LabeledCorpus, and a caller
-that scores a corpus block by block reads the generator itself.
-serialize_tagged_line writes one utterance as a line.
+A corpus is a sequence of LabeledUtterance, in file order; the package
+keeps no corpus type of its own.  read_lines reads every input file of
+the package.  parse_corpus, the one parser of the format, yields a corpus
+file's utterances one at a time, normalizing them under a
+codeswitch.preprocess.PreprocessConfig when given one, in one pass that
+parses, checks and normalizes each distinct raw token once; load_corpus
+collects them into a tuple, and a caller that scores a corpus block by
+block reads the generator itself.  serialize_tagged_line writes one
+utterance as a line.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from codeswitch.preprocess import PreprocessConfig
@@ -62,7 +64,8 @@ class LabeledUtterance:
     """An ordered token sequence with a binary task label.
 
     label is 1 (positive class) or 0 (negative class).  id is an opaque
-    identifier, unique within a corpus.
+    identifier; parse_corpus numbers the lines, so ids are unique within a
+    parsed corpus.
     """
 
     tokens: tuple[Token, ...]
@@ -74,38 +77,6 @@ class LabeledUtterance:
             raise ValueError("utterance must contain at least one token")
         if self.label not in (POSITIVE, NEGATIVE):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-
-
-@dataclass(frozen=True)
-class LabeledCorpus:
-    """An ordered, immutable collection of labeled utterances."""
-
-    utterances: tuple[LabeledUtterance, ...]
-
-    def __post_init__(self) -> None:
-        ids = [u.id for u in self.utterances]
-        if len(set(ids)) != len(ids):
-            raise ValueError("utterance ids must be unique within a corpus")
-
-    def __len__(self) -> int:
-        return len(self.utterances)
-
-    def __iter__(self) -> Iterator[LabeledUtterance]:
-        return iter(self.utterances)
-
-    def __getitem__(self, i: int) -> LabeledUtterance:
-        return self.utterances[i]
-
-    @property
-    def positives(self) -> tuple[LabeledUtterance, ...]:
-        return tuple(u for u in self.utterances if u.label == POSITIVE)
-
-    @property
-    def negatives(self) -> tuple[LabeledUtterance, ...]:
-        return tuple(u for u in self.utterances if u.label == NEGATIVE)
-
-    def subset(self, utterances: Iterable[LabeledUtterance]) -> "LabeledCorpus":
-        return LabeledCorpus(tuple(utterances))
 
 
 def _split_line(line: str, where: str) -> tuple[int, list[str]]:
@@ -195,9 +166,11 @@ def parse_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
         raise CorpusFormatError(f"{path}: empty corpus{' after preprocessing' if dropped else ''}")
 
 
-def load_corpus(path: str | Path, preprocess: PreprocessConfig | None = None) -> LabeledCorpus:
-    """The whole corpus file at path, as parse_corpus reads it."""
-    return LabeledCorpus(tuple(parse_corpus(path, preprocess)))
+def load_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
+                ) -> tuple[LabeledUtterance, ...]:
+    """The utterances of the whole corpus file at path, in file order, as
+    parse_corpus reads them."""
+    return tuple(parse_corpus(path, preprocess))
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

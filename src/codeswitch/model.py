@@ -2,7 +2,8 @@
 from (prediction, gold) pair counts, which add up across blocks of a corpus,
 cross-validation over a featurized matrix and given folds that scores each
 row out of fold under every arm of the switching ablation, a subset of its
-columns, fold_reports of those scores, and negative sub-sampling.
+columns, fold_reports of those scores, and negative sub-sampling, which
+pairs a corpus's negatives, in order, with one probability each.
 
 Training minimizes the mean binary cross-entropy with an L2 penalty on the
 weights (bias unpenalized) by line-search Newton-CG from zero, so results
@@ -26,12 +27,12 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from codeswitch.config import PipelineConfig, TrainConfig, check_tau
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, POSITIVE, read_lines
+from codeswitch.corpus import NEGATIVE, POSITIVE, LabeledUtterance, read_lines
 from codeswitch.switching import N_FEATURES
 from codeswitch.textfeat import (
     FeatureKey,
@@ -216,18 +217,21 @@ def confusion_report(pairs: Counter) -> EvalReport:
     )
 
 
-def subsample_negatives(corpus: LabeledCorpus,
-                        scorer: Callable[[LabeledUtterance], float],
-                        tau: float) -> LabeledCorpus:
-    """Drop negatives the scorer finds easy (probability < tau).
-
-    All positives are kept; order is preserved; idempotent for a fixed
-    scorer.
+def subsample_negatives(utterances: Sequence[LabeledUtterance],
+                        negative_proba: Sequence[float] | np.ndarray,
+                        tau: float) -> list[LabeledUtterance]:
+    """The utterances, in order, less the negatives found easy: the i-th
+    negative is kept when negative_proba[i], its probability, is at least
+    tau.  All positives are kept, so given the kept negatives'
+    probabilities it keeps every utterance it kept.  A count of
+    probabilities other than the count of negatives is a ValueError.
     """
     check_tau(tau)
-    kept = [u for u in corpus
-            if u.label == POSITIVE or scorer(u) >= tau]
-    return corpus.subset(kept)
+    n_negatives = sum(u.label == NEGATIVE for u in utterances)
+    if len(negative_proba) != n_negatives:
+        raise ValueError(f"{len(negative_proba)} probabilities for {n_negatives} negatives")
+    proba = iter(negative_proba)
+    return [u for u in utterances if u.label == POSITIVE or next(proba) >= tau]
 
 
 # --------------------------------------------------------------------
@@ -241,23 +245,23 @@ class FittedPipeline:
     lexicon: Mapping[str, float]  # empty when config.use_indicative is off
     model: LinearModel
 
-    def _training_matrix(self, corpus: LabeledCorpus) -> SparseMatrix:
-        """The corpus featurized over the fitted vocabulary, with the
+    def _training_matrix(self, utterances: Iterable[LabeledUtterance]) -> SparseMatrix:
+        """The utterances featurized over the fitted vocabulary, with the
         switching block exactly when config.with_switching, one row each."""
         cfg = self.config
-        matrix = featurize(corpus, cfg.kinds, cfg.n_values, self.vocab, cfg.with_switching)
+        matrix = featurize(utterances, cfg.kinds, cfg.n_values, self.vocab, cfg.with_switching)
         return training_matrix(matrix, np.arange(len(self.vocab)), self.lexicon, cfg.negation_words)
 
     def vectorize(self, utterance: LabeledUtterance) -> np.ndarray:
         """The utterance's training-matrix row as a dense vector."""
-        X = self._training_matrix(LabeledCorpus((utterance,)))
+        X = self._training_matrix((utterance,))
         row = np.zeros(X.shape[1])
         row[X.cols] = X.values
         return row
 
-    def predict_proba(self, corpus: LabeledCorpus) -> np.ndarray:
-        """Positive-class probability of every utterance of the corpus."""
-        return predict_proba(self.model, self._training_matrix(corpus))
+    def predict_proba(self, utterances: Iterable[LabeledUtterance]) -> np.ndarray:
+        """Positive-class probability of each of the utterances, in order."""
+        return predict_proba(self.model, self._training_matrix(utterances))
 
 
 def _fit(matrix: FeatureMatrix, cfg: PipelineConfig
@@ -272,7 +276,8 @@ def _fit(matrix: FeatureMatrix, cfg: PipelineConfig
     return cols, lexicon, training_matrix(matrix, cols, lexicon, cfg.negation_words)
 
 
-def fit_pipeline(train_corpus: LabeledCorpus, cfg: PipelineConfig) -> FittedPipeline:
+def fit_pipeline(train_corpus: Iterable[LabeledUtterance], cfg: PipelineConfig
+                 ) -> FittedPipeline:
     """Featurize the training corpus once and fit the pipeline on all of it."""
     matrix = featurize(train_corpus, cfg.kinds, cfg.n_values, with_switching=cfg.with_switching)
     cols, lexicon, X = _fit(matrix, cfg)

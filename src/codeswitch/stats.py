@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from codeswitch.corpus import LabeledCorpus, POSITIVE
+from codeswitch.corpus import POSITIVE, LabeledUtterance
 from codeswitch.switching import has_embedding_property, switch_counts
 
 
@@ -55,7 +56,7 @@ def phi_from_table(t: ContingencyTable) -> float | None:
     return (t.n11 * t.n00 - t.n10 * t.n01) / math.sqrt(denom)
 
 
-def summarize(corpus: LabeledCorpus) -> SwitchTaskSummary:
+def summarize(corpus: Iterable[LabeledUtterance]) -> SwitchTaskSummary:
     """The statistics of the corpus, from one pass over its utterances."""
     n = Counter()
     switches = {True: [], False: []}  # each class's V, keyed by label == POSITIVE

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Sized, Union
 import numpy as np
 
 from codeswitch.config import checked_kinds
-from codeswitch.corpus import LabeledCorpus, POSITIVE, Token, read_lines
+from codeswitch.corpus import POSITIVE, LabeledUtterance, Token, read_lines
 from codeswitch.switching import N_FEATURES, switching_features
 
 # Word n-gram joiner.  A surface holding it could make a word n-gram's key
@@ -140,7 +140,7 @@ class FeatureMatrix:
                              self.tokens.take(rows), switching)
 
 
-def featurize(corpus: LabeledCorpus, kinds: Iterable[str],
+def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
               vocab: Sequence[FeatureKey] | None = None,
               with_switching: bool = True) -> FeatureMatrix:

@@ -4,13 +4,13 @@ the switching count, token surfaces carry no signal."""
 import math
 import random
 
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
+from codeswitch.corpus import LabeledUtterance, Token
 from codeswitch.switching import switch_counts
 
 
 def switching_driven_corpus(n: int, seed: int, alpha: float = 1.5,
                             mu: float = 5.5, length: int = 12,
-                            pool_size: int = 20) -> LabeledCorpus:
+                            pool_size: int = 20) -> tuple[LabeledUtterance, ...]:
     """Fixed-length utterances with i.i.d. surfaces from a shared pool and
     uniform hi/en tags; label = 1 with probability sigmoid(alpha*(V - mu))
     where V is the utterance's total switch count."""
@@ -24,4 +24,4 @@ def switching_driven_corpus(n: int, seed: int, alpha: float = 1.5,
         p = 1.0 / (1.0 + math.exp(-alpha * (v - mu)))
         label = 1 if rng.random() < p else 0
         utts.append(LabeledUtterance(tokens, label, str(i)))
-    return LabeledCorpus(tuple(utts))
+    return tuple(utts)

@@ -17,7 +17,6 @@ import pytest
 from codeswitch.cli import _pipeline_config, build_parser, run
 from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import (
-    LabeledCorpus,
     LabeledUtterance,
     Token,
     fold_indices,
@@ -219,17 +218,17 @@ def test_06_subsampling_invariants():
             LabeledUtterance((Token(f"w{i}", rng.choice(["hi", "en"])),),
                              rng.randint(0, 1), str(i))
             for i in range(n))
-        corpus = LabeledCorpus(utts)
-        scores = {u.id: rng.random() * 0.01 for u in corpus}
-        scorer = lambda u: scores[u.id]
+        scores = {u.id: rng.random() * 0.01 for u in utts}
+        proba = lambda us: [scores[u.id] for u in us if u.label == 0]  # one per negative
+        labeled = lambda us, label: tuple(u for u in us if u.label == label)
         tau = 0.001
-        result = subsample_negatives(corpus, scorer, tau)
-        assert result.positives == corpus.positives
-        expected_negatives = tuple(u for u in corpus.negatives
+        result = subsample_negatives(utts, proba(utts), tau)
+        assert labeled(result, 1) == labeled(utts, 1)
+        expected_negatives = tuple(u for u in labeled(utts, 0)
                                    if scores[u.id] >= tau)
-        assert result.negatives == expected_negatives
-        again = subsample_negatives(result, scorer, tau)
-        assert again.utterances == result.utterances
+        assert labeled(result, 0) == expected_negatives
+        again = subsample_negatives(result, proba(result), tau)
+        assert again == result
     ok(6, "positives preserved, threshold exact, idempotent on 50 corpora")
 
 
@@ -253,8 +252,7 @@ def test_09_chi_squared():
         LabeledUtterance((Token("shared", "hi"), Token("beta", "hi")), 0, "2"),
         LabeledUtterance((Token("gamma", "hi"), Token("beta", "hi")), 0, "3"),
     )
-    corpus = LabeledCorpus(utts)
-    matrix = featurize(corpus, {"word_ngram"}, {"word_ngram": (1,)})
+    matrix = featurize(utts, {"word_ngram"}, {"word_ngram": (1,)})
     cols = build_vocabulary(matrix)
     vocab = [matrix.keys[c] for c in cols.tolist()]
     scores = dict(zip(vocab, chi2_scores(matrix, cols)))

@@ -217,7 +217,7 @@ class TestTrainEvalSubsample:
                     "-o", str(out)]) == 0
         original = load_corpus(synth_file)
         filtered = load_corpus(str(out))
-        assert len(filtered.positives) == len(original.positives)
+        assert sum(u.label == 1 for u in filtered) == sum(u.label == 1 for u in original)
         assert len(filtered) <= len(original)
 
     def test_subsample_keeps_the_negatives_the_reference_scores_at_tau(self, synth_file,
@@ -254,7 +254,7 @@ class TestTrainEvalSubsample:
         assert run(["subsample", synth_file, *served, "-o", str(tmp_path / "kept.txt")]) == 0
         corpus = load_corpus(synth_file)
         # train and eval profile every utterance, subsample the negatives it scores
-        n = 2 * len(corpus) + len(corpus.negatives)
+        n = 2 * len(corpus) + sum(u.label == 0 for u in corpus)
         assert len(profiled) == (n if with_switching else 0)
 
 
@@ -585,16 +585,15 @@ def test_a_repeated_warning_prints_once_per_occurrence(variables, tmp_path):
 
 
 def test_loaded_pipeline_holds_the_models_solver_settings(synth_file, tmp_path):
-    """The bundle stores no solver settings, so the loaded pipeline's config
-    takes them from the model file, where train wrote them."""
+    """The bundle stores no solver settings; the loaded pipeline's model
+    holds them as the model file, where train wrote them, gives them."""
     model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
     assert run(["train", synth_file, "--model-out", str(model), "--pipeline-out", str(bundle),
                 *UNIGRAMS, "--max-iter", "30", "--tol", "1e-05", "--l2", "0.01"]) == 0
     args = build_parser().parse_args(["eval", synth_file, "--model", str(model),
                                       "--pipeline", str(bundle)])
     pipeline = _load_fitted(args)
-    assert pipeline.config.train_config == pipeline.model.training_meta \
-        == TrainConfig(max_iter=30, tol=1e-05, l2=0.01)
+    assert pipeline.model.training_meta == TrainConfig(max_iter=30, tol=1e-05, l2=0.01)
 
 
 def test_train_output_ignores_blas_threads(tmp_path):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from codeswitch.corpus import (
     CorpusFormatError,
-    LabeledCorpus,
     LabeledUtterance,
     Token,
     fold_indices,
@@ -29,7 +28,7 @@ def load_line(tmp_path, line):
 def make_corpus(n):
     utts = [LabeledUtterance((Token(f"w{i}", "hi"),), i % 2, str(i))
             for i in range(n)]
-    return LabeledCorpus(tuple(utts))
+    return tuple(utts)
 
 
 class TestParseTaggedLine:

@@ -1,5 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-and the package defines no top-level function or class that nothing names.
+and the package defines no top-level function or class, and no non-dunder
+method or property of a top-level class, that nothing names.
 
 A name counts as used when the module reads it anywhere, in code or in a
 string annotation, or lists it in __all__.  A definition counts as named
@@ -82,15 +83,29 @@ def _names_referenced(node: ast.AST) -> set[str]:
     return names
 
 
-def unnamed_definitions(source: str, others: list[str]) -> list[str]:
-    """The top-level functions and classes of source that neither source,
-    outside their own definition, nor any of the others names, in order."""
-    body = ast.parse(source).body
-    referenced = [_names_referenced(node) for node in body]
-    elsewhere = set().union(*(_names_referenced(ast.parse(other)) for other in others))
-    return [node.name for i, node in enumerate(body)
+def _unnamed(nodes: list[ast.stmt], elsewhere: set[str]) -> list[ast.stmt]:
+    """The functions and classes among nodes that neither another of the
+    nodes nor elsewhere names, in order."""
+    referenced = [_names_referenced(node) for node in nodes]
+    return [node for i, node in enumerate(nodes)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and node.name not in elsewhere.union(*referenced[:i], *referenced[i + 1:])]
+
+
+def unnamed_definitions(source: str, others: list[str]) -> list[str]:
+    """The top-level functions and classes of source, and the non-dunder
+    methods and properties of its top-level classes as Class.name, that
+    neither source, outside their own definition, nor any of the others
+    names, in order."""
+    body = ast.parse(source).body
+    elsewhere = set().union(*(_names_referenced(ast.parse(other)) for other in others))
+    unnamed = [node.name for node in _unnamed(body, elsewhere)]
+    for cls in (node for node in body if isinstance(node, ast.ClassDef)):
+        outside = elsewhere.union(*(_names_referenced(node) for node in body if node is not cls))
+        unnamed += [f"{cls.name}.{node.name}" for node in _unnamed(cls.body, outside)
+                    if not isinstance(node, ast.ClassDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return unnamed
 
 
 def test_the_check_finds_unnamed_definitions():
@@ -106,6 +121,24 @@ def imported(): pass
 '''
     others = ["import m\nm.attribute()", "from m import imported"]
     assert unnamed_definitions(source, others) == ["recursive", "unused"]
+
+
+def test_the_check_finds_unnamed_members():
+    source = '''
+class Box:
+    def __len__(self): return 0
+    def recursive(self): return self.recursive()
+    def called(self): pass
+    def unused(self): return self.called()
+    @property
+    def read(self): pass
+    @property
+    def unread(self): pass
+    def attribute(self): pass
+def reader(box): return box.read
+'''
+    others = ["from m import reader\nimport m\nm.Box().attribute()"]
+    assert unnamed_definitions(source, others) == ["Box.recursive", "Box.unused", "Box.unread"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))

@@ -13,7 +13,7 @@ import pytest
 
 from codeswitch import model as model_module, textfeat
 from codeswitch.config import PipelineConfig, TrainConfig
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token, fold_indices
+from codeswitch.corpus import LabeledUtterance, Token, fold_indices
 from codeswitch.model import (
     EvalReport,
     FittedPipeline,
@@ -60,7 +60,7 @@ def held_out_report(pipeline, corpus):
 
 def kfold(corpus, k, seed):
     """(train, test) sub-corpora of each fold of fold_indices."""
-    return [(corpus.subset(corpus[i] for i in train), corpus.subset(corpus[i] for i in test))
+    return [(tuple(corpus[i] for i in train), tuple(corpus[i] for i in test))
             for train, test in fold_indices(len(corpus), k, seed)]
 
 
@@ -224,40 +224,58 @@ def small_corpus():
     for i in range(6):
         tokens = (Token(f"w{i}", "hi"), Token("x", "en"), Token("y", "hi"))
         utts.append(LabeledUtterance(tokens, i % 2, str(i)))
-    return LabeledCorpus(tuple(utts))
+    return tuple(utts)
+
+
+def negative_proba(utterances, scorer):
+    """The scorer's probability of each negative of the utterances, in order."""
+    return [scorer(u) for u in utterances if u.label == 0]
 
 
 class TestSubsampleNegatives:
     def test_positives_always_kept(self):
         corpus = small_corpus()
-        result = subsample_negatives(corpus, lambda u: 0.0000001, tau=0.001)
-        assert [u.id for u in result] == [u.id for u in corpus.positives]
+        result = subsample_negatives(corpus, negative_proba(corpus, lambda u: 0.0000001),
+                                     tau=0.001)
+        assert [u.id for u in result] == [u.id for u in corpus if u.label == 1]
 
     def test_nothing_below_threshold(self):
         corpus = small_corpus()
-        result = subsample_negatives(corpus, lambda u: 0.5, tau=0.001)
-        assert result.utterances == corpus.utterances
+        result = subsample_negatives(corpus, negative_proba(corpus, lambda u: 0.5), tau=0.001)
+        assert result == list(corpus)
 
     def test_threshold_application(self):
         scores = {"1": 0.0005, "3": 0.2, "5": 0.00001}
         corpus = small_corpus()  # odd ids are... labels: i % 2 -> 1,3,5 positive
         # relabel so 0,2,4 are positive and 1,3,5 negative with given scores
-        utts = tuple(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in corpus)
-        corpus = LabeledCorpus(utts)
-        result = subsample_negatives(corpus, lambda u: scores.get(u.id, 0.5),
+        corpus = tuple(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in corpus)
+        result = subsample_negatives(corpus, negative_proba(corpus, lambda u: scores[u.id]),
                                      tau=0.001)
         assert [u.id for u in result] == ["0", "2", "3", "4"]
 
     def test_idempotent(self):
         corpus = small_corpus()
         scorer = lambda u: 0.0001 if u.id in ("0", "2") else 0.9
-        once = subsample_negatives(corpus, scorer, tau=0.001)
-        twice = subsample_negatives(once, scorer, tau=0.001)
-        assert once.utterances == twice.utterances
+        once = subsample_negatives(corpus, negative_proba(corpus, scorer), tau=0.001)
+        twice = subsample_negatives(once, negative_proba(once, scorer), tau=0.001)
+        assert once == twice
 
     def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            subsample_negatives(small_corpus(), lambda u: 0.5, tau=0.0)
+        corpus = small_corpus()
+        with pytest.raises(ValueError, match="tau"):
+            subsample_negatives(corpus, negative_proba(corpus, lambda u: 0.5), tau=0.0)
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_probability_count_must_be_the_negative_count(self, count):
+        """Too few probabilities would end the pairing early, too many would
+        go unread: both are errors, for the 3 negatives of small_corpus."""
+        with pytest.raises(ValueError, match=f"{count} probabilities for 3 negatives"):
+            subsample_negatives(small_corpus(), [0.5] * count, tau=0.001)
+
+    def test_positives_alone_need_no_probability(self):
+        positives = tuple(u for u in small_corpus() if u.label == 1)
+        assert subsample_negatives(positives, [], tau=0.001) == list(positives)
+        assert subsample_negatives(positives, np.array([]), tau=0.001) == list(positives)
 
 
 def word_pool_corpus(n, seed, informative=False):
@@ -270,7 +288,7 @@ def word_pool_corpus(n, seed, informative=False):
                        for _ in range(8))
         label = rng.randint(0, 1)
         utts.append(LabeledUtterance(tokens, label, str(i)))
-    return LabeledCorpus(tuple(utts))
+    return tuple(utts)
 
 
 def cross_validate(corpus, cfg, arms, k, seed=13):
@@ -367,8 +385,8 @@ class TestCrossValidate:
     @pytest.mark.parametrize("min_count", [1, 0])
     def test_fold_vocabulary_holds_only_train_fold_features(self, monkeypatch, min_count):
         corpus = word_pool_corpus(30, seed=6)
-        corpus = corpus.subset(LabeledUtterance(u.tokens + (Token(f"only{u.id}", "en"),),
-                                                u.label, u.id) for u in corpus)
+        corpus = tuple(LabeledUtterance(u.tokens + (Token(f"only{u.id}", "en"),), u.label, u.id)
+                       for u in corpus)
         fitted = []
         fit = model_module._fit
 
@@ -472,19 +490,20 @@ class TestCrossValidate:
         for name in calls:
             monkeypatch.setattr(textfeat, name, counted(name))
         passes = []
-        iterate = LabeledCorpus.__iter__
 
-        def counted_iter(self):
-            passes[-1] += 1
-            return iterate(self)
-        monkeypatch.setattr(LabeledCorpus, "__iter__", counted_iter)
+        class Counted(tuple):
+            """The corpus, counting the passes over it."""
+            def __iter__(self):
+                passes[-1] += 1
+                return super().__iter__()
         for k in (3, 5, 10):
             calls.update(dict.fromkeys(calls, 0))
             passes.append(0)
-            _, skipped, _ = cross_validate(corpus, self.FULL, (range(N_FEATURES), ()), k=k)
+            _, skipped, _ = cross_validate(Counted(corpus), self.FULL, (range(N_FEATURES), ()),
+                                           k=k)
             assert skipped == ()
             assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
-        assert passes[0] == passes[1] == passes[2]
+        assert passes[0] == passes[1] == passes[2] >= 1
 
     def test_no_leakage_from_test_fold(self, monkeypatch):
         """Fold 0 fits the same keys and lexicon when its test utterances
@@ -493,8 +512,8 @@ class TestCrossValidate:
         corpus = word_pool_corpus(40, seed=3)
         _, test_rows = fold_indices(len(corpus), 4, 13)[0]
         replaced = set(test_rows)
-        mutated = corpus.subset(LabeledUtterance((Token("zzz", "hi"),), u.label, u.id)
-                                if r in replaced else u for r, u in enumerate(corpus))
+        mutated = tuple(LabeledUtterance((Token("zzz", "hi"),), u.label, u.id)
+                        if r in replaced else u for r, u in enumerate(corpus))
         fits = []
         fit = model_module._fit
 
@@ -604,7 +623,7 @@ class TestMatrixScoring:
         for i, (_, test_rows) in enumerate(folds):
             (train_part, _), (cols, lexicon, _) = recorded["_fit"][i]
             vocab = tuple(train_part.keys[c] for c in cols.tolist())
-            test = corpus.subset(corpus[r] for r in test_rows)
+            test = tuple(corpus[r] for r in test_rows)
             for j, arm in enumerate(arms):
                 model = recorded["train"][2 * i + j][1]
                 (probs, labels), _ = recorded["evaluate"][len(folds) * j + i]  # by arm, then fold
@@ -620,7 +639,7 @@ class TestMatrixScoring:
         held_out = list(word_pool_corpus(20, seed=8))
         unseen = LabeledUtterance(held_out[0].tokens + (Token("zzzz", "en"),), 1, "unseen")
         unknown = LabeledUtterance((Token("qqqq", "en"), Token("xxxx", "hi")), 0, "unknown")
-        corpus = LabeledCorpus(tuple([unseen] + held_out + [unknown]))
+        corpus = tuple([unseen] + held_out + [unknown])
         for with_switching in (True, False):
             cfg = replace(self.CFG, with_switching=with_switching)
             pipeline = fit_pipeline(word_pool_corpus(40, seed=4), cfg)
@@ -656,7 +675,7 @@ class TestSparseTraining:
         solo = [LabeledUtterance((Token(f"solo{i}", "en"),), i % 2, f"solo{i}")
                 for i in range(3)]
         body = list(word_pool_corpus(30, seed=2))
-        corpus = LabeledCorpus(tuple([solo[0]] + body[:15] + [solo[1]] + body[15:] + [solo[2]]))
+        corpus = tuple([solo[0]] + body[:15] + [solo[1]] + body[15:] + [solo[2]])
         cfg = cls.CFG
         matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values,
                                     with_switching=with_switching)
@@ -790,10 +809,10 @@ class TestSparseTraining:
         # every token is unique, so the vocabulary grows with the corpus
         rng = random.Random(9)
         n, length = 400, 20
-        corpus = LabeledCorpus(tuple(
+        corpus = tuple(
             LabeledUtterance(tuple(Token(f"w{i}x{j}", rng.choice(["hi", "en"]))
                                    for j in range(length)), i % 2, str(i))
-            for i in range(n)))
+            for i in range(n))
         cfg = PipelineConfig(**UNIGRAMS, chi2_k=None)
         tracemalloc.start()
         try:

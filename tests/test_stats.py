@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
+from codeswitch.corpus import LabeledUtterance, Token
 from codeswitch.stats import ContingencyTable, phi_from_table, rates_from_table, summarize
 
 # hi-en-hi satisfies the embedding property; all-hi does not
@@ -21,7 +21,7 @@ def corpus_from_cells(n11, n10, n01, n00):
                         (True, 0, n01), (False, 0, n00)):
         for _ in range(n):
             utts.append(utt(q, label, len(utts)))
-    return LabeledCorpus(tuple(utts))
+    return tuple(utts)
 
 
 def mean_switches(corpus):
@@ -68,7 +68,7 @@ class TestAverageSwitching:
             LabeledUtterance(seq(1), 0, "2"),
             LabeledUtterance(seq(1), 0, "3"),
         ]
-        corpus = LabeledCorpus(tuple(utts))
+        corpus = tuple(utts)
         assert mean_switches(corpus) == (3.0, 1.0)
 
     def test_single_language_corpus(self):
@@ -77,7 +77,7 @@ class TestAverageSwitching:
 
     def test_empty_class_undefined(self):
         utts = (LabeledUtterance(NOT_Q_TOKENS, 1, "0"),)
-        avg_pos, avg_neg = mean_switches(LabeledCorpus(utts))
+        avg_pos, avg_neg = mean_switches(utts)
         assert avg_pos == 0.0
         assert avg_neg is None
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codeswitch.config import KIND_ORDER
-from codeswitch.corpus import LabeledCorpus, LabeledUtterance, Token
+from codeswitch.corpus import LabeledUtterance, Token
 from codeswitch.textfeat import (
     NGRAM_SEP,
     FeatureMatrix,
@@ -38,7 +38,7 @@ def utterance(surfaces, label=1, uid="0", tag="hi"):
 
 
 def corpus(*utts):
-    return LabeledCorpus(tuple(utts))
+    return utts
 
 
 def keys_of(matrix, cols):
@@ -232,7 +232,7 @@ class TestFeaturize:
         matrix = featurize(c, {"word_ngram"}, n_values)
         for rows in ([4, 2, 0, 3], [4, 3, 2, 1, 0], [0, 2, 3, 4]):
             taken = matrix.take(rows)
-            part = featurize(c.subset(c[r] for r in rows), {"word_ngram"}, n_values)
+            part = featurize([c[r] for r in rows], {"word_ngram"}, n_values)
             assert taken.keys is matrix.keys and taken.words is matrix.words
             assert taken.labels.tolist() == part.labels.tolist() == [c[r].label for r in rows]
             assert taken.counts.shape == (len(rows), len(matrix.keys))
@@ -429,7 +429,7 @@ class TestChi2:
 
     def test_label_swap_symmetry(self):
         c = balanced_four_corpus()
-        flipped = c.subset(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in c)
+        flipped = tuple(LabeledUtterance(u.tokens, 1 - u.label, u.id) for u in c)
         matrix, cols = unigram_fit(c)
         flipped_matrix = unigram_matrix(flipped)
         assert flipped_matrix.keys == matrix.keys
@@ -451,7 +451,7 @@ class TestFoldFit:
         v = np.random.default_rng(12).normal(size=15 + 2 + N_FEATURES)
         for rows in (ascending[::-1], ascending):  # fold_indices gives ascending rows
             part = matrix.take(rows)
-            alone = featurize(c.subset(c[r] for r in rows), kinds, n_values)
+            alone = featurize([c[r] for r in rows], kinds, n_values)
             assert len(alone.keys) < len(matrix.keys)  # the fold misses some features
             fits = []
             for m in (part, alone):
