@@ -16,25 +16,31 @@ training and scoring read its rows, with the switching columns exactly
 when the FeatureMatrix carries its switching block.
 
 Feature keys are (kind, payload) pairs, kind being char_ngram or word_ngram
-(a token's unigram is its word 1-gram).  extract_features builds and counts
-an utterance's keys, and featurize interns them, through C iterators, with
-no Python step per n-gram; a row's entries keep extract_features' key
-order.  A featurized matrix's columns are its keys in their own tuple
-order, kind then payload, so ascending column ids keep that order; the
-kinds of KIND_ORDER are in alphabetical order too.  Rows carry two special
-dimensions (indicative-score sum, negation count) after the vocabulary
-block and, when requested, the nine switching features last, so a row
-without them is the leading columns of one with.  KIND_ORDER and
-checked_kinds, the check of kinds and sizes, live in codeswitch.config.
+(a token's unigram is its word 1-gram): a char_ngram payload is a run of n
+characters of an utterance's space-joined surfaces, lowercased after
+joining, and a word_ngram one a run of n lowercased surfaces joined by
+NGRAM_SEP.  featurize counts them with numpy array kernels, a chunk of
+utterances and one (kind, size) at a time: each n-gram occurrence is one
+int64 code, one sort groups the codes into (row, gram) pairs, and each
+distinct gram of the chunk is decoded to its payload once, so no Python
+object is made per occurrence.  A row's entries are its distinct keys in
+order of first occurrence, kind then size.  A featurized matrix's columns
+are its keys in their own tuple order, kind then payload, so ascending
+column ids keep that order; the kinds of KIND_ORDER are in alphabetical
+order too.  Rows carry two special dimensions (indicative-score sum,
+negation count) after the vocabulary block and, when requested, the nine
+switching features last, so a row without them is the leading columns of
+one with.  KIND_ORDER and checked_kinds, the check of kinds and sizes, live
+in codeswitch.config.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Sized, Union
@@ -42,7 +48,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Sized, Union
 import numpy as np
 
 from codeswitch.config import checked_kinds
-from codeswitch.corpus import POSITIVE, LabeledUtterance, Token, read_lines
+from codeswitch.corpus import POSITIVE, LabeledUtterance, read_lines
 from codeswitch.switching import N_FEATURES, switching_features
 
 # Word n-gram joiner.  A surface holding it could make a word n-gram's key
@@ -53,31 +59,6 @@ NGRAM_SEP = "§"
 _surface = attrgetter("surface")
 
 FeatureKey = tuple[str, str]
-
-
-def _feature_keys(tokens: Sequence[Token], kinds: frozenset[str],
-                  n_values: Mapping[str, tuple[int, ...]]) -> Iterator[FeatureKey]:
-    """The (kind, payload) feature keys of one utterance, each occurrence,
-    size by size, as extract_features describes, from C iterators."""
-    runs = []
-    if "char_ngram" in kinds:
-        runs.append(("char_ngram", " ".join(map(_surface, tokens)).lower(), "".join))
-    if "word_ngram" in kinds:
-        runs.append(("word_ngram", [*map(str.lower, map(_surface, tokens))], NGRAM_SEP.join))
-    return chain.from_iterable(
-        zip(repeat(kind), map(join, zip(*[items[i:] for i in range(n)])))
-        for kind, items, join in runs for n in n_values[kind] if n <= len(items))
-
-
-def extract_features(tokens: Sequence[Token], kinds: frozenset[str],
-                     n_values: Mapping[str, tuple[int, ...]]) -> Counter:
-    """Multiset of (kind, payload) feature keys for one utterance, in order
-    of first occurrence, size by size: char_ngram payloads are n-character
-    runs of the space-joined surfaces, lowercased after joining, word_ngram
-    ones runs of n lowercased surfaces joined by NGRAM_SEP.  Sizes must be
-    >= 1; a size longer than the run yields no grams and is skipped.  C
-    iterators build and count the keys, with no Python step per n-gram."""
-    return Counter(_feature_keys(tokens, kinds, n_values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +101,8 @@ class SparseMatrix:
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """A featurized labeled corpus, one row per utterance: labels[r] is the
-    label of utterance r; counts its extract_features counts, column c
-    counting the feature keys[c]; tokens one entry of value 1 per token
+    label of utterance r; counts its feature key counts, column c counting
+    the feature keys[c]; tokens one entry of value 1 per token
     occurrence, in token order, at the column of its lowercased surface in
     words; switching[r] its switching profile, in SwitchProfile.as_tuple
     order, or switching is None when it was featurized without them."""
@@ -140,54 +121,182 @@ class FeatureMatrix:
                              self.tokens.take(rows), switching)
 
 
+_INT64_END = 2**63  # a gram's code stays below it, so its arithmetic cannot overflow
+_CHUNK_TOKENS = 2048  # tokens whose n-grams featurize counts at once, which bounds its arrays
+
+
+def _ranks(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each code's rank among the distinct codes, and their number: new
+    codes, below len(codes), equal exactly where the codes are.  The flag
+    keeps np.unique from importing numpy.ma, as a bare call does."""
+    distinct, ranks = np.unique(codes, return_inverse=True)
+    return ranks, len(distinct)
+
+
+def _gram_counts(symbols: np.ndarray, bound: int, lengths: np.ndarray, n: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n-grams of the int32 symbols, each below bound: the runs of n
+    symbols within one row's segment, row r's segment being the next
+    lengths[r] symbols.  Returns each distinct (row, gram) pair's row, gram
+    id and count, in the order of its first occurrence, so by row; and the
+    start of one occurrence of each gram id.
+
+    A gram's code is its symbols as digits in radix bound, in int64; before
+    the next digit could overflow the codes, each is replaced by its rank.
+    One sort of the (code, row) keys groups the occurrences into pairs and
+    the pairs into grams, and gives each pair's first occurrence."""
+    n_rows = len(lengths)
+    per_row = lengths - (n - 1)
+    per_row[per_row < 0] = 0
+    rows = np.arange(n_rows, dtype=np.int32).repeat(per_row)
+    skipped = lengths - per_row  # a row's symbols that start no n-gram
+    starts = (skipped.cumsum(dtype=np.int32) - skipped).repeat(per_row)
+    starts += np.arange(len(starts), dtype=np.int32)
+    codes, code_bound = symbols[starts].astype(np.int64), bound
+    for k in range(1, n):
+        if code_bound * bound > _INT64_END:
+            codes, code_bound = _ranks(codes)
+        codes *= bound
+        codes += symbols[starts + k]
+        code_bound *= bound
+    if code_bound * n_rows > _INT64_END:
+        codes, code_bound = _ranks(codes)
+    codes *= n_rows
+    codes += rows  # one key per (gram, row) pair
+    order = codes.argsort()  # equal keys are one pair, so their order is free
+    codes = codes[order]
+    pair_at = np.concatenate(([True], codes[1:] != codes[:-1])).nonzero()[0]
+    first = np.minimum.reduceat(order, pair_at)
+    del order
+    counts = (np.concatenate((pair_at[1:], [len(codes)])) - pair_at).astype(np.int32)
+    pair_rows = rows[first]
+    codes = codes[pair_at]
+    codes -= pair_rows  # the gram's code times n_rows
+    del pair_at
+    new_gram = np.concatenate(([True], codes[1:] != codes[:-1]))
+    del codes
+    gram_starts = starts[first[new_gram]]
+    grams = new_gram.cumsum(dtype=np.int32) - 1
+    by_first = first.argsort()
+    return pair_rows[by_first], grams[by_first], counts[by_first], gram_starts
+
+
+def _chunks(corpus: Iterable[LabeledUtterance]) -> Iterator[list[LabeledUtterance]]:
+    """The corpus's utterances in order, in lists of the fewest that hold
+    _CHUNK_TOKENS tokens, the last list perhaps fewer."""
+    chunk, n_tokens = [], 0
+    for u in corpus:
+        chunk.append(u)
+        n_tokens += len(u.tokens)
+        if n_tokens >= _CHUNK_TOKENS:
+            yield chunk
+            chunk, n_tokens = [], 0
+    if chunk:
+        yield chunk
+
+
+def _chunk_entries(texts: list[str], words: list[str], word_cols: list[int],
+                   n_tokens: list[int], kinds: frozenset[str],
+                   n_values: Mapping[str, tuple[int, ...]], ids: dict[FeatureKey, int],
+                   grow: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, column, count) entries of the feature keys of a chunk of
+    rows, each row's distinct keys in order of first occurrence within kind
+    then size, in n_values' order, and the rows in order.  Row r's
+    lowercased text is texts[r] (when char_ngram is in kinds), and its
+    n_tokens[r] lowercased surfaces and their word ids are the next ones of
+    words and word_cols.  A key's column is ids[key], added if new when
+    grow, and otherwise the key is left out when ids lacks it."""
+    runs = []  # per kind: its symbols, their rows' lengths, and what a gram is decoded from
+    if "char_ngram" in kinds:  # a code point is below 0x110000, so it fits an int32
+        text = "".join(texts)
+        code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.dtype("<i4"))
+        runs.append(("char_ngram", code_points, [*map(len, texts)], text, None))
+    if "word_ngram" in kinds:
+        runs.append(("word_ngram", np.array(word_cols, dtype=np.int32), n_tokens, words,
+                     NGRAM_SEP.join))
+    empty = np.zeros(0, dtype=np.int32)
+    rows, cols, counts = [empty], [empty], [empty]
+    for kind, symbols, lengths, items, join in runs:
+        longest, lengths = max(lengths), np.array(lengths, dtype=np.int32)
+        bound = int(symbols.max()) + 1
+        for size in n_values[kind]:
+            if size > longest:
+                continue
+            pair_rows, grams, pair_counts, starts = _gram_counts(symbols, bound, lengths, size)
+            pieces = map(items.__getitem__, map(slice, starts.tolist(), (starts + size).tolist()))
+            keys = zip(repeat(kind), pieces if join is None else map(join, pieces))
+            gram_cols = np.fromiter(map(ids.__getitem__, keys) if grow
+                                    else map(ids.get, keys, repeat(-1)), np.int32, len(starts))
+            pair_cols = gram_cols[grams]
+            kept = pair_cols >= 0
+            rows.append(pair_rows[kept])
+            cols.append(pair_cols[kept])
+            counts.append(pair_counts[kept])
+    rows = np.concatenate(rows)
+    # by row, then by kind and size: the (kind, size) blocks are each in row order
+    by_row = (rows.astype(np.int64) * len(rows) + np.arange(len(rows))).argsort()
+    return rows[by_row], np.concatenate(cols)[by_row], np.concatenate(counts)[by_row]
+
+
 def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
               vocab: Sequence[FeatureKey] | None = None,
               with_switching: bool = True) -> FeatureMatrix:
-    """Feature matrix of the corpus, built in one streaming pass: each
-    utterance is extracted once (given a fitted vocab, only the keys in it
-    are counted, with the counts and key order extract_features gives them),
-    its keys and lowercased surfaces are interned into column ids by C
-    iterators, in that key order, the order in which X @ w adds a row's
-    terms, and its Counter is dropped.  The key ids are then
-    remapped to the rank of their key, or, given vocab, are its columns.
-    Row and column ids and counts are int32, and token values int8, which
-    keeps the matrix small while a cross-validation holds it.  The switching
-    block is built only with_switching, and is None otherwise.  checked_kinds
-    checks the kinds and sizes once per call and, when word n-grams above
-    size 1 are extracted, a lowercased surface holding NGRAM_SEP is a
-    ValueError naming it, checked once per call over the distinct words."""
+    """Feature matrix of the corpus, built in one streaming pass over it, a
+    chunk of _CHUNK_TOKENS tokens at a time, so its arrays stay small.  Each
+    utterance's lowercased surfaces are interned into word ids by C
+    iterators, its lowercased text is joined and, with_switching, it is
+    profiled; then _chunk_entries counts the chunk's keys (given a fitted
+    vocab, only the keys in it).  A row holds one entry per distinct key,
+    with its count, in order of first occurrence within kind then size: the
+    order in which X @ w adds a row's terms.  The key ids are then remapped
+    to the rank of their key, or, given vocab, are its columns.  Row and
+    column ids and counts are int32, and token values int8, which keeps the
+    matrix small while a cross-validation holds it.  The switching block is
+    built only with_switching, and is None otherwise.  checked_kinds checks
+    the kinds and sizes once per call and, when word n-grams above size 1
+    are extracted, a lowercased surface holding NGRAM_SEP is a ValueError
+    naming it, checked once per call over the distinct words."""
     kinds = checked_kinds(kinds, n_values)
-    ids: dict[FeatureKey, int] = (defaultdict(count().__next__) if vocab is None
-                                  else {key: i for i, key in enumerate(vocab)})
+    grow = vocab is None
+    ids: dict[FeatureKey, int] = (defaultdict(count().__next__) if grow
+                                  else dict(zip(vocab, count())))
     word_ids: dict[str, int] = defaultdict(count().__next__)
-    labels, switching = [], []
-    n_keys, key_cols, key_counts, n_tokens, token_cols = [], [], [], [], []
-    for u in corpus:
-        feats = (extract_features(u.tokens, kinds, n_values) if vocab is None
-                 else Counter(filter(ids.__contains__, _feature_keys(u.tokens, kinds, n_values))))
-        n_keys.append(len(feats))
-        key_cols += map(ids.__getitem__, feats)  # a new key's id is the count of keys before it
-        key_counts += feats.values()
-        n_tokens.append(len(u.tokens))
-        token_cols += map(word_ids.__getitem__, map(str.lower, map(_surface, u.tokens)))
-        labels.append(u.label)
-        if with_switching:
-            switching.append(switching_features(u.tokens).as_tuple())
+    labels, switching, n_tokens, token_cols = [], [], [], []
+    empty = np.zeros(0, dtype=np.int32)
+    key_rows, key_cols, key_counts = [empty], [empty], [empty]  # per chunk, its entries
+    for chunk in _chunks(corpus):
+        texts, words, first = [], [], len(labels)
+        for u in chunk:
+            surfaces = [*map(_surface, u.tokens)]
+            lowered = [*map(str.lower, surfaces)]
+            if "char_ngram" in kinds:
+                texts.append(" ".join(surfaces).lower())
+            words += lowered
+            n_tokens.append(len(lowered))
+            token_cols += map(word_ids.__getitem__, lowered)
+            labels.append(u.label)
+            if with_switching:
+                switching.append(switching_features(u.tokens).as_tuple())
+        rows, cols, counts = _chunk_entries(texts, words, token_cols[len(token_cols) - len(words):],
+                                            n_tokens[first:], kinds, n_values, ids, grow)
+        key_rows.append(rows + first)
+        key_cols.append(cols)
+        key_counts.append(counts)
     if "word_ngram" in kinds and max(n_values["word_ngram"], default=0) > 1:
         clash = next((w for w in word_ids if NGRAM_SEP in w), None)
         if clash is not None:
             raise ValueError(f"token surface {clash!r} holds {NGRAM_SEP!r}, which joins "
                              "word n-grams, so its n-grams would share columns with others")
-    key_cols = np.array(key_cols, dtype=np.int32)
-    if vocab is None:
+    key_cols = np.concatenate(key_cols)
+    if grow:
         vocab = sorted(ids)
         rank = np.empty(len(vocab), dtype=np.int32)
         rank[[ids[key] for key in vocab]] = np.arange(len(vocab))
         key_cols = rank[key_cols]
     n = len(labels)
-    counts = SparseMatrix((n, len(vocab)), np.repeat(np.arange(n, dtype=np.int32), n_keys),
-                          key_cols, np.array(key_counts, dtype=np.int32))
+    counts = SparseMatrix((n, len(vocab)), np.concatenate(key_rows), key_cols,
+                          np.concatenate(key_counts))
     tokens = SparseMatrix((n, len(word_ids)), np.repeat(np.arange(n, dtype=np.int32), n_tokens),
                           np.array(token_cols, dtype=np.int32), np.ones(len(token_cols), np.int8))
     switching = np.array(switching, dtype=np.float64).reshape(-1, N_FEATURES)

@@ -1076,7 +1076,7 @@ def test_cv_rejects_ngram_size_below_one(synth_file, tmp_path, capsys):
     (["--min-count", "-1"], SELECTION_ERRORS["min_count"] + "1")])
 def test_cv_rejects_selection_settings_before_featurizing(flags, message, synth_file, tmp_path,
                                                           monkeypatch, capsys):
-    monkeypatch.setattr(textfeat, "extract_features", None)  # featurizing would raise TypeError
+    monkeypatch.setattr(textfeat, "featurize", None)  # featurizing would raise TypeError
     out = tmp_path / "cv.json"
     assert run(["cv", synth_file, *UNIGRAMS, *flags, "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -33,7 +33,7 @@ from codeswitch.model import (
     train,
 )
 from codeswitch.switching import N_FEATURES
-from reference_encoder import dense_row, pipeline_rows
+from reference_encoder import dense_row, extract_features, pipeline_rows
 from synth_corpus import switching_driven_corpus
 
 # word 1-grams: one feature per token, keyed by its lowercased surface
@@ -291,6 +291,16 @@ def word_pool_corpus(n, seed, informative=False):
     return tuple(utts)
 
 
+class CountedPasses(tuple):
+    """A corpus that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 def cross_validate(corpus, cfg, arms, k, seed=13):
     """cross_validate_arms as cmd_cv runs it, over fold_indices' folds and
     the corpus featurized once, with the switching block when an arm takes
@@ -369,18 +379,19 @@ class TestCrossValidate:
                 assert np.array_equal(arm_scores[test_rows], X_test @ model.weights + model.bias)
 
     def test_extracts_each_utterance_once(self, monkeypatch):
-        corpus = word_pool_corpus(40, seed=4)
+        """The corpus is featurized once, in one pass over it; test folds
+        are rows of that matrix."""
+        corpus = CountedPasses(word_pool_corpus(40, seed=4))
         calls = []
-        extract = textfeat.extract_features
+        featurize = textfeat.featurize
 
-        def counted(*args):
-            calls.append(args)
-            return extract(*args)
-        monkeypatch.setattr(textfeat, "extract_features", counted)
+        def counted(c, *args, **kwargs):
+            calls.append(c)
+            return featurize(c, *args, **kwargs)
+        monkeypatch.setattr(textfeat, "featurize", counted)
         _, skipped, _ = cross_validate(corpus, self.FULL, ((),), k=5)
         assert skipped == ()
-        # once to featurize the corpus; test folds are rows of that matrix
-        assert len(calls) == len(corpus)
+        assert len(calls) == 1 and calls[0] is corpus and corpus.passes == 1
 
     @pytest.mark.parametrize("min_count", [1, 0])
     def test_fold_vocabulary_holds_only_train_fold_features(self, monkeypatch, min_count):
@@ -474,36 +485,30 @@ class TestCrossValidate:
             cross_validate(word_pool_corpus(4, seed=1), self.CFG, (range(N_FEATURES), ()), k=4)
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
-        """Whatever k is, each utterance is extracted and profiled once and
-        the corpus is iterated as often: the folds, their lexicons and their
-        indicative and negation columns all read the featurized matrix."""
+        """Whatever k is, the corpus is featurized once, in one pass over
+        it, and each utterance is profiled once: the folds, their lexicons
+        and their indicative and negation columns all read the featurized
+        matrix."""
         corpus = switching_driven_corpus(200, seed=3)
-        calls = {"extract_features": 0, "switching_features": 0}
+        calls = {"featurize": 0, "switching_features": 0}
 
         def counted(name):
             original = getattr(textfeat, name)
 
-            def call(*args):
+            def call(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
             return call
         for name in calls:
             monkeypatch.setattr(textfeat, name, counted(name))
-        passes = []
-
-        class Counted(tuple):
-            """The corpus, counting the passes over it."""
-            def __iter__(self):
-                passes[-1] += 1
-                return super().__iter__()
         for k in (3, 5, 10):
             calls.update(dict.fromkeys(calls, 0))
-            passes.append(0)
-            _, skipped, _ = cross_validate(Counted(corpus), self.FULL, (range(N_FEATURES), ()),
+            counted_corpus = CountedPasses(corpus)
+            _, skipped, _ = cross_validate(counted_corpus, self.FULL, (range(N_FEATURES), ()),
                                            k=k)
             assert skipped == ()
-            assert calls == {"extract_features": len(corpus), "switching_features": len(corpus)}
-        assert passes[0] == passes[1] == passes[2] >= 1
+            assert calls == {"featurize": 1, "switching_features": len(corpus)}
+            assert counted_corpus.passes == 1
 
     def test_no_leakage_from_test_fold(self, monkeypatch):
         """Fold 0 fits the same keys and lexicon when its test utterances
@@ -558,16 +563,24 @@ class TestFitPipeline:
                          with_switching=True)
 
     def test_extracts_each_training_utterance_once(self, monkeypatch):
-        corpus = word_pool_corpus(40, seed=4)
-        calls = []
-        extract = textfeat.extract_features
+        """The training corpus is featurized once, in one pass over it, and
+        each utterance is profiled once."""
+        corpus = CountedPasses(word_pool_corpus(40, seed=4))
+        calls, profiles = [], []
+        featurize, profile = model_module.featurize, textfeat.switching_features
 
-        def counted(*args):
-            calls.append(args)
-            return extract(*args)
-        monkeypatch.setattr(textfeat, "extract_features", counted)
+        def counted(c, *args, **kwargs):
+            calls.append(c)
+            return featurize(c, *args, **kwargs)
+
+        def profiled(tokens):
+            profiles.append(tokens)
+            return profile(tokens)
+        monkeypatch.setattr(model_module, "featurize", counted)
+        monkeypatch.setattr(textfeat, "switching_features", profiled)
         fit_pipeline(corpus, self.CFG)
-        assert len(calls) == len(corpus)
+        assert len(calls) == 1 and calls[0] is corpus and corpus.passes == 1
+        assert profiles == [u.tokens for u in corpus]
 
     def test_training_matrix_equals_serving_vectors(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)
@@ -647,7 +660,7 @@ class TestMatrixScoring:
             assert matrix.keys is pipeline.vocab
             assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).keys) \
                 > len(pipeline.vocab)
-            keys = [textfeat.extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
+            keys = [extract_features(u.tokens, cfg.kinds, cfg.n_values) for u in corpus]
             assert any(key not in pipeline.vocab for key in keys[0])  # unseen keys ...
             assert 0 in matrix.counts.rows.tolist()  # ... next to known ones
             assert not any(key in pipeline.vocab for key in keys[-1])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codeswitch.config import KIND_ORDER
+from codeswitch import textfeat
 from codeswitch.corpus import LabeledUtterance, Token
 from codeswitch.textfeat import (
     NGRAM_SEP,
@@ -18,14 +19,13 @@ from codeswitch.textfeat import (
     _chi2,
     chi2_scores,
     chi2_select,
-    extract_features,
     featurize,
     indicative_scores,
     training_matrix,
     vector_dim,
 )
 from codeswitch.switching import N_FEATURES, switching_features
-from reference_encoder import dense_row
+from reference_encoder import dense_row, extract_features
 from synth_corpus import switching_driven_corpus
 
 # word 1-grams: one feature per token, keyed by its lowercased surface
@@ -179,20 +179,110 @@ class TestExtractExact:
             == list(reference_features(tokens, kinds, n_values).items())
 
     def test_sizes_longer_than_the_utterance_cost_no_memory(self):
-        """A size longer than the utterance yields no grams, and extracting
-        it allocates nothing that grows with the size."""
-        tokens = [Token("koi", "hi"), Token("to", "en")]
+        """A size longer than the utterance yields no grams, and featurizing
+        or extracting it allocates nothing that grows with the size."""
+        c = corpus(utterance(["koi", "To"]))
         kinds = frozenset(KIND_ORDER)
         tracemalloc.start()
         try:
-            feats = extract_features(tokens, kinds, {"char_ngram": (3, 10**6),
-                                                     "word_ngram": (1, 10**6)})
+            matrix = featurize(c, kinds, {"char_ngram": (3, 10**6), "word_ngram": (1, 10**6)})
+            feats = extract_features(c[0].tokens, kinds, {"char_ngram": (3, 10**6),
+                                                          "word_ngram": (1, 10**6)})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert entries(matrix) == entries(featurize(c, kinds, {"char_ngram": (3,),
+                                                               "word_ngram": (1,)}))
         assert list(feats.items()) == list(extract_features(
-            tokens, kinds, {"char_ngram": (3,), "word_ngram": (1,)}).items())
+            c[0].tokens, kinds, {"char_ngram": (3,), "word_ngram": (1,)}).items())
         assert peak < 2**20
+
+
+# Surfaces for the exactness tests: İ lowercases to two characters and Σ to
+# ς or σ, § is NGRAM_SEP, and U+1F600 and U+10FFFD are astral code points.
+SURFACES = st.text("aBİΣσς§x\U0001F600\U0010FFFD", min_size=1, max_size=4)
+# keys that no corpus of SURFACES holds
+ABSENT_KEYS = (("char_ngram", "q"), ("char_ngram", "qq q"), ("word_ngram", "q"),
+               ("word_ngram", f"q{NGRAM_SEP}z"))
+
+
+def oracle_rows(c, kinds, n_values, vocab=None):
+    """Each utterance's extract_features (key, count) items, in order, only
+    the keys of vocab unless it is None."""
+    return [[(key, n) for key, n in extract_features(u.tokens, kinds, n_values).items()
+             if vocab is None or key in vocab] for u in c]
+
+
+def featurized_rows(matrix):
+    """Each row's (key, count) entries of the matrix's counts block, in
+    entry order, checking that the rows come in order and the dtypes."""
+    counts = matrix.counts
+    assert counts.rows.dtype == counts.cols.dtype == counts.values.dtype == np.int32
+    assert (np.diff(counts.rows) >= 0).all()
+    rows = [[] for _ in matrix.labels]
+    for r, c, n in zip(counts.rows.tolist(), counts.cols.tolist(), counts.values.tolist()):
+        rows[r].append((matrix.keys[c], n))
+    return rows
+
+
+class TestFeaturizeExact:
+    @given(st.lists(st.lists(SURFACES, min_size=1, max_size=6), max_size=8),
+           st.sampled_from([{"char_ngram"}, {"word_ngram"}, set(KIND_ORDER)]),
+           # the longest text is 53 characters and the longest utterance 6 tokens
+           st.lists(st.integers(1, 5) | st.integers(54, 60), min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(1, 3) | st.integers(7, 9), min_size=1, max_size=3, unique=True),
+           st.integers(1, 8), st.randoms(use_true_random=False))
+    def test_rows_equal_the_oracle(self, surfaces, kinds, char_n, word_n, chunk_tokens, rng):
+        """Every row of featurize holds the oracle's keys, counts and key
+        order, with no vocabulary and over a fitted one: a random part of
+        the fitted keys and keys absent from the corpus, in random order.
+        Chunks of a few tokens make rows of one matrix span many chunks."""
+        c = tuple(utterance(s, label=i % 2, uid=str(i)) for i, s in enumerate(surfaces))
+        kinds = frozenset(kinds)
+        n_values = {"char_ngram": tuple(char_n), "word_ngram": tuple(word_n)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textfeat, "_CHUNK_TOKENS", chunk_tokens)
+            if ("word_ngram" in kinds and max(word_n) > 1
+                    and any(NGRAM_SEP in w for ws in surfaces for w in ws)):
+                with pytest.raises(ValueError, match=re.escape(NGRAM_SEP)):
+                    featurize(c, kinds, n_values)
+                return
+            full = featurize(c, kinds, n_values)
+            expected = oracle_rows(c, kinds, n_values)
+            assert featurized_rows(full) == expected
+            assert full.keys == tuple(sorted({key for row in expected for key, _ in row}))
+            vocab = [key for key in full.keys if rng.random() < 0.5] + list(ABSENT_KEYS)
+            rng.shuffle(vocab)
+            vocab = tuple(vocab)
+            matrix = featurize(c, kinds, n_values, vocab)
+            assert matrix.keys is vocab
+            assert featurized_rows(matrix) == oracle_rows(c, kinds, n_values, vocab)
+
+    def test_empty_corpus(self):
+        for vocab in (None, ABSENT_KEYS):
+            matrix = featurize((), frozenset(KIND_ORDER), NGRAM_SIZES, vocab)
+            assert matrix.counts.shape == (0, 0 if vocab is None else len(vocab))
+            assert featurized_rows(matrix) == [] and matrix.words == ()
+
+    def test_codes_are_ranked_before_they_overflow(self):
+        """Gram codes that would overflow int64: char 5-grams whose largest
+        code point is U+FFFFF, a radix of 2**20, and word 7-grams over 1,024
+        distinct words, a radix of 2**10.  A power-of-two radix makes an
+        overflowing code drop its first symbol's high bits, so grams that
+        differ only there would merge; ranked codes keep every row exact."""
+        words = [f"w{i}" for i in range(1024)]
+        tail = words[1:7]
+        word_corpus = corpus(*(utterance(words[i:i + 64]) for i in range(0, 1024, 64)),
+                             *(utterance([words[i], *tail]) for i in (0, 16, 32, 64, 512)))
+        char_corpus = corpus(*(utterance([lead + "bcd\U000FFFFF"]) for lead in "aqx\U0001F600"))
+        for c, kind, n in ((word_corpus, "word_ngram", 7), (char_corpus, "char_ngram", 5)):
+            kinds, n_values = frozenset({kind}), {kind: (n,)}
+            for vocab in (None, (("word_ngram", NGRAM_SEP.join([words[16], *tail])),
+                                 ("char_ngram", "qbcd\U000FFFFF"))):
+                matrix = featurize(c, kinds, n_values, vocab)
+                assert featurized_rows(matrix) == oracle_rows(c, kinds, n_values, vocab)
+                if vocab is not None:  # one row holds the one key of the kind
+                    assert matrix.counts.values.tolist() == [1]
 
 
 class TestFeaturize:
