@@ -13,8 +13,9 @@ partial files are never left behind, and train writes its model and
 bundle together, both or neither, with the mode a plain file creation
 gives under the umask.
 Identical arguments and inputs produce byte-identical outputs, whatever
-the BLAS thread count.  Settings are checked before any file is read, and
-each warning, whatever PYTHONWARNINGS says, is one "warning: <message>" line.
+the BLAS thread count or the Python version.  Settings are checked before
+any file is read, and each warning, whatever PYTHONWARNINGS says, is one
+"warning: <message>" line.
 
 Set CODESWITCH_CONFIG to a JSON file of option defaults (keyed by option
 dest name, each value of the type its flag gives) to override the

@@ -342,10 +342,14 @@ def fold_reports(labels: np.ndarray, folds: Sequence[tuple[Sequence[int], Sequen
                  ) -> tuple[tuple[tuple[int, EvalReport], ...], float]:
     """Each fold not skipped, by its index, with the evaluate report of
     sigmoid of its test rows' scores, one arm's row of cross_validate_arms,
-    and the mean macro-F1 of those reports, summed in fold order."""
+    and the mean macro-F1 of those reports, added left to right in fold
+    order from 0.0: not by sum(), which compensates from Python 3.12 on."""
     reports = tuple((i, evaluate(sigmoid(scores[test]), labels[test]))
                     for i, (_, test) in enumerate(folds) if i not in skipped)
-    return reports, sum(report.macro_f1 for _, report in reports) / len(reports)
+    total = 0.0
+    for _, report in reports:
+        total += report.macro_f1
+    return reports, total / len(reports)
 
 
 # --------------------------------------------------------------------

@@ -6,7 +6,9 @@ switch counts and the embedding property Q are substring counts of it.
 For each position i, hi_en[i] counts the hi tokens before the i-th token
 when that token is en (and 0 otherwise); en_hi is the mirror image.  The
 nine features are the switch counts, the tag fractions and the
-population moments of these two vectors.
+population moments of these two vectors.  switching_features profiles one
+utterance; stats and features run it, and textfeat's switching block,
+which profiles a chunk of utterances with numpy, equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class SwitchProfile:
     stddev_hi_en: float
     mean_en_hi: float
     stddev_en_hi: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(vars(self).values())
 
 
 N_FEATURES = len(fields(SwitchProfile))
@@ -93,10 +92,18 @@ def switch_counts(tokens: Sequence[Token]) -> tuple[int, int, int]:
 
 
 def _population_moments(values: Sequence[int]) -> tuple[float, float]:
+    """Population mean and standard deviation.  The squared deviations are
+    added left to right from 0.0, as sum() did before Python 3.12
+    compensated it, and each is d * d, which IEEE 754 rounds correctly,
+    not d ** 2, whose C library pow may round it the other way: so the
+    result depends neither on the Python version nor on the platform."""
     n = len(values)
     mean = sum(values) / n
-    var = sum((x - mean) ** 2 for x in values) / n
-    return mean, math.sqrt(var)
+    var = 0.0
+    for x in values:
+        d = x - mean
+        var += d * d
+    return mean, math.sqrt(var / n)
 
 
 def switching_features(tokens: Sequence[Token]) -> SwitchProfile:

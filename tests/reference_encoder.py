@@ -57,7 +57,7 @@ def dense_row(utterance, vocab, kinds, n_values, lexicon, negation_words, with_s
     row[len(vocab)] = indicative
     row[len(vocab) + 1] = sum(s in negation_words for s in surfaces)
     if with_switching:
-        row[len(vocab) + 2:] = switching_features(utterance.tokens).as_tuple()
+        row[len(vocab) + 2:] = tuple(vars(switching_features(utterance.tokens)).values())
     return row
 
 

@@ -48,7 +48,7 @@ def test_01_golden_worked_example(tmp_path):
     path = tmp_path / "paper.txt"
     path.write_text(PAPER_LINE + "\n", encoding="utf-8")
     tokens = load_corpus(path)[0].tokens
-    features = switching_features(tokens).as_tuple()
+    features = tuple(vars(switching_features(tokens)).values())
     expected = (1, 1, 2, 0.142857, 0.857143, 0.285714, 0.699854, 0.571429, 0.494872)
     assert features == pytest.approx(expected, abs=1e-6)
     assert math.floor(features[6] * 100) / 100 == 0.69

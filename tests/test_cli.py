@@ -241,10 +241,11 @@ class TestTrainEvalSubsample:
     def test_utterances_are_profiled_only_for_switching_columns(self, with_switching,
                                                                 synth_file, tmp_path,
                                                                 monkeypatch):
-        profiled = []
-        profile = textfeat.switching_features
-        monkeypatch.setattr(textfeat, "switching_features",
-                            lambda tokens: (profiled.append(tokens), profile(tokens))[1])
+        profiled = []  # the token count of each row that a switching block profiles
+        block = textfeat._switching_block
+        monkeypatch.setattr(textfeat, "_switching_block",
+                            lambda tags, n_tokens: (profiled.extend(n_tokens),
+                                                    block(tags, n_tokens))[1])
         model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
         served = ["--model", str(model), "--pipeline", str(bundle)]
         flags = ["--with-switching"] if with_switching else []
@@ -254,8 +255,9 @@ class TestTrainEvalSubsample:
         assert run(["subsample", synth_file, *served, "-o", str(tmp_path / "kept.txt")]) == 0
         corpus = load_corpus(synth_file)
         # train and eval profile every utterance, subsample the negatives it scores
-        n = 2 * len(corpus) + sum(u.label == 0 for u in corpus)
-        assert len(profiled) == (n if with_switching else 0)
+        lengths = [len(u.tokens) for u in corpus]
+        negatives = [len(u.tokens) for u in corpus if u.label == 0]
+        assert profiled == (2 * lengths + negatives if with_switching else [])
 
 
 # eval and subsample read the corpus in blocks of cli.BLOCK_SIZE utterances

@@ -301,6 +301,23 @@ class CountedPasses(tuple):
         return super().__iter__()
 
 
+def tags_of(utterance):
+    return tuple(t.tag for t in utterance.tokens)
+
+
+def record_profiled_rows(monkeypatch):
+    """A list to which each row that textfeat._switching_block profiles
+    appends its tags, in order."""
+    profiled, block = [], textfeat._switching_block
+
+    def recorded(tags, n_tokens):
+        ends = np.cumsum(n_tokens).tolist()
+        profiled.extend(tuple(tags[end - n:end]) for n, end in zip(n_tokens, ends))
+        return block(tags, n_tokens)
+    monkeypatch.setattr(textfeat, "_switching_block", recorded)
+    return profiled
+
+
 def cross_validate(corpus, cfg, arms, k, seed=13):
     """cross_validate_arms as cmd_cv runs it, over fold_indices' folds and
     the corpus featurized once, with the switching block when an arm takes
@@ -486,29 +503,26 @@ class TestCrossValidate:
 
     def test_ablation_profiles_and_extracts_each_utterance_once(self, monkeypatch):
         """Whatever k is, the corpus is featurized once, in one pass over
-        it, and each utterance is profiled once: the folds, their lexicons
-        and their indicative and negation columns all read the featurized
-        matrix."""
+        it, and each utterance is profiled once, in one row of a switching
+        block: the folds, their lexicons and their indicative and negation
+        columns all read the featurized matrix."""
         corpus = switching_driven_corpus(200, seed=3)
-        calls = {"featurize": 0, "switching_features": 0}
+        calls, profiled = [], record_profiled_rows(monkeypatch)
+        featurize = textfeat.featurize
 
-        def counted(name):
-            original = getattr(textfeat, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return call
-        for name in calls:
-            monkeypatch.setattr(textfeat, name, counted(name))
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return featurize(*args, **kwargs)
+        monkeypatch.setattr(textfeat, "featurize", counted)
         for k in (3, 5, 10):
-            calls.update(dict.fromkeys(calls, 0))
+            calls.clear()
+            profiled.clear()
             counted_corpus = CountedPasses(corpus)
             _, skipped, _ = cross_validate(counted_corpus, self.FULL, (range(N_FEATURES), ()),
                                            k=k)
             assert skipped == ()
-            assert calls == {"featurize": 1, "switching_features": len(corpus)}
-            assert counted_corpus.passes == 1
+            assert calls == [counted_corpus] and counted_corpus.passes == 1
+            assert profiled == [tags_of(u) for u in corpus]
 
     def test_no_leakage_from_test_fold(self, monkeypatch):
         """Fold 0 fits the same keys and lexicon when its test utterances
@@ -553,6 +567,16 @@ class TestFoldReports:
                            (1, EvalReport(1 / 3, (2 / 3, 0.0), (1, 1, 0, 0))))
         assert mean == (1.0 + 1 / 3) / 2
 
+    def test_mean_adds_left_to_right(self, monkeypatch):
+        """Ten folds of macro-F1 0.1 add up left to right to
+        0.9999999999999999, where sum() gives 1.0 from Python 3.12 on; the
+        mean is the former on every Python version."""
+        reports = iter([EvalReport(0.1, (0.1, 0.1), (1, 0, 0, 1))] * 10)
+        monkeypatch.setattr(model_module, "evaluate", lambda proba, labels: next(reports))
+        folds = [([], [i]) for i in range(10)]
+        _, mean = fold_reports(np.zeros(10, dtype=np.intp), folds, np.zeros(10), ())
+        assert mean == 0.9999999999999999 / 10 != 1.0 / 10
+
 
 class TestFitPipeline:
     """Both kinds, chi-squared selection, the lexicon, negations and
@@ -566,21 +590,16 @@ class TestFitPipeline:
         """The training corpus is featurized once, in one pass over it, and
         each utterance is profiled once."""
         corpus = CountedPasses(word_pool_corpus(40, seed=4))
-        calls, profiles = [], []
-        featurize, profile = model_module.featurize, textfeat.switching_features
+        calls, profiled = [], record_profiled_rows(monkeypatch)
+        featurize = model_module.featurize
 
         def counted(c, *args, **kwargs):
             calls.append(c)
             return featurize(c, *args, **kwargs)
-
-        def profiled(tokens):
-            profiles.append(tokens)
-            return profile(tokens)
         monkeypatch.setattr(model_module, "featurize", counted)
-        monkeypatch.setattr(textfeat, "switching_features", profiled)
         fit_pipeline(corpus, self.CFG)
         assert len(calls) == 1 and calls[0] is corpus and corpus.passes == 1
-        assert profiles == [u.tokens for u in corpus]
+        assert profiled == [tags_of(u) for u in corpus]
 
     def test_training_matrix_equals_serving_vectors(self, monkeypatch):
         corpus = word_pool_corpus(40, seed=4)

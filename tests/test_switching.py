@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from codeswitch.corpus import Token
 from codeswitch.switching import (
-    N_FEATURES,
     has_embedding_property,
     lang_run_vectors,
     switch_counts,
@@ -48,6 +47,20 @@ def oracle_counts(tokens):
         if tags[i] == "hi" and tags[i + 1] == "en":
             hi_en += 1
     return en_hi, hi_en, en_hi + hi_en
+
+
+def neumaier_sum(xs):
+    """The compensated sum of the floats xs, as sum() adds floats from
+    Python 3.12 on."""
+    total = compensation = 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
 
 
 def oracle_q(tokens):
@@ -93,27 +106,46 @@ class TestSwitchingFeatures:
         f = switching_features(PAPER_SENTENCE)
         expected = (1, 1, 2, 1 / 7, 6 / 7, 2 / 7, 0.6998542122237653,
                     4 / 7, 0.4948716593053935)
-        assert f.as_tuple() == pytest.approx(expected, abs=1e-12)
+        assert tuple(vars(f).values()) == pytest.approx(expected, abs=1e-12)
         # the paper truncates the two stddevs to two decimals
         assert math.floor(f.stddev_hi_en * 100) / 100 == 0.69
         assert math.floor(f.stddev_en_hi * 100) / 100 == 0.49
 
     def test_all_hi(self):
         f = switching_features(ALL_HI)
-        assert f.as_tuple() == (0, 0, 0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert tuple(vars(f).values()) == (0, 0, 0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_alternating(self):
         # population moments of [0,0,1,0] and [0,1,0,2], computed by hand
         f = switching_features(toks(["en", "hi", "en", "hi"]))
         expected = (2, 1, 3, 0.5, 0.5, 0.25, math.sqrt(0.1875),
                     0.75, math.sqrt(0.6875))
-        assert f.as_tuple() == pytest.approx(expected, abs=1e-12)
+        assert tuple(vars(f).values()) == pytest.approx(expected, abs=1e-12)
 
-    def test_as_tuple_follows_field_order(self):
-        # cli features writes vars(profile); training reads as_tuple()
-        f = switching_features(PAPER_SENTENCE)
-        assert f.as_tuple() == tuple(vars(f).values())
-        assert len(f.as_tuple()) == N_FEATURES == 9
+    def test_squared_deviations_are_added_left_to_right(self):
+        """en_hi is (0, 0, 1, 0, 0), whose squared deviations from 0.2 add
+        up left to right to another float than the compensated sum that
+        sum() gives from Python 3.12 on; the stddev is the former on every
+        Python version."""
+        tokens = toks(["rest", "en", "hi", "rest", "rest"])
+        squares = [(x - 0.2) * (x - 0.2) for x in lang_run_vectors(tokens).en_hi]
+        plain = 0.0
+        for x in squares:
+            plain += x
+        assert plain != neumaier_sum(squares)
+        f = switching_features(tokens)
+        assert f.mean_en_hi == 0.2
+        assert f.stddev_en_hi == math.sqrt(plain / 5) == float.fromhex("0x1.999999999999bp-2")
+
+    def test_squares_are_products_not_pow(self):
+        """Each squared deviation is d * d, which IEEE 754 rounds correctly
+        on every platform, and not d ** 2, which calls the C library's pow:
+        for this row glibc's pow rounds one square the other way, and the
+        stddev would end in ...384."""
+        tags = ("rest rest hi hi en hi en rest rest en rest rest rest en rest en hi hi rest "
+                "en en rest rest rest en hi en hi hi rest hi en en rest rest").split()
+        assert switching_features(toks(tags)).stddev_en_hi == \
+            float.fromhex("0x1.75353262d5385p+1")
 
 
 class TestEmbeddingProperty:
@@ -172,16 +204,20 @@ def test_v_is_sum_and_counts_balanced(tags):
 def test_features_equal_the_oracle_formulas(tags):
     """All nine features equal, by == on the floats, the package's formulas
     over the oracles' vectors and counts: fractions are int/int, a mean is
-    sum/n and a stddev the square root of the two-pass population variance."""
+    sum/n and a stddev the square root of the two-pass population variance,
+    its squared deviations added left to right from 0.0."""
     tokens = toks(tags)
     n = len(tokens)
 
     def moments(xs):
         mean = sum(xs) / n
-        return mean, math.sqrt(sum((x - mean) ** 2 for x in xs) / n)
+        var = 0.0
+        for x in xs:
+            var += (x - mean) * (x - mean)
+        return mean, math.sqrt(var / n)
 
     hi_en, en_hi = oracle_vectors(tokens)
-    assert switching_features(tokens).as_tuple() == (
+    assert tuple(vars(switching_features(tokens)).values()) == (
         *oracle_counts(tokens), tags.count("en") / n, tags.count("hi") / n,
         *moments(hi_en), *moments(en_hi))
 

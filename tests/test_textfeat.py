@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from codeswitch.textfeat import (
     training_matrix,
     vector_dim,
 )
-from codeswitch.switching import N_FEATURES, switching_features
+from codeswitch.switching import N_FEATURES, SwitchProfile, switching_features
 from reference_encoder import dense_row, extract_features
 from synth_corpus import switching_driven_corpus
 
@@ -206,6 +207,15 @@ ABSENT_KEYS = (("char_ngram", "q"), ("char_ngram", "qq q"), ("word_ngram", "q"),
                ("word_ngram", f"q{NGRAM_SEP}z"))
 
 
+TAGS = ("hi", "en", "rest")
+# Tag rows of 1 to 60 tokens: mixed tags, rest alone, and runs of one tag
+# up to the whole row, so single tokens and long runs are drawn often.
+RUNS = st.lists(st.tuples(st.sampled_from(TAGS), st.integers(1, 60)), min_size=1, max_size=6)
+TAG_ROWS = (st.lists(st.sampled_from(TAGS), min_size=1, max_size=60)
+            | st.lists(st.just("rest"), min_size=1, max_size=60)
+            | RUNS.map(lambda runs: [tag for tag, n in runs for _ in range(n)][:60]))
+
+
 def oracle_rows(c, kinds, n_values, vocab=None):
     """Each utterance's extract_features (key, count) items, in order, only
     the keys of vocab unless it is None."""
@@ -258,11 +268,25 @@ class TestFeaturizeExact:
             assert matrix.keys is vocab
             assert featurized_rows(matrix) == oracle_rows(c, kinds, n_values, vocab)
 
+    @given(st.lists(TAG_ROWS, max_size=8), st.integers(1, 8))
+    def test_switching_block_equals_the_profiles(self, rows, chunk_tokens):
+        """Each row of the switching block is switching_features of its
+        utterance, every feature equal by float.hex, whichever chunks the
+        rows fall into."""
+        c = tuple(LabeledUtterance(tuple(Token(f"w{j}", tag) for j, tag in enumerate(tags)),
+                                   i % 2, str(i)) for i, tags in enumerate(rows))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textfeat, "_CHUNK_TOKENS", chunk_tokens)
+            block = featurize(c, *UNIGRAMS).switching
+        assert [[x.hex() for x in row] for row in block.tolist()] == \
+            [[float(x).hex() for x in vars(switching_features(u.tokens)).values()] for u in c]
+
     def test_empty_corpus(self):
         for vocab in (None, ABSENT_KEYS):
             matrix = featurize((), frozenset(KIND_ORDER), NGRAM_SIZES, vocab)
             assert matrix.counts.shape == (0, 0 if vocab is None else len(vocab))
             assert featurized_rows(matrix) == [] and matrix.words == ()
+            assert matrix.switching.shape == (0, N_FEATURES)
 
     def test_codes_are_ranked_before_they_overflow(self):
         """Gram codes that would overflow int64: char 5-grams whose largest
@@ -360,9 +384,21 @@ class TestFeaturize:
                      for i in range(6)))
         matrix = featurize(c, *UNIGRAMS)
         assert matrix.switching.shape == (6, N_FEATURES)
-        assert matrix.switching.tolist() == [list(switching_features(u.tokens).as_tuple())
+        assert matrix.switching.tolist() == [list(vars(switching_features(u.tokens)).values())
                                              for u in c]
         assert matrix.take([5, 1]).switching.tolist() == matrix.switching[[5, 1]].tolist()
+
+    def test_switching_block_follows_the_profile_field_order(self):
+        """Column j of the block is the j-th field of SwitchProfile, the
+        order in which cli features writes vars(profile): the row's nine
+        features are distinct, so a swap of two columns shows."""
+        tokens = tuple(Token(f"w{i}", tag) for i, tag in
+                       enumerate("rest rest rest hi hi en hi en rest".split()))
+        profile = switching_features(tokens)
+        by_field = [getattr(profile, f.name) for f in fields(SwitchProfile)]
+        assert len(set(by_field)) == len(by_field) == N_FEATURES == 9
+        block = featurize(corpus(LabeledUtterance(tokens, 1, "0")), *UNIGRAMS).switching
+        assert block.tolist() == [by_field]
 
     def test_switching_columns_need_the_switching_block(self):
         c = balanced_four_corpus()
