@@ -6,12 +6,12 @@ one parse_corpus generator that also applies the preprocessing flags:
 stats, features, train and cv hold the whole corpus, the tuple load_corpus
 returns, while eval and subsample featurize and score it BLOCK_SIZE
 utterances at a time, so their memory does not grow with the corpus
-beyond the parser's memo of distinct raw tokens and what they write.  A
-featurizing error in one block therefore comes before a parse error
-further down.  Outputs are written atomically (temp file + rename) so
-partial files are never left behind, and train writes its model and
-bundle together, both or neither, with the mode a plain file creation
-gives under the umask.
+beyond what they write: the parser's memo of distinct raw tokens is
+bounded too.  A featurizing error in one block therefore comes before a
+parse error further down.  Outputs are written atomically (temp file +
+rename) so partial files are never left behind, and train writes its
+model and bundle together, both or neither, with the mode a plain file
+creation gives under the umask.
 Identical arguments and inputs produce byte-identical outputs, whatever
 the BLAS thread count or the Python version.  Settings are checked before
 any file is read, and each warning, whatever PYTHONWARNINGS says, is one

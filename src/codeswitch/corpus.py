@@ -38,6 +38,9 @@ LANG_TAGS = frozenset({"hi", "en", "rest"})
 POSITIVE = 1
 NEGATIVE = 0
 
+# parse_corpus clears its memo once it holds more raw tokens than this
+_MEMO_TOKENS = 16_384
+
 
 class CorpusFormatError(ValueError):
     """Raised when a tagged-corpus file, or a line of it, cannot be parsed."""
@@ -79,29 +82,29 @@ class LabeledUtterance:
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
-def _split_line(line: str, where: str) -> tuple[int, list[str]]:
-    """The label and the raw tokens of a line; where prefixes its errors."""
+def _split_line(line: str) -> tuple[int, list[str]]:
+    """The label and the raw tokens of a line."""
     if "\t" not in line:
-        raise CorpusFormatError(f"{where}expected '<label> TAB <tokens>', got {line!r}")
+        raise CorpusFormatError(f"expected '<label> TAB <tokens>', got {line!r}")
     label_part, _, token_part = line.rstrip("\n").partition("\t")
     label = {"1": POSITIVE, "0": NEGATIVE}.get(label_part)
     if label is None:
-        raise CorpusFormatError(f"{where}malformed label {label_part!r} (must be 0 or 1)")
+        raise CorpusFormatError(f"malformed label {label_part!r} (must be 0 or 1)")
     raw_tokens = token_part.split()
     if not raw_tokens:
-        raise CorpusFormatError(f"{where}empty token list")
+        raise CorpusFormatError("empty token list")
     return label, raw_tokens
 
 
-def _parse_token(raw: str, where: str) -> Token:
-    """The Token of one raw `surface_tag` token; where prefixes its errors."""
+def _parse_token(raw: str) -> Token:
+    """The Token of one raw `surface_tag` token."""
     surface, sep, tag = raw.rpartition("_")
     if not sep:
-        raise CorpusFormatError(f"{where}token without underscore tag: {raw!r}")
+        raise CorpusFormatError(f"token without underscore tag: {raw!r}")
     if tag not in LANG_TAGS:
-        raise CorpusFormatError(f"{where}unknown tag {tag!r} in token {raw!r}")
+        raise CorpusFormatError(f"unknown tag {tag!r} in token {raw!r}")
     if not surface:
-        raise CorpusFormatError(f"{where}empty surface in token {raw!r}")
+        raise CorpusFormatError(f"empty surface in token {raw!r}")
     return Token(surface, sys.intern(tag))  # one str per tag, not one per raw token
 
 
@@ -132,11 +135,13 @@ def parse_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
     The lines come from read_lines, whose file stays open until the
     generator is exhausted or closed.  Ids are assigned as 0-based
     ordinals over non-blank lines; blank lines are skipped.  Every error
-    names the file.  Each distinct raw token is parsed, checked and
-    normalized once per generator, so every occurrence of it becomes the
-    same Token objects.  An utterance that preprocessing leaves empty keeps
-    its id unused and is dropped with a warning once the whole file has
-    parsed; a corpus with no utterance left is then an error.
+    names the file, and an error of a line its number too.  Each distinct
+    raw token is parsed, checked and normalized once while a memo holds
+    it, every occurrence of it then becoming the same Token objects; the
+    memo is cleared once it holds more than _MEMO_TOKENS raw tokens, which
+    changes no utterance.  An utterance that preprocessing leaves empty
+    keeps its id unused and is dropped with a warning once the whole file
+    has parsed; a corpus with no utterance left is then an error.
     """
     if preprocess is not None:
         from codeswitch.preprocess import normalize_token  # preprocess imports this module
@@ -145,21 +150,22 @@ def parse_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
     lines = ((n, line) for n, line in enumerate(read_lines(path), start=1) if line.strip())
     try:
         for uid, (line_number, line) in enumerate(lines):
-            where = f"line {line_number}: "
-            label, raw_tokens = _split_line(line, where)
+            label, raw_tokens = _split_line(line)
             for raw in raw_tokens:
                 if raw not in interned:
-                    token = _parse_token(raw, where)
+                    token = _parse_token(raw)
                     interned[raw] = (normalize_token(token, preprocess) if preprocess
                                      else (token,))
             tokens = tuple(chain.from_iterable(map(interned.__getitem__, raw_tokens)))
+            if len(interned) > _MEMO_TOKENS:
+                interned.clear()
             if tokens:
                 n_kept += 1
                 yield LabeledUtterance(tokens, label, str(uid))
             else:
                 dropped.append(uid)
     except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
+        raise CorpusFormatError(f"{path}: line {line_number}: {exc}") from None
     for uid in dropped:
         warnings.warn(f"{path}: utterance {uid} empty after preprocessing; dropped")
     if not n_kept:

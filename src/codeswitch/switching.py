@@ -7,20 +7,23 @@ For each position i, hi_en[i] counts the hi tokens before the i-th token
 when that token is en (and 0 otherwise); en_hi is the mirror image.  The
 nine features are the switch counts, the tag fractions and the
 population moments of these two vectors.  switching_features profiles one
-utterance; stats and features run it, and textfeat's switching block,
-which profiles a chunk of utterances with numpy, equals it bit for bit.
+utterance, and stats and features run it; switching_block, which
+featurize runs, profiles many at once with numpy, bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from codeswitch.corpus import Token
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["N_FEATURES", "SwitchProfile", "SwitchVectors", "has_embedding_property",
-           "lang_run_vectors", "switch_counts", "switching_features"]
+           "lang_run_vectors", "switch_counts", "switching_block", "switching_features"]
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,46 @@ def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
     n = len(tags)
     return SwitchProfile(*_switches(tags), tags.count("e") / n, tags.count("h") / n,
                          *_population_moments(vectors.hi_en), *_population_moments(vectors.en_hi))
+
+
+def switching_block(rows: Sequence[Sequence[Token]]) -> np.ndarray:
+    """switching_features of each non-empty token sequence of rows, bit for
+    bit, as one row of N_FEATURES columns: every per-row sum is one
+    np.bincount, which adds exact integers or correctly rounded d * d left
+    to right from 0.0 as _population_moments does, and each quotient and
+    np.sqrt is correctly rounded as in Python."""
+    import numpy as np  # here, so that stats and features run without numpy
+
+    letters = [*map(_tag_letters, rows)]
+    n_rows = len(letters)
+    lengths = np.array([*map(len, letters)], dtype=np.intp)
+    tags = np.frombuffer("".join(letters).encode("ascii"), np.uint8)
+    row_of = np.arange(n_rows, dtype=np.intp).repeat(lengths)
+    starts = lengths.cumsum() - lengths  # each row's first position
+    hi, en = tags == ord("h"), tags == ord("e")
+
+    def per_row(terms: np.ndarray) -> np.ndarray:
+        return np.bincount(row_of, terms, n_rows)
+
+    def seen(flags: np.ndarray) -> np.ndarray:  # the flags before each position, in its row
+        before = flags.cumsum() - flags
+        return before - before[starts].repeat(lengths)
+
+    def moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mean = per_row(values) / lengths
+        d = values - mean[row_of]
+        return mean, np.sqrt(per_row(d * d) / lengths)
+
+    # the adjacent pairs of the hi/en projection within a row, by the row of their second
+    lang = hi | en
+    is_hi, lang_rows = hi[lang], row_of[lang]
+    pair_rows = lang_rows[1:]
+    same_row = pair_rows == lang_rows[:-1]
+    en_hi = np.bincount(pair_rows, same_row & ~is_hi[:-1] & is_hi[1:], n_rows)
+    hi_en = np.bincount(pair_rows, same_row & is_hi[:-1] & ~is_hi[1:], n_rows)
+    return np.column_stack([en_hi, hi_en, en_hi + hi_en, per_row(en) / lengths,
+                            per_row(hi) / lengths, *moments(np.where(en, seen(hi), 0)),
+                            *moments(np.where(hi, seen(en), 0))])
 
 
 def has_embedding_property(tokens: Sequence[Token]) -> bool:

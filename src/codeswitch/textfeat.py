@@ -30,11 +30,9 @@ column ids keep that order; the kinds of KIND_ORDER are in alphabetical
 order too.  Rows carry two special dimensions (indicative-score sum,
 negation count) after the vocabulary block and, when requested, the nine
 switching features last, so a row without them is the leading columns of
-one with.  featurize computes the switching features of a chunk at once,
-with array kernels over its tag codes, each row equal bit for bit to
-switching_features of its utterance, which stats and features run.
-KIND_ORDER and checked_kinds, the check of kinds and sizes, live in
-codeswitch.config.
+one with.  featurize takes a chunk's switching features from
+codeswitch.switching.switching_block.  KIND_ORDER and checked_kinds, the
+check of kinds and sizes, live in codeswitch.config.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import numpy as np
 
 from codeswitch.config import checked_kinds
 from codeswitch.corpus import POSITIVE, LabeledUtterance, read_lines
-from codeswitch.switching import N_FEATURES
+from codeswitch.switching import N_FEATURES, switching_block
 
 # Word n-gram joiner.  A surface holding it could make a word n-gram's key
 # equal to one of another size, so featurize rejects such a surface when it
@@ -60,7 +58,6 @@ from codeswitch.switching import N_FEATURES
 NGRAM_SEP = "§"
 
 _surface = attrgetter("surface")
-_tag = attrgetter("tag")
 
 FeatureKey = tuple[str, str]
 
@@ -186,53 +183,6 @@ def _gram_counts(symbols: np.ndarray, bound: int, lengths: np.ndarray, n: int
     return pair_rows[by_first], grams[by_first], counts[by_first], gram_starts
 
 
-_HI, _EN, _REST = 0, 1, 2
-_TAG_CODES = {"hi": _HI, "en": _EN, "rest": _REST}
-
-
-def _switching_block(tags: list[str], n_tokens: list[int]) -> np.ndarray:
-    """The switching profiles of a chunk of rows, row r's tags being the
-    next n_tokens[r] of tags, each at least 1: one row of N_FEATURES
-    columns per row, in SwitchProfile's field order.  Each row equals
-    switching_features of its tokens bit for bit: every per-row sum is one
-    np.bincount, which adds a row's terms left to right from 0.0 as
-    switching does, the terms being exact integers or the correctly rounded
-    d * d; the fractions and means are correctly rounded quotients of exact
-    integers, and np.sqrt is correctly rounded as math.sqrt is."""
-    n_rows = len(n_tokens)
-    lengths = np.array(n_tokens, dtype=np.intp)
-    rows = np.arange(n_rows, dtype=np.intp).repeat(lengths)
-    starts = lengths.cumsum() - lengths  # each row's first position
-    codes = np.fromiter(map(_TAG_CODES.__getitem__, tags), np.int8, len(tags))
-    hi, en = codes == _HI, codes == _EN
-
-    def per_row(terms: np.ndarray) -> np.ndarray:
-        return np.bincount(rows, terms, n_rows)
-
-    def seen(flags: np.ndarray) -> np.ndarray:  # the flags before each position, in its row
-        before = flags.cumsum() - flags
-        return before - before[starts].repeat(lengths)
-
-    def moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = per_row(values) / lengths
-        d = values - mean[rows]
-        return mean, np.sqrt(per_row(d * d) / lengths)
-
-    # the adjacent pairs of the hi/en projection within a row, by the row of their second
-    lang = codes != _REST
-    projection, lang_rows = codes[lang], rows[lang]
-    pair_rows, first, second = lang_rows[1:], projection[:-1], projection[1:]
-    same_row = pair_rows == lang_rows[:-1]
-
-    def switches(a: int, b: int) -> np.ndarray:
-        return np.bincount(pair_rows, same_row & (first == a) & (second == b), n_rows)
-
-    en_hi, hi_en = switches(_EN, _HI), switches(_HI, _EN)
-    return np.column_stack([en_hi, hi_en, en_hi + hi_en, per_row(en) / lengths,
-                            per_row(hi) / lengths, *moments(np.where(en, seen(hi), 0)),
-                            *moments(np.where(hi, seen(en), 0))])
-
-
 def _chunks(corpus: Iterable[LabeledUtterance]) -> Iterator[list[LabeledUtterance]]:
     """The corpus's utterances in order, in lists of the fewest that hold
     _CHUNK_TOKENS tokens, the last list perhaps fewer."""
@@ -297,18 +247,18 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
     """Feature matrix of the corpus, built in one streaming pass over it, a
     chunk of _CHUNK_TOKENS tokens at a time, so its arrays stay small.  Each
     utterance's lowercased surfaces are interned into word ids by C
-    iterators, its lowercased text is joined and, with_switching, its tags
-    are gathered; then _chunk_entries counts the chunk's keys (given a
-    fitted vocab, only the keys in it) and, with_switching,
-    _switching_block profiles the chunk's rows.  A row holds one entry per
-    distinct key, with its count, in order of first occurrence within kind
-    then size: the order in which X @ w adds a row's terms.  The key ids are then remapped
-    to the rank of their key, or, given vocab, are its columns.  Row and
-    column ids and counts are int32, and token values int8, which keeps the
-    matrix small while a cross-validation holds it.  The switching block is
-    built only with_switching, and is None otherwise.  checked_kinds checks
-    the kinds and sizes once per call and, when word n-grams above size 1
-    are extracted, a lowercased surface holding NGRAM_SEP is a ValueError
+    iterators and its lowercased text is joined; then _chunk_entries counts
+    the chunk's keys (given a fitted vocab, only the keys in it) and,
+    with_switching, switching_block profiles the chunk's utterances.  A row
+    holds one entry per distinct key, with its count, in order of first
+    occurrence within kind then size: the order in which X @ w adds a row's
+    terms.  The key ids are then remapped to the rank of their key, or,
+    given vocab, are its columns.  Row and column ids and counts are int32,
+    and token values int8, which keeps the matrix small while a
+    cross-validation holds it.  The switching block is built only
+    with_switching, and is None otherwise.  checked_kinds checks the kinds
+    and sizes once per call and, when word n-grams above size 1 are
+    extracted, a lowercased surface holding NGRAM_SEP is a ValueError
     naming it, checked once per call over the distinct words."""
     kinds = checked_kinds(kinds, n_values)
     grow = vocab is None
@@ -320,7 +270,7 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
     empty = np.zeros(0, dtype=np.int32)
     key_rows, key_cols, key_counts = [empty], [empty], [empty]  # per chunk, its entries
     for chunk in _chunks(corpus):
-        texts, words, tags, first = [], [], [], len(labels)
+        texts, words, first = [], [], len(labels)
         for u in chunk:
             surfaces = [*map(_surface, u.tokens)]
             lowered = [*map(str.lower, surfaces)]
@@ -330,10 +280,8 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
             n_tokens.append(len(lowered))
             token_cols += map(word_ids.__getitem__, lowered)
             labels.append(u.label)
-            if with_switching:
-                tags += map(_tag, u.tokens)
         if with_switching:
-            switching.append(_switching_block(tags, n_tokens[first:]))
+            switching.append(switching_block([u.tokens for u in chunk]))
         rows, cols, counts = _chunk_entries(texts, words, token_cols[len(token_cols) - len(words):],
                                             n_tokens[first:], kinds, n_values, ids, grow)
         key_rows.append(rows + first)

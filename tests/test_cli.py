@@ -242,10 +242,9 @@ class TestTrainEvalSubsample:
                                                                 synth_file, tmp_path,
                                                                 monkeypatch):
         profiled = []  # the token count of each row that a switching block profiles
-        block = textfeat._switching_block
-        monkeypatch.setattr(textfeat, "_switching_block",
-                            lambda tags, n_tokens: (profiled.extend(n_tokens),
-                                                    block(tags, n_tokens))[1])
+        block = textfeat.switching_block
+        monkeypatch.setattr(textfeat, "switching_block",
+                            lambda rows: (profiled.extend(map(len, rows)), block(rows))[1])
         model, bundle = tmp_path / "model.txt", tmp_path / "pipeline.json"
         served = ["--model", str(model), "--pipeline", str(bundle)]
         flags = ["--with-switching"] if with_switching else []

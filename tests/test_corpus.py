@@ -1,6 +1,9 @@
+import warnings
+
 import pytest
 from hypothesis import given, strategies as st
 
+from codeswitch import corpus as corpus_module
 from codeswitch.corpus import (
     CorpusFormatError,
     LabeledUtterance,
@@ -9,6 +12,7 @@ from codeswitch.corpus import (
     load_corpus,
     serialize_tagged_line,
 )
+from codeswitch.preprocess import PreprocessConfig
 
 LINE_POS = "1\tkoi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi"
 LINE_NEG = "0\tbumrah_hi dono_hi wicketo_hi ke_hi beech_hi gumrah_hi ho_hi gaya_hi"
@@ -123,6 +127,31 @@ class TestLoadCorpus:
         assert len(built) == len(set(raw)) == 16
         first = {}
         assert all(first.setdefault(r, t) is t for r, t in zip(raw, tokens))
+
+    @pytest.mark.parametrize("preprocess", [None, PreprocessConfig()])
+    def test_bounded_memo_parses_the_same_utterances(self, preprocess, tmp_path):
+        """A memo cleared every few raw tokens gives the utterances, and the
+        dropped-utterance warnings, of a parse whose memo is never cleared,
+        building more Tokens on the way."""
+        lines = [f"{i % 2}\tw{i % 7}_hi #Tag{i % 5}_en @u{i}_en w{i % 3}!_en ?_rest {LINE_POS[2:]}"
+                 for i in range(60)] + ["0\t!!_en", LINE_NEG] * 3
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def parse(memo_tokens):
+            built, check = [], Token.__post_init__
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                mp.setattr(corpus_module, "_MEMO_TOKENS", memo_tokens)
+                mp.setattr(Token, "__post_init__", lambda t: (built.append(t), check(t))[1])
+                corpus = load_corpus(path, preprocess)
+            return corpus, [str(w.message) for w in warned], len(built)
+
+        unbounded, warnings_unbounded, n_unbounded = parse(10**9)
+        bounded, warnings_bounded, n_bounded = parse(3)
+        assert bounded == unbounded and warnings_bounded == warnings_unbounded
+        assert len(warnings_bounded) == (3 if preprocess else 0)  # the "!!_en" lines
+        assert n_bounded > n_unbounded
 
     @pytest.mark.parametrize("bad, message", [
         ("koi_fr", "unknown tag 'fr' in token 'koi_fr'"),

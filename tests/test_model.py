@@ -306,15 +306,14 @@ def tags_of(utterance):
 
 
 def record_profiled_rows(monkeypatch):
-    """A list to which each row that textfeat._switching_block profiles
+    """A list to which each row that textfeat.switching_block profiles
     appends its tags, in order."""
-    profiled, block = [], textfeat._switching_block
+    profiled, block = [], textfeat.switching_block
 
-    def recorded(tags, n_tokens):
-        ends = np.cumsum(n_tokens).tolist()
-        profiled.extend(tuple(tags[end - n:end]) for n, end in zip(n_tokens, ends))
-        return block(tags, n_tokens)
-    monkeypatch.setattr(textfeat, "_switching_block", recorded)
+    def recorded(rows):
+        profiled.extend(tuple(t.tag for t in tokens) for tokens in rows)
+        return block(rows)
+    monkeypatch.setattr(textfeat, "switching_block", recorded)
     return profiled
 
 

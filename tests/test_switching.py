@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from codeswitch.corpus import Token
 from codeswitch.switching import (
+    N_FEATURES,
     has_embedding_property,
     lang_run_vectors,
     switch_counts,
+    switching_block,
     switching_features,
 )
 
@@ -270,3 +272,47 @@ def test_last_nonzero_hi_en_entry(tags):
         last_en = en_positions[-1]
         expected = sum(1 for t in tokens[:last_en] if t.tag == "hi")
         assert v.hi_en[last_en] == expected
+
+
+# ------------------------------------------------------------------
+# switching_block: the profiles of many rows at once, with numpy
+# ------------------------------------------------------------------
+
+def assert_block_equals_profiles(rows):
+    """Each row of switching_block(rows) is switching_features of its
+    tokens, every feature equal by float.hex."""
+    block = switching_block(rows)
+    assert block.shape == (len(rows), N_FEATURES)
+    assert [[x.hex() for x in row] for row in block.tolist()] == \
+        [[float(x).hex() for x in vars(switching_features(tokens)).values()] for tokens in rows]
+
+
+class TestSwitchingBlock:
+    def test_no_rows(self):
+        assert switching_block([]).shape == (0, N_FEATURES)
+
+    def test_one_token_rows(self):
+        assert_block_equals_profiles([toks([tag]) for tag in ("hi", "en", "rest", "en", "hi")])
+
+    def test_rest_only_rows(self):
+        assert_block_equals_profiles([toks(["rest"] * n) for n in (1, 3, 2)])
+
+    def test_one_letter_projections(self):
+        """Rows whose hi/en projection is one letter have no adjacent pair,
+        so no switch, even where the rows' letters meet across rows."""
+        assert_block_equals_profiles([toks(["rest", "hi", "rest"]), toks(["en"]),
+                                      toks(["rest", "rest", "hi"]), toks(["en", "rest"])])
+
+    def test_short_rows_after_a_long_one(self):
+        long = toks(["hi", "en", "en", "rest", "hi", "hi", "en", "hi"] * 8)
+        assert_block_equals_profiles([PAPER_SENTENCE, long, toks(["en"]), toks(["hi", "en"]),
+                                      toks(["rest", "en", "hi"]), ALL_HI])
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            switching_block([toks(["hi"]), ()])
+
+
+@given(st.lists(tags_strategy, max_size=8))
+def test_block_equals_the_profiles(rows):
+    assert_block_equals_profiles([toks(tags) for tags in rows])
