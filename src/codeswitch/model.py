@@ -6,8 +6,10 @@ columns, fold_reports of those scores, and negative sub-sampling, which
 pairs a corpus's negatives, in order, with one probability each.
 
 Training minimizes the mean binary cross-entropy with an L2 penalty on the
-weights (bias unpenalized) by line-search Newton-CG from zero, so results
-are exactly reproducible, and stops on a relative gradient-norm tolerance.
+weights (bias unpenalized) by line-search Newton-CG from zero or from a
+given start, so results are exactly reproducible, and stops on a gradient
+norm relative to its value at zero.  Cross-validation starts each arm that
+sees switching columns from its fold's no-switching fit.
 Training and scoring (sigmoid of X @ w + b) both use textfeat.SparseMatrix,
 whose time and memory grow with the stored entries; train and loss_and_grad
 use only X.shape, X @ v and X.T @ v, so a dense ndarray works as well.
@@ -87,21 +89,29 @@ def sigmoid(z):
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b summed by numpy, not by BLAS, whose sums depend on its thread count."""
-    return float(np.sum(a * b))
+    return float(np.add.reduce(a * b))
 
 
 def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | SparseMatrix,
                   y: np.ndarray, l2: float) -> tuple[float, np.ndarray, float]:
     """Mean binary cross-entropy plus (l2/2)||w||^2, with its gradient."""
+    return _loss_grad_proba(weights, bias, X, y, l2)[:3]
+
+
+def _loss_grad_proba(weights: np.ndarray, bias: float, X: np.ndarray | SparseMatrix,
+                     y: np.ndarray, l2: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """loss_and_grad, and the probabilities sigmoid(X @ w + b) it computed
+    on the way, bit for bit."""
     z = X @ weights + bias
     # -log p(y|z) = softplus(z) - y*z and sigmoid(z) = exp(z - softplus(z)),
     # both stable for large |z|
     softplus = np.logaddexp(0.0, z)
     loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * _dot(weights, weights)
-    residual = np.exp(z - softplus) - y
+    proba = np.exp(z - softplus)
+    residual = proba - y
     grad_w = X.T @ residual / len(y) + l2 * weights
     grad_b = float(np.mean(residual))
-    return loss, grad_w, grad_b
+    return loss, grad_w, grad_b, proba
 
 
 def _newton_step(X: np.ndarray | SparseMatrix, s: np.ndarray, l2: float, g: np.ndarray,
@@ -111,32 +121,41 @@ def _newton_step(X: np.ndarray | SparseMatrix, s: np.ndarray, l2: float, g: np.n
     stopped at a residual of min(0.1, sqrt(||g||)) ||g|| or after 50 steps
     or at a direction of no positive curvature; -g if that is the first."""
     bound = min(0.1, math.sqrt(g_norm)) * g_norm
-    d, r = np.zeros_like(g), -g
-    p, rr = r, _dot(r, r)
+    XT = X.T
+    d, r, p, hp = np.zeros_like(g), -g, -g, np.empty_like(g)
+    rr = _dot(r, r)
     for _ in range(50):
-        u = s * (X @ p[:-1] + p[-1])
-        hp = np.append(X.T @ u + l2 * p[:-1], np.sum(u))
+        u = X @ p[:-1]
+        u += p[-1]
+        u *= s
+        np.add(XT @ u, l2 * p[:-1], out=hp[:-1])
+        hp[-1] = np.add.reduce(u)
         curvature = _dot(p, hp)
         if curvature <= 0:
             break
         alpha = rr / curvature
-        d, r = d + alpha * p, r - alpha * hp
+        d += alpha * p
+        r -= alpha * hp
         rr, rr_prev = _dot(r, r), rr
         if math.sqrt(rr) <= bound:
             break
-        p = r + (rr / rr_prev) * p
+        p *= rr / rr_prev
+        p += r
     return d if d.any() else -g
 
 
 def train(X: np.ndarray | SparseMatrix, labels: Sequence[int],
-          hyper: TrainConfig = TrainConfig()) -> LinearModel:
-    """Fit logistic regression to the rows of X by line-search Newton-CG:
-    each iteration takes a _newton_step and halves it from 1 until the loss
-    falls by 1e-4 of the step's linear decrease (Armijo).  Stops converged
-    at ||g|| <= tol ||g0||, or else warns once, after max_iter iterations
-    or a failed line search.  Deterministic (zero start, inner products
-    summed in numpy); raises on single-class input or when X has not one
-    row per label."""
+          hyper: TrainConfig = TrainConfig(), start: np.ndarray | None = None) -> LinearModel:
+    """Fit logistic regression to the rows of X by line-search Newton-CG
+    from theta = (w, b) = start, the weights then the bias, or from zero:
+    each iteration takes a _newton_step, its curvature from the
+    probabilities of the loss at theta, and halves it from 1 until the
+    loss falls by 1e-4 of the step's linear decrease (Armijo).  Stops
+    converged at ||g|| <= tol ||g0||, g0 being the gradient at zero
+    whatever the start, or else warns once, after max_iter iterations or
+    a failed line search.  Deterministic (inner products summed in numpy);
+    raises on single-class input, when X has not one row per label, or on
+    a start of other than X.shape[1] + 1 values."""
     if X.shape[0] != len(labels):
         raise ValueError("X and labels must have one row per label")
     y = np.asarray(labels, dtype=np.float64)
@@ -144,27 +163,33 @@ def train(X: np.ndarray | SparseMatrix, labels: Sequence[int],
         raise ValueError("training data must contain both classes")
 
     def loss_at(theta):
-        loss, grad_w, grad_b = loss_and_grad(theta[:-1], float(theta[-1]), X, y, hyper.l2)
-        return loss, np.append(grad_w, grad_b)
+        loss, grad_w, grad_b, proba = _loss_grad_proba(theta[:-1], float(theta[-1]), X, y,
+                                                       hyper.l2)
+        return loss, np.append(grad_w, grad_b), proba
 
     theta = np.zeros(X.shape[1] + 1)
-    loss, g = loss_at(theta)
-    g_norm = g0_norm = math.sqrt(_dot(g, g))
+    loss, g, p = loss_at(theta)
+    g0_norm = math.sqrt(_dot(g, g))
+    if start is not None:
+        theta = np.array(start, dtype=np.float64)
+        if theta.shape != (X.shape[1] + 1,):
+            raise ValueError(f"start has shape {theta.shape}, expected ({X.shape[1] + 1},)")
+        loss, g, p = loss_at(theta)
+    g_norm = math.sqrt(_dot(g, g))
     iterations = 0
     while g_norm > hyper.tol * g0_norm and iterations < hyper.max_iter:
         iterations += 1
-        p = sigmoid(X @ theta[:-1] + theta[-1])
         step = _newton_step(X, p * (1.0 - p) / len(y), hyper.l2, g, g_norm)
         decrease, t = 1e-4 * _dot(g, step), 1.0
         for _ in range(50):
             trial = theta + t * step
-            trial_loss, trial_g = loss_at(trial)
+            trial_loss, trial_g, trial_p = loss_at(trial)
             if trial_loss <= loss + t * decrease:
                 break
             t /= 2
         else:
             break  # no decrease left within rounding: stop where we are
-        theta, loss, g = trial, trial_loss, trial_g
+        theta, loss, g, p = trial, trial_loss, trial_g, trial_p
         g_norm = math.sqrt(_dot(g, g))
     converged = g_norm <= hyper.tol * g0_norm
     if not converged:
@@ -309,10 +334,14 @@ def cross_validate_arms(matrix: FeatureMatrix, folds: Sequence[tuple[Sequence[in
     its switching block takes only ().  Each fold runs _fit once on
     matrix.take of its train rows and builds one training matrix of its
     test rows; an arm keeps their vocabulary, special and arm columns
-    (X.T.take(keep).T).  Folds whose train or test part has a single class
-    are skipped with a warning.  Returns the scores X @ w + b, a row per
-    arm and a column per matrix row, each from the fold testing that row
-    and NaN in a skipped fold, and the tuple of skipped folds.
+    (X.T.take(keep).T).  In each fold the arm () is fitted first, from
+    zero, and every other arm from its solution: its weights, zeros for
+    the arm's switching columns, and its bias; an arm's scores therefore
+    do not depend on the order of the arms.  Folds whose train or test
+    part has a single class are skipped with a warning.  Returns the
+    scores X @ w + b, a row per arm and a column per matrix row, each from
+    the fold testing that row and NaN in a skipped fold, and the tuple of
+    skipped folds.
     """
     width = 0 if matrix.switching is None else N_FEATURES
     if any(len(set(arm)) < len(arm) or not set(arm) <= set(range(width)) for arm in arms):
@@ -327,11 +356,18 @@ def cross_validate_arms(matrix: FeatureMatrix, folds: Sequence[tuple[Sequence[in
         cols, lexicon, X_train = _fit(matrix.take(train_rows), cfg)
         X_test = training_matrix(matrix.take(test_rows), cols, lexicon, cfg.negation_words)
         d = vector_dim(cols, False)
-        for arm_scores, arm in zip(scores, arms):
+        base = None  # the fold's fit of arm (), once made
+        for i in sorted(range(len(arms)), key=lambda j: bool(arms[j])):  # () first
+            arm = arms[i]
             keep = np.append(np.arange(d), d + np.array(arm, dtype=np.intp))
             X_arm_train, X_arm_test = (X.T.take(keep).T for X in (X_train, X_test))
-            model = train(X_arm_train, matrix.labels[train_rows], cfg.train_config)
-            arm_scores[test_rows] = X_arm_test @ model.weights + model.bias
+            start = None
+            if arm and base is not None:
+                start = np.concatenate((base.weights, np.zeros(len(arm)), [base.bias]))
+            model = train(X_arm_train, matrix.labels[train_rows], cfg.train_config, start)
+            if not arm:
+                base = model
+            scores[i, test_rows] = X_arm_test @ model.weights + model.bias
     if len(skipped) == len(folds):
         raise ValueError("every fold was degenerate; cannot aggregate")
     return scores, tuple(skipped)

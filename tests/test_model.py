@@ -1,19 +1,22 @@
 import gc
+import importlib.util
 import math
 import random
 import re
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from codeswitch import model as model_module, textfeat
 from codeswitch.config import PipelineConfig, TrainConfig
-from codeswitch.corpus import LabeledUtterance, Token, fold_indices
+from codeswitch.corpus import LabeledUtterance, Token, fold_indices, load_corpus
 from codeswitch.model import (
     EvalReport,
     FittedPipeline,
@@ -32,9 +35,12 @@ from codeswitch.model import (
     to_dense,
     train,
 )
+from codeswitch.preprocess import PreprocessConfig
 from codeswitch.switching import N_FEATURES
 from reference_encoder import dense_row, extract_features, pipeline_rows
 from synth_corpus import switching_driven_corpus
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # word 1-grams: one feature per token, keyed by its lowercased surface
 UNIGRAMS = {"kinds": frozenset({"word_ngram"}), "n_values": {"word_ngram": (1,)}}
@@ -44,6 +50,12 @@ def as_dense(X):
     """X as a dense array, one product with a unit vector per column (each
     sums one stored value and zeros, so it is exact)."""
     return np.column_stack([X @ unit for unit in np.eye(X.shape[1])])
+
+
+def take_columns(X, cols):
+    """The given columns of X, a dense array or a SparseMatrix."""
+    cols = np.array(cols, dtype=np.intp)
+    return X[:, cols] if isinstance(X, np.ndarray) else X.T.take(cols).T
 
 
 def sv(values, dim):
@@ -132,6 +144,35 @@ class TestTrain:
             model = train(X, labels, TrainConfig(max_iter=1))
         assert [str(w.message).startswith("training did not converge") for w in caught] == [True]
         assert model.iterations == 1 and not model.converged
+
+    def test_zero_start_is_the_default_start(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        labels = (X @ [1.0, -2.0, 0.5] + rng.normal(size=40) > 0).astype(int).tolist()
+        cold, zero = train(X, labels), train(X, labels, start=np.zeros(4))
+        assert np.array_equal(cold.weights, zero.weights) and cold.bias == zero.bias
+        assert (cold.iterations, cold.final_loss, cold.grad_norm, cold.converged) \
+            == (zero.iterations, zero.final_loss, zero.grad_norm, zero.converged)
+
+    def test_start_at_the_optimum_takes_no_iteration(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        labels = (X @ [1.0, -2.0, 0.5] + rng.normal(size=40) > 0).astype(int).tolist()
+        cold = train(X, labels)
+        start = np.append(cold.weights, cold.bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warm = train(X, labels, start=start)
+        assert warm.iterations == 0 and warm.converged
+        assert np.array_equal(warm.weights, cold.weights) and warm.bias == cold.bias
+        assert (warm.final_loss, warm.grad_norm) == (cold.final_loss, cold.grad_norm)
+        assert np.array_equal(start, np.append(cold.weights, cold.bias))  # not written to
+
+    @pytest.mark.parametrize("start", [np.zeros(3), np.zeros(5), np.zeros((1, 4))])
+    def test_start_of_another_shape_rejected(self, start):
+        X = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+        with pytest.raises(ValueError, match="start has shape"):
+            train(X, [0, 1], start=start)
 
     @pytest.mark.parametrize("settings", [dict(max_iter=0), dict(max_iter=math.inf),
                                           dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan),
@@ -291,6 +332,23 @@ def word_pool_corpus(n, seed, informative=False):
     return tuple(utts)
 
 
+class CountedProducts:
+    """A matrix that counts its products X @ v, and those of its transpose
+    X.T @ v, in counts."""
+
+    def __init__(self, X, counts, name="X @ v"):
+        self.X, self.counts, self.name, self.shape = X, counts, name, X.shape
+
+    @property
+    def T(self):
+        other = "X.T @ v" if self.name == "X @ v" else "X @ v"
+        return CountedProducts(self.X.T, self.counts, other)
+
+    def __matmul__(self, v):
+        self.counts[self.name] += 1
+        return self.X @ v
+
+
 class CountedPasses(tuple):
     """A corpus that counts the passes over it."""
 
@@ -374,25 +432,58 @@ class TestCrossValidate:
     def test_scores_equal_direct_fold_fits(self, n, k, seed):
         """Each row's score under an arm is, bit for bit, X @ w + b of its
         fold's _fit and train on the corpus featurized with that arm's
-        switching block, and NaN in a fold skipped for a single class."""
+        switching block, the with-switching train started from the fold's
+        no-switching model, its switching weights zero; and NaN in a fold
+        skipped for a single class."""
         corpus = word_pool_corpus(n, seed=seed)
         arms = (range(N_FEATURES), ())
         with (pytest.warns(UserWarning, match="single class") if n == 12 else nullcontext()):
             _, skipped, scores = cross_validate(corpus, self.FULL, arms, k=k)
         assert bool(skipped) == (n == 12)
-        folds = fold_indices(n, k, 13)
-        for arm_scores, arm in zip(scores, arms):
-            direct = textfeat.featurize(corpus, self.FULL.kinds, self.FULL.n_values,
-                                        with_switching=bool(arm))
-            for i, (train_rows, test_rows) in enumerate(folds):
-                if i in skipped:
-                    assert np.isnan(arm_scores[test_rows]).all()
-                    continue
-                cols, lexicon, X = model_module._fit(direct.take(train_rows), self.FULL)
-                model = train(X, direct.labels[train_rows], self.FULL.train_config)
-                X_test = textfeat.training_matrix(direct.take(test_rows), cols, lexicon,
+        direct = [textfeat.featurize(corpus, self.FULL.kinds, self.FULL.n_values,
+                                     with_switching=bool(arm)) for arm in arms]
+        for i, (train_rows, test_rows) in enumerate(fold_indices(n, k, 13)):
+            if i in skipped:
+                assert np.isnan(scores[:, test_rows]).all()
+                continue
+            start = None
+            for j in (1, 0):  # (), then all nine from its model
+                matrix = direct[j]
+                cols, lexicon, X = model_module._fit(matrix.take(train_rows), self.FULL)
+                model = train(X, matrix.labels[train_rows], self.FULL.train_config, start)
+                X_test = textfeat.training_matrix(matrix.take(test_rows), cols, lexicon,
                                                   self.FULL.negation_words)
-                assert np.array_equal(arm_scores[test_rows], X_test @ model.weights + model.bias)
+                assert np.array_equal(scores[j][test_rows], X_test @ model.weights + model.bias)
+                start = np.concatenate((model.weights, np.zeros(N_FEATURES), [model.bias]))
+
+    def test_warm_arm_makes_fewer_products(self, monkeypatch, tmp_path):
+        """Every fit makes one X.T @ v per X @ v: the Newton weights come
+        from the probabilities of the last loss, not from another product.
+        On a bench/corpus_gen.py corpus at the default settings, each
+        fold's with-switching fit, started from its no-switching fit, makes
+        fewer products than the same fit from zero."""
+        fits, fit = [], model_module.train
+
+        def counted(X, labels, hyper, start=None):
+            counts = Counter()
+            fits.append((X, labels, hyper, start, counts))
+            return fit(CountedProducts(X, counts), labels, hyper, start)
+        monkeypatch.setattr(model_module, "train", counted)
+        spec = importlib.util.spec_from_file_location("corpus_gen", BENCH / "corpus_gen.py")
+        corpus_gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus_gen)
+        corpus_gen.write_corpus(tmp_path / "cv.txt", 60, 1, "cv")
+        corpus = load_corpus(tmp_path / "cv.txt", PreprocessConfig())
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "k=500 exceeds vocabulary size")
+            cross_validate(corpus, PipelineConfig(), (range(N_FEATURES), ()), k=4)
+        assert [start is None for *_, start, _ in fits] == [True, False] * 4
+        for X, labels, hyper, start, counts in fits:
+            assert counts["X @ v"] == counts["X.T @ v"] > 2
+            if start is not None:
+                cold = Counter()
+                fit(CountedProducts(X, cold), labels, hyper)
+                assert cold["X @ v"] == cold["X.T @ v"] > counts["X @ v"]
 
     def test_extracts_each_utterance_once(self, monkeypatch):
         """The corpus is featurized once, in one pass over it; test folds
@@ -435,13 +526,16 @@ class TestCrossValidate:
                 assert (("word_ngram", f"only{u.id}") in vocab) == (u.id in train_ids)
 
     @staticmethod
-    def dense_fits(corpus, cfg, arm, k):
+    def fold_fits(corpus, cfg, arm, k, densify):
         """Each fold with two classes on either side, by index, with its
-        report, fitted and scored on its dense training matrices restricted
-        to the vocabulary, the two special columns and the switching columns
-        of arm."""
-        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values)
-        reports = []
+        test rows and the model and test matrix of the arm: its fold's _fit
+        on the corpus featurized with the switching block, its training
+        matrices, densified when densify, kept to the vocabulary, the two
+        special columns and the arm's switching columns, and train started
+        as cross_validate_arms starts it, from the fold's model of arm ()
+        and zero switching weights unless the arm is ()."""
+        matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, with_switching=True)
+        fits = []
         for fold, rows in enumerate(fold_indices(len(corpus), k, 13)):
             train_part, test_part = parts = [matrix.take(r) for r in rows]
             if any(len(set(part.labels.tolist())) < 2 for part in parts):
@@ -449,14 +543,22 @@ class TestCrossValidate:
             cols, lexicon, X_train = model_module._fit(train_part, cfg)
             X_test = textfeat.training_matrix(test_part, cols, lexicon, cfg.negation_words)
             d = textfeat.vector_dim(cols, False)
-            X_train, X_test = (as_dense(X)[:, [*range(d), *(d + i for i in arm)]]
-                               for X in (X_train, X_test))
-            model = train(X_train, train_part.labels, cfg.train_config)
-            reports.append((fold, evaluate(predict_proba(model, X_test), test_part.labels)))
-        return tuple(reports)
+            if densify:
+                X_train, X_test = as_dense(X_train), as_dense(X_test)
+            start = None
+            if arm:
+                base = train(take_columns(X_train, range(d)), train_part.labels, cfg.train_config)
+                start = np.concatenate((base.weights, np.zeros(len(arm)), [base.bias]))
+            keep = [*range(d), *(d + i for i in arm)]
+            model = train(take_columns(X_train, keep), train_part.labels, cfg.train_config, start)
+            fits.append((fold, rows[1], model, take_columns(X_test, keep), test_part.labels))
+        return fits
 
     @pytest.mark.parametrize("n, k, seed", [(60, 4, 5), (12, 6, 3)])
     def test_arms_equal_one_run_per_arm(self, n, k, seed):
+        """Each arm's scores equal, bit for bit, those of a direct train on
+        its fold's columns with the start cross_validate_arms gives it, and
+        its reports those of the same fits on dense matrices."""
         corpus = word_pool_corpus(n, seed=seed)
         given = (range(N_FEATURES), (), (0, 1, 2))  # all nine, none, the switch counts
         with warnings.catch_warnings(record=True) as caught:
@@ -465,16 +567,21 @@ class TestCrossValidate:
         single_class = [w for w in caught if "has a single class" in str(w.message)]
         assert len(single_class) == len(skipped)  # once per fold, not per arm
         assert bool(skipped) == (n == 12)
+        for arm, arm_scores in zip(given, scores):
+            direct = np.full(n, np.nan)
+            for _, test_rows, model, X_test, _ in self.fold_fits(corpus, self.FULL, arm, k,
+                                                                  densify=False):
+                direct[test_rows] = X_test @ model.weights + model.bias
+            assert np.array_equal(direct, arm_scores, equal_nan=True)
         with (pytest.warns(UserWarning, match="single class") if n == 12 else nullcontext()):
-            for arm, arm_scores in zip(given, scores):
-                assert np.array_equal(cross_validate(corpus, self.FULL, (arm,), k=k)[2][0],
-                                      arm_scores, equal_nan=True)
             if n == 60:
                 assert len({mean for _, mean in arms}) == 3
             assert np.array_equal(cross_validate(corpus, self.FULL, given[::-1], k=k)[2],
                                   scores[::-1], equal_nan=True)
         for arm, (reports, _) in zip(given, arms):
-            assert reports == self.dense_fits(corpus, self.FULL, arm, k)
+            dense = self.fold_fits(corpus, self.FULL, arm, k, densify=True)
+            assert reports == tuple((fold, evaluate(predict_proba(model, X_test), labels))
+                                    for fold, _, model, X_test, labels in dense)
 
     @pytest.mark.parametrize("arm, with_switching", [
         ((0, 0), True), ((N_FEATURES,), True), ((-1,), True), ((2, 9, 3), True), ((0,), False)],
@@ -655,8 +762,11 @@ class TestMatrixScoring:
             (train_part, _), (cols, lexicon, _) = recorded["_fit"][i]
             vocab = tuple(train_part.keys[c] for c in cols.tolist())
             test = tuple(corpus[r] for r in test_rows)
-            for j, arm in enumerate(arms):
-                model = recorded["train"][2 * i + j][1]
+            (*_, none_start), none = recorded["train"][2 * i]  # () is fitted first
+            (*_, every_start), every = recorded["train"][2 * i + 1]
+            assert none_start is None
+            assert np.array_equal(every_start, [*none.weights, *[0.0] * N_FEATURES, none.bias])
+            for j, (arm, model) in enumerate(zip(arms, (every, none))):
                 (probs, labels), _ = recorded["evaluate"][len(folds) * j + i]  # by arm, then fold
                 assert labels.tolist() == [u.label for u in test]
                 assert np.array_equal(probs, sigmoid(scores[j][test_rows]))
