@@ -18,7 +18,8 @@ matrix's rows and encodes those rows; fit_pipeline calls it, and so does
 each cross-validation fold, on matrix.take of its train rows, so no fold
 reads an utterance again.  A FittedPipeline holds the keys of its fitted
 columns and scores a corpus by featurizing it over them into one training
-matrix, whose rows its vectorize views densely.  The settings,
+matrix, whose rows its vectorize views densely; it codes those keys for
+featurize once, on the first call that scores.  The settings,
 TrainConfig and PipelineConfig, live in codeswitch.config.
 """
 
@@ -28,6 +29,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -39,6 +41,7 @@ from codeswitch.switching import N_FEATURES
 from codeswitch.textfeat import (
     FeatureKey,
     FeatureMatrix,
+    FittedKeys,
     SparseMatrix,
     build_vocabulary,
     chi2_select,
@@ -95,14 +98,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray | SparseMatrix,
                   y: np.ndarray, l2: float) -> tuple[float, np.ndarray, float]:
     """Mean binary cross-entropy plus (l2/2)||w||^2, with its gradient."""
-    return _loss_grad_proba(weights, bias, X, y, l2)[:3]
+    return _loss_grad_proba(weights, X @ weights + bias, X, y, l2)[:3]
 
 
-def _loss_grad_proba(weights: np.ndarray, bias: float, X: np.ndarray | SparseMatrix,
+def _loss_grad_proba(weights: np.ndarray, z: np.ndarray, X: np.ndarray | SparseMatrix,
                      y: np.ndarray, l2: float) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """loss_and_grad, and the probabilities sigmoid(X @ w + b) it computed
-    on the way, bit for bit."""
-    z = X @ weights + bias
+    """loss_and_grad at the scores z = X @ w + b, and the probabilities
+    sigmoid(z) it computed on the way, bit for bit."""
     # -log p(y|z) = softplus(z) - y*z and sigmoid(z) = exp(z - softplus(z)),
     # both stable for large |z|
     softplus = np.logaddexp(0.0, z)
@@ -162,13 +164,15 @@ def train(X: np.ndarray | SparseMatrix, labels: Sequence[int],
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("training data must contain both classes")
 
-    def loss_at(theta):
-        loss, grad_w, grad_b, proba = _loss_grad_proba(theta[:-1], float(theta[-1]), X, y,
-                                                       hyper.l2)
+    def loss_at(theta, z=None):
+        w = theta[:-1]
+        loss, grad_w, grad_b, proba = _loss_grad_proba(
+            w, X @ w + float(theta[-1]) if z is None else z, X, y, hyper.l2)
         return loss, np.append(grad_w, grad_b), proba
 
     theta = np.zeros(X.shape[1] + 1)
-    loss, g, p = loss_at(theta)
+    # X @ 0 + 0 is +0.0 in every row of a finite X, so the zero start needs no X @ v
+    loss, g, p = loss_at(theta, np.zeros(len(y)))
     g0_norm = math.sqrt(_dot(g, g))
     if start is not None:
         theta = np.array(start, dtype=np.float64)
@@ -270,11 +274,18 @@ class FittedPipeline:
     lexicon: Mapping[str, float]  # empty when config.use_indicative is off
     model: LinearModel
 
+    @cached_property
+    def _fitted_keys(self) -> FittedKeys:
+        """The vocabulary coded for featurize, built on the first call that
+        featurizes and kept for the others."""
+        return FittedKeys(self.vocab)
+
     def _training_matrix(self, utterances: Iterable[LabeledUtterance]) -> SparseMatrix:
         """The utterances featurized over the fitted vocabulary, with the
         switching block exactly when config.with_switching, one row each."""
         cfg = self.config
-        matrix = featurize(utterances, cfg.kinds, cfg.n_values, self.vocab, cfg.with_switching)
+        matrix = featurize(utterances, cfg.kinds, cfg.n_values, self._fitted_keys,
+                           cfg.with_switching)
         return training_matrix(matrix, np.arange(len(self.vocab)), self.lexicon, cfg.negation_words)
 
     def vectorize(self, utterance: LabeledUtterance) -> np.ndarray:

@@ -21,18 +21,23 @@ characters of an utterance's space-joined surfaces, lowercased after
 joining, and a word_ngram one a run of n lowercased surfaces joined by
 NGRAM_SEP.  featurize counts them with numpy array kernels, a chunk of
 utterances and one (kind, size) at a time: each n-gram occurrence is one
-int64 code, one sort groups the codes into (row, gram) pairs, and each
-distinct gram of the chunk is decoded to its payload once, so no Python
-object is made per occurrence.  A row's entries are its distinct keys in
-order of first occurrence, kind then size.  A featurized matrix's columns
-are its keys in their own tuple order, kind then payload, so ascending
-column ids keep that order; the kinds of KIND_ORDER are in alphabetical
-order too.  Rows carry two special dimensions (indicative-score sum,
-negation count) after the vocabulary block and, when requested, the nine
-switching features last, so a row without them is the leading columns of
-one with.  featurize takes a chunk's switching features from
-codeswitch.switching.switching_block.  KIND_ORDER and checked_kinds, the
-check of kinds and sizes, live in codeswitch.config.
+int64 code, and one sort groups the codes into (row, gram) pairs, so no
+Python object is made per occurrence.  Without a vocabulary, each
+distinct gram of the chunk is decoded to its payload once.  Over a
+fitted vocabulary, FittedKeys holds the keys' symbols, coded once; each
+chunk folds them into codes as it folds its grams, and np.searchsorted
+finds them among the chunk's distinct gram codes, so no gram is decoded
+and a gram that is no key costs no Python call.  A row's entries are its
+distinct keys in order of first occurrence, kind then size.  A
+featurized matrix's columns are its keys in their own tuple order, kind
+then payload, so ascending column ids keep that order; the kinds of
+KIND_ORDER are in alphabetical order too.  Rows carry two special
+dimensions (indicative-score sum, negation count) after the vocabulary
+block and, when requested, the nine switching features last, so a row
+without them is the leading columns of one with.  featurize takes a
+chunk's switching features from codeswitch.switching.switching_block.
+KIND_ORDER and checked_kinds, the check of kinds and sizes, live in
+codeswitch.config.
 """
 
 from __future__ import annotations
@@ -127,26 +132,95 @@ _INT64_END = 2**63  # a gram's code stays below it, so its arithmetic cannot ove
 _CHUNK_TOKENS = 2048  # tokens whose n-grams featurize counts at once, which bounds its arrays
 
 
-def _ranks(codes: np.ndarray) -> tuple[np.ndarray, int]:
+class FittedKeys:
+    """A fitted vocabulary coded for featurize, which matches a chunk's
+    grams to its keys by code: keys is the vocabulary; words maps the
+    distinct words of its word keys to their indices, in that order; and
+    blocks[kind, size] holds the symbols and column of each key that can be
+    a gram of that kind and size, a row of size symbols per key, a char
+    key's being its code points and a word key's the indices of its words
+    in words.  A char key's size is its length.
+    A word key is a 1-gram whole, NGRAM_SEP included, and, when its
+    payload splits on NGRAM_SEP into n > 1 parts, also an n-gram of those
+    parts.  A key given twice has the column of its last place, as in a
+    dict of the keys.  Building one is Python work per key, so a caller
+    that featurizes many corpora over one vocabulary builds it once."""
+
+    def __init__(self, vocab: Sequence[FeatureKey]):
+        self.keys = tuple(vocab)
+        word_index: dict[str, int] = defaultdict(count().__next__)
+        blocks: dict[tuple[str, int], tuple[list, list]] = defaultdict(lambda: ([], []))
+        for (kind, payload), col in dict(zip(self.keys, count())).items():
+            if kind == "char_ngram":
+                coded = [[*map(ord, payload)]]
+            elif kind == "word_ngram":
+                parts = payload.split(NGRAM_SEP)
+                coded = [[word_index[payload]]]
+                if len(parts) > 1:
+                    coded.append([*map(word_index.__getitem__, parts)])
+            else:
+                continue
+            for symbols in coded:
+                block = blocks[kind, len(symbols)]
+                block[0].append(symbols)
+                block[1].append(col)
+        self.words = dict(word_index)
+        self.blocks = {(kind, size): (np.array(symbols, np.int64).reshape(len(cols), size),
+                                      np.array(cols, np.int32))
+                       for (kind, size), (symbols, cols) in blocks.items()}
+
+    def word_symbols(self, word_ids: Mapping[str, int]) -> np.ndarray:
+        """Each of words' id in word_ids, whose ids are 0, 1, ... in its
+        order, or len(word_ids), above every id, for a word it lacks; found
+        by one lookup per word of the smaller of the two."""
+        absent = len(word_ids)
+        if len(self.words) <= absent:
+            return np.fromiter(map(word_ids.get, self.words, repeat(absent)), np.int64,
+                               len(self.words))
+        at = np.fromiter(map(self.words.get, word_ids, repeat(-1)), np.int64, absent)
+        symbols = np.full(len(self.words), absent, dtype=np.int64)
+        hit = at >= 0
+        symbols[at[hit]] = hit.nonzero()[0]
+        return symbols
+
+
+def _find(distinct: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Each code's index in the ascending, nonempty distinct codes, or -1
+    where it is not one of them."""
+    at = distinct.searchsorted(codes)
+    found = distinct[np.minimum(at, len(distinct) - 1)] == codes
+    return np.where(found, at, -1)
+
+
+def _ranks(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Each code's rank among the distinct codes, and their number: new
-    codes, below len(codes), equal exactly where the codes are.  The flag
+    codes, below len(codes), equal exactly where the codes are; and each of
+    the keys' rank among them, or -1 where it is not one of them.  The flag
     keeps np.unique from importing numpy.ma, as a bare call does."""
     distinct, ranks = np.unique(codes, return_inverse=True)
-    return ranks, len(distinct)
+    return ranks, len(distinct), _find(distinct, keys)
 
 
-def _gram_counts(symbols: np.ndarray, bound: int, lengths: np.ndarray, n: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _gram_counts(symbols: np.ndarray, bound: int, lengths: np.ndarray, n: int,
+                 keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """The n-grams of the int32 symbols, each below bound: the runs of n
     symbols within one row's segment, row r's segment being the next
     lengths[r] symbols.  Returns each distinct (row, gram) pair's row, gram
-    id and count, in the order of its first occurrence, so by row; and the
-    start of one occurrence of each gram id.
+    id, count and first occurrence, the pairs by gram id then row; the
+    start of one occurrence of each gram id; and the gram id of each of the
+    keys, an (m, n) int64 array of m n-grams' symbols, each below bound, or
+    -1 for a key that is no gram of the symbols.
 
     A gram's code is its symbols as digits in radix bound, in int64; before
     the next digit could overflow the codes, each is replaced by its rank.
     One sort of the (code, row) keys groups the occurrences into pairs and
-    the pairs into grams, and gives each pair's first occurrence."""
+    the pairs into grams, and gives each pair's first occurrence, so gram
+    ids number the distinct codes in ascending order.  A key is coded as a
+    gram is, ranked among the grams' codes where they are, and its gram id
+    is the index of its code among theirs.  A key whose code is not among
+    them is coded -1 there, and its code stays negative as digits are
+    added (-c * bound + s < 0 for c >= 1 and s < bound), so it finds no
+    gram."""
     n_rows = len(lengths)
     per_row = lengths - (n - 1)
     per_row[per_row < 0] = 0
@@ -155,14 +229,17 @@ def _gram_counts(symbols: np.ndarray, bound: int, lengths: np.ndarray, n: int
     starts = (skipped.cumsum(dtype=np.int32) - skipped).repeat(per_row)
     starts += np.arange(len(starts), dtype=np.int32)
     codes, code_bound = symbols[starts].astype(np.int64), bound
+    key_codes = keys[:, 0].copy()
     for k in range(1, n):
         if code_bound * bound > _INT64_END:
-            codes, code_bound = _ranks(codes)
+            codes, code_bound, key_codes = _ranks(codes, key_codes)
         codes *= bound
         codes += symbols[starts + k]
+        key_codes *= bound
+        key_codes += keys[:, k]
         code_bound *= bound
     if code_bound * n_rows > _INT64_END:
-        codes, code_bound = _ranks(codes)
+        codes, code_bound, key_codes = _ranks(codes, key_codes)
     codes *= n_rows
     codes += rows  # one key per (gram, row) pair
     order = codes.argsort()  # equal keys are one pair, so their order is free
@@ -176,11 +253,12 @@ def _gram_counts(symbols: np.ndarray, bound: int, lengths: np.ndarray, n: int
     codes -= pair_rows  # the gram's code times n_rows
     del pair_at
     new_gram = np.concatenate(([True], codes[1:] != codes[:-1]))
+    key_codes *= n_rows
+    key_grams = _find(codes[new_gram], key_codes)
     del codes
     gram_starts = starts[first[new_gram]]
     grams = new_gram.cumsum(dtype=np.int32) - 1
-    by_first = first.argsort()
-    return pair_rows[by_first], grams[by_first], counts[by_first], gram_starts
+    return pair_rows, grams, counts, first, gram_starts, key_grams
 
 
 def _chunks(corpus: Iterable[LabeledUtterance]) -> Iterator[list[LabeledUtterance]]:
@@ -200,14 +278,20 @@ def _chunks(corpus: Iterable[LabeledUtterance]) -> Iterator[list[LabeledUtteranc
 def _chunk_entries(texts: list[str], words: list[str], word_cols: list[int],
                    n_tokens: list[int], kinds: frozenset[str],
                    n_values: Mapping[str, tuple[int, ...]], ids: dict[FeatureKey, int],
-                   grow: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   fitted: FittedKeys | None, word_ids: Mapping[str, int]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (row, column, count) entries of the feature keys of a chunk of
     rows, each row's distinct keys in order of first occurrence within kind
     then size, in n_values' order, and the rows in order.  Row r's
     lowercased text is texts[r] (when char_ngram is in kinds), and its
-    n_tokens[r] lowercased surfaces and their word ids are the next ones of
-    words and word_cols.  A key's column is ids[key], added if new when
-    grow, and otherwise the key is left out when ids lacks it."""
+    n_tokens[r] lowercased surfaces and their word ids, which word_ids
+    maps the call's words to, are the next ones of words and word_cols.
+    Without fitted keys, each distinct gram of the chunk is decoded to its
+    key once, whose column is ids[key], added if new.  Given them, a gram
+    is matched to the fitted key of its code, whose column it takes, or
+    is left out, and no gram is decoded: a word key's symbols are the word
+    ids of its words, and a key is skipped when a word of it has no id
+    yet or a symbol of it is not below the chunk's radix."""
     runs = []  # per kind: its symbols, their rows' lengths, and what a gram is decoded from
     if "char_ngram" in kinds:  # a code point is below 0x110000, so it fits an int32
         text = "".join(texts)
@@ -221,49 +305,73 @@ def _chunk_entries(texts: list[str], words: list[str], word_cols: list[int],
     for kind, symbols, lengths, items, join in runs:
         longest, lengths = max(lengths), np.array(lengths, dtype=np.int32)
         bound = int(symbols.max()) + 1
+        if fitted is not None and kind == "word_ngram":
+            # a fitted word with no id yet gets len(word_ids), at or above the radix
+            word_symbols = fitted.word_symbols(word_ids)
         for size in n_values[kind]:
             if size > longest:
                 continue
-            pair_rows, grams, pair_counts, starts = _gram_counts(symbols, bound, lengths, size)
-            pieces = map(items.__getitem__, map(slice, starts.tolist(), (starts + size).tolist()))
-            keys = zip(repeat(kind), pieces if join is None else map(join, pieces))
-            gram_cols = np.fromiter(map(ids.__getitem__, keys) if grow
-                                    else map(ids.get, keys, repeat(-1)), np.int32, len(starts))
+            if fitted is None:
+                key_symbols = np.zeros((0, size), dtype=np.int64)
+            elif (kind, size) in fitted.blocks:
+                key_symbols, key_cols = fitted.blocks[kind, size]
+                if kind == "word_ngram":
+                    key_symbols = word_symbols[key_symbols]
+                possible = (key_symbols < bound).all(axis=1)
+                if not possible.any():
+                    continue
+                key_symbols, key_cols = key_symbols[possible], key_cols[possible]
+            else:
+                continue
+            pair_rows, grams, pair_counts, first, starts, key_grams = _gram_counts(
+                symbols, bound, lengths, size, key_symbols)
+            if fitted is None:
+                ends = (starts + size).tolist()
+                pieces = map(items.__getitem__, map(slice, starts.tolist(), ends))
+                keys = zip(repeat(kind), pieces if join is None else map(join, pieces))
+                gram_cols = np.fromiter(map(ids.__getitem__, keys), np.int32, len(starts))
+            else:
+                gram_cols = np.full(len(starts) + 1, -1, dtype=np.int32)
+                gram_cols[key_grams] = key_cols  # an absent key's -1 writes the spare last entry
             pair_cols = gram_cols[grams]
-            kept = pair_cols >= 0
+            kept = (pair_cols >= 0).nonzero()[0]
+            kept = kept[first[kept].argsort()]  # the kept pairs by first occurrence, so by row
             rows.append(pair_rows[kept])
             cols.append(pair_cols[kept])
             counts.append(pair_counts[kept])
     rows = np.concatenate(rows)
     # by row, then by kind and size: the (kind, size) blocks are each in row order
-    by_row = (rows.astype(np.int64) * len(rows) + np.arange(len(rows))).argsort()
+    by_row = rows.argsort(kind="stable")
     return rows[by_row], np.concatenate(cols)[by_row], np.concatenate(counts)[by_row]
 
 
 def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
-              vocab: Sequence[FeatureKey] | None = None,
+              vocab: Sequence[FeatureKey] | FittedKeys | None = None,
               with_switching: bool = True) -> FeatureMatrix:
     """Feature matrix of the corpus, built in one streaming pass over it, a
     chunk of _CHUNK_TOKENS tokens at a time, so its arrays stay small.  Each
     utterance's lowercased surfaces are interned into word ids by C
     iterators and its lowercased text is joined; then _chunk_entries counts
-    the chunk's keys (given a fitted vocab, only the keys in it) and,
-    with_switching, switching_block profiles the chunk's utterances.  A row
-    holds one entry per distinct key, with its count, in order of first
-    occurrence within kind then size: the order in which X @ w adds a row's
-    terms.  The key ids are then remapped to the rank of their key, or,
-    given vocab, are its columns.  Row and column ids and counts are int32,
-    and token values int8, which keeps the matrix small while a
-    cross-validation holds it.  The switching block is built only
-    with_switching, and is None otherwise.  checked_kinds checks the kinds
-    and sizes once per call and, when word n-grams above size 1 are
-    extracted, a lowercased surface holding NGRAM_SEP is a ValueError
-    naming it, checked once per call over the distinct words."""
+    the chunk's keys (without a vocab, decoding each distinct gram of the
+    chunk once; given a fitted vocab, only the keys in it, matched by code,
+    decoding no gram) and, with_switching, switching_block profiles the
+    chunk's utterances.  A row holds one entry per distinct key, with its
+    count, in order of first occurrence within kind then size: the order
+    in which X @ w adds a row's terms.  The key ids are then remapped to
+    the rank of their key, or, given vocab, are its columns.  vocab may be
+    given as FittedKeys, built once for many calls, or as its keys.  Row
+    and column ids and counts are int32, and token values int8, which
+    keeps the matrix small while a cross-validation holds it.  The
+    switching block is built only with_switching, and is None otherwise.
+    checked_kinds checks the kinds and sizes once per call and, when word
+    n-grams above size 1 are extracted, a lowercased surface holding
+    NGRAM_SEP is a ValueError naming it, checked once per call over the
+    distinct words."""
     kinds = checked_kinds(kinds, n_values)
-    grow = vocab is None
-    ids: dict[FeatureKey, int] = (defaultdict(count().__next__) if grow
-                                  else dict(zip(vocab, count())))
+    if vocab is not None and not isinstance(vocab, FittedKeys):
+        vocab = FittedKeys(vocab)
+    ids: dict[FeatureKey, int] = defaultdict(count().__next__)  # without vocab, the key ids
     word_ids: dict[str, int] = defaultdict(count().__next__)
     labels, n_tokens, token_cols = [], [], []
     switching = [np.zeros((0, N_FEATURES))]  # per chunk, its switching block
@@ -283,7 +391,8 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
         if with_switching:
             switching.append(switching_block([u.tokens for u in chunk]))
         rows, cols, counts = _chunk_entries(texts, words, token_cols[len(token_cols) - len(words):],
-                                            n_tokens[first:], kinds, n_values, ids, grow)
+                                            n_tokens[first:], kinds, n_values, ids, vocab,
+                                            word_ids)
         key_rows.append(rows + first)
         key_cols.append(cols)
         key_counts.append(counts)
@@ -293,17 +402,19 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
             raise ValueError(f"token surface {clash!r} holds {NGRAM_SEP!r}, which joins "
                              "word n-grams, so its n-grams would share columns with others")
     key_cols = np.concatenate(key_cols)
-    if grow:
-        vocab = sorted(ids)
-        rank = np.empty(len(vocab), dtype=np.int32)
-        rank[[ids[key] for key in vocab]] = np.arange(len(vocab))
+    if vocab is None:
+        keys = sorted(ids)
+        rank = np.empty(len(keys), dtype=np.int32)
+        rank[[ids[key] for key in keys]] = np.arange(len(keys))
         key_cols = rank[key_cols]
+    else:
+        keys = vocab.keys
     n = len(labels)
-    counts = SparseMatrix((n, len(vocab)), np.concatenate(key_rows), key_cols,
+    counts = SparseMatrix((n, len(keys)), np.concatenate(key_rows), key_cols,
                           np.concatenate(key_counts))
     tokens = SparseMatrix((n, len(word_ids)), np.repeat(np.arange(n, dtype=np.int32), n_tokens),
                           np.array(token_cols, dtype=np.int32), np.ones(len(token_cols), np.int8))
-    return FeatureMatrix(np.array(labels, dtype=np.intp), tuple(vocab), counts, tuple(word_ids),
+    return FeatureMatrix(np.array(labels, dtype=np.intp), tuple(keys), counts, tuple(word_ids),
                          tokens, np.concatenate(switching) if with_switching else None)
 
 

@@ -235,6 +235,37 @@ def featurized_rows(matrix):
     return rows
 
 
+# Fitted vocabularies that featurize matches by code, each case's rows of
+# surfaces, n-gram sizes, keys and _CHUNK_TOKENS; every case holds a key of
+# the vocabulary that some row counts.
+FITTED_CASES = {
+    # a word 1-gram key is its whole payload when only 1-grams are extracted
+    "unigram key holding the joiner": (
+        [["B", NGRAM_SEP], [f"a{NGRAM_SEP}b", "a"]], {"word_ngram": (1,)},
+        (("word_ngram", NGRAM_SEP), ("word_ngram", f"a{NGRAM_SEP}b"), ("word_ngram", "b")), 2048),
+    # and a joined payload is a 2-gram of its parts when 1- and 2-grams are
+    "joined payload with sizes 1 and 2": (
+        [["a", "B", "a"], ["b", "a"]], {"word_ngram": (1, 2)},
+        (("word_ngram", f"a{NGRAM_SEP}b"), ("word_ngram", "a"), ("word_ngram", f"b{NGRAM_SEP}a")),
+        2048),
+    # the text "ab c" has radix 100, in which b \x1f \xc7 (98, 31, 199) would
+    # code as b, space, c (98, 32, 99)
+    "char key above every code point of the corpus": (
+        [["ab", "c"]], {"char_ngram": (3,)},
+        (("char_ngram", "ab\U0010FFFD"), ("char_ngram", "b c"), ("char_ngram", "\U0010FFFD" * 3),
+         ("char_ngram", "b\x1f\xc7")), 2048),
+    # chunks of one row: a and b get their word ids in the second, and x a,
+    # a having no id in the first, would code there as y x (ids 0 and 1)
+    "word key whose words come in a later chunk": (
+        [["y", "x"], ["a", "b"], ["b", "a", "x"]], {"word_ngram": (1, 2)},
+        (("word_ngram", f"a{NGRAM_SEP}b"), ("word_ngram", f"a{NGRAM_SEP}x"), ("word_ngram", "x"),
+         ("word_ngram", f"x{NGRAM_SEP}a")), 2),
+    "no key of a requested size": (
+        [["koi", "To", "koi"]], {"char_ngram": (2, 3), "word_ngram": (1, 2)},
+        (("char_ngram", "koi"), ("word_ngram", "to")), 2048),
+}
+
+
 class TestFeaturizeExact:
     @given(st.lists(st.lists(SURFACES, min_size=1, max_size=6), max_size=8),
            st.sampled_from([{"char_ngram"}, {"word_ngram"}, set(KIND_ORDER)]),
@@ -287,6 +318,34 @@ class TestFeaturizeExact:
             assert matrix.counts.shape == (0, 0 if vocab is None else len(vocab))
             assert featurized_rows(matrix) == [] and matrix.words == ()
             assert matrix.switching.shape == (0, N_FEATURES)
+
+    @pytest.mark.parametrize("case", FITTED_CASES.values(), ids=FITTED_CASES)
+    def test_fitted_rows_equal_the_oracle(self, case):
+        """Rows over a fitted vocabulary, given as keys or as FittedKeys,
+        hold the oracle's keys, counts and key order in cases that a
+        random draw may miss."""
+        surfaces, n_values, vocab, chunk_tokens = case
+        c = tuple(utterance(s, uid=str(i)) for i, s in enumerate(surfaces))
+        kinds = frozenset(n_values)
+        expected = oracle_rows(c, kinds, n_values, vocab)
+        assert any(expected)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textfeat, "_CHUNK_TOKENS", chunk_tokens)
+            for given in (vocab, textfeat.FittedKeys(vocab)):
+                matrix = featurize(c, kinds, n_values, given)
+                assert matrix.keys is vocab
+                assert featurized_rows(matrix) == expected
+
+    def test_word_symbols_are_the_call_word_ids(self):
+        """A fitted word's symbol is its id among the call's words, or their
+        number when they lack it, looked up from the fewer words of the two
+        (the call's here, then the vocabulary's)."""
+        fitted = textfeat.FittedKeys((("word_ngram", f"a{NGRAM_SEP}b"), ("word_ngram", "c")))
+        assert list(fitted.words) == [f"a{NGRAM_SEP}b", "a", "b", "c"]
+        for call_words in (["b", "z"], ["z", "c", "y", "a", "x"]):
+            word_ids = {w: i for i, w in enumerate(call_words)}
+            expected = [word_ids.get(w, len(word_ids)) for w in fitted.words]
+            assert fitted.word_symbols(word_ids).tolist() == expected
 
     def test_codes_are_ranked_before_they_overflow(self):
         """Gram codes that would overflow int64: char 5-grams whose largest
