@@ -50,7 +50,7 @@ from codeswitch.config import (DEFAULT_NEGATION_WORDS, KIND_ORDER, PipelineConfi
 from codeswitch.corpus import (NEGATIVE, LabeledUtterance, fold_indices, load_corpus,
                                parse_corpus, read_lines, serialize_tagged_line)
 from codeswitch.preprocess import PreprocessConfig
-from codeswitch.switching import N_FEATURES, has_embedding_property, switching_features
+from codeswitch.switching import N_FEATURES, q_and_profile
 
 if TYPE_CHECKING:
     from codeswitch.model import EvalReport
@@ -251,9 +251,8 @@ def cmd_features(args) -> int:
     encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps makes one per call
     lines = []
     for u in corpus:
-        record = {"id": u.id, "label": u.label, "q": has_embedding_property(u.tokens),
-                  **vars(switching_features(u.tokens))}
-        lines.append(encode(record))
+        q, profile = q_and_profile(u.tokens)
+        lines.append(encode({"id": u.id, "label": u.label, "q": q, **vars(profile)}))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 

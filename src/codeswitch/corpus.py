@@ -146,7 +146,8 @@ def parse_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
     if preprocess is not None:
         from codeswitch.preprocess import normalize_token  # preprocess imports this module
     n_kept, dropped = 0, []
-    interned: dict[str, tuple[Token, ...]] = {}  # raw token -> the tokens it becomes
+    # raw token -> its Token, or the tokens it normalizes to under preprocess
+    interned: dict[str, Token | tuple[Token, ...]] = {}
     lines = ((n, line) for n, line in enumerate(read_lines(path), start=1) if line.strip())
     try:
         for uid, (line_number, line) in enumerate(lines):
@@ -154,9 +155,9 @@ def parse_corpus(path: str | Path, preprocess: PreprocessConfig | None = None
             for raw in raw_tokens:
                 if raw not in interned:
                     token = _parse_token(raw)
-                    interned[raw] = (normalize_token(token, preprocess) if preprocess
-                                     else (token,))
-            tokens = tuple(chain.from_iterable(map(interned.__getitem__, raw_tokens)))
+                    interned[raw] = normalize_token(token, preprocess) if preprocess else token
+            found = map(interned.__getitem__, raw_tokens)
+            tokens = tuple(chain.from_iterable(found) if preprocess else found)
             if len(interned) > _MEMO_TOKENS:
                 interned.clear()
             if tokens:

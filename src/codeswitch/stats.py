@@ -1,8 +1,9 @@
 """Label/switching correlation statistics over a labeled corpus.
 
-summarize reads each utterance once: it counts the 2x2 contingency table
-of (label, embedding property Q) and collects each class's total switch
-counts V, in corpus order.  From these it reports the conditional
+summarize reads each utterance once, and its tags once, through
+switching.q_and_v: it counts the 2x2 contingency table of (label,
+embedding property Q) and collects each class's total switch counts V,
+in corpus order.  From these it reports the conditional
 positive rates, the class-conditional mean V, and the phi coefficient,
 i.e. the Pearson correlation of the two binary indicators.  A rate or
 mean whose conditioning cell or class is empty is reported as None
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from codeswitch.corpus import POSITIVE, LabeledUtterance
-from codeswitch.switching import has_embedding_property, switch_counts
+from codeswitch.switching import q_and_v
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,15 @@ def phi_from_table(t: ContingencyTable) -> float | None:
 
 
 def summarize(corpus: Iterable[LabeledUtterance]) -> SwitchTaskSummary:
-    """The statistics of the corpus, from one pass over its utterances."""
+    """The statistics of the corpus, from one pass over its utterances,
+    each giving its Q and V from one reading of its tags (q_and_v)."""
     n = Counter()
     switches = {True: [], False: []}  # each class's V, keyed by label == POSITIVE
     for u in corpus:
         positive = u.label == POSITIVE
-        n[positive, has_embedding_property(u.tokens)] += 1
-        switches[positive].append(switch_counts(u.tokens)[2])
+        q, v = q_and_v(u.tokens)
+        n[positive, q] += 1
+        switches[positive].append(v)
     t = ContingencyTable(n[True, True], n[True, False], n[False, True], n[False, False])
     avg_pos, avg_neg = (sum(vs) / len(vs) if vs else None
                         for vs in (switches[True], switches[False]))

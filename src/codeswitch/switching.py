@@ -7,8 +7,11 @@ For each position i, hi_en[i] counts the hi tokens before the i-th token
 when that token is en (and 0 otherwise); en_hi is the mirror image.  The
 nine features are the switch counts, the tag fractions and the
 population moments of these two vectors.  switching_features profiles one
-utterance, and stats and features run it; switching_block, which
-featurize runs, profiles many at once with numpy, bit for bit the same.
+utterance in two passes over its letters, building no vector; q_and_v
+and q_and_profile give Q with V, for stats, and Q with the profile, for
+features, from one reading of the tags.  switching_block, which
+featurize runs, profiles many utterances at once with numpy, bit for bit
+the same.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["N_FEATURES", "SwitchProfile", "SwitchVectors", "has_embedding_property",
-           "lang_run_vectors", "switch_counts", "switching_block", "switching_features"]
+           "lang_run_vectors", "q_and_profile", "q_and_v", "switch_counts", "switching_block",
+           "switching_features"]
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,18 @@ def _vectors(tags: str) -> SwitchVectors:
     return SwitchVectors(tuple(hi_en), tuple(en_hi))
 
 
-def _switches(tags: str) -> tuple[int, int, int]:
+def _projection(tags: str) -> str:
+    """The hi/en projection: the letters less every r."""
+    return tags.replace("r", "")
+
+
+def _q(projection: str) -> bool:
+    """The embedding property Q: an e with an h on each side of it."""
+    return "heh" in projection
+
+
+def _switches(projection: str) -> tuple[int, int, int]:
     # neither "eh" nor "he" can overlap itself, so str.count is exact
-    projection = tags.replace("r", "")
     en_hi, hi_en = projection.count("eh"), projection.count("he")
     return en_hi, hi_en, en_hi + hi_en
 
@@ -91,22 +104,50 @@ def lang_run_vectors(tokens: Sequence[Token]) -> SwitchVectors:
 
 def switch_counts(tokens: Sequence[Token]) -> tuple[int, int, int]:
     """(en_hi_switches, hi_en_switches, V) over the hi/en projection."""
-    return _switches(_tag_letters(tokens))
+    return _switches(_projection(_tag_letters(tokens)))
 
 
-def _population_moments(values: Sequence[int]) -> tuple[float, float]:
-    """Population mean and standard deviation.  The squared deviations are
-    added left to right from 0.0, as sum() did before Python 3.12
-    compensated it, and each is d * d, which IEEE 754 rounds correctly,
-    not d ** 2, whose C library pow may round it the other way: so the
-    result depends neither on the Python version nor on the platform."""
-    n = len(values)
-    mean = sum(values) / n
-    var = 0.0
-    for x in values:
-        d = x - mean
-        var += d * d
-    return mean, math.sqrt(var / n)
+def _profile(tags: str, projection: str) -> SwitchProfile:
+    """The nine features of one utterance's letters and their projection.
+
+    Pass 1 sums each vector as an exact integer, so each mean is int / n.
+    Pass 2 adds the squared deviations left to right from 0.0, as sum()
+    did before Python 3.12 compensated it, each as d * d, which IEEE 754
+    rounds correctly, not d ** 2, whose C library pow may round it the
+    other way: so the result depends neither on the Python version nor on
+    the platform.  Where a vector holds 0, d is -mean exactly, so its
+    square is the mean's own square, computed once."""
+    n = len(tags)
+    hi_seen = en_seen = hi_en_sum = en_hi_sum = 0
+    for c in tags:
+        if c == "e":
+            hi_en_sum += hi_seen
+            en_seen += 1
+        elif c == "h":
+            en_hi_sum += en_seen
+            hi_seen += 1
+    n_en, n_hi = en_seen, hi_seen
+    mean_hi_en, mean_en_hi = hi_en_sum / n, en_hi_sum / n
+    zero_hi_en, zero_en_hi = mean_hi_en * mean_hi_en, mean_en_hi * mean_en_hi
+    hi_seen = en_seen = 0
+    var_hi_en = var_en_hi = 0.0
+    for c in tags:
+        if c == "e":
+            d = hi_seen - mean_hi_en
+            var_hi_en += d * d
+            var_en_hi += zero_en_hi
+            en_seen += 1
+        elif c == "h":
+            var_hi_en += zero_hi_en
+            d = en_seen - mean_en_hi
+            var_en_hi += d * d
+            hi_seen += 1
+        else:
+            var_hi_en += zero_hi_en
+            var_en_hi += zero_en_hi
+    return SwitchProfile(*_switches(projection), n_en / n, n_hi / n,
+                         mean_hi_en, math.sqrt(var_hi_en / n),
+                         mean_en_hi, math.sqrt(var_en_hi / n))
 
 
 def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
@@ -116,18 +157,28 @@ def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
     vector moments are population statistics over the full-length vectors.
     """
     tags = _tag_letters(tokens)
-    vectors = _vectors(tags)
-    n = len(tags)
-    return SwitchProfile(*_switches(tags), tags.count("e") / n, tags.count("h") / n,
-                         *_population_moments(vectors.hi_en), *_population_moments(vectors.en_hi))
+    return _profile(tags, _projection(tags))
+
+
+def q_and_v(tokens: Sequence[Token]) -> tuple[bool, int]:
+    """(has_embedding_property, V of switch_counts) of an utterance."""
+    projection = _projection(_tag_letters(tokens))
+    return _q(projection), _switches(projection)[2]
+
+
+def q_and_profile(tokens: Sequence[Token]) -> tuple[bool, SwitchProfile]:
+    """(has_embedding_property, switching_features) of an utterance."""
+    tags = _tag_letters(tokens)
+    projection = _projection(tags)
+    return _q(projection), _profile(tags, projection)
 
 
 def switching_block(rows: Sequence[Sequence[Token]]) -> np.ndarray:
     """switching_features of each non-empty token sequence of rows, bit for
     bit, as one row of N_FEATURES columns: every per-row sum is one
     np.bincount, which adds exact integers or correctly rounded d * d left
-    to right from 0.0 as _population_moments does, and each quotient and
-    np.sqrt is correctly rounded as in Python."""
+    to right from 0.0 as switching_features's second pass does, and each
+    quotient and np.sqrt is correctly rounded as in Python."""
     import numpy as np  # here, so that stats and features run without numpy
 
     letters = [*map(_tag_letters, rows)]
@@ -166,4 +217,4 @@ def has_embedding_property(tokens: Sequence[Token]) -> bool:
     """True when some en token sits in a hi context: in the hi/en
     projection, an en token has a hi token immediately before and
     immediately after it."""
-    return "heh" in _tag_letters(tokens).replace("r", "")
+    return _q(_projection(_tag_letters(tokens)))

@@ -1,6 +1,7 @@
 """Hypothesis profiles.  The "ci" profile draws 1,000 examples per property
-test where the default draws 100, so CI searches the n-gram kernels' edge
-cases harder than a local run; HYPOTHESIS_PROFILE=ci selects it."""
+test where the default draws 100, so CI searches the edge cases of the
+n-gram kernels and the switching profile harder than a local run;
+HYPOTHESIS_PROFILE=ci selects it."""
 
 import os
 

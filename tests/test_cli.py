@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import codeswitch
-from codeswitch import cli, textfeat
+from codeswitch import cli, switching, textfeat
 from codeswitch.cli import _load_fitted, _load_pipeline_bundle, _pipeline_config, build_parser, run
 from codeswitch.config import PipelineConfig, TrainConfig
 from codeswitch.corpus import fold_indices, load_corpus, serialize_tagged_line
 from codeswitch.model import FittedPipeline, load_model, sigmoid
+from codeswitch.preprocess import PreprocessConfig
 from reference_encoder import pipeline_rows
 from synth_corpus import switching_driven_corpus
 
@@ -70,6 +71,14 @@ class TestFeatures:
         assert run(["features", tiny_corpus_file]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 2
+
+    def test_reads_each_utterances_tags_once(self, synth_file, tmp_path):
+        """features gets Q and the profile of an utterance from one
+        reading of its tags."""
+        with mock.patch.object(switching, "_tag_letters", wraps=switching._tag_letters) as read:
+            assert run(["features", synth_file, "-o", str(tmp_path / "features.jsonl")]) == 0
+        assert [c.args[0] for c in read.call_args_list] == \
+            [u.tokens for u in load_corpus(synth_file, PreprocessConfig())]
 
 
 class TestStats:

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codeswitch import switching
 from codeswitch.corpus import LabeledUtterance, Token
 from codeswitch.stats import ContingencyTable, phi_from_table, rates_from_table, summarize
 
@@ -80,6 +82,14 @@ class TestAverageSwitching:
         avg_pos, avg_neg = mean_switches(utts)
         assert avg_pos == 0.0
         assert avg_neg is None
+
+
+def test_summarize_reads_each_utterances_tags_once():
+    """summarize gets Q and V of an utterance from one reading of its tags."""
+    corpus = corpus_from_cells(3, 2, 4, 1)
+    with mock.patch.object(switching, "_tag_letters", wraps=switching._tag_letters) as read:
+        summarize(corpus)
+    assert [c.args[0] for c in read.call_args_list] == [u.tokens for u in corpus]
 
 
 class TestPhi:

@@ -8,6 +8,8 @@ from codeswitch.switching import (
     N_FEATURES,
     has_embedding_property,
     lang_run_vectors,
+    q_and_profile,
+    q_and_v,
     switch_counts,
     switching_block,
     switching_features,
@@ -222,6 +224,40 @@ def test_features_equal_the_oracle_formulas(tags):
     assert tuple(vars(switching_features(tokens)).values()) == (
         *oracle_counts(tokens), tags.count("en") / n, tags.count("hi") / n,
         *moments(hi_en), *moments(en_hi))
+
+
+def hexes(profile):
+    return [float(x).hex() for x in vars(profile).values()]
+
+
+@given(tags_strategy)
+def test_readers_equal_the_single_answers(tags):
+    """q_and_v and q_and_profile give what has_embedding_property,
+    switch_counts and switching_features give, every float equal by
+    float.hex."""
+    tokens = toks(tags)
+    q = has_embedding_property(tokens)
+    assert q_and_v(tokens) == (q, switch_counts(tokens)[2])
+    reader_q, profile = q_and_profile(tokens)
+    assert reader_q is q
+    assert hexes(profile) == hexes(switching_features(tokens))
+
+
+@pytest.mark.parametrize("tags, expected", [
+    (["hi"], (0, 0, 0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+    (["en"], (0, 0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    (["rest"] * 3, (0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    (["en"] * 4, (0, 0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    (["hi"] * 5, (0, 0, 0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+], ids=["one hi", "one en", "rest only", "en only", "hi only"])
+def test_rows_of_zero_vectors(tags, expected):
+    """Rows whose two vectors are all 0 (mean 0): every moment is +0.0,
+    never -0.0, by float.hex, and the readers agree."""
+    tokens = toks(tags)
+    profile = switching_features(tokens)
+    assert hexes(profile) == [float(x).hex() for x in expected]
+    assert q_and_v(tokens) == (False, 0)
+    assert q_and_profile(tokens) == (False, profile)
 
 
 def swap(tag):
