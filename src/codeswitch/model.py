@@ -214,13 +214,6 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
-def macro_f1(predictions: Sequence[int], gold: Sequence[int]) -> EvalReport:
-    """The confusion_report of the (prediction, gold) pairs."""
-    if len(predictions) != len(gold):
-        raise ValueError("predictions and gold must have equal length")
-    return confusion_report(Counter(zip(predictions, gold)))
-
-
 def confusion_report(pairs: Counter) -> EvalReport:
     """Unweighted mean of per-class F1 scores, from the counts of
     (prediction, gold) pairs, so counts summed over parts of a corpus

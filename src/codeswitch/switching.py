@@ -1,17 +1,16 @@
 """Switching-pattern features over hi/en tagged token sequences.
 
-Each public function reads the tags once, as a string of one letter per
-token (h, e or r); the hi/en projection drops the r letters, and the
-switch counts and the embedding property Q are substring counts of it.
-For each position i, hi_en[i] counts the hi tokens before the i-th token
-when that token is en (and 0 otherwise); en_hi is the mirror image.  The
-nine features are the switch counts, the tag fractions and the
-population moments of these two vectors.  switching_features profiles one
-utterance in two passes over its letters, building no vector; q_and_v
-and q_and_profile give Q with V, for stats, and Q with the profile, for
-features, from one reading of the tags.  switching_block, which
-featurize runs, profiles many utterances at once with numpy, bit for bit
-the same.
+Each reader takes the tags once, as a string of one letter per token (h,
+e or r); the hi/en projection drops the r letters, and the switch counts
+and the embedding property Q are substring counts of it.  For each
+position i, hi_en[i] counts the hi tokens before the i-th token when that
+token is en (and 0 otherwise); en_hi is the mirror image.  The nine
+features are the switch counts, the tag fractions and the population
+moments of these two vectors.  q_and_v gives Q with V, for stats, and
+q_and_profile Q with the nine features, for features, from one reading of
+the tags; the profile takes two passes over the letters and builds no
+vector.  switching_block, which featurize runs, profiles many utterances
+at once with numpy, bit for bit the same.
 """
 
 from __future__ import annotations
@@ -24,16 +23,6 @@ from codeswitch.corpus import Token
 
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = ["N_FEATURES", "SwitchProfile", "SwitchVectors", "has_embedding_property",
-           "lang_run_vectors", "q_and_profile", "q_and_v", "switch_counts", "switching_block",
-           "switching_features"]
-
-
-@dataclass(frozen=True)
-class SwitchVectors:
-    hi_en: tuple[int, ...]
-    en_hi: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -61,23 +50,6 @@ def _tag_letters(tokens: Sequence[Token]) -> str:
     return "".join([t.tag[0] for t in tokens])
 
 
-def _vectors(tags: str) -> SwitchVectors:
-    hi_en, en_hi, hi_seen, en_seen = [], [], 0, 0
-    for c in tags:
-        if c == "e":
-            hi_en.append(hi_seen)
-            en_hi.append(0)
-            en_seen += 1
-        elif c == "h":
-            hi_en.append(0)
-            en_hi.append(en_seen)
-            hi_seen += 1
-        else:
-            hi_en.append(0)
-            en_hi.append(0)
-    return SwitchVectors(tuple(hi_en), tuple(en_hi))
-
-
 def _projection(tags: str) -> str:
     """The hi/en projection: the letters less every r."""
     return tags.replace("r", "")
@@ -92,19 +64,6 @@ def _switches(projection: str) -> tuple[int, int, int]:
     # neither "eh" nor "he" can overlap itself, so str.count is exact
     en_hi, hi_en = projection.count("eh"), projection.count("he")
     return en_hi, hi_en, en_hi + hi_en
-
-
-def lang_run_vectors(tokens: Sequence[Token]) -> SwitchVectors:
-    """Cumulative opposite-language counts per position.
-
-    rest tokens get a 0 entry in both vectors and count in neither tally.
-    """
-    return _vectors(_tag_letters(tokens))
-
-
-def switch_counts(tokens: Sequence[Token]) -> tuple[int, int, int]:
-    """(en_hi_switches, hi_en_switches, V) over the hi/en projection."""
-    return _switches(_projection(_tag_letters(tokens)))
 
 
 def _profile(tags: str, projection: str) -> SwitchProfile:
@@ -150,35 +109,30 @@ def _profile(tags: str, projection: str) -> SwitchProfile:
                          mean_en_hi, math.sqrt(var_en_hi / n))
 
 
-def switching_features(tokens: Sequence[Token]) -> SwitchProfile:
-    """Compute the nine-feature switching profile of an utterance.
-
-    Fractions use the full token count (rest included) in the denominator;
-    vector moments are population statistics over the full-length vectors.
-    """
-    tags = _tag_letters(tokens)
-    return _profile(tags, _projection(tags))
-
-
 def q_and_v(tokens: Sequence[Token]) -> tuple[bool, int]:
-    """(has_embedding_property, V of switch_counts) of an utterance."""
+    """(Q, V) of an utterance: whether it has the embedding property, an en
+    token with a hi token immediately before and after it in the hi/en
+    projection, and its count of switches between hi and en there."""
     projection = _projection(_tag_letters(tokens))
     return _q(projection), _switches(projection)[2]
 
 
 def q_and_profile(tokens: Sequence[Token]) -> tuple[bool, SwitchProfile]:
-    """(has_embedding_property, switching_features) of an utterance."""
+    """(Q, the nine-feature switching profile) of an utterance, Q as in
+    q_and_v.  Fractions use the full token count (rest included) in the
+    denominator; vector moments are population statistics over the
+    full-length vectors."""
     tags = _tag_letters(tokens)
     projection = _projection(tags)
     return _q(projection), _profile(tags, projection)
 
 
 def switching_block(rows: Sequence[Sequence[Token]]) -> np.ndarray:
-    """switching_features of each non-empty token sequence of rows, bit for
-    bit, as one row of N_FEATURES columns: every per-row sum is one
+    """q_and_profile's profile of each non-empty token sequence of rows, bit
+    for bit, as one row of N_FEATURES columns: every per-row sum is one
     np.bincount, which adds exact integers or correctly rounded d * d left
-    to right from 0.0 as switching_features's second pass does, and each
-    quotient and np.sqrt is correctly rounded as in Python."""
+    to right from 0.0 as the profile's second pass does, and each quotient
+    and np.sqrt is correctly rounded as in Python."""
     import numpy as np  # here, so that stats and features run without numpy
 
     letters = [*map(_tag_letters, rows)]
@@ -211,10 +165,3 @@ def switching_block(rows: Sequence[Sequence[Token]]) -> np.ndarray:
     return np.column_stack([en_hi, hi_en, en_hi + hi_en, per_row(en) / lengths,
                             per_row(hi) / lengths, *moments(np.where(en, seen(hi), 0)),
                             *moments(np.where(hi, seen(en), 0))])
-
-
-def has_embedding_property(tokens: Sequence[Token]) -> bool:
-    """True when some en token sits in a hi context: in the hi/en
-    projection, an en token has a hi token immediately before and
-    immediately after it."""
-    return _q(_projection(_tag_letters(tokens)))

@@ -111,7 +111,7 @@ class FeatureMatrix:
     the feature keys[c]; tokens one entry of value 1 per token
     occurrence, in token order, at the column of its lowercased surface in
     words; switching[r] its switching profile, in SwitchProfile's field
-    order and equal bit for bit to switching_features of utterance r, or
+    order and equal bit for bit to q_and_profile's profile of utterance r, or
     switching is None when it was featurized without them."""
 
     labels: np.ndarray
@@ -347,7 +347,7 @@ def _chunk_entries(texts: list[str], words: list[str], word_cols: list[int],
 
 def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
               n_values: Mapping[str, tuple[int, ...]],
-              vocab: Sequence[FeatureKey] | FittedKeys | None = None,
+              vocab: FittedKeys | None = None,
               with_switching: bool = True) -> FeatureMatrix:
     """Feature matrix of the corpus, built in one streaming pass over it, a
     chunk of _CHUNK_TOKENS tokens at a time, so its arrays stay small.  Each
@@ -359,9 +359,8 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
     chunk's utterances.  A row holds one entry per distinct key, with its
     count, in order of first occurrence within kind then size: the order
     in which X @ w adds a row's terms.  The key ids are then remapped to
-    the rank of their key, or, given vocab, are its columns.  vocab may be
-    given as FittedKeys, built once for many calls, or as its keys.  Row
-    and column ids and counts are int32, and token values int8, which
+    the rank of their key, or, given vocab, are its columns.  Row and
+    column ids and counts are int32, and token values int8, which
     keeps the matrix small while a cross-validation holds it.  The
     switching block is built only with_switching, and is None otherwise.
     checked_kinds checks the kinds and sizes once per call and, when word
@@ -369,8 +368,6 @@ def featurize(corpus: Iterable[LabeledUtterance], kinds: Iterable[str],
     NGRAM_SEP is a ValueError naming it, checked once per call over the
     distinct words."""
     kinds = checked_kinds(kinds, n_values)
-    if vocab is not None and not isinstance(vocab, FittedKeys):
-        vocab = FittedKeys(vocab)
     ids: dict[FeatureKey, int] = defaultdict(count().__next__)  # without vocab, the key ids
     word_ids: dict[str, int] = defaultdict(count().__next__)
     labels, n_tokens, token_cols = [], [], []

@@ -3,7 +3,7 @@ featurize and its one row encoder, textfeat.training_matrix, are tested
 against.  extract_features counts an utterance's feature keys with Python
 iterators, gram by gram, where featurize counts a whole corpus's with array
 kernels; dense_row builds a training row from it.  They share only
-NGRAM_SEP and switching_features with the package."""
+NGRAM_SEP and q_and_profile with the package."""
 
 from collections import Counter
 from itertools import chain, repeat
@@ -11,7 +11,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from codeswitch.switching import N_FEATURES, switching_features
+from codeswitch.switching import N_FEATURES, q_and_profile
 from codeswitch.textfeat import NGRAM_SEP
 
 _surface = attrgetter("surface")
@@ -57,7 +57,7 @@ def dense_row(utterance, vocab, kinds, n_values, lexicon, negation_words, with_s
     row[len(vocab)] = indicative
     row[len(vocab) + 1] = sum(s in negation_words for s in surfaces)
     if with_switching:
-        row[len(vocab) + 2:] = tuple(vars(switching_features(utterance.tokens)).values())
+        row[len(vocab) + 2:] = tuple(vars(q_and_profile(utterance.tokens)[1]).values())
     return row
 
 

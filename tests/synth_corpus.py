@@ -5,7 +5,7 @@ import math
 import random
 
 from codeswitch.corpus import LabeledUtterance, Token
-from codeswitch.switching import switch_counts
+from codeswitch.switching import q_and_v
 
 
 def switching_driven_corpus(n: int, seed: int, alpha: float = 1.5,
@@ -20,7 +20,7 @@ def switching_driven_corpus(n: int, seed: int, alpha: float = 1.5,
     for i in range(n):
         tokens = tuple(Token(rng.choice(pool), rng.choice(["hi", "en"]))
                        for _ in range(length))
-        v = switch_counts(tokens)[2]
+        v = q_and_v(tokens)[1]
         p = 1.0 / (1.0 + math.exp(-alpha * (v - mu)))
         label = 1 if rng.random() < p else 0
         utts.append(LabeledUtterance(tokens, label, str(i)))

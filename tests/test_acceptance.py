@@ -10,6 +10,7 @@ import os
 import random
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,15 +25,15 @@ from codeswitch.corpus import (
     serialize_tagged_line,
 )
 from codeswitch.model import (
+    confusion_report,
     cross_validate_arms,
     fold_reports,
     loss_and_grad,
-    macro_f1,
     subsample_negatives,
 )
 from codeswitch.preprocess import segment_camel_case
 from codeswitch.stats import ContingencyTable, phi_from_table
-from codeswitch.switching import N_FEATURES, lang_run_vectors, switch_counts, switching_features
+from codeswitch.switching import N_FEATURES, q_and_profile, q_and_v
 from codeswitch.textfeat import build_vocabulary, chi2_scores, chi2_select, featurize
 from synth_corpus import switching_driven_corpus
 
@@ -48,7 +49,7 @@ def test_01_golden_worked_example(tmp_path):
     path = tmp_path / "paper.txt"
     path.write_text(PAPER_LINE + "\n", encoding="utf-8")
     tokens = load_corpus(path)[0].tokens
-    features = tuple(vars(switching_features(tokens)).values())
+    features = tuple(vars(q_and_profile(tokens)[1]).values())
     expected = (1, 1, 2, 0.142857, 0.857143, 0.285714, 0.699854, 0.571429, 0.494872)
     assert features == pytest.approx(expected, abs=1e-6)
     assert math.floor(features[6] * 100) / 100 == 0.69
@@ -76,19 +77,28 @@ def test_02_oracle_equivalence_and_symmetry():
                     if (tags[i], tags[i + 1]) == ("hi", "en"))
         return en_hi, hi_en, en_hi + hi_en
 
+    def moments(xs):
+        """Population mean and stddev, the squares added left to right."""
+        mean = sum(xs) / len(xs)
+        var = 0.0
+        for x in xs:
+            var += (x - mean) * (x - mean)
+        return mean, math.sqrt(var / len(xs))
+
     swap = {"hi": "en", "en": "hi", "rest": "rest"}
     rng = random.Random(99)
     for _ in range(10_000):
         length = rng.randint(1, 50)
         tokens = tuple(Token(f"w{i}", rng.choice(["hi", "en", "rest"]))
                        for i in range(length))
-        v = lang_run_vectors(tokens)
-        assert (v.hi_en, v.en_hi) == oracle_vectors(tokens)
-        assert switch_counts(tokens) == oracle_counts(tokens)
+        q, f = q_and_profile(tokens)
+        hi_en, en_hi = oracle_vectors(tokens)
+        assert (f.mean_hi_en, f.stddev_hi_en, f.mean_en_hi, f.stddev_en_hi) == \
+            (*moments(hi_en), *moments(en_hi))
+        assert (f.en_hi_switches, f.hi_en_switches, f.v) == oracle_counts(tokens)
+        assert q_and_v(tokens) == (q, f.v)
 
-        f = switching_features(tokens)
-        g = switching_features(tuple(Token(t.surface, swap[t.tag])
-                                     for t in tokens))
+        g = q_and_profile(tuple(Token(t.surface, swap[t.tag]) for t in tokens))[1]
         assert (g.en_hi_switches, g.hi_en_switches, g.v) == \
             (f.hi_en_switches, f.en_hi_switches, f.v)
         assert (g.fraction_en, g.fraction_hi) == (f.fraction_hi, f.fraction_en)
@@ -233,8 +243,8 @@ def test_06_subsampling_invariants():
 
 
 def test_07_macro_f1_hand_cases():
-    assert macro_f1([1, 1, 0, 0], [1, 0, 1, 0]).macro_f1 == 0.5
-    report = macro_f1([1, 1], [1, 0])
+    assert confusion_report(Counter(zip([1, 1, 0, 0], [1, 0, 1, 0]))).macro_f1 == 0.5
+    report = confusion_report(Counter(zip([1, 1], [1, 0])))
     assert report.macro_f1 == pytest.approx(1 / 3, abs=0)
     assert report.per_class_f1[0] == pytest.approx(2 / 3, abs=0)
     ok(7, "confusion (1,1,1,1) -> 0.5; all-positive -> 1/3")

@@ -5,7 +5,8 @@ method or property of a top-level class, that nothing names.
 A name counts as used when the module reads it anywhere, in code or in a
 string annotation, or lists it in __all__.  A definition counts as named
 when a package or bench/ module reads it, as a name, an attribute or an
-imported name, outside the definition itself, or an __all__ lists it.
+imported name, outside the definition itself; an __all__ that lists it
+does not name it, so a definition that only tests call shows.
 The package calls the builtin open in one place, corpus.read_lines, so
 every input file is decoded the same way, and its root imports none of
 its modules.  Only the standard library's ast and a subprocess are used,
@@ -72,17 +73,14 @@ def test_every_import_is_used(path):
 
 
 def _names_referenced(node: ast.AST) -> set[str]:
-    """The names node reads, the attributes it takes, the names it imports
-    and the names an __all__ in it lists."""
+    """The names node reads, the attributes it takes and the names it
+    imports."""
     names = _names_read(node)
     for n in ast.walk(node):
         if isinstance(n, ast.Attribute):
             names.add(n.attr)
         elif isinstance(n, ast.ImportFrom):
             names |= {alias.name for alias in n.names}
-        elif isinstance(n, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
-            names |= set(ast.literal_eval(n.value))
     return names
 
 
@@ -123,7 +121,7 @@ def attribute(): pass
 def imported(): pass
 '''
     others = ["import m\nm.attribute()", "from m import imported"]
-    assert unnamed_definitions(source, others) == ["recursive", "unused"]
+    assert unnamed_definitions(source, others) == ["exported", "recursive", "unused"]
 
 
 def test_the_check_finds_unnamed_members():

@@ -21,6 +21,7 @@ from codeswitch.model import (
     EvalReport,
     FittedPipeline,
     LinearModel,
+    confusion_report,
     cross_validate_arms,
     evaluate,
     fit_pipeline,
@@ -28,7 +29,6 @@ from codeswitch.model import (
     format_model,
     load_model,
     loss_and_grad,
-    macro_f1,
     predict_proba,
     sigmoid,
     subsample_negatives,
@@ -236,36 +236,41 @@ class TestGradient:
             assert abs(grad_b - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
+def f1_report(predictions, gold):
+    """The confusion_report of the (prediction, gold) pairs."""
+    return confusion_report(Counter(zip(predictions, gold)))
+
+
 class TestMacroF1:
     def test_perfect(self):
-        assert macro_f1([1, 0, 1], [1, 0, 1]).macro_f1 == 1.0
+        assert f1_report([1, 0, 1], [1, 0, 1]).macro_f1 == 1.0
 
     def test_symmetric_confusion(self):
         # tp=1, fp=1, fn=1, tn=1
-        report = macro_f1([1, 1, 0, 0], [1, 0, 1, 0])
+        report = f1_report([1, 1, 0, 0], [1, 0, 1, 0])
         assert report.per_class_f1 == (0.5, 0.5)
         assert report.macro_f1 == 0.5
         assert report.confusion == (1, 1, 1, 1)
 
     def test_all_positive_predictions(self):
-        report = macro_f1([1, 1], [1, 0])
+        report = f1_report([1, 1], [1, 0])
         assert report.per_class_f1 == (pytest.approx(2 / 3), 0.0)
         assert report.macro_f1 == pytest.approx(1 / 3)
 
     def test_label_swap_invariance(self):
         preds, gold = [1, 0, 1, 1, 0], [1, 1, 0, 1, 0]
-        a = macro_f1(preds, gold)
-        b = macro_f1([1 - p for p in preds], [1 - g for g in gold])
+        a = f1_report(preds, gold)
+        b = f1_report([1 - p for p in preds], [1 - g for g in gold])
         assert a.macro_f1 == b.macro_f1
 
     def test_degenerate_class_flagged(self):
-        report = macro_f1([1, 1], [1, 1])
+        report = f1_report([1, 1], [1, 1])
         assert report.degenerate_classes == (0,)
         assert report.per_class_f1 == (1.0, 0.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            macro_f1([1], [1, 0])
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            confusion_report(Counter())
 
 
 def small_corpus():
@@ -747,8 +752,8 @@ class TestMatrixScoring:
         np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
         assert np.array_equal(probs >= 0.5, reference >= 0.5)
         labels = np.array([u.label for u in corpus])
-        assert evaluate(probs, labels) == macro_f1((reference >= 0.5).astype(int).tolist(),
-                                                   labels.tolist())
+        assert evaluate(probs, labels) == f1_report((reference >= 0.5).astype(int).tolist(),
+                                                    labels.tolist())
 
     def test_cv_test_folds(self, monkeypatch):
         """Both ablation arms score each test fold as the reference encoder
@@ -795,7 +800,8 @@ class TestMatrixScoring:
         for with_switching in (True, False):
             cfg = replace(self.CFG, with_switching=with_switching)
             pipeline = fit_pipeline(word_pool_corpus(40, seed=4), cfg)
-            matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values, pipeline.vocab)
+            matrix = textfeat.featurize(corpus, cfg.kinds, cfg.n_values,
+                                        textfeat.FittedKeys(pipeline.vocab))
             assert matrix.keys is pipeline.vocab
             assert len(textfeat.featurize(corpus, cfg.kinds, cfg.n_values).keys) \
                 > len(pipeline.vocab)

@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codeswitch.corpus import Token
-from codeswitch.switching import (
-    N_FEATURES,
-    has_embedding_property,
-    lang_run_vectors,
-    q_and_profile,
-    q_and_v,
-    switch_counts,
-    switching_block,
-    switching_features,
-)
+from codeswitch.switching import N_FEATURES, q_and_profile, q_and_v, switching_block
 
 PAPER_SENTENCE = tuple(Token(*raw.rsplit("_", 1)) for raw in
                        "koi_hi to_hi pray_en karo_hi mere_hi liye_hi bhi_hi".split())
@@ -23,6 +14,22 @@ ALL_HI = tuple(Token(*raw.rsplit("_", 1)) for raw in
 
 def toks(tags):
     return tuple(Token(f"w{i}", tag) for i, tag in enumerate(tags))
+
+
+def profile(tokens):
+    """The nine-feature switching profile that features writes."""
+    return q_and_profile(tokens)[1]
+
+
+def counts(tokens):
+    """(en_hi_switches, hi_en_switches, V) of the profile."""
+    p = profile(tokens)
+    return p.en_hi_switches, p.hi_en_switches, p.v
+
+
+def q(tokens):
+    """The embedding property Q, as stats reads it."""
+    return q_and_v(tokens)[0]
 
 
 # ------------------------------------------------------------------
@@ -74,40 +81,38 @@ def oracle_q(tokens):
 
 
 class TestLangRunVectors:
+    """The oracle behind test_features_equal_the_oracle_formulas gives the
+    paper's vectors."""
+
     def test_paper_example(self):
-        v = lang_run_vectors(PAPER_SENTENCE)
-        assert v.hi_en == (0, 0, 2, 0, 0, 0, 0)
-        assert v.en_hi == (0, 0, 0, 1, 1, 1, 1)
+        assert oracle_vectors(PAPER_SENTENCE) == ((0, 0, 2, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1))
 
     def test_all_hi(self):
-        v = lang_run_vectors(ALL_HI)
-        assert v.hi_en == (0,) * 8
-        assert v.en_hi == (0,) * 8
+        assert oracle_vectors(ALL_HI) == ((0,) * 8, (0,) * 8)
 
     def test_alternating(self):
-        v = lang_run_vectors(toks(["en", "hi", "en", "hi"]))
-        assert v.hi_en == (0, 0, 1, 0)
-        assert v.en_hi == (0, 1, 0, 2)
+        assert oracle_vectors(toks(["en", "hi", "en", "hi"])) == ((0, 0, 1, 0), (0, 1, 0, 2))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lang_run_vectors(())
+        for reader in (q_and_v, q_and_profile):
+            with pytest.raises(ValueError, match="non-empty"):
+                reader(())
 
 
 class TestSwitchCounts:
     def test_paper_example(self):
-        assert switch_counts(PAPER_SENTENCE) == (1, 1, 2)
+        assert counts(PAPER_SENTENCE) == (1, 1, 2)
 
     def test_all_hi(self):
-        assert switch_counts(ALL_HI) == (0, 0, 0)
+        assert counts(ALL_HI) == (0, 0, 0)
 
     def test_alternating(self):
-        assert switch_counts(toks(["en", "hi", "en", "hi"])) == (2, 1, 3)
+        assert counts(toks(["en", "hi", "en", "hi"])) == (2, 1, 3)
 
 
 class TestSwitchingFeatures:
     def test_paper_feature_vector(self):
-        f = switching_features(PAPER_SENTENCE)
+        f = profile(PAPER_SENTENCE)
         expected = (1, 1, 2, 1 / 7, 6 / 7, 2 / 7, 0.6998542122237653,
                     4 / 7, 0.4948716593053935)
         assert tuple(vars(f).values()) == pytest.approx(expected, abs=1e-12)
@@ -116,12 +121,12 @@ class TestSwitchingFeatures:
         assert math.floor(f.stddev_en_hi * 100) / 100 == 0.49
 
     def test_all_hi(self):
-        f = switching_features(ALL_HI)
+        f = profile(ALL_HI)
         assert tuple(vars(f).values()) == (0, 0, 0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_alternating(self):
         # population moments of [0,0,1,0] and [0,1,0,2], computed by hand
-        f = switching_features(toks(["en", "hi", "en", "hi"]))
+        f = profile(toks(["en", "hi", "en", "hi"]))
         expected = (2, 1, 3, 0.5, 0.5, 0.25, math.sqrt(0.1875),
                     0.75, math.sqrt(0.6875))
         assert tuple(vars(f).values()) == pytest.approx(expected, abs=1e-12)
@@ -132,12 +137,12 @@ class TestSwitchingFeatures:
         sum() gives from Python 3.12 on; the stddev is the former on every
         Python version."""
         tokens = toks(["rest", "en", "hi", "rest", "rest"])
-        squares = [(x - 0.2) * (x - 0.2) for x in lang_run_vectors(tokens).en_hi]
+        squares = [(x - 0.2) * (x - 0.2) for x in oracle_vectors(tokens)[1]]
         plain = 0.0
         for x in squares:
             plain += x
         assert plain != neumaier_sum(squares)
-        f = switching_features(tokens)
+        f = profile(tokens)
         assert f.mean_en_hi == 0.2
         assert f.stddev_en_hi == math.sqrt(plain / 5) == float.fromhex("0x1.999999999999bp-2")
 
@@ -148,29 +153,29 @@ class TestSwitchingFeatures:
         stddev would end in ...384."""
         tags = ("rest rest hi hi en hi en rest rest en rest rest rest en rest en hi hi rest "
                 "en en rest rest rest en hi en hi hi rest hi en en rest rest").split()
-        assert switching_features(toks(tags)).stddev_en_hi == \
+        assert profile(toks(tags)).stddev_en_hi == \
             float.fromhex("0x1.75353262d5385p+1")
 
 
 class TestEmbeddingProperty:
     def test_paper_positive(self):
-        assert has_embedding_property(PAPER_SENTENCE) is True
+        assert q(PAPER_SENTENCE) is True
 
     def test_paper_negative(self):
-        assert has_embedding_property(ALL_HI) is False
+        assert q(ALL_HI) is False
 
     def test_boundary_en_not_surrounded(self):
-        assert has_embedding_property(toks(["en", "hi"])) is False
+        assert q(toks(["en", "hi"])) is False
 
     def test_loose_reading_flag(self):
         # an en run of two between hi tokens: only the loose reading, which
         # the paper does not use, would count it
         tokens = toks(["hi", "en", "en", "hi"])
-        assert has_embedding_property(tokens) is False
+        assert q(tokens) is False
 
     def test_rest_transparent(self):
         tokens = toks(["hi", "rest", "en", "rest", "hi"])
-        assert has_embedding_property(tokens) is True
+        assert q(tokens) is True
 
 
 tags_strategy = st.lists(st.sampled_from(["hi", "en", "rest"]),
@@ -178,28 +183,21 @@ tags_strategy = st.lists(st.sampled_from(["hi", "en", "rest"]),
 
 
 @given(tags_strategy)
-def test_vectors_match_oracle(tags):
-    tokens = toks(tags)
-    v = lang_run_vectors(tokens)
-    assert (v.hi_en, v.en_hi) == oracle_vectors(tokens)
-
-
-@given(tags_strategy)
 def test_counts_match_oracle(tags):
     tokens = toks(tags)
-    assert switch_counts(tokens) == oracle_counts(tokens)
+    assert counts(tokens) == oracle_counts(tokens)
 
 
 @given(tags_strategy)
 def test_q_matches_oracle(tags):
     tokens = toks(tags)
-    assert has_embedding_property(tokens) == oracle_q(tokens)
+    assert q(tokens) == oracle_q(tokens)
 
 
 @given(tags_strategy)
 def test_v_is_sum_and_counts_balanced(tags):
     tokens = toks(tags)
-    en_hi, hi_en, v = switch_counts(tokens)
+    en_hi, hi_en, v = counts(tokens)
     assert v == en_hi + hi_en
     assert abs(en_hi - hi_en) <= 1
 
@@ -221,26 +219,21 @@ def test_features_equal_the_oracle_formulas(tags):
         return mean, math.sqrt(var / n)
 
     hi_en, en_hi = oracle_vectors(tokens)
-    assert tuple(vars(switching_features(tokens)).values()) == (
+    assert tuple(vars(profile(tokens)).values()) == (
         *oracle_counts(tokens), tags.count("en") / n, tags.count("hi") / n,
         *moments(hi_en), *moments(en_hi))
 
 
-def hexes(profile):
-    return [float(x).hex() for x in vars(profile).values()]
+def hexes(p):
+    return [float(x).hex() for x in vars(p).values()]
 
 
 @given(tags_strategy)
 def test_readers_equal_the_single_answers(tags):
-    """q_and_v and q_and_profile give what has_embedding_property,
-    switch_counts and switching_features give, every float equal by
-    float.hex."""
+    """q_and_v and q_and_profile give the same Q, and V is the profile's."""
     tokens = toks(tags)
-    q = has_embedding_property(tokens)
-    assert q_and_v(tokens) == (q, switch_counts(tokens)[2])
-    reader_q, profile = q_and_profile(tokens)
-    assert reader_q is q
-    assert hexes(profile) == hexes(switching_features(tokens))
+    reader_q, p = q_and_profile(tokens)
+    assert q_and_v(tokens) == (reader_q, p.v)
 
 
 @pytest.mark.parametrize("tags, expected", [
@@ -254,10 +247,10 @@ def test_rows_of_zero_vectors(tags, expected):
     """Rows whose two vectors are all 0 (mean 0): every moment is +0.0,
     never -0.0, by float.hex, and the readers agree."""
     tokens = toks(tags)
-    profile = switching_features(tokens)
-    assert hexes(profile) == [float(x).hex() for x in expected]
+    p = profile(tokens)
+    assert hexes(p) == [float(x).hex() for x in expected]
     assert q_and_v(tokens) == (False, 0)
-    assert q_and_profile(tokens) == (False, profile)
+    assert q_and_profile(tokens) == (False, p)
 
 
 def swap(tag):
@@ -266,8 +259,8 @@ def swap(tag):
 
 @given(tags_strategy)
 def test_tag_swap_symmetry(tags):
-    f = switching_features(toks(tags))
-    g = switching_features(toks([swap(t) for t in tags]))
+    f = profile(toks(tags))
+    g = profile(toks([swap(t) for t in tags]))
     assert g.en_hi_switches == f.hi_en_switches
     assert g.hi_en_switches == f.en_hi_switches
     assert g.v == f.v
@@ -282,16 +275,16 @@ def test_tag_swap_symmetry(tags):
 @given(tags_strategy)
 def test_q_implies_switches(tags):
     tokens = toks(tags)
-    if has_embedding_property(tokens):
-        en_hi, hi_en, _ = switch_counts(tokens)
+    if q(tokens):
+        en_hi, hi_en, _ = counts(tokens)
         assert en_hi >= 1 and hi_en >= 1
 
 
 @given(tags_strategy)
 def test_appending_rest_only_shrinks_fractions(tags):
     tokens = toks(tags)
-    before = switching_features(tokens)
-    after = switching_features(tokens + (Token("x", "rest"),))
+    before = profile(tokens)
+    after = profile(tokens + (Token("x", "rest"),))
     assert after.en_hi_switches == before.en_hi_switches
     assert after.hi_en_switches == before.hi_en_switches
     assert after.v == before.v
@@ -299,28 +292,17 @@ def test_appending_rest_only_shrinks_fractions(tags):
     assert after.fraction_hi <= before.fraction_hi
 
 
-@given(tags_strategy)
-def test_last_nonzero_hi_en_entry(tags):
-    tokens = toks(tags)
-    v = lang_run_vectors(tokens)
-    en_positions = [i for i, t in enumerate(tokens) if t.tag == "en"]
-    if en_positions:
-        last_en = en_positions[-1]
-        expected = sum(1 for t in tokens[:last_en] if t.tag == "hi")
-        assert v.hi_en[last_en] == expected
-
-
 # ------------------------------------------------------------------
 # switching_block: the profiles of many rows at once, with numpy
 # ------------------------------------------------------------------
 
 def assert_block_equals_profiles(rows):
-    """Each row of switching_block(rows) is switching_features of its
+    """Each row of switching_block(rows) is q_and_profile's profile of its
     tokens, every feature equal by float.hex."""
     block = switching_block(rows)
     assert block.shape == (len(rows), N_FEATURES)
     assert [[x.hex() for x in row] for row in block.tolist()] == \
-        [[float(x).hex() for x in vars(switching_features(tokens)).values()] for tokens in rows]
+        [[float(x).hex() for x in vars(profile(tokens)).values()] for tokens in rows]
 
 
 class TestSwitchingBlock:

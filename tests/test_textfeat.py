@@ -25,7 +25,7 @@ from codeswitch.textfeat import (
     training_matrix,
     vector_dim,
 )
-from codeswitch.switching import N_FEATURES, SwitchProfile, switching_features
+from codeswitch.switching import N_FEATURES, SwitchProfile, q_and_profile
 from reference_encoder import dense_row, extract_features
 from synth_corpus import switching_driven_corpus
 
@@ -47,6 +47,11 @@ def keys_of(matrix, cols):
     return tuple(matrix.keys[c] for c in cols.tolist())
 
 
+def fitted(vocab):
+    """The keys vocab coded for featurize, or None without a vocabulary."""
+    return None if vocab is None else textfeat.FittedKeys(vocab)
+
+
 def vocabulary(c, kinds, n_values=None, min_count=1):
     """The keys of the columns that build_vocabulary keeps of c's matrix."""
     matrix = featurize(c, kinds, n_values or {})
@@ -66,7 +71,7 @@ def unigram_fit(c):
 def encode(u, vocab, kinds, n_values, lexicon, negation_words, with_switching):
     """The training_matrix row of u alone, featurized over the keys vocab,
     as a dense vector, checked against the reference encoder."""
-    matrix = featurize(corpus(u), kinds, n_values, vocab, with_switching)
+    matrix = featurize(corpus(u), kinds, n_values, textfeat.FittedKeys(vocab), with_switching)
     X = training_matrix(matrix, np.arange(len(vocab)), lexicon, negation_words)
     row = np.zeros(X.shape[1])
     row[X.cols] = X.values
@@ -295,13 +300,13 @@ class TestFeaturizeExact:
             vocab = [key for key in full.keys if rng.random() < 0.5] + list(ABSENT_KEYS)
             rng.shuffle(vocab)
             vocab = tuple(vocab)
-            matrix = featurize(c, kinds, n_values, vocab)
+            matrix = featurize(c, kinds, n_values, textfeat.FittedKeys(vocab))
             assert matrix.keys is vocab
             assert featurized_rows(matrix) == oracle_rows(c, kinds, n_values, vocab)
 
     @given(st.lists(TAG_ROWS, max_size=8), st.integers(1, 8))
     def test_switching_block_equals_the_profiles(self, rows, chunk_tokens):
-        """Each row of the switching block is switching_features of its
+        """Each row of the switching block is q_and_profile's profile of its
         utterance, every feature equal by float.hex, whichever chunks the
         rows fall into."""
         c = tuple(LabeledUtterance(tuple(Token(f"w{j}", tag) for j, tag in enumerate(tags)),
@@ -310,20 +315,19 @@ class TestFeaturizeExact:
             mp.setattr(textfeat, "_CHUNK_TOKENS", chunk_tokens)
             block = featurize(c, *UNIGRAMS).switching
         assert [[x.hex() for x in row] for row in block.tolist()] == \
-            [[float(x).hex() for x in vars(switching_features(u.tokens)).values()] for u in c]
+            [[float(x).hex() for x in vars(q_and_profile(u.tokens)[1]).values()] for u in c]
 
     def test_empty_corpus(self):
         for vocab in (None, ABSENT_KEYS):
-            matrix = featurize((), frozenset(KIND_ORDER), NGRAM_SIZES, vocab)
+            matrix = featurize((), frozenset(KIND_ORDER), NGRAM_SIZES, fitted(vocab))
             assert matrix.counts.shape == (0, 0 if vocab is None else len(vocab))
             assert featurized_rows(matrix) == [] and matrix.words == ()
             assert matrix.switching.shape == (0, N_FEATURES)
 
     @pytest.mark.parametrize("case", FITTED_CASES.values(), ids=FITTED_CASES)
     def test_fitted_rows_equal_the_oracle(self, case):
-        """Rows over a fitted vocabulary, given as keys or as FittedKeys,
-        hold the oracle's keys, counts and key order in cases that a
-        random draw may miss."""
+        """Rows over a fitted vocabulary hold the oracle's keys, counts and
+        key order in cases that a random draw may miss."""
         surfaces, n_values, vocab, chunk_tokens = case
         c = tuple(utterance(s, uid=str(i)) for i, s in enumerate(surfaces))
         kinds = frozenset(n_values)
@@ -331,10 +335,9 @@ class TestFeaturizeExact:
         assert any(expected)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textfeat, "_CHUNK_TOKENS", chunk_tokens)
-            for given in (vocab, textfeat.FittedKeys(vocab)):
-                matrix = featurize(c, kinds, n_values, given)
-                assert matrix.keys is vocab
-                assert featurized_rows(matrix) == expected
+            matrix = featurize(c, kinds, n_values, textfeat.FittedKeys(vocab))
+        assert matrix.keys is vocab
+        assert featurized_rows(matrix) == expected
 
     def test_word_symbols_are_the_call_word_ids(self):
         """A fitted word's symbol is its id among the call's words, or their
@@ -362,7 +365,7 @@ class TestFeaturizeExact:
             kinds, n_values = frozenset({kind}), {kind: (n,)}
             for vocab in (None, (("word_ngram", NGRAM_SEP.join([words[16], *tail])),
                                  ("char_ngram", "qbcd\U000FFFFF"))):
-                matrix = featurize(c, kinds, n_values, vocab)
+                matrix = featurize(c, kinds, n_values, fitted(vocab))
                 assert featurized_rows(matrix) == oracle_rows(c, kinds, n_values, vocab)
                 if vocab is not None:  # one row holds the one key of the kind
                     assert matrix.counts.values.tolist() == [1]
@@ -430,7 +433,8 @@ class TestFeaturize:
             with pytest.raises(ValueError, match=message):
                 featurize(c, {"word_ngram"}, n_values)
         with pytest.raises(ValueError, match=message):
-            featurize(c, {"word_ngram"}, {"word_ngram": (2,)}, [("word_ngram", "c")])
+            featurize(c, {"word_ngram"}, {"word_ngram": (2,)},
+                      textfeat.FittedKeys([("word_ngram", "c")]))
         # no word n-gram joins two surfaces: nothing can collide
         for kinds in ({"word_ngram"}, {"char_ngram"}):
             matrix = featurize(c, kinds, {"char_ngram": (3,), "word_ngram": (1,)})
@@ -443,7 +447,7 @@ class TestFeaturize:
                      for i in range(6)))
         matrix = featurize(c, *UNIGRAMS)
         assert matrix.switching.shape == (6, N_FEATURES)
-        assert matrix.switching.tolist() == [list(vars(switching_features(u.tokens)).values())
+        assert matrix.switching.tolist() == [list(vars(q_and_profile(u.tokens)[1]).values())
                                              for u in c]
         assert matrix.take([5, 1]).switching.tolist() == matrix.switching[[5, 1]].tolist()
 
@@ -453,7 +457,7 @@ class TestFeaturize:
         features are distinct, so a swap of two columns shows."""
         tokens = tuple(Token(f"w{i}", tag) for i, tag in
                        enumerate("rest rest rest hi hi en hi en rest".split()))
-        profile = switching_features(tokens)
+        profile = q_and_profile(tokens)[1]
         by_field = [getattr(profile, f.name) for f in fields(SwitchProfile)]
         assert len(set(by_field)) == len(by_field) == N_FEATURES == 9
         block = featurize(corpus(LabeledUtterance(tokens, 1, "0")), *UNIGRAMS).switching
@@ -479,7 +483,7 @@ class TestFeaturize:
         kinds, n_values = frozenset({"word_ngram"}), {"word_ngram": (1, 2)}
         full = featurize(c, kinds, n_values)
         vocab = full.keys[1::2]
-        matrix = featurize(c, kinds, n_values, vocab)
+        matrix = featurize(c, kinds, n_values, textfeat.FittedKeys(vocab))
         assert matrix.keys is vocab
         for r, u in enumerate(c):
             row = matrix.take([r])
@@ -495,9 +499,9 @@ class TestFeaturize:
         c = switching_driven_corpus(40, seed=3, pool_size=6)
         kinds = frozenset(KIND_ORDER)
         full = featurize(c, kinds, NGRAM_SIZES)
-        fitted = keys_of(full, chi2_select(full, build_vocabulary(full, min_count=2), k=60))
-        for vocab in (None, fitted):
-            matrix = featurize(c, kinds, NGRAM_SIZES, vocab)
+        kept = keys_of(full, chi2_select(full, build_vocabulary(full, min_count=2), k=60))
+        for vocab in (None, kept):
+            matrix = featurize(c, kinds, NGRAM_SIZES, fitted(vocab))
             counts = matrix.counts
             for r, u in enumerate(c):
                 at = counts.rows == r
